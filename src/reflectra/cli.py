@@ -558,3 +558,7 @@ def verify_command(suite: str, fmt: str) -> None:
         _emit("\n".join(lines) + "\n", None)
     if not report.passed:
         sys.exit(1)
+
+
+if __name__ == "__main__":
+    main()

@@ -8,7 +8,8 @@ irreducible character chi contributes the eigenvalue
 
 with multiplicity chi(1)^2.  Three independent routes are implemented:
 
-* numeric: build the dense matrix and run cyclic Jacobi rotations;
+* numeric: build the dense matrix and take its eigenvalues with LAPACK
+  (numpy's eigvalsh);
 * class-algebra: recover the central characters from the class-sum structure
   constants and evaluate theta_chi directly, no |G| x |G| matrix;
 * combinatorial (codimension matrices of G(r, 1, n) only): exact integer
@@ -42,12 +43,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_MATRIX_CAP = 1200
 ELEMENT_ORDER_REFERENCE = "lex(perm,exponents)"
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-
 
 @dataclass(frozen=True)
 class ClassFunction:
@@ -204,100 +199,16 @@ def adjacency_matrix(
     return matrix_from_element_values(group, flags, "adjacency", max_size)
 
 
-def _jacobi_rotations(a: np.ndarray, threshold: float, max_sweeps: int) -> int:
-    """Cyclic Jacobi sweeps, in place; returns the number of sweeps run.
-    Stops once the off-diagonal Frobenius norm drops to the threshold."""
-    n = a.shape[0]
-    for sweep in range(max_sweeps):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += 2.0 * a[i, j] * a[i, j]
-        if off**0.5 <= threshold:
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + (1.0 + theta * theta) ** 0.5)
-                else:
-                    t = 1.0 / (theta - (1.0 + theta * theta) ** 0.5)
-                c = 1.0 / (1.0 + t * t) ** 0.5
-                s = t * c
-                a[p, p] -= t * apq
-                a[q, q] += t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                for i in range(n):
-                    if i != p and i != q:
-                        aip = a[i, p]
-                        aiq = a[i, q]
-                        a[i, p] = c * aip - s * aiq
-                        a[p, i] = a[i, p]
-                        a[i, q] = s * aip + c * aiq
-                        a[q, i] = a[i, q]
-    return max_sweeps
+def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, ascending, by LAPACK (eigvalsh).
 
-
-if njit is not None:
-    _jacobi_kernel = njit(cache=True)(_jacobi_rotations)
-else:  # pragma: no cover - numba is a declared dependency
-    def _jacobi_kernel(a: np.ndarray, threshold: float, max_sweeps: int) -> int:
-        # same rotation schedule as _jacobi_rotations, row/column vectorized
-        n = a.shape[0]
-        for sweep in range(max_sweeps):
-            off = sqrt(2.0 * float((np.triu(a, 1) ** 2).sum()))
-            if off <= threshold:
-                return sweep
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if apq == 0.0:
-                        continue
-                    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    if theta >= 0.0:
-                        t = 1.0 / (theta + sqrt(1.0 + theta * theta))
-                    else:
-                        t = 1.0 / (theta - sqrt(1.0 + theta * theta))
-                    c = 1.0 / sqrt(1.0 + t * t)
-                    s = t * c
-                    app, aqq = a[p, p], a[q, q]
-                    rp, rq = a[p].copy(), a[q].copy()
-                    a[p] = c * rp - s * rq
-                    a[q] = s * rp + c * rq
-                    cp, cq = a[:, p].copy(), a[:, q].copy()
-                    a[:, p] = c * cp - s * cq
-                    a[:, q] = s * cp + c * cq
-                    a[p, p] = app - t * apq
-                    a[q, q] = aqq + t * apq
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-        return max_sweeps
-
-
-def jacobi_eigenvalues(
-    matrix: np.ndarray, rel_threshold: float = 1e-12, max_sweeps: int = 60
-) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi."""
-    a = np.array(matrix, dtype=np.float64)
+    The name is historical: the benchmark tracer wraps this function by name
+    to report the eigensolve layer, so it is kept until the tracer is updated
+    in the same change that renames it."""
+    a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParameterError(f"need a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n <= 1:
-        return np.diag(a).copy()
-    threshold = rel_threshold * sqrt(float((a * a).sum()))
-    sweeps = _jacobi_kernel(a, threshold, max_sweeps)
-    off = sqrt(2.0 * float((np.triu(a, 1) ** 2).sum()))
-    if off > threshold:
-        raise NumericError(
-            f"Jacobi did not converge in {max_sweeps} sweeps "
-            f"(off-diagonal norm {off:.3e}, threshold {threshold:.3e})"
-        )
-    log.debug("jacobi: n=%d sweeps=%d off=%.3e", n, sweeps, off)
-    return np.sort(np.diag(a))
+    return np.linalg.eigvalsh(a)
 
 
 @dataclass(frozen=True)
@@ -332,7 +243,7 @@ def _cluster(raw: np.ndarray, width: float = 1e-6) -> list[list[float]]:
 
 
 def spectrum_numeric(matrix: GroupMatrix, tolerance: float = 1e-8) -> Spectrum:
-    """Cluster and round the Jacobi eigenvalues of a symmetric group matrix."""
+    """Cluster and round the LAPACK eigenvalues of a symmetric group matrix."""
     if tolerance <= 0:
         raise ParameterError(f"tolerance must be positive, got {tolerance}")
     entries = matrix.entries

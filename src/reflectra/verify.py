@@ -522,16 +522,12 @@ def _bipartite_checks() -> list[Check]:
         )
         for params in desk_scale_params()
     ]
-    expectations: list[tuple[GroupParams, bool]] = []
+    # det(g) = sign(perm) * zeta_r^sum(e) with sum(e) in pZ/rZ.  For r/p <= 2
+    # det takes only the values +-1 and every reflection has order 2, hence
+    # det -1, so det 2-colours the graph.  For r/p >= 3 a diagonal reflection
+    # t has t^2 also a reflection, and t * t * t^-2 = 1 is an odd cycle.
     for params in desk_scale_params():
-        if params.r == 2:
-            expectations.append((params, True))
-        elif params.p == params.r and params.n == 2:
-            expectations.append((params, True))
-        elif params.p == 1 and params.r >= 3:
-            expectations.append((params, False))
-    expectations.append((GroupParams(3, 3, 3), False))
-    for params, expected in expectations:
+        expected = params.r // params.p <= 2
         checks.append((
             f"bipartite-class-{params}",
             9,
