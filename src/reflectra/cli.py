@@ -3,7 +3,8 @@ Poincare factorizations, and the verification harness.
 
 Output goes to stdout (or a file via -o) and defaults to readable text;
 --format json emits a stable machine schema carrying a top-level
-"schema": 1 marker, and matrix/length listings also support CSV.  Progress
+"schema" marker (2 for verify, whose check records dropped their runtime;
+1 elsewhere), and matrix/length listings also support CSV.  Progress
 notes for long computations go to stderr only.  Identical invocations
 produce byte-identical data output.
 """
@@ -35,7 +36,7 @@ from .partitions import (
     poincare_star_roots,
     xi_from_roots,
 )
-from .reflections import codim, degree_data, reflection_length_table
+from .reflections import degree_data, reflection_length_table
 from .reflections import reflections as reflection_indices
 from .spectra import (
     Spectrum,
@@ -542,7 +543,7 @@ def verify_command(suite: str, fmt: str) -> None:
 
     report = run_suite(suite, progress)
     if fmt == "json":
-        payload = {"schema": 1, **report.as_dict()}
+        payload = {"schema": 2, **report.as_dict()}
         _emit(_json_text(payload), None)
     else:
         lines = []

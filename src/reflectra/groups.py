@@ -363,6 +363,26 @@ class Group:
         exps = (self._exps + ge[self._invperms]) % self.params.r
         return self._lookup(perms, exps)
 
+    @cached_property
+    def codims(self) -> np.ndarray:
+        """Read-only fixed-space codimension of every element: n minus the
+        number of cycles whose exponent sum vanishes mod r.  Each cycle is
+        counted once, at its least position."""
+        n, r = self.params.n, self.params.r
+        rows = np.arange(self.order)[:, None]
+        start = np.broadcast_to(np.arange(n), self._perms.shape)
+        pos = self._perms
+        totals = self._exps.copy()
+        leads = np.ones(self._perms.shape, dtype=bool)
+        for _ in range(n - 1):
+            open_ = pos != start
+            totals += np.where(open_, self._exps[rows, pos], 0)
+            leads &= ~(open_ & (pos < start))
+            pos = np.where(open_, self._perms[rows, pos], pos)
+        codims = n - (leads & (totals % r == 0)).sum(axis=1)
+        codims.setflags(write=False)
+        return codims
+
     def conjugation_indices(self, g: int) -> np.ndarray:
         """Index map k -> index of g * x_k * g^{-1}."""
         left = self.left_mult_indices(g)

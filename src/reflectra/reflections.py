@@ -29,7 +29,7 @@ def codim(x: GroupElement) -> int:
 
 def reflections(group: Group) -> tuple[int, ...]:
     """Indices of the codimension-1 elements, in enumeration order."""
-    return tuple(i for i, x in enumerate(group.elements) if codim(x) == 1)
+    return tuple(np.flatnonzero(group.codims == 1).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +71,7 @@ def reflection_length_table(group: Group) -> LengthTable:
         raise ConsistencyError(
             f"reflections fail to generate {group.params}"
         )
-    codims = np.array([codim(x) for x in group.elements], dtype=np.int64)
-    return LengthTable(lengths=lengths, codims=codims)
+    return LengthTable(lengths=lengths, codims=group.codims)
 
 
 def sum_reflection_lengths(group: Group) -> int:

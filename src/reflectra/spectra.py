@@ -37,7 +37,7 @@ from .errors import (
     SizeLimitError,
 )
 from .groups import Group, GroupParams
-from .reflections import bfs_word_lengths, codim, reflections
+from .reflections import bfs_word_lengths, reflections
 
 log = logging.getLogger(__name__)
 
@@ -80,9 +80,7 @@ class ClassFunction:
 
 def adjacency_function(group: Group) -> ClassFunction:
     """Indicator of the full reflection set."""
-    flags = np.array(
-        [1 if codim(x) == 1 else 0 for x in group.elements], dtype=np.int64
-    )
+    flags = (group.codims == 1).astype(np.int64)
     return ClassFunction.from_element_values(group, flags, "adjacency")
 
 
@@ -95,8 +93,7 @@ def distance_function(group: Group) -> ClassFunction:
 
 
 def codimension_function(group: Group) -> ClassFunction:
-    codims = np.array([codim(x) for x in group.elements], dtype=np.int64)
-    return ClassFunction.from_element_values(group, codims, "codimension")
+    return ClassFunction.from_element_values(group, group.codims, "codimension")
 
 
 @dataclass(frozen=True)
@@ -215,9 +212,18 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 class Spectrum:
     """Eigenvalues with multiplicities, sorted descending by eigenvalue.
 
-    When every clustered eigenvalue sits within tolerance of an integer the
-    entries are exact integers; otherwise integral is False, entries hold the
-    cluster means, and the raw eigenvalue list is preserved."""
+    Both matrix routes round the same way.  The eigenvalues, each with a
+    weight (1 per numeric eigenvalue, chi(1)^2 per class-algebra value), are
+    sorted and split into clusters wherever two neighbours differ by more
+    than 1e-6; each cluster's weighted mean is rounded to the nearest
+    integer, and the residual is the largest distance of a member from that
+    integer.  The spectrum is integral when every residual is at most a
+    threshold: the tolerance itself on the numeric route, and the tolerance
+    times max(1, largest |eigenvalue|) on the class-algebra route.
+
+    When integral, the entries are exact integers; otherwise integral is
+    False, entries hold the cluster means, and raw keeps every eigenvalue,
+    ascending, repeated by its multiplicity."""
 
     entries: tuple[tuple[int | float, int], ...]
     method: str
@@ -232,54 +238,60 @@ class Spectrum:
         return sum(m for _, m in self.entries)
 
 
-def _cluster(raw: np.ndarray, width: float = 1e-6) -> list[list[float]]:
-    clusters: list[list[float]] = []
-    for value in np.sort(raw):
-        if clusters and value - clusters[-1][-1] <= width:
-            clusters[-1].append(float(value))
+def _cluster(values: np.ndarray, width: float = 1e-6) -> list[list[int]]:
+    """Indices of values, ascending by value, split wherever neighbours
+    differ by more than width."""
+    clusters: list[list[int]] = []
+    last = 0.0
+    for index in np.argsort(values, kind="stable").tolist():
+        value = float(values[index])
+        if clusters and value - last <= width:
+            clusters[-1].append(index)
         else:
-            clusters.append([float(value)])
+            clusters.append([index])
+        last = value
     return clusters
 
 
+def _round_spectrum(
+    values: np.ndarray, weights: list[int], threshold: float, method: str
+) -> Spectrum:
+    """Cluster and round weighted real eigenvalues (see Spectrum); a value of
+    weight w stands for w equal eigenvalues."""
+    max_residual = 0.0
+    integral = True
+    rounded: dict[int, int] = {}
+    means: list[tuple[float, int]] = []
+    for cluster in _cluster(values):
+        members = [float(values[i]) for i in cluster]
+        count = sum(weights[i] for i in cluster)
+        mean = sum(x * weights[i] for x, i in zip(members, cluster)) / count
+        nearest = int(round(mean))
+        residual = max(abs(x - nearest) for x in members)
+        max_residual = max(max_residual, residual)
+        if residual > threshold:
+            integral = False
+        rounded[nearest] = rounded.get(nearest, 0) + count
+        means.append((mean, count))
+    return Spectrum(
+        entries=tuple(sorted(rounded.items() if integral else means, reverse=True)),
+        method=method,
+        max_residual=float(max_residual),
+        integral=integral,
+        raw=None if integral else tuple(np.sort(np.repeat(values, weights)).tolist()),
+    )
+
+
 def spectrum_numeric(matrix: GroupMatrix, tolerance: float = 1e-8) -> Spectrum:
-    """Cluster and round the LAPACK eigenvalues of a symmetric group matrix."""
+    """Cluster and round the LAPACK eigenvalues of a symmetric group matrix;
+    the tolerance is absolute."""
     if tolerance <= 0:
         raise ParameterError(f"tolerance must be positive, got {tolerance}")
     entries = matrix.entries
     if not np.array_equal(entries, entries.T):
         raise ParameterError(f"{matrix.kind} matrix is not symmetric")
     raw = jacobi_eigenvalues(entries)
-    clusters = _cluster(raw)
-    max_residual = 0.0
-    rounded: dict[int, int] = {}
-    integral = True
-    for cluster in clusters:
-        mean = sum(cluster) / len(cluster)
-        nearest = round(mean)
-        residual = max(abs(x - nearest) for x in cluster)
-        max_residual = max(max_residual, residual)
-        if residual > tolerance:
-            integral = False
-        rounded[int(nearest)] = rounded.get(int(nearest), 0) + len(cluster)
-    if integral:
-        entries_out = tuple(sorted(rounded.items(), reverse=True))
-        raw_out = None
-    else:
-        entries_out = tuple(
-            sorted(
-                ((sum(c) / len(c), len(c)) for c in clusters),
-                reverse=True,
-            )
-        )
-        raw_out = tuple(float(x) for x in raw)
-    return Spectrum(
-        entries=entries_out,
-        method="numeric",
-        max_residual=float(max_residual),
-        integral=integral,
-        raw=raw_out,
-    )
+    return _round_spectrum(raw, [1] * raw.size, tolerance, "numeric")
 
 
 def class_structure_constants(group: Group) -> np.ndarray:
@@ -306,11 +318,38 @@ class ClassAlgebraData:
 
 
 _SEED_BASE = 20260822
+_RESIDUAL_BLOCK = 16
+
+
+def _central_residual(a: np.ndarray, omegas: np.ndarray) -> float:
+    """max over chi, i, j of |sum_l a[i, j, l] omega_chi(l) - omega_chi(i)
+    omega_chi(j)|: how far the rows of omegas are from being characters of
+    the class algebra.  Blocks of at most _RESIDUAL_BLOCK first indices are
+    cast to float64 and multiplied by the real and imaginary parts of omegas
+    in two matrix products, so no complex copy of a is ever made."""
+    k = a.shape[0]
+    columns = omegas.T
+    residual = 0.0
+    for lo in range(0, k, _RESIDUAL_BLOCK):
+        hi = min(lo + _RESIDUAL_BLOCK, k)
+        rows = (hi - lo) * k
+        block = a[lo:hi].astype(np.float64).reshape(rows, k)
+        expected = (columns[lo:hi, None, :] * columns[None, :, :]).reshape(rows, k)
+        real = block @ omegas.real.T - expected.real
+        imag = block @ omegas.imag.T - expected.imag
+        residual = max(residual, float(np.hypot(real, imag).max()))
+    return residual
 
 
 def _central_characters(group: Group, a: np.ndarray, attempts: int = 24) -> np.ndarray:
     """Rows are the central characters omega_chi over the classes, recovered
-    as shared eigenvectors of the commuting class-sum matrices."""
+    as shared eigenvectors of the commuting class-sum matrices.
+
+    A candidate is accepted only when every row is a shared eigenvector of
+    every class-sum matrix (_central_residual at most 1e-6 times
+    max(1, max |omega|^2)).  That check runs in blocks of _RESIDUAL_BLOCK
+    slices of the (k, k, k) structure constants, so besides a its memory is
+    a few (_RESIDUAL_BLOCK * k, k) arrays, about 4.6 MB each at k = 190."""
     k = a.shape[0]
     id_class = int(group.conjugacy.class_of[group.identity_index])
     if k == 1:
@@ -332,14 +371,9 @@ def _central_characters(group: Group, a: np.ndarray, attempts: int = 24) -> np.n
         if np.abs(anchors).min() < 1e-12:
             continue
         omegas = (eigvecs / anchors[None, :]).T
-        # shared-eigenvector residual over every class-sum matrix
-        residual = 0.0
-        for row in omegas:
-            products = np.tensordot(a, row, axes=(2, 0))
-            residual = max(
-                residual, float(np.abs(products - np.outer(row, row)).max())
-            )
-        if residual > 1e-6 * max(1.0, float(np.abs(omegas).max()) ** 2):
+        if _central_residual(a, omegas) > 1e-6 * max(
+            1.0, float(np.abs(omegas).max()) ** 2
+        ):
             continue
         return omegas
     raise NumericError(
@@ -401,34 +435,8 @@ def spectrum_class_algebra(
             "complex eigenvalues from the class-algebra route; the group "
             "matrix of this class function is not symmetric"
         )
-    raw = np.repeat(thetas.real, [d * d for d in data.degrees])
-    clusters = _cluster(raw)
-    max_residual = 0.0
-    integral = True
-    rounded: dict[int, int] = {}
-    for cluster in clusters:
-        mean = sum(cluster) / len(cluster)
-        nearest = round(mean)
-        residual = max(abs(x - nearest) for x in cluster)
-        max_residual = max(max_residual, residual)
-        if residual > tolerance * scale:
-            integral = False
-        rounded[int(nearest)] = rounded.get(int(nearest), 0) + len(cluster)
-    if integral:
-        entries = tuple(sorted(rounded.items(), reverse=True))
-        raw_out = None
-    else:
-        entries = tuple(
-            sorted(((sum(c) / len(c), len(c)) for c in clusters), reverse=True)
-        )
-        raw_out = tuple(float(x) for x in np.sort(raw))
-    return Spectrum(
-        entries=entries,
-        method="class-algebra",
-        max_residual=float(max_residual),
-        integral=integral,
-        raw=raw_out,
-    )
+    weights = [d * d for d in data.degrees]
+    return _round_spectrum(thetas.real, weights, tolerance * scale, "class-algebra")
 
 
 def spectral_radius_check(group: Group, f: ClassFunction, spectrum: Spectrum) -> bool:

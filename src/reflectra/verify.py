@@ -70,7 +70,9 @@ Check = tuple[str, int, Callable[[], CheckOutcome]]
 @dataclass(frozen=True)
 class CheckResult:
     """One named check: pass/fail, a human-readable detail line, the measured
-    residual where a numeric tolerance was involved, and the runtime."""
+    residual where a numeric tolerance was involved, and the runtime.  The
+    runtime is left out of as_dict, so that the data output of identical
+    runs is byte-identical; it is logged at DEBUG instead."""
 
     name: str
     criterion: int
@@ -86,7 +88,6 @@ class CheckResult:
             "passed": self.passed,
             "detail": self.detail,
             "residual": self.residual,
-            "runtime": self.runtime,
         }
 
 

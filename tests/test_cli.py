@@ -1,5 +1,5 @@
-"""Command-line front end: determinism of data output and the module entry
-point."""
+"""Command-line front end: the JSON schema of each subcommand, usage errors,
+determinism of data output, and the module entry point."""
 
 import json
 import os
@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import reflectra
@@ -37,3 +38,82 @@ def test_python_dash_m_runs_the_cli():
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("G(2,1,2): order 8"), done.stdout
+
+
+SPECTRUM_KEYS = {
+    "schema", "params", "kind", "method", "entries", "max_residual", "integral",
+}
+
+
+@pytest.mark.parametrize(
+    "args,keys",
+    [
+        pytest.param(["group", "3", "1", "2"], {
+            "schema", "params", "name", "order", "degrees", "exponents",
+            "reflections", "classes", "rational_classes", "real", "generators",
+        }, id="group"),
+        pytest.param(["classes", "3", "1", "2"], {"schema", "params", "classes"},
+                     id="classes"),
+        pytest.param(["reflections", "3", "1", "2"],
+                     {"schema", "params", "count", "reflections"}, id="reflections"),
+        pytest.param(["lengths", "3", "1", "2"],
+                     {"schema", "params", "total_reflection_length", "elements"},
+                     id="lengths"),
+        pytest.param(["spectrum", "3", "1", "2", "--kind", "adjacency"],
+                     SPECTRUM_KEYS | {"connection_set"}, id="spectrum-numeric"),
+        pytest.param(["spectrum", "3", "1", "2", "--kind", "distance",
+                      "--connection-set", "standard"],
+                     SPECTRUM_KEYS | {"connection_set", "raw"},
+                     id="spectrum-non-integral"),
+        pytest.param(["spectrum", "3", "1", "2", "--kind", "codimension",
+                      "--method", "class-algebra"], SPECTRUM_KEYS,
+                     id="spectrum-class-algebra"),
+        pytest.param(["spectrum", "3", "1", "2", "--kind", "codimension",
+                      "--method", "combinatorial"], SPECTRUM_KEYS,
+                     id="spectrum-combinatorial"),
+        pytest.param(["poincare", "2||1,1"], {
+            "schema", "tuple", "r", "n", "roots", "poincare_star", "poincare",
+            "xi", "dimension", "multiplicity",
+        }, id="poincare"),
+        pytest.param(["codim-spectrum", "3", "2"], SPECTRUM_KEYS,
+                     id="codim-spectrum"),
+    ],
+)
+def test_json_top_level_keys(args, keys):
+    result = CliRunner().invoke(main, args + ["--format", "json"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.stdout_bytes)
+    assert set(payload) == keys
+    assert payload["schema"] == 1
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--kind", "codimension", "--method", "combinatorial"],
+        ["--kind", "codimension", "--connection-set", "standard"],
+        ["--kind", "adjacency", "--method", "class-algebra",
+         "--connection-set", "standard"],
+        ["--kind", "adjacency", "--tolerance", "0"],
+    ],
+    ids=["combinatorial-p>1", "codimension-connection", "class-algebra-standard",
+         "zero-tolerance"],
+)
+def test_spectrum_usage_errors_exit_2(extra):
+    result = CliRunner().invoke(main, ["spectrum", "4", "2", "2", *extra])
+    assert result.exit_code == 2, result.output
+    assert result.stdout_bytes == b""
+
+
+def test_verify_json_is_byte_identical_on_repeat():
+    args = ["verify", "dihedral", "--format", "json"]
+    runner = CliRunner()
+    first = runner.invoke(main, args)
+    second = runner.invoke(main, args)
+    assert first.exit_code == 0, first.output
+    assert second.exit_code == 0, second.output
+    assert first.stdout_bytes == second.stdout_bytes
+    payload = json.loads(first.stdout_bytes)
+    assert payload["schema"] == 2
+    assert payload["checks"]
+    assert all("runtime" not in check for check in payload["checks"])

@@ -14,10 +14,12 @@ from reflectra.errors import (
     SizeLimitError,
 )
 from reflectra.groups import Group, GroupElement, GroupParams
-from reflectra.reflections import reflections
+from reflectra.reflections import codim, reflections
 from reflectra.spectra import (
     ClassFunction,
+    _central_residual,
     _cluster,
+    _round_spectrum,
     adjacency_function,
     adjacency_matrix,
     all_reflections_connection,
@@ -36,6 +38,7 @@ from reflectra.spectra import (
     spectrum_numeric,
     standard_connection,
 )
+from reflectra.verify import desk_scale_params
 
 
 class TestJacobi:
@@ -184,6 +187,117 @@ class TestSpectrumNumeric:
         assert [len(c) for c in clusters] == [2, 1]
         clusters = _cluster(np.array([1.0, 1.0 + 5e-6, 5.0]))
         assert [len(c) for c in clusters] == [1, 1, 1]
+
+
+def _expanded_rounding(raw, threshold):
+    """The rounding rule applied to the fully expanded eigenvalue list: one
+    list entry per eigenvalue, clustered and rounded in Python."""
+    clusters: list[list[float]] = []
+    for value in np.sort(raw):
+        if clusters and value - clusters[-1][-1] <= 1e-6:
+            clusters[-1].append(float(value))
+        else:
+            clusters.append([float(value)])
+    max_residual = 0.0
+    integral = True
+    rounded: dict[int, int] = {}
+    for cluster in clusters:
+        nearest = round(sum(cluster) / len(cluster))
+        residual = max(abs(x - nearest) for x in cluster)
+        max_residual = max(max_residual, residual)
+        integral = integral and residual <= threshold
+        rounded[nearest] = rounded.get(nearest, 0) + len(cluster)
+    if integral:
+        return tuple(sorted(rounded.items(), reverse=True)), max_residual, True, None
+    means = sorted(((sum(c) / len(c), len(c)) for c in clusters), reverse=True)
+    return tuple(means), max_residual, False, tuple(float(x) for x in np.sort(raw))
+
+
+class TestWeightedRounding:
+    """Rounding k weighted values must agree with rounding the |G|-long list
+    in which each value is repeated by its weight."""
+
+    def _compare(self, values, weights, threshold):
+        got = _round_spectrum(values, weights, threshold, "test")
+        entries, max_residual, integral, raw = _expanded_rounding(
+            np.repeat(values, weights), threshold
+        )
+        assert got.integral is integral
+        assert got.max_residual == max_residual
+        assert got.raw == raw
+        assert [m for _, m in got.entries] == [m for _, m in entries]
+        if integral:
+            assert got.entries == entries
+        else:
+            # a weighted mean sums in a different order than the repeated
+            # list, so cluster means may differ in the last few bits
+            np.testing.assert_allclose(
+                [e for e, _ in got.entries], [e for e, _ in entries],
+                rtol=1e-12, atol=1e-12,
+            )
+        return got
+
+    def test_integral_class_algebra_values(self):
+        group = Group(GroupParams(3, 1, 3))
+        data = class_algebra_data(group)
+        thetas = data.central_characters @ np.asarray(
+            distance_function(group).values, dtype=np.float64
+        )
+        weights = [d * d for d in data.degrees]
+        got = self._compare(thetas.real, weights, 1e-8 * np.abs(thetas).max())
+        assert got.integral and got.total_multiplicity() == group.order
+
+    def test_non_integral_values(self):
+        rng = np.random.default_rng(7)
+        values = np.concatenate([
+            rng.normal(0.0, 5.0, size=12),
+            [3.0, 3.0 + 4e-7, 3.0 + 7e-7, -2.0, -2.0 + 1e-11],
+        ])
+        weights = rng.integers(1, 40, size=values.size).tolist()
+        got = self._compare(values, weights, 1e-8)
+        assert not got.integral
+        assert len(got.raw) == sum(weights)
+
+
+def _tensordot_residual(a, omegas):
+    """Reference for _central_residual: one complex tensordot of the whole
+    structure-constant tensor per character."""
+    residual = 0.0
+    for row in omegas:
+        products = np.tensordot(a, row, axes=(2, 0))
+        residual = max(
+            residual, float(np.abs(products - np.outer(row, row)).max())
+        )
+    return residual
+
+
+class TestCentralResidual:
+    @pytest.mark.parametrize("r,p,n", [(3, 3, 3), (4, 2, 3), (6, 1, 3)])
+    def test_equals_tensordot_loop(self, r, p, n):
+        data = class_algebra_data(Group(GroupParams(r, p, n)))
+        a, omegas = data.structure_constants, data.central_characters
+        threshold = 1e-6 * max(1.0, float(np.abs(omegas).max()) ** 2)
+        assert _central_residual(a, omegas) <= threshold
+        assert _tensordot_residual(a, omegas) <= threshold
+        # away from the exact characters the residual is well above rounding
+        # error, so the two evaluations must agree to working precision
+        rng = np.random.default_rng(3)
+        noisy = omegas + 1e-3 * (
+            rng.standard_normal(omegas.shape) + 1j * rng.standard_normal(omegas.shape)
+        )
+        expected = _tensordot_residual(a, noisy)
+        assert _central_residual(a, noisy) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("r,p,n", [(3, 3, 3), (4, 2, 3), (6, 1, 3)])
+    def test_one_perturbed_entry_fails_the_check(self, r, p, n):
+        data = class_algebra_data(Group(GroupParams(r, p, n)))
+        a, omegas = data.structure_constants, data.central_characters
+        threshold = 1e-6 * max(1.0, float(np.abs(omegas).max()) ** 2)
+        row = omegas.shape[0] // 2
+        for column in range(omegas.shape[1]):
+            perturbed = omegas.copy()
+            perturbed[row, column] += 1e-3
+            assert _central_residual(a, perturbed) > threshold
 
 
 class TestStructureConstants:
@@ -335,3 +449,11 @@ class TestBipartite:
         eigs = spectrum.as_dict()
         assert all(eigs.get(-value) == mult for value, mult in eigs.items())
         assert bipartite_check(group, spectrum)
+
+
+@pytest.mark.parametrize("params", desk_scale_params(), ids=str)
+def test_group_codims_match_codim(params):
+    group = Group(params)
+    expected = [codim(x) for x in group.elements]
+    assert group.codims.tolist() == expected
+    assert not group.codims.flags.writeable
