@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from functools import wraps
 from pathlib import Path
@@ -404,8 +405,10 @@ def spectrum_command(
 ) -> None:
     """Eigenvalues with multiplicities via the chosen route."""
     params = _make_params(r, p, n)
-    if tolerance <= 0:
-        raise click.UsageError(f"tolerance must be positive, got {tolerance}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise click.UsageError(
+            f"tolerance must be positive and finite, got {tolerance}"
+        )
     if method == "combinatorial" and (kind != "codimension" or p != 1):
         raise click.UsageError(
             "the combinatorial route covers codimension spectra of G(r,1,n) only"
@@ -507,7 +510,7 @@ def poincare_command(tuple_text: str, fmt: str) -> None:
 @main.command("codim-spectrum")
 @click.argument("r", type=int)
 @click.argument("n", type=int)
-@click.option("--max-tuples", type=int, default=None)
+@click.option("--max-tuples", type=click.IntRange(min=1), default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
 @_cli_errors

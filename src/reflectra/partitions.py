@@ -11,13 +11,28 @@ boxes of the tuple: writing c = column - row for the content of a box,
 With roots alpha_1, ..., alpha_n the eigenvalue is the derivative at t = 1
 of the product (1 + alpha_1 t) ... (1 + alpha_n t), and its multiplicity is
 the squared character dimension n! / (product of all hook lengths).
+
+Both factor over the tuple's components.  The polynomial is a product of one
+polynomial per component, so its (value, derivative) pair at t = 1 follows
+from the components' pairs by the product rule
+(V, D) * (v, d) = (V v, D v + V d).  The dimension is the multinomial
+n! / (|lambda(0)|! ... |lambda(r-1)|!) times the product of the standard
+tableau counts f of the components.  So codim_spectrum_combinatorial never
+lists tuples: it folds over the r slots, carrying weighted states
+(size s so far, V, D) from (0, 1, 0) with weight 1.  Putting a partition of
+size k with pair (v, d) into the next slot moves (s, V, D) to
+(s + k, V v, D v + V d) and multiplies the weight by C(s + k, k)^2 f^2; the
+binomials over the slots multiply to the multinomial, so after the last slot
+each state's weight is the exact sum of the squared dimensions of the tuples
+that reach it, and D is their eigenvalue.  Tuples that reach the same state
+are merged on the way.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import NamedTuple
 
 from .errors import ParameterError, SizeLimitError
@@ -74,12 +89,16 @@ def contents(p: Partition) -> tuple[int, ...]:
 
 
 def conjugate_partition(p: Partition) -> Partition:
-    width = p[0] if p else 0
-    return tuple(sum(1 for row in p if row > col) for col in range(width))
+    """Column lengths: columns p[i+1] .. p[i]-1 have length i + 1, so the
+    rows, read bottom up, fill the columns left to right."""
+    validate_partition(p)
+    conj: list[int] = []
+    for i in range(len(p) - 1, -1, -1):
+        conj.extend([i + 1] * (p[i] - len(conj)))
+    return tuple(conj)
 
 
 def hook_lengths(p: Partition) -> tuple[int, ...]:
-    validate_partition(p)
     conj = conjugate_partition(p)
     return tuple(
         p[row] - col + conj[col] - row - 1
@@ -88,29 +107,36 @@ def hook_lengths(p: Partition) -> tuple[int, ...]:
     )
 
 
+def hook_product(p: Partition) -> int:
+    product = 1
+    for h in hook_lengths(p):
+        product *= h
+    return product
+
+
 def standard_tableaux_count(p: Partition) -> int:
-    hooks = hook_lengths(p)
     size = sum(p)
-    denom = 1
-    for h in hooks:
-        denom *= h
-    count, rem = divmod(factorial(size), denom)
+    count, rem = divmod(factorial(size), hook_product(p))
     if rem:
         raise ParameterError(f"hook product does not divide {size}! for {p}")
     return count
 
 
+def _dimension(n_factorial: int, hook_products, tpl: PartitionTuple) -> int:
+    denom = 1
+    for h in hook_products:
+        denom *= h
+    dim, rem = divmod(n_factorial, denom)
+    if rem:
+        n = sum(sum(p) for p in tpl)
+        raise ParameterError(f"hook product does not divide {n}! for {tpl}")
+    return dim
+
+
 def character_dimension(tpl: PartitionTuple) -> int:
     """n! over the product of all hook lengths across the tuple's components."""
     n = sum(sum(p) for p in tpl)
-    denom = 1
-    for p in tpl:
-        for h in hook_lengths(p):
-            denom *= h
-    dim, rem = divmod(factorial(n), denom)
-    if rem:
-        raise ParameterError(f"hook product does not divide {n}! for {tpl}")
-    return dim
+    return _dimension(factorial(n), (hook_product(p) for p in tpl), tpl)
 
 
 def _compositions(n: int, slots: int):
@@ -135,18 +161,24 @@ def count_partition_tuples(r: int, n: int) -> int:
     return vec[n]
 
 
+def _check_tuple_cap(r: int, n: int, max_tuples: int | None) -> None:
+    cap = DEFAULT_TUPLE_CAP if max_tuples is None else max_tuples
+    if cap < 1:
+        raise ParameterError(f"the tuple cap must be at least 1, got {cap}")
+    total = count_partition_tuples(r, n)
+    if total > cap:
+        raise SizeLimitError(
+            f"{total} partition tuples for r={r}, n={n} exceed the cap {cap}"
+        )
+
+
 def enumerate_partition_tuples(
     r: int, n: int, max_tuples: int | None = None
 ) -> tuple[PartitionTuple, ...]:
     """All r-tuples of partitions with total size n, deterministic order:
     compositions with earlier slots as large as possible, then each slot in
     partitions_of order.  The trivial tuple ((n), (), ..., ()) comes first."""
-    cap = DEFAULT_TUPLE_CAP if max_tuples is None else max_tuples
-    total = count_partition_tuples(r, n)
-    if total > cap:
-        raise SizeLimitError(
-            f"{total} partition tuples for r={r}, n={n} exceed the cap {cap}"
-        )
+    _check_tuple_cap(r, n, max_tuples)
     out = []
     for comp in _compositions(n, r):
         out.extend(itertools.product(*(partitions_of(k) for k in comp)))
@@ -166,40 +198,106 @@ def poincare_star_roots(tpl: PartitionTuple, r: int) -> tuple[int, ...]:
     return tuple(sorted(roots, reverse=True))
 
 
+ValueDerivative = tuple[int, int]
+
+
+def _product(pairs) -> ValueDerivative:
+    """(value, derivative) at t = 1 of a product of polynomials, from the
+    (value, derivative) pairs of the factors: the product rule
+    (V, D) * (v, d) = (V v, D v + V d), in exact integer arithmetic."""
+    value, derivative = 1, 0
+    for v, d in pairs:
+        value, derivative = value * v, derivative * v + value * d
+    return value, derivative
+
+
 def xi_from_roots(roots: tuple[int, ...]) -> int:
-    """Derivative at t = 1 of the product of (1 + alpha t), in exact
-    integer arithmetic (one product-rule accumulation pass)."""
-    running, derivative = 1, 0
-    for alpha in roots:
-        running, derivative = running * (1 + alpha), derivative * (1 + alpha) + alpha * running
-    return derivative
+    """Derivative at t = 1 of the product of (1 + alpha t); each factor has
+    the pair (1 + alpha, alpha)."""
+    return _product((1 + alpha, alpha) for alpha in roots)[1]
+
+
+class _PartitionFactors(NamedTuple):
+    """One partition's share of the tuple formulas at a fixed r."""
+
+    # (value, derivative) of the product over its boxes, per slot kind: slot
+    # 0 (roots r - 1 + r*c), then, when r > 1, any later slot (-1 + r*c).
+    pairs: tuple[ValueDerivative, ...]
+    tableaux: int
+    hook_product: int
+
+
+def _partition_table(r: int, n: int) -> dict[Partition, _PartitionFactors]:
+    """Factors of every partition that can be a component of an r-tuple of
+    total size n, keyed by partition; with one slot only partitions of n."""
+    shifts = (r - 1, -1) if r > 1 else (r - 1,)
+    table = {}
+    for k in range(n + 1) if r > 1 else (n,):
+        for p in partitions_of(k):
+            rcs = [r * c for c in contents(p)]
+            tableaux = standard_tableaux_count(p)
+            table[p] = _PartitionFactors(
+                pairs=tuple(
+                    _product((1 + shift + rc, shift + rc) for rc in rcs)
+                    for shift in shifts
+                ),
+                tableaux=tableaux,
+                # exact: standard_tableaux_count checked that k! / hooks is whole
+                hook_product=factorial(k) // tableaux,
+            )
+    return table
 
 
 def codim_spectrum_entries(
     r: int, n: int, max_tuples: int | None = None
 ) -> tuple[SpectrumEntry, ...]:
-    """One (eigenvalue, squared dimension, tuple) entry per partition tuple."""
-    return tuple(
-        SpectrumEntry(
-            eigenvalue=xi_from_roots(poincare_star_roots(tpl, r)),
-            multiplicity=character_dimension(tpl) ** 2,
-            source=tpl,
+    """One (eigenvalue, squared dimension, tuple) entry per partition tuple,
+    in enumerate_partition_tuples order."""
+    tuples = enumerate_partition_tuples(r, n, max_tuples)
+    table = _partition_table(r, n)
+    n_factorial = factorial(n)
+    entries = []
+    for tpl in tuples:
+        rows = [table[p] for p in tpl]
+        _, eigenvalue = _product(
+            row.pairs[min(slot, 1)] for slot, row in enumerate(rows)
         )
-        for tpl in enumerate_partition_tuples(r, n, max_tuples)
-    )
+        dim = _dimension(n_factorial, (row.hook_product for row in rows), tpl)
+        entries.append(SpectrumEntry(eigenvalue, dim * dim, tpl))
+    return tuple(entries)
 
 
 def codim_spectrum_combinatorial(
     r: int, n: int, max_tuples: int | None = None
 ) -> tuple[SpectrumEntry, ...]:
-    """Aggregated codimension spectrum of G(r, 1, n), eigenvalues descending.
+    """Aggregated codimension spectrum of G(r, 1, n), eigenvalues descending,
+    by the slot fold of the module docstring.
 
-    Squared dimensions must add up to the group order r^n * n!."""
+    The tuple cap applies as in enumerate_partition_tuples, although no tuple
+    is listed.  Squared dimensions must add up to the group order r^n * n!."""
+    _check_tuple_cap(r, n, max_tuples)
+    # choices[kind][k]: (pair, f^2) of each partition of k in that slot kind
+    choices: list[dict[int, list]] = [{}, {}]
+    for p, row in _partition_table(r, n).items():
+        for kind, pair in enumerate(row.pairs):
+            choices[kind].setdefault(sum(p), []).append((pair, row.tableaux**2))
+    states: dict[tuple[int, int, int], int] = {(0, 1, 0): 1}
+    for slot in range(r):
+        slot_choices = choices[min(slot, 1)]
+        last = slot == r - 1
+        folded: dict[tuple[int, int, int], int] = {}
+        for (size, value, derivative), weight in states.items():
+            # the last slot takes whatever size is left
+            for k in (n - size,) if last else range(n - size + 1):
+                scale = weight * comb(size + k, k) ** 2
+                for pair, squared in slot_choices[k]:
+                    key = (size + k, *_product(((value, derivative), pair)))
+                    folded[key] = folded.get(key, 0) + scale * squared
+        states = folded
     aggregated: dict[int, int] = {}
-    total = 0
-    for entry in codim_spectrum_entries(r, n, max_tuples):
-        aggregated[entry.eigenvalue] = aggregated.get(entry.eigenvalue, 0) + entry.multiplicity
-        total += entry.multiplicity
+    for (_, _, eigenvalue), multiplicity in states.items():
+        aggregated[eigenvalue] = aggregated.get(eigenvalue, 0) + multiplicity
+    total = sum(aggregated.values())
     expected = r**n * factorial(n)
     if total != expected:
         raise ParameterError(

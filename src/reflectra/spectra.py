@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -282,11 +282,17 @@ def _round_spectrum(
     )
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not (isfinite(tolerance) and tolerance > 0):
+        raise ParameterError(
+            f"tolerance must be positive and finite, got {tolerance}"
+        )
+
+
 def spectrum_numeric(matrix: GroupMatrix, tolerance: float = 1e-8) -> Spectrum:
     """Cluster and round the LAPACK eigenvalues of a symmetric group matrix;
     the tolerance is absolute."""
-    if tolerance <= 0:
-        raise ParameterError(f"tolerance must be positive, got {tolerance}")
+    _check_tolerance(tolerance)
     entries = matrix.entries
     if not np.array_equal(entries, entries.T):
         raise ParameterError(f"{matrix.kind} matrix is not symmetric")
@@ -419,8 +425,7 @@ def spectrum_class_algebra(
 ) -> Spectrum:
     """Spectrum of the group matrix of f via central characters: eigenvalue
     sum_C f(C) omega_chi(C) with multiplicity chi(1)^2 per character."""
-    if tolerance <= 0:
-        raise ParameterError(f"tolerance must be positive, got {tolerance}")
+    _check_tolerance(tolerance)
     if len(f.values) != len(group.conjugacy):
         raise ParameterError(
             f"class function has {len(f.values)} values, group has "

@@ -95,14 +95,29 @@ def test_json_top_level_keys(args, keys):
         ["--kind", "adjacency", "--method", "class-algebra",
          "--connection-set", "standard"],
         ["--kind", "adjacency", "--tolerance", "0"],
+        ["--kind", "adjacency", "--tolerance", "nan"],
+        ["--kind", "adjacency", "--tolerance", "inf"],
     ],
     ids=["combinatorial-p>1", "codimension-connection", "class-algebra-standard",
-         "zero-tolerance"],
+         "zero-tolerance", "nan-tolerance", "inf-tolerance"],
 )
 def test_spectrum_usage_errors_exit_2(extra):
     result = CliRunner().invoke(main, ["spectrum", "4", "2", "2", *extra])
     assert result.exit_code == 2, result.output
     assert result.stdout_bytes == b""
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_codim_spectrum_non_positive_cap_exits_2(cap):
+    result = CliRunner().invoke(main, ["codim-spectrum", "2", "3", "--max-tuples", cap])
+    assert result.exit_code == 2, result.output
+    assert result.stdout_bytes == b""
+
+
+def test_codim_spectrum_cap_exceeded_exits_1():
+    result = CliRunner().invoke(main, ["codim-spectrum", "2", "3", "--max-tuples", "9"])
+    assert result.exit_code == 1
+    assert "10 partition tuples" in result.stderr
 
 
 def test_verify_json_is_byte_identical_on_repeat():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reflectra import partitions as partitions_module
 from reflectra.errors import ParameterError, SizeLimitError
 from reflectra.partitions import (
     SpectrumEntry,
@@ -34,6 +35,14 @@ from reflectra.partitions import (
 )
 
 partitions = st.integers(0, 7).map(partitions_of).flatmap(st.sampled_from)
+
+# Every (r, n) with 1 <= r <= 8 and at most 2,000 partition tuples.
+SMALL_RANKS = [
+    (r, n)
+    for r in range(1, 9)
+    for n in range(40)
+    if count_partition_tuples(r, n) <= 2000
+]
 
 
 def brute_standard_tableaux(shape) -> int:
@@ -92,8 +101,22 @@ class TestPartitions:
         assert conjugate_partition(conjugate_partition(p)) == p
         assert sum(conjugate_partition(p)) == sum(p)
 
+    @given(partitions)
+    def test_conjugate_counts_the_rows_of_each_column(self, p):
+        width = p[0] if p else 0
+        assert conjugate_partition(p) == tuple(
+            sum(1 for row in p if row > col) for col in range(width)
+        )
+
     def test_conjugate_example(self):
         assert conjugate_partition((3, 1)) == (2, 1, 1)
+
+    def test_conjugate_rejects_non_partitions(self):
+        for p in [(1, 2), (2, 0)]:
+            with pytest.raises(ParameterError):
+                conjugate_partition(p)
+        with pytest.raises(ParameterError):
+            hook_lengths((1, 2))
 
 
 class TestBoxStatistics:
@@ -141,6 +164,11 @@ class TestTupleEnumeration:
     def test_cap(self):
         with pytest.raises(SizeLimitError):
             enumerate_partition_tuples(4, 4, max_tuples=5)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_non_positive_cap_is_bad_input(self, cap):
+        with pytest.raises(ParameterError):
+            enumerate_partition_tuples(2, 3, max_tuples=cap)
 
     @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (4, 2)])
     def test_squared_dimensions_sum_to_group_order(self, r, n):
@@ -249,6 +277,56 @@ class TestCodimSpectrum:
         entries = codim_spectrum_combinatorial(3, 3)
         eigenvalues = [e.eigenvalue for e in entries]
         assert eigenvalues == sorted(eigenvalues, reverse=True)
+
+    @pytest.mark.parametrize("r,n", SMALL_RANKS)
+    def test_fold_matches_aggregated_entries(self, r, n):
+        aggregated: dict[int, int] = {}
+        for entry in codim_spectrum_entries(r, n):
+            aggregated[entry.eigenvalue] = (
+                aggregated.get(entry.eigenvalue, 0) + entry.multiplicity
+            )
+        expected = tuple(sorted(aggregated.items(), reverse=True))
+        folded = codim_spectrum_combinatorial(r, n)
+        assert tuple((e.eigenvalue, e.multiplicity) for e in folded) == expected
+        assert all(e.source is None for e in folded)
+
+    @pytest.mark.parametrize(
+        "r,n", [(r, n) for r, n in SMALL_RANKS if count_partition_tuples(r, n) <= 300]
+    )
+    def test_entries_match_per_tuple_formulas(self, r, n):
+        entries = codim_spectrum_entries(r, n)
+        assert [e.source for e in entries] == list(enumerate_partition_tuples(r, n))
+        for entry in entries:
+            tpl = entry.source
+            assert entry.eigenvalue == xi_from_roots(poincare_star_roots(tpl, r))
+            assert entry.multiplicity == character_dimension(tpl) ** 2
+
+    def test_n0_gives_the_trivial_group(self):
+        assert codim_spectrum_combinatorial(1, 0) == (SpectrumEntry(0, 1),)
+        assert codim_spectrum_combinatorial(3, 0) == (SpectrumEntry(0, 1),)
+
+    def test_cap_fails_before_any_partition_is_listed(self, monkeypatch):
+        def unreachable(k):
+            raise AssertionError("partition table built before the cap check")
+
+        monkeypatch.setattr(partitions_module, "partitions_of", unreachable)
+        with pytest.raises(SizeLimitError):
+            codim_spectrum_combinatorial(4, 4, max_tuples=5)
+        with pytest.raises(SizeLimitError):
+            codim_spectrum_entries(4, 4, max_tuples=5)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_non_positive_cap_is_bad_input(self, cap):
+        with pytest.raises(ParameterError):
+            codim_spectrum_combinatorial(2, 3, max_tuples=cap)
+        with pytest.raises(ParameterError):
+            codim_spectrum_entries(2, 3, max_tuples=cap)
+
+    def test_cap_at_the_tuple_count_passes(self):
+        total = count_partition_tuples(3, 4)
+        assert codim_spectrum_combinatorial(3, 4, max_tuples=total)
+        with pytest.raises(SizeLimitError):
+            codim_spectrum_combinatorial(3, 4, max_tuples=total - 1)
 
 
 class TestTupleText:

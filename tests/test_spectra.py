@@ -172,6 +172,17 @@ class TestSpectrumNumeric:
         with pytest.raises(ParameterError):
             spectrum_numeric(matrix, tolerance=0)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+    def test_rejects_non_finite_tolerance(self, tolerance):
+        # nan would make every residual comparison False and report any
+        # spectrum as integral; inf would accept any residual.
+        group = Group(GroupParams(2, 1, 2))
+        f = adjacency_function(group)
+        with pytest.raises(ParameterError):
+            spectrum_numeric(build_matrix(group, f), tolerance=tolerance)
+        with pytest.raises(ParameterError):
+            spectrum_class_algebra(group, f, tolerance=tolerance)
+
     def test_non_integral_flagging(self):
         group = Group(GroupParams(3, 1, 2))
         matrix = distance_matrix_bfs(group, standard_connection(group))
