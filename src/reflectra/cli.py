@@ -214,7 +214,7 @@ def classes_command(r: int, p: int, n: int, fmt: str) -> None:
     rational_of = group.rational.class_to_rational
     rows = []
     for index, rep in enumerate(classes.representatives):
-        element = group.elements[rep]
+        element = group.element(rep)
         rows.append({
             "index": index,
             "size": classes.sizes[index],
@@ -252,10 +252,11 @@ def reflections_command(r: int, p: int, n: int, fmt: str) -> None:
     rows = [
         {
             "index": int(t),
-            "element": format_element(group.elements[t]),
-            "order": element_order(group.elements[t]),
+            "element": format_element(x),
+            "order": element_order(x),
         }
         for t in reflection_indices(group)
+        for x in [group.element(t)]
     ]
     if fmt == "json":
         payload = {
@@ -287,37 +288,29 @@ def lengths_command(r: int, p: int, n: int, fmt: str, output: str | None) -> Non
     params = _make_params(r, p, n)
     group = Group(params)
     table = reflection_length_table(group)
-    rows = [
-        {
-            "index": i,
-            "element": format_element(x),
-            "reflection_length": int(table.lengths[i]),
-            "codimension": int(table.codims[i]),
-        }
-        for i, x in enumerate(group.elements)
-    ]
+    rows = list(zip(
+        range(group.order), group.element_texts(),
+        table.lengths.tolist(), table.codims.tolist(),
+    ))
     if fmt == "json":
         payload = {
             "schema": 1,
             "params": [r, p, n],
             "total_reflection_length": int(table.lengths.sum()),
-            "elements": rows,
+            "elements": [
+                {"index": i, "element": text, "reflection_length": length,
+                 "codimension": codim}
+                for i, text, length, codim in rows
+            ],
         }
         _emit(_json_text(payload), output)
         return
     header = ["index", "element", "reflection_length", "codimension"]
     if fmt == "csv":
-        csv_rows = [
-            [row["index"], row["element"], row["reflection_length"],
-             row["codimension"]]
-            for row in rows
-        ]
-        _emit(_csv_text(csv_rows, header), output)
+        _emit(_csv_text(rows, header), output)
         return
     text_rows = [
-        [str(row["index"]), str(row["reflection_length"]),
-         str(row["codimension"]), row["element"]]
-        for row in rows
+        [str(i), str(length), str(codim), text] for i, text, length, codim in rows
     ]
     table_text = _table(
         text_rows, ["index", "reflection_length", "codimension", "element"]

@@ -154,9 +154,11 @@ def element_order(x: GroupElement) -> int:
 
 def format_element(x: GroupElement) -> str:
     """Text form "a1,...,an|p1 ... pn" with a 1-based permutation image list."""
-    exps = ",".join(str(a) for a in x.exponents)
-    perm = " ".join(str(i + 1) for i in x.perm)
-    return f"{exps}|{perm}"
+    return _element_text(x.exponents, x.perm)
+
+
+def _element_text(exponents, perm) -> str:
+    return ",".join(map(str, exponents)) + "|" + " ".join(str(i + 1) for i in perm)
 
 
 def parse_element(text: str, r: int) -> GroupElement:
@@ -231,8 +233,9 @@ def find_galois_exponent(x: GroupElement, d: int) -> int:
 class ConjugacyClasses:
     """Conjugacy classes over a fixed element enumeration.
 
-    Classes are sorted by their least member index; the representative is the
-    lexicographically least element of the class.
+    Classes are numbered by their least member index (`class_of` labels each
+    element); that member, the lexicographically least element of the class,
+    is the representative.
     """
 
     class_of: np.ndarray
@@ -257,25 +260,31 @@ class RationalClasses:
 
 
 def _enumeration_cap(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(ENUMERATION_CAP_ENV)
-    if env is not None:
+    cap = explicit
+    if cap is None:
+        env = os.environ.get(ENUMERATION_CAP_ENV)
+        if env is None:
+            return DEFAULT_ENUMERATION_CAP
         try:
-            return int(env)
+            cap = int(env)
         except ValueError as exc:
             raise ParameterError(
                 f"{ENUMERATION_CAP_ENV} must be an integer, got {env!r}"
             ) from exc
-    return DEFAULT_ENUMERATION_CAP
+    if cap < 1:
+        raise ParameterError(f"the enumeration cap must be at least 1, got {cap}")
+    return cap
 
 
 class Group:
     """G(r, p, n) with a fixed, deterministic element enumeration.
 
     Elements are listed lexicographically by (perm, exponents), so the
-    identity always has index 0.  Dense index maps for left and right
-    multiplication keep bulk operations in numpy.
+    identity has index 0.  The arrays `_perms` and `_exps` (one row per
+    element) are primary; their int64 keys `_keys` (perm digits base n, then
+    exponent digits base r) increase strictly, so lookups are binary
+    searches.  `element(i)` builds one `GroupElement`, `elements` all of them
+    on first use.  Dense index maps keep bulk operations in numpy.
     """
 
     def __init__(self, params: GroupParams, max_order: int | None = None):
@@ -285,36 +294,21 @@ class Group:
                 f"{params} has order {params.order}, above the enumeration cap "
                 f"{cap} (override with {ENUMERATION_CAP_ENV} or max_order)"
             )
+        n, r, p = params.n, params.r, params.p
+        if (n**n) * (r**n) > 2**62:
+            raise SizeLimitError(f"index keys for {params} overflow int64")
         self.params = params
-        self.elements: tuple[GroupElement, ...] = tuple(self._enumerate())
-        self.order = len(self.elements)
-        if self.order != params.order:
-            raise ParameterError(f"enumeration mismatch for {params}")
-
-        n, r = params.n, params.r
-        self._perms = np.array([x.perm for x in self.elements], dtype=np.int64)
-        self._exps = np.array([x.exponents for x in self.elements], dtype=np.int64)
-        self._invperms = np.empty_like(self._perms)
-        rows = np.arange(self.order)[:, None]
-        self._invperms[rows, self._perms] = np.arange(n)[None, :]
+        self.order = params.order
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+        exps = np.indices((r,) * n, dtype=np.int64).reshape(n, -1).T
+        exps = exps[exps.sum(axis=1) % p == 0]
+        self._perms = np.repeat(perms, len(exps), axis=0)
+        self._exps = np.tile(exps, (len(perms), 1))
+        self._invperms = np.repeat(np.argsort(perms, axis=1), len(exps), axis=0)
         self._keys = self._encode(self._perms, self._exps)
-        self._index = {
-            (x.exponents, x.perm): i for i, x in enumerate(self.elements)
-        }
-
-    def _enumerate(self):
-        r, p, n = self.params.r, self.params.p, self.params.n
-        for perm in itertools.permutations(range(n)):
-            for head in itertools.product(range(r), repeat=n - 1):
-                # last exponent runs over the residue class fixed by p
-                first = (-sum(head)) % p
-                for last in range(first, r, p):
-                    yield GroupElement(r, head + (last,), perm)
 
     def _encode(self, perms: np.ndarray, exps: np.ndarray) -> np.ndarray:
         n, r = self.params.n, self.params.r
-        if (n**n) * (r**n) > 2**62:
-            raise SizeLimitError(f"index keys for {self.params} overflow int64")
         key = np.zeros(perms.shape[:-1], dtype=np.int64)
         for i in range(n):
             key = key * n + perms[..., i]
@@ -332,16 +326,39 @@ class Group:
     def identity_index(self) -> int:
         return 0
 
+    def element(self, i: int) -> GroupElement:
+        """The i-th element of the enumeration."""
+        exps, perm = self._exps[i].tolist(), self._perms[i].tolist()
+        return GroupElement(self.params.r, tuple(exps), tuple(perm))
+
+    @cached_property
+    def elements(self) -> tuple[GroupElement, ...]:
+        """Every element in enumeration order, built on first use."""
+        return tuple(self.element(i) for i in range(self.order))
+
+    def element_texts(self) -> list[str]:
+        """`format_element` of every element, in enumeration order."""
+        return [
+            _element_text(a, s)
+            for a, s in zip(self._exps.tolist(), self._perms.tolist())
+        ]
+
     def index_of(self, x: GroupElement) -> int:
-        if x.r != self.params.r:
-            raise ParameterError(f"element has r={x.r}, group has r={self.params.r}")
-        try:
-            return self._index[(x.exponents, x.perm)]
-        except KeyError:
-            raise ParameterError(f"{x} is not in {self.params}") from None
+        r, n = self.params.r, self.params.n
+        if (x.r, x.n) != (r, n):
+            raise ParameterError(f"element has r={x.r}, n={x.n}; group has r={r}, n={n}")
+        key = self._encode(np.array(x.perm), np.array(x.exponents))
+        i = int(np.searchsorted(self._keys, key))
+        if i == self.order or self._keys[i] != key:
+            raise ParameterError(f"{x} is not in {self.params}")
+        return i
 
     def contains(self, x: GroupElement) -> bool:
-        return (x.exponents, x.perm) in self._index
+        try:
+            self.index_of(x)
+        except ParameterError:
+            return False
+        return True
 
     @cached_property
     def inverse_indices(self) -> np.ndarray:
@@ -363,23 +380,35 @@ class Group:
         exps = (self._exps + ge[self._invperms]) % self.params.r
         return self._lookup(perms, exps)
 
+    def _cycle_walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per element and position: the size of the cycle through that
+        position, its exponent sum mod r, and whether the position is the
+        least on its cycle.  The walk runs on flat positions (row * n + i),
+        and every cycle closes within n - 1 steps."""
+        n = self.params.n
+        starts = np.arange(self.order * n)
+        step = (self._perms + starts[::n, None]).ravel()
+        exps = self._exps.ravel()
+        pos = step
+        totals = exps.copy()
+        sizes = np.ones(starts.size, dtype=np.int64)
+        leads = np.ones(starts.size, dtype=bool)
+        for _ in range(n - 1):
+            open_ = pos != starts
+            totals += exps[pos] * open_
+            sizes += open_
+            leads &= pos >= starts
+            pos = np.where(open_, step[pos], pos)
+        shape = self._perms.shape
+        return tuple(a.reshape(shape) for a in (sizes, totals % self.params.r, leads))
+
     @cached_property
     def codims(self) -> np.ndarray:
         """Read-only fixed-space codimension of every element: n minus the
         number of cycles whose exponent sum vanishes mod r.  Each cycle is
         counted once, at its least position."""
-        n, r = self.params.n, self.params.r
-        rows = np.arange(self.order)[:, None]
-        start = np.broadcast_to(np.arange(n), self._perms.shape)
-        pos = self._perms
-        totals = self._exps.copy()
-        leads = np.ones(self._perms.shape, dtype=bool)
-        for _ in range(n - 1):
-            open_ = pos != start
-            totals += np.where(open_, self._exps[rows, pos], 0)
-            leads &= ~(open_ & (pos < start))
-            pos = np.where(open_, self._perms[rows, pos], pos)
-        codims = n - (leads & (totals % r == 0)).sum(axis=1)
+        _, sums, leads = self._cycle_walk()
+        codims = self.params.n - (leads & (sums == 0)).sum(axis=1)
         codims.setflags(write=False)
         return codims
 
@@ -391,21 +420,29 @@ class Group:
 
     @cached_property
     def conjugacy(self) -> ConjugacyClasses:
-        if self.params.p == 1:
-            fibers: dict[CycleType, list[int]] = {}
-            for i, x in enumerate(self.elements):
-                fibers.setdefault(cycle_type(x), []).append(i)
-            orbits = sorted(fibers.values(), key=lambda orbit: orbit[0])
+        """For p = 1, the fibres of the cycle type: each position gets the
+        code (cycle size - 1) * r + cycle sum of its cycle, and an element's
+        sorted codes, read as base-nr digits, are its class key (below
+        (nr)^n, inside the int64 bound checked at construction).  For p > 1,
+        conjugation orbits under the generators."""
+        n, r = self.params.n, self.params.r
+        if self.params.p > 1:
+            class_of = np.empty(self.order, dtype=np.int64)
+            for c, orbit in enumerate(self._conjugation_orbits()):
+                class_of[orbit] = c
         else:
-            orbits = self._conjugation_orbits()
-        class_of = np.empty(self.order, dtype=np.int64)
-        for c, orbit in enumerate(orbits):
-            class_of[orbit] = c
+            sizes, sums, _ = self._cycle_walk()
+            codes = np.sort((sizes - 1) * r + sums, axis=1)
+            keys = np.ravel_multi_index(tuple(codes.T), (n * r,) * n)
+            _, first, labels = np.unique(keys, return_index=True, return_inverse=True)
+            # renumber the classes in order of least member
+            class_of = np.argsort(np.argsort(first))[labels]
+        counts = np.bincount(class_of)
+        by_class = np.split(np.argsort(class_of, kind="stable"), np.cumsum(counts)[:-1])
+        members = tuple(tuple(m.tolist()) for m in by_class)
         return ConjugacyClasses(
-            class_of=class_of,
-            members=tuple(tuple(orbit) for orbit in orbits),
-            representatives=tuple(orbit[0] for orbit in orbits),
-            sizes=tuple(len(orbit) for orbit in orbits),
+            class_of=class_of, members=members,
+            representatives=tuple(m[0] for m in members), sizes=tuple(counts.tolist()),
         )
 
     def _conjugation_orbits(self) -> list[list[int]]:
@@ -436,38 +473,25 @@ class Group:
 
     @cached_property
     def rational(self) -> RationalClasses:
+        """Coprime powers g^d of g have g as a coprime power again, so the
+        classes of the coprime powers of a representative form its whole
+        rational class; scanning classes in order numbers the rational
+        classes by least member."""
         classes = self.conjugacy
-        k = len(classes)
-        parent = list(range(k))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
+        class_to_rational = [-1] * len(classes)
+        groups = []
         for c, rep in enumerate(classes.representatives):
-            g = self.elements[rep]
+            if class_to_rational[c] >= 0:
+                continue
+            g = self.element(rep)
             o = element_order(g)
-            for d in range(1, o):
-                if gcd(d, o) != 1:
-                    continue
-                j = int(classes.class_of[self.index_of(element_power(g, d))])
-                ra, rb = find(c), find(j)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-
-        buckets: dict[int, list[int]] = {}
-        for c in range(k):
-            buckets.setdefault(find(c), []).append(c)
-        groups = sorted(buckets.values(), key=lambda grp: grp[0])
-        class_to_rational = [0] * k
-        for q, grp in enumerate(groups):
-            for c in grp:
-                class_to_rational[c] = q
+            powers = (element_power(g, d) for d in range(1, o + 1) if gcd(d, o) == 1)
+            grp = sorted({int(classes.class_of[self.index_of(x)]) for x in powers})
+            for j in grp:
+                class_to_rational[j] = len(groups)
+            groups.append(tuple(grp))
         return RationalClasses(
-            groups=tuple(tuple(grp) for grp in groups),
-            class_to_rational=tuple(class_to_rational),
+            groups=tuple(groups), class_to_rational=tuple(class_to_rational)
         )
 
     def generators(self) -> tuple[GroupElement, ...]:

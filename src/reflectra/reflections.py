@@ -79,11 +79,9 @@ def sum_reflection_lengths(group: Group) -> int:
 
 
 def all_reflections_order_two(group: Group) -> bool:
-    for t in reflections(group):
-        x = group.elements[t]
-        if not (x * x).is_identity():
-            return False
-    return True
+    """Whether every reflection is its own inverse."""
+    refl = np.array(reflections(group), dtype=np.int64)
+    return bool((group.inverse_indices[refl] == refl).all())
 
 
 @dataclass(frozen=True)

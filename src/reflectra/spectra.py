@@ -37,7 +37,7 @@ from .errors import (
     SizeLimitError,
 )
 from .groups import Group, GroupParams
-from .reflections import bfs_word_lengths, reflections
+from .reflections import all_reflections_order_two, bfs_word_lengths, reflections
 
 log = logging.getLogger(__name__)
 
@@ -59,15 +59,13 @@ class ClassFunction:
                 f"need {group.order} element values, got shape {values.shape}"
             )
         classes = group.conjugacy
-        per_class = []
-        for c, members in enumerate(classes.members):
-            member_values = values[np.array(members)]
-            if (member_values != member_values[0]).any():
-                raise ParameterError(
-                    f"values are not constant on conjugacy class {c}"
-                )
-            per_class.append(int(member_values[0]))
-        return cls(kind=kind, values=tuple(per_class))
+        per_class = values[list(classes.representatives)]
+        off = classes.class_of[values != per_class[classes.class_of]]
+        if off.size:
+            raise ParameterError(
+                f"values are not constant on conjugacy class {off.min()}"
+            )
+        return cls(kind=kind, values=tuple(per_class.tolist()))
 
     def element_values(self, group: Group) -> np.ndarray:
         if len(self.values) != len(group.conjugacy):
@@ -487,9 +485,7 @@ def bipartite_check(group: Group, spectrum: Spectrum | None = None) -> bool:
         spectrum = spectrum_numeric(build_matrix(group, adjacency_function(group)))
     eigs = spectrum.as_dict()
     symmetric = all(eigs.get(-value) == mult for value, mult in eigs.items())
-    orders_two = all(
-        (group.elements[t] * group.elements[t]).is_identity() for t in refl
-    )
+    orders_two = all_reflections_order_two(group)
     if not (colorable == symmetric == orders_two):
         raise ConsistencyError(
             f"bipartiteness tests disagree on {group.params}: "

@@ -1,6 +1,8 @@
 """Command-line front end: the JSON schema of each subcommand, usage errors,
 determinism of data output, and the module entry point."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -12,6 +14,9 @@ from click.testing import CliRunner
 
 import reflectra
 from reflectra.cli import main
+from reflectra.groups import Group, format_element
+from reflectra.reflections import reflection_length_table
+from reflectra.verify import desk_scale_params
 
 
 def test_spectrum_json_is_byte_identical_on_repeat():
@@ -132,3 +137,31 @@ def test_verify_json_is_byte_identical_on_repeat():
     assert payload["schema"] == 2
     assert payload["checks"]
     assert all("runtime" not in check for check in payload["checks"])
+
+
+@pytest.mark.parametrize("params", desk_scale_params(max_order=200), ids=str)
+def test_lengths_rows_match_element_reference(params):
+    group = Group(params)
+    table = reflection_length_table(group)
+    rows = [
+        [i, format_element(group.elements[i]), int(table.lengths[i]),
+         int(table.codims[i])]
+        for i in range(group.order)
+    ]
+    header = ["index", "element", "reflection_length", "codimension"]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    payload = {
+        "schema": 1,
+        "params": [params.r, params.p, params.n],
+        "total_reflection_length": int(table.lengths.sum()),
+        "elements": [dict(zip(header, row)) for row in rows],
+    }
+    expected = {"csv": buffer.getvalue(), "json": json.dumps(payload, indent=2) + "\n"}
+    args = ["lengths", str(params.r), str(params.p), str(params.n)]
+    for fmt, text in expected.items():
+        result = CliRunner().invoke(main, args + ["--format", fmt])
+        assert result.exit_code == 0, result.output
+        assert result.stdout_bytes == text.encode()

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reflectra import groups
 from reflectra.errors import ParameterError, SizeLimitError
 from reflectra.groups import (
     Group,
@@ -29,6 +30,7 @@ from reflectra.groups import (
     parse_element,
     standard_generators,
 )
+from reflectra.verify import desk_scale_params
 
 from oracles import monomial_matrix
 
@@ -182,6 +184,24 @@ class TestEnumeration:
             assert sum(x.exponents) % p == 0
         assert len({(x.exponents, x.perm) for x in group.elements}) == group.order
 
+    @pytest.mark.parametrize("params", desk_scale_params(), ids=str)
+    def test_arrays_match_lex_enumeration(self, params):
+        r, p, n = params.r, params.p, params.n
+        brute = [
+            (perm, exponents)
+            for perm in itertools.permutations(range(n))
+            for exponents in itertools.product(range(r), repeat=n)
+            if sum(exponents) % p == 0
+        ]
+        group = Group(params)
+        assert group._perms.tolist() == [list(perm) for perm, _ in brute]
+        assert group._exps.tolist() == [list(exps) for _, exps in brute]
+        assert (np.diff(group._keys) > 0).all()
+        identity = np.take_along_axis(group._perms, group._invperms, axis=1)
+        assert (identity == np.arange(n)).all()
+        assert [(x.perm, x.exponents) for x in group.elements] == brute
+        assert all(group.index_of(x) == i for i, x in enumerate(group.elements))
+
     def test_index_roundtrip(self):
         group = Group(GroupParams(3, 1, 2))
         for i, x in enumerate(group.elements):
@@ -194,6 +214,16 @@ class TestEnumeration:
         with pytest.raises(ParameterError):
             group.index_of(outside)
 
+    def test_contains_agrees_with_index_of(self):
+        group = Group(GroupParams(4, 2, 2))
+        wrong_r = GroupElement(r=8, exponents=(1, 1), perm=(0, 1))
+        wrong_n = GroupElement(r=4, exponents=(0, 0, 0), perm=(0, 1, 2))
+        for outside in (wrong_r, wrong_n):
+            assert not group.contains(outside)
+            with pytest.raises(ParameterError):
+                group.index_of(outside)
+        assert all(group.contains(x) for x in group.elements)
+
     def test_size_cap(self):
         with pytest.raises(SizeLimitError) as excinfo:
             Group(GroupParams(2, 1, 5), max_order=1000)
@@ -205,6 +235,25 @@ class TestEnumeration:
             Group(GroupParams(2, 1, 2))
         monkeypatch.setenv("REFLECTRA_MAX_ORDER", "8")
         assert Group(GroupParams(2, 1, 2)).order == 8
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_rejected(self, cap, monkeypatch):
+        with pytest.raises(ParameterError, match="at least 1"):
+            Group(GroupParams(2, 1, 2), max_order=cap)
+        monkeypatch.setenv("REFLECTRA_MAX_ORDER", str(cap))
+        with pytest.raises(ParameterError, match="at least 1"):
+            Group(GroupParams(2, 1, 2))
+
+    def test_key_overflow_fails_before_enumeration(self, monkeypatch):
+        class NoEnumeration:
+            @staticmethod
+            def permutations(*args):
+                raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(groups, "itertools", NoEnumeration)
+        # 16^16 > 2^62: the permutation digits alone overflow an int64 key
+        with pytest.raises(SizeLimitError, match="overflow int64"):
+            Group(GroupParams(1, 1, 16), max_order=10**20)
 
 
 class TestIndexMaps:
@@ -274,6 +323,40 @@ class TestConjugacy:
             assert classes.representatives[index] == members[0]
             for member in members:
                 assert classes.class_of[member] == index
+
+    @pytest.mark.parametrize(
+        "params", [q for q in desk_scale_params() if q.p == 1], ids=str
+    )
+    def test_p1_classes_are_cycle_type_fibres(self, params):
+        group = Group(params)
+        fibers: dict = {}
+        for i, x in enumerate(group.elements):
+            fibers.setdefault(cycle_type(x), []).append(i)
+        orbits = sorted(fibers.values(), key=lambda orbit: orbit[0])
+        class_of = [0] * group.order
+        for c, orbit in enumerate(orbits):
+            for i in orbit:
+                class_of[i] = c
+        classes = group.conjugacy
+        assert classes.class_of.tolist() == class_of
+        assert classes.members == tuple(tuple(orbit) for orbit in orbits)
+        assert classes.representatives == tuple(orbit[0] for orbit in orbits)
+        assert classes.sizes == tuple(len(orbit) for orbit in orbits)
+
+    def test_p1_conjugacy_builds_no_elements(self, monkeypatch):
+        built = []
+        check = GroupElement.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(GroupElement, "__post_init__", counting)
+        group = Group(GroupParams(3, 1, 5), max_order=30000)
+        assert len(group.conjugacy) > 0
+        assert built == []
+        group.element(0)
+        assert len(built) == 1
 
     def test_cycle_type_constant_on_classes_p1(self):
         group = Group(GroupParams(3, 1, 2))

@@ -69,6 +69,15 @@ class TestReflectionSet:
         assert all_reflections_order_two(Group(GroupParams(2, 1, 3)))
         assert not all_reflections_order_two(Group(GroupParams(3, 1, 2)))
 
+    @pytest.mark.parametrize("params", desk_scale_params(), ids=str)
+    def test_order_two_flag_matches_products(self, params):
+        group = Group(params)
+        expected = all(
+            multiply(group.element(t), group.element(t)).is_identity()
+            for t in reflections(group)
+        )
+        assert all_reflections_order_two(group) == expected
+
     def test_closed_under_inversion_and_conjugation(self):
         group = Group(GroupParams(3, 1, 2))
         refl = set(reflections(group))

@@ -64,6 +64,16 @@ class TestClassFunction:
         with pytest.raises(ParameterError):
             ClassFunction.from_element_values(group, values, "broken")
 
+    def test_error_names_first_non_constant_class(self):
+        group = Group(GroupParams(3, 1, 2))
+        members = group.conjugacy.members
+        big = [c for c, m in enumerate(members) if len(m) > 1]
+        values = np.zeros(group.order, dtype=np.int64)
+        values[members[big[-1]][0]] = 1
+        values[members[big[1]][-1]] = 2
+        with pytest.raises(ParameterError, match=f"conjugacy class {big[1]}$"):
+            ClassFunction.from_element_values(group, values, "broken")
+
     def test_rejects_wrong_length(self):
         group = Group(GroupParams(3, 1, 2))
         with pytest.raises(ParameterError):

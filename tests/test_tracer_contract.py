@@ -2,7 +2,9 @@
 that no longer resolves, so a rename would silently zero a per-layer metric.
 These tests fail instead: every traced name must exist in the package."""
 
+import functools
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -37,3 +39,15 @@ def test_every_traced_function_resolves(tracer):
 
 def test_every_traced_group_member_exists(tracer):
     assert set(tracer.GROUP_MEMBERS) <= set(vars(Group))
+
+
+def test_every_traced_group_member_is_wrappable(tracer):
+    # The tracer wraps plain functions and cached properties; it skips a
+    # plain property silently, which would zero that layer's time.
+    members = {name: vars(Group)[name] for name in tracer.GROUP_MEMBERS}
+    assert isinstance(members["conjugacy"], functools.cached_property)
+    assert isinstance(members["rational"], functools.cached_property)
+    assert all(
+        isinstance(value, functools.cached_property) or inspect.isfunction(value)
+        for value in members.values()
+    )
