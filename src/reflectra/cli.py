@@ -40,13 +40,13 @@ from .partitions import (
 from .reflections import degree_data, reflection_length_table
 from .reflections import reflections as reflection_indices
 from .spectra import (
+    KINDS,
     Spectrum,
     adjacency_matrix,
     all_reflections_connection,
     build_matrix,
+    class_function,
     codimension_function,
-    distance_function,
-    adjacency_function,
     distance_matrix_bfs,
     spectrum_class_algebra,
     spectrum_numeric,
@@ -54,7 +54,6 @@ from .spectra import (
 )
 from .verify import SUITE_NAMES, run_suite
 
-KIND_CHOICES = ("adjacency", "distance", "codimension")
 METHOD_CHOICES = ("numeric", "class-algebra", "combinatorial")
 CONNECTION_CHOICES = ("standard", "all-reflections")
 
@@ -150,6 +149,27 @@ def _spectrum_text(
         + ("integral" if spectrum.integral else "NON-INTEGRAL"),
     ]
     return "\n".join(lines) + "\n"
+
+
+def _emit_spectrum(
+    params: GroupParams, kind: str, spectrum: Spectrum, connection: str | None,
+    fmt: str, output: str | None,
+) -> None:
+    if fmt == "json":
+        _emit(_json_text(_spectrum_payload(params, kind, spectrum, connection)), output)
+    else:
+        _emit(_spectrum_text(params, kind, spectrum, connection), output)
+
+
+def _combinatorial_spectrum(r: int, n: int, max_tuples: int | None = None) -> Spectrum:
+    """Exact codimension spectrum of G(r, 1, n) from partition tuples."""
+    entries = codim_spectrum_combinatorial(r, n, max_tuples)
+    return Spectrum(
+        entries=tuple((e.eigenvalue, e.multiplicity) for e in entries),
+        method="combinatorial",
+        max_residual=0.0,
+        integral=True,
+    )
 
 
 @click.group()
@@ -336,7 +356,7 @@ def _build_group_matrix(group: Group, kind: str, connection: str | None):
 @click.argument("r", type=int)
 @click.argument("p", type=int)
 @click.argument("n", type=int)
-@click.option("--kind", type=click.Choice(KIND_CHOICES), required=True)
+@click.option("--kind", type=click.Choice(KINDS), required=True)
 @click.option(
     "--connection-set", "connection", type=click.Choice(CONNECTION_CHOICES),
     default=None,
@@ -382,7 +402,7 @@ def matrix_command(
 @click.argument("r", type=int)
 @click.argument("p", type=int)
 @click.argument("n", type=int)
-@click.option("--kind", type=click.Choice(KIND_CHOICES), required=True)
+@click.option("--kind", type=click.Choice(KINDS), required=True)
 @click.option("--method", type=click.Choice(METHOD_CHOICES), default="numeric")
 @click.option(
     "--connection-set", "connection", type=click.Choice(CONNECTION_CHOICES),
@@ -413,33 +433,17 @@ def spectrum_command(
             "the class-algebra route needs a class function; the standard "
             "connection set is not closed under conjugation"
         )
+    used_connection = None
     if method == "combinatorial":
-        entries = codim_spectrum_combinatorial(r, n)
-        spectrum = Spectrum(
-            entries=tuple((e.eigenvalue, e.multiplicity) for e in entries),
-            method="combinatorial",
-            max_residual=0.0,
-            integral=True,
-        )
-        used_connection = None
+        spectrum = _combinatorial_spectrum(r, n)
     elif method == "class-algebra":
         group = Group(params)
-        builder = {
-            "adjacency": adjacency_function,
-            "distance": distance_function,
-            "codimension": codimension_function,
-        }[kind]
-        spectrum = spectrum_class_algebra(group, builder(group), tolerance)
-        used_connection = None
+        spectrum = spectrum_class_algebra(group, class_function(group, kind), tolerance)
     else:
         group = Group(params)
         matrix, used_connection = _build_group_matrix(group, kind, connection)
         spectrum = spectrum_numeric(matrix, tolerance)
-    if fmt == "json":
-        payload = _spectrum_payload(params, kind, spectrum, used_connection)
-        _emit(_json_text(payload), output)
-        return
-    _emit(_spectrum_text(params, kind, spectrum, used_connection), output)
+    _emit_spectrum(params, kind, spectrum, used_connection, fmt, output)
 
 
 @main.command("poincare")
@@ -512,18 +516,8 @@ def codim_spectrum_command(
 ) -> None:
     """Exact codimension spectrum of G(R, 1, N) from partition tuples."""
     params = _make_params(r, 1, n)
-    entries = codim_spectrum_combinatorial(r, n, max_tuples)
-    spectrum = Spectrum(
-        entries=tuple((e.eigenvalue, e.multiplicity) for e in entries),
-        method="combinatorial",
-        max_residual=0.0,
-        integral=True,
-    )
-    if fmt == "json":
-        payload = _spectrum_payload(params, "codimension", spectrum, None)
-        _emit(_json_text(payload), output)
-        return
-    _emit(_spectrum_text(params, "codimension", spectrum, None), output)
+    spectrum = _combinatorial_spectrum(r, n, max_tuples)
+    _emit_spectrum(params, "codimension", spectrum, None, fmt, output)
 
 
 @main.command("verify")

@@ -26,7 +26,7 @@ from math import factorial, gcd, lcm
 
 import numpy as np
 
-from .errors import ParameterError, SizeLimitError
+from .errors import ConsistencyError, ParameterError, SizeLimitError
 
 DEFAULT_ENUMERATION_CAP = 20000
 ENUMERATION_CAP_ENV = "REFLECTRA_MAX_ORDER"
@@ -285,6 +285,15 @@ class Group:
     exponent digits base r) increase strictly, so lookups are binary
     searches.  `element(i)` builds one `GroupElement`, `elements` all of them
     on first use.  Dense index maps keep bulk operations in numpy.
+
+    The per-element facts are read-only cached properties, each computed on
+    first use: `codims`, `conjugacy` (and `rational` over it) and
+    `reflection_lengths`.  One cycle walk feeds both `codims` and the p = 1
+    class keys; only its two |G|-long results are kept.  For p > 1 every
+    element carries a label, first its own index, that is lowered to the
+    least label over its images under conjugation by each generator and
+    then replaced by the label of its label, until nothing changes; each
+    label then settles on the least member of its class.
     """
 
     def __init__(self, params: GroupParams, max_order: int | None = None):
@@ -380,12 +389,20 @@ class Group:
         exps = (self._exps + ge[self._invperms]) % self.params.r
         return self._lookup(perms, exps)
 
-    def _cycle_walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per element and position: the size of the cycle through that
-        position, its exponent sum mod r, and whether the position is the
-        least on its cycle.  The walk runs on flat positions (row * n + i),
-        and every cycle closes within n - 1 steps."""
-        n = self.params.n
+    @cached_property
+    def _cycle_walk(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per element: the fixed-space codimension (read-only), and the
+        G(r, 1, n) class key.  Each position gets the size of the cycle
+        through it, that cycle's exponent sum mod r, and whether it is the
+        least position on the cycle, from one walk on flat positions
+        (row * n + i) in which every cycle closes within n - 1 steps.
+
+        The codimension is n minus the number of cycles whose sum vanishes
+        mod r, each cycle counted at its least position.  The key reads an
+        element's sorted codes (cycle size - 1) * r + cycle sum as base-nr
+        digits (below (nr)^n, inside the int64 bound checked at
+        construction), so its fibres are the cycle types."""
+        n, r = self.params.n, self.params.r
         starts = np.arange(self.order * n)
         step = (self._perms + starts[::n, None]).ravel()
         exps = self._exps.ravel()
@@ -399,18 +416,31 @@ class Group:
             sizes += open_
             leads &= pos >= starts
             pos = np.where(open_, step[pos], pos)
+        del starts, step, pos
+        totals %= r
         shape = self._perms.shape
-        return tuple(a.reshape(shape) for a in (sizes, totals % self.params.r, leads))
+        codims = n - (leads & (totals == 0)).reshape(shape).sum(axis=1)
+        codims.setflags(write=False)
+        codes = np.sort(((sizes - 1) * r + totals).reshape(shape), axis=1)
+        keys = np.ravel_multi_index(tuple(codes.T), (n * r,) * n)
+        return codims, keys
+
+    @property
+    def codims(self) -> np.ndarray:
+        """Read-only fixed-space codimension of every element."""
+        return self._cycle_walk[0]
 
     @cached_property
-    def codims(self) -> np.ndarray:
-        """Read-only fixed-space codimension of every element: n minus the
-        number of cycles whose exponent sum vanishes mod r.  Each cycle is
-        counted once, at its least position."""
-        _, sums, leads = self._cycle_walk()
-        codims = self.params.n - (leads & (sums == 0)).sum(axis=1)
-        codims.setflags(write=False)
-        return codims
+    def reflection_lengths(self) -> np.ndarray:
+        """Read-only reflection length of every element: its word length over
+        all reflections (the codimension-1 elements), by one BFS from the
+        identity.  Reflections generate G(r, p, n), so an unreachable
+        element means the group data are inconsistent."""
+        lengths = bfs_word_lengths(self, np.flatnonzero(self.codims == 1))
+        if (lengths < 0).any():
+            raise ConsistencyError(f"reflections fail to generate {self.params}")
+        lengths.setflags(write=False)
+        return lengths
 
     def conjugation_indices(self, g: int) -> np.ndarray:
         """Index map k -> index of g * x_k * g^{-1}."""
@@ -420,23 +450,27 @@ class Group:
 
     @cached_property
     def conjugacy(self) -> ConjugacyClasses:
-        """For p = 1, the fibres of the cycle type: each position gets the
-        code (cycle size - 1) * r + cycle sum of its cycle, and an element's
-        sorted codes, read as base-nr digits, are its class key (below
-        (nr)^n, inside the int64 bound checked at construction).  For p > 1,
-        conjugation orbits under the generators."""
-        n, r = self.params.n, self.params.r
+        """For p = 1, the fibres of the cycle-type key.  For p > 1, the
+        orbits of conjugation by the generators, found by label propagation
+        (see the class docstring).  Either way each element is first mapped
+        to the least member of its class."""
         if self.params.p > 1:
-            class_of = np.empty(self.order, dtype=np.int64)
-            for c, orbit in enumerate(self._conjugation_orbits()):
-                class_of[orbit] = c
+            cmaps = [self.conjugation_indices(self.index_of(g)) for g in self.generators()]
+            least = np.arange(self.order)
+            while True:
+                previous = least
+                for cmap in cmaps:
+                    least = np.minimum(least, least[cmap])
+                least = least[least]
+                if np.array_equal(least, previous):
+                    break
         else:
-            sizes, sums, _ = self._cycle_walk()
-            codes = np.sort((sizes - 1) * r + sums, axis=1)
-            keys = np.ravel_multi_index(tuple(codes.T), (n * r,) * n)
-            _, first, labels = np.unique(keys, return_index=True, return_inverse=True)
-            # renumber the classes in order of least member
-            class_of = np.argsort(np.argsort(first))[labels]
+            _, first, labels = np.unique(
+                self._cycle_walk[1], return_index=True, return_inverse=True
+            )
+            least = first[labels]
+        # number the classes in order of least member
+        _, class_of = np.unique(least, return_inverse=True)
         counts = np.bincount(class_of)
         by_class = np.split(np.argsort(class_of, kind="stable"), np.cumsum(counts)[:-1])
         members = tuple(tuple(m.tolist()) for m in by_class)
@@ -444,32 +478,6 @@ class Group:
             class_of=class_of, members=members,
             representatives=tuple(m[0] for m in members), sizes=tuple(counts.tolist()),
         )
-
-    def _conjugation_orbits(self) -> list[list[int]]:
-        conj_maps = [
-            self.conjugation_indices(self.index_of(g)) for g in self.generators()
-        ]
-        assigned = np.zeros(self.order, dtype=bool)
-        orbits = []
-        for start in range(self.order):
-            if assigned[start]:
-                continue
-            assigned[start] = True
-            orbit = [start]
-            frontier = [start]
-            while frontier:
-                frontier_arr = np.array(frontier, dtype=np.int64)
-                frontier = []
-                for cmap in conj_maps:
-                    images = cmap[frontier_arr]
-                    fresh = images[~assigned[images]]
-                    if fresh.size:
-                        fresh = np.unique(fresh)
-                        assigned[fresh] = True
-                        orbit.extend(int(i) for i in fresh)
-                        frontier.extend(int(i) for i in fresh)
-            orbits.append(sorted(orbit))
-        return orbits
 
     @cached_property
     def rational(self) -> RationalClasses:
@@ -496,6 +504,27 @@ class Group:
 
     def generators(self) -> tuple[GroupElement, ...]:
         return standard_generators(self.params)
+
+
+def bfs_word_lengths(group: Group, generator_indices) -> np.ndarray:
+    """Word length of every element over the given generators, by BFS from
+    the identity; unreachable elements get -1."""
+    maps = [group.left_mult_indices(t) for t in generator_indices]
+    lengths = np.full(group.order, -1, dtype=np.int64)
+    lengths[group.identity_index] = 0
+    frontier = np.array([group.identity_index], dtype=np.int64)
+    depth = 0
+    while frontier.size:
+        depth += 1
+        fresh: list[np.ndarray] = []
+        for tmap in maps:
+            images = tmap[frontier]
+            images = images[lengths[images] < 0]
+            if images.size:
+                lengths[images] = depth
+                fresh.append(images)
+        frontier = np.unique(np.concatenate(fresh)) if fresh else np.empty(0, np.int64)
+    return lengths
 
 
 def standard_generators(params: GroupParams) -> tuple[GroupElement, ...]:

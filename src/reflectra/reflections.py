@@ -6,9 +6,11 @@ exponent sum vanishes mod r, so
     codim(w) = n - #(cycles with exponent sum 0 mod r).
 
 Reflections are the elements of codimension 1.  The word length l_T(w) over
-the full reflection set T is computed by breadth-first search on the Cayley
-graph; it always dominates codim(w), with equality for every element exactly
-in the G(r, 1, n) and real cases.
+the full reflection set T comes from one breadth-first search on the Cayley
+graph per group, cached as `Group.reflection_lengths` next to `Group.codims`;
+the functions here read both from the group.  l_T(w) always dominates
+codim(w), with equality for every element exactly in the G(r, 1, n) and real
+cases.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from math import prod
 import numpy as np
 
 from .errors import ConsistencyError
-from .groups import Group, GroupElement, GroupParams, cycle_type
+# bfs_word_lengths lives in groups; the benchmark tracer looks it up here
+from .groups import Group, GroupElement, GroupParams, bfs_word_lengths, cycle_type
 
 
 def codim(x: GroupElement) -> int:
@@ -43,35 +46,9 @@ class LengthTable:
         return int(self.lengths.sum())
 
 
-def bfs_word_lengths(group: Group, generator_indices) -> np.ndarray:
-    """Word length of every element over the given generators, by BFS from
-    the identity; unreachable elements get -1."""
-    maps = [group.left_mult_indices(t) for t in generator_indices]
-    lengths = np.full(group.order, -1, dtype=np.int64)
-    lengths[group.identity_index] = 0
-    frontier = np.array([group.identity_index], dtype=np.int64)
-    depth = 0
-    while frontier.size:
-        depth += 1
-        fresh: list[np.ndarray] = []
-        for tmap in maps:
-            images = tmap[frontier]
-            images = images[lengths[images] < 0]
-            if images.size:
-                lengths[images] = depth
-                fresh.append(images)
-        frontier = np.unique(np.concatenate(fresh)) if fresh else np.empty(0, np.int64)
-    return lengths
-
-
 def reflection_length_table(group: Group) -> LengthTable:
-    """BFS from the identity over left multiplication by every reflection."""
-    lengths = bfs_word_lengths(group, reflections(group))
-    if (lengths < 0).any():
-        raise ConsistencyError(
-            f"reflections fail to generate {group.params}"
-        )
-    return LengthTable(lengths=lengths, codims=group.codims)
+    """The group's reflection lengths and codimensions, side by side."""
+    return LengthTable(lengths=group.reflection_lengths, codims=group.codims)
 
 
 def sum_reflection_lengths(group: Group) -> int:

@@ -36,8 +36,8 @@ from .errors import (
     ParameterError,
     SizeLimitError,
 )
-from .groups import Group, GroupParams
-from .reflections import all_reflections_order_two, bfs_word_lengths, reflections
+from .groups import Group, GroupParams, bfs_word_lengths
+from .reflections import all_reflections_order_two, reflections
 
 log = logging.getLogger(__name__)
 
@@ -84,14 +84,27 @@ def adjacency_function(group: Group) -> ClassFunction:
 
 def distance_function(group: Group) -> ClassFunction:
     """Reflection length as a class function."""
-    lengths = bfs_word_lengths(group, reflections(group))
-    if (lengths < 0).any():
-        raise ConnectivityError(f"reflections fail to generate {group.params}")
-    return ClassFunction.from_element_values(group, lengths, "distance")
+    return ClassFunction.from_element_values(
+        group, group.reflection_lengths, "distance"
+    )
 
 
 def codimension_function(group: Group) -> ClassFunction:
     return ClassFunction.from_element_values(group, group.codims, "codimension")
+
+
+KINDS = ("adjacency", "distance", "codimension")
+
+
+def class_function(group: Group, kind: str) -> ClassFunction:
+    """The class function of one matrix kind, named as in KINDS."""
+    if kind == "adjacency":
+        return adjacency_function(group)
+    if kind == "distance":
+        return distance_function(group)
+    if kind == "codimension":
+        return codimension_function(group)
+    raise ParameterError(f"unknown kind {kind!r}; choose from {', '.join(KINDS)}")
 
 
 @dataclass(frozen=True)
@@ -142,8 +155,17 @@ class GroupMatrix:
         return self.entries.shape[0]
 
 
-def _matrix_cap(explicit: int | None) -> int:
-    return DEFAULT_MATRIX_CAP if explicit is None else explicit
+def _check_matrix_cap(group: Group, explicit: int | None) -> None:
+    """Reject a cap below 1 and a group above the cap; every matrix builder
+    calls this before it computes or allocates anything."""
+    cap = DEFAULT_MATRIX_CAP if explicit is None else explicit
+    if cap < 1:
+        raise ParameterError(f"the dense matrix cap must be at least 1, got {cap}")
+    if group.order > cap:
+        raise SizeLimitError(
+            f"|{group.params}| = {group.order} exceeds the dense matrix cap {cap}; "
+            "use the class-algebra or combinatorial route instead"
+        )
 
 
 def matrix_from_element_values(
@@ -151,12 +173,7 @@ def matrix_from_element_values(
 ) -> GroupMatrix:
     """Group matrix for a per-element function (not necessarily a class
     function); values[k] is f of the k-th element."""
-    cap = _matrix_cap(max_size)
-    if group.order > cap:
-        raise SizeLimitError(
-            f"|{group.params}| = {group.order} exceeds the dense matrix cap {cap}; "
-            "use the class-algebra or combinatorial route instead"
-        )
+    _check_matrix_cap(group, max_size)
     values = np.asarray(values, dtype=np.int64)
     inv = group.inverse_indices
     entries = np.empty((group.order, group.order), dtype=np.int64)
@@ -168,6 +185,7 @@ def matrix_from_element_values(
 def build_matrix(
     group: Group, f: ClassFunction, max_size: int | None = None
 ) -> GroupMatrix:
+    _check_matrix_cap(group, max_size)
     return matrix_from_element_values(group, f.element_values(group), f.kind, max_size)
 
 
@@ -176,6 +194,7 @@ def distance_matrix_bfs(
 ) -> GroupMatrix:
     """Shortest-path distance matrix of the Cayley graph on the connection
     set; the set must generate the group."""
+    _check_matrix_cap(group, max_size)
     lengths = bfs_word_lengths(group, connection.indices)
     if (lengths < 0).any():
         missing = int((lengths < 0).sum())
@@ -189,6 +208,7 @@ def distance_matrix_bfs(
 def adjacency_matrix(
     group: Group, connection: ConnectionSet, max_size: int | None = None
 ) -> GroupMatrix:
+    _check_matrix_cap(group, max_size)
     flags = np.zeros(group.order, dtype=np.int64)
     flags[np.array(connection.indices, dtype=np.int64)] = 1
     return matrix_from_element_values(group, flags, "adjacency", max_size)
@@ -471,10 +491,7 @@ def bipartite_check(group: Group, spectrum: Spectrum | None = None) -> bool:
     """2-colorability of the Cayley graph on all reflections, cross-checked
     against spectrum symmetry and reflection orders."""
     refl = reflections(group)
-    lengths = bfs_word_lengths(group, refl)
-    if (lengths < 0).any():
-        raise ConnectivityError(f"reflections fail to generate {group.params}")
-    colors = lengths % 2
+    colors = group.reflection_lengths % 2
     colorable = True
     for t in refl:
         images = group.left_mult_indices(t)

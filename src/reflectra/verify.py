@@ -8,8 +8,9 @@ Perron-Frobenius radii, and the three equivalent bipartiteness tests.
 
 Checks are grouped into suites matching the `verify` subcommand; every check
 also carries a criterion number so the acceptance tests can run the same
-registry sliced the other way.  All orderings are deterministic and heavyweight
-intermediates (groups, length tables, spectra) are cached per process.
+registry sliced the other way.  All orderings are deterministic.  Groups
+and numeric spectra are cached per process; each group caches its own
+per-element data (codimensions, classes, reflection lengths).
 """
 
 from __future__ import annotations
@@ -34,20 +35,14 @@ from .groups import (
     is_real,
 )
 from .partitions import closed_form_reference, codim_spectrum_combinatorial
-from .reflections import (
-    eta1_closed_form,
-    reflection_length_table,
-    xi1_closed_form,
-)
+from .reflections import eta1_closed_form, xi1_closed_form
 from .spectra import (
-    ClassFunction,
+    KINDS,
     Spectrum,
-    adjacency_function,
     bipartite_check,
     build_matrix,
     class_algebra_data,
-    codimension_function,
-    distance_function,
+    class_function,
     distance_matrix_bfs,
     spectral_radius_check,
     spectrum_class_algebra,
@@ -61,7 +56,6 @@ DESK_MAX_ORDER = 400
 DESK_MAX_R = 8
 DESK_MAX_N = 5
 INTEGRALITY_TOLERANCE = 1e-6
-KINDS = ("adjacency", "distance", "codimension")
 
 CheckOutcome = tuple[bool, str, float | None]
 Check = tuple[str, int, Callable[[], CheckOutcome]]
@@ -139,25 +133,9 @@ def cached_group(params: GroupParams) -> Group:
 
 
 @lru_cache(maxsize=None)
-def cached_length_table(params: GroupParams):
-    return reflection_length_table(cached_group(params))
-
-
-@lru_cache(maxsize=None)
-def cached_class_function(params: GroupParams, kind: str) -> ClassFunction:
-    group = cached_group(params)
-    builder = {
-        "adjacency": adjacency_function,
-        "distance": distance_function,
-        "codimension": codimension_function,
-    }[kind]
-    return builder(group)
-
-
-@lru_cache(maxsize=None)
 def cached_numeric_spectrum(params: GroupParams, kind: str) -> Spectrum:
     group = cached_group(params)
-    matrix = build_matrix(group, cached_class_function(params, kind))
+    matrix = build_matrix(group, class_function(group, kind))
     return spectrum_numeric(matrix)
 
 
@@ -242,7 +220,7 @@ def _combinatorial_vs_closed_form(r: int, n: int) -> CheckOutcome:
 
 def _class_algebra_spectrum(params: GroupParams, kind: str) -> CheckOutcome:
     group = cached_group(params)
-    algebraic = spectrum_class_algebra(group, cached_class_function(params, kind))
+    algebraic = spectrum_class_algebra(group, class_function(group, kind))
     numeric = cached_numeric_spectrum(params, kind)
     ok = algebraic.integral and numeric.integral and algebraic.entries == numeric.entries
     detail = f"{kind}: class-algebra {_fmt_entries(algebraic.entries)}"
@@ -343,10 +321,10 @@ def _integrality_checks() -> list[Check]:
 
 
 def _length_equals_codim(params: GroupParams) -> CheckOutcome:
-    table = cached_length_table(params)
-    mismatches = int((table.lengths != table.codims).sum())
+    group = cached_group(params)
+    mismatches = int((group.reflection_lengths != group.codims).sum())
     ok = mismatches == 0
-    detail = f"{len(table.lengths)} elements, {mismatches} mismatches"
+    detail = f"{group.order} elements, {mismatches} mismatches"
     return ok, detail, None
 
 
@@ -355,9 +333,8 @@ def _length_exceeds_codim_witness() -> CheckOutcome:
     group = cached_group(params)
     witness = GroupElement(r=4, exponents=(1, 1), perm=(0, 1))
     index = group.index_of(witness)
-    table = cached_length_table(params)
-    length = int(table.lengths[index])
-    codimension = int(table.codims[index])
+    length = int(group.reflection_lengths[index])
+    codimension = int(group.codims[index])
     ok = length == 3 and codimension == 2
     detail = (
         f"element {witness} of {params}: reflection length {length}, "
@@ -386,13 +363,12 @@ def _length_codim_checks() -> list[Check]:
 
 def _rational_constancy(params: GroupParams) -> CheckOutcome:
     group = cached_group(params)
-    table = cached_length_table(params)
     classes = group.conjugacy
     bad = 0
     for rational_class in group.rational.groups:
         members = [i for c in rational_class for i in classes.members[c]]
-        lengths = {int(table.lengths[i]) for i in members}
-        codims = {int(table.codims[i]) for i in members}
+        lengths = {int(group.reflection_lengths[i]) for i in members}
+        codims = {int(group.codims[i]) for i in members}
         if len(lengths) != 1 or len(codims) != 1:
             bad += 1
     ok = bad == 0
@@ -446,7 +422,7 @@ def _radius(params: GroupParams) -> CheckOutcome:
     group = cached_group(params)
     bad: list[str] = []
     for kind in KINDS:
-        f = cached_class_function(params, kind)
+        f = class_function(group, kind)
         spectrum = cached_numeric_spectrum(params, kind)
         if not spectral_radius_check(group, f, spectrum):
             bad.append(kind)
@@ -459,7 +435,7 @@ def _radius(params: GroupParams) -> CheckOutcome:
 
 def _xi1_formula(params: GroupParams) -> CheckOutcome:
     expected = xi1_closed_form(params)
-    total = int(cached_length_table(params).codims.sum())
+    total = int(cached_group(params).codims.sum())
     ok = expected == total
     detail = f"codimension sum {total}, closed form {expected}"
     return ok, detail, None
@@ -467,7 +443,7 @@ def _xi1_formula(params: GroupParams) -> CheckOutcome:
 
 def _eta1_formula(params: GroupParams) -> CheckOutcome:
     expected = eta1_closed_form(params)
-    total = int(cached_length_table(params).lengths.sum())
+    total = int(cached_group(params).reflection_lengths.sum())
     ok = expected == total
     detail = f"reflection length sum {total}, closed form {expected}"
     return ok, detail, None

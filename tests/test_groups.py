@@ -5,6 +5,7 @@ complex monomial matrices for the multiplication law, conjugation orbits over
 the full group, and repeated multiplication for element orders.
 """
 
+import functools
 import itertools
 from math import gcd
 
@@ -32,7 +33,7 @@ from reflectra.groups import (
 )
 from reflectra.verify import desk_scale_params
 
-from oracles import monomial_matrix
+from oracles import conjugation_orbits, monomial_matrix
 
 
 def elements_strategy(max_r: int = 6, max_n: int = 4):
@@ -342,6 +343,39 @@ class TestConjugacy:
         assert classes.members == tuple(tuple(orbit) for orbit in orbits)
         assert classes.representatives == tuple(orbit[0] for orbit in orbits)
         assert classes.sizes == tuple(len(orbit) for orbit in orbits)
+
+    @pytest.mark.parametrize(
+        "params",
+        [q for q in desk_scale_params() if q.p > 1] + [GroupParams(2, 2, 6)],
+        ids=str,
+    )
+    def test_label_propagation_matches_orbit_search(self, params):
+        group = Group(params, max_order=50000)
+        orbits = conjugation_orbits(group)
+        class_of = np.empty(group.order, dtype=np.int64)
+        for c, orbit in enumerate(orbits):
+            class_of[orbit] = c
+        classes = group.conjugacy
+        assert classes.class_of.tolist() == class_of.tolist()
+        assert classes.members == tuple(tuple(orbit) for orbit in orbits)
+        assert classes.representatives == tuple(orbit[0] for orbit in orbits)
+        assert classes.sizes == tuple(len(orbit) for orbit in orbits)
+
+    def test_one_cycle_walk_feeds_codims_and_classes(self, monkeypatch):
+        walk = vars(Group)["_cycle_walk"]
+        calls = []
+
+        def counting(self):
+            calls.append(self)
+            return walk.func(self)
+
+        counted = functools.cached_property(counting)
+        counted.__set_name__(Group, "_cycle_walk")
+        monkeypatch.setattr(Group, "_cycle_walk", counted)
+        group = Group(GroupParams(3, 1, 3))
+        assert group.codims.size == group.order
+        assert len(group.conjugacy) > 0
+        assert len(calls) == 1
 
     def test_p1_conjugacy_builds_no_elements(self, monkeypatch):
         built = []

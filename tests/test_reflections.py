@@ -11,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from reflectra import groups
 from reflectra.errors import ConsistencyError
 from reflectra.groups import Group, GroupElement, GroupParams, multiply
 from reflectra.reflections import (
@@ -24,6 +25,7 @@ from reflectra.reflections import (
     sum_reflection_lengths,
     xi1_closed_form,
 )
+from reflectra.spectra import bipartite_check, distance_function
 from reflectra.verify import desk_scale_params
 
 from oracles import monomial_matrix
@@ -124,6 +126,55 @@ class TestWordLengths:
         assert lengths[group.identity_index] == 0
         assert lengths[half_turn] == 1
         assert (lengths < 0).sum() == 2
+
+    def test_reflection_lengths_read_only(self):
+        lengths = Group(GroupParams(4, 2, 2)).reflection_lengths
+        with pytest.raises(ValueError):
+            lengths[0] = 1
+
+    @pytest.mark.parametrize("params", desk_scale_params(), ids=str)
+    def test_reflection_lengths_are_bfs_over_reflections(self, params):
+        group = Group(params)
+        expected = bfs_word_lengths(group, reflections(group))
+        assert group.reflection_lengths.tolist() == expected.tolist()
+
+    def test_one_bfs_per_group(self, monkeypatch):
+        calls = []
+        bfs = groups.bfs_word_lengths
+
+        def counting(group, generator_indices):
+            calls.append(group)
+            return bfs(group, generator_indices)
+
+        monkeypatch.setattr(groups, "bfs_word_lengths", counting)
+        group = Group(GroupParams(3, 1, 2))
+        reflection_length_table(group)
+        distance_function(group)
+        bipartite_check(group)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "caller",
+        [
+            lambda g: g.reflection_lengths,
+            reflection_length_table,
+            sum_reflection_lengths,
+            distance_function,
+            bipartite_check,
+        ],
+        ids=["property", "table", "sum", "distance", "bipartite"],
+    )
+    def test_unreachable_element_is_inconsistent(self, caller, monkeypatch):
+        bfs = groups.bfs_word_lengths
+
+        def one_unreachable(group, generator_indices):
+            lengths = bfs(group, generator_indices)
+            lengths[-1] = -1
+            return lengths
+
+        monkeypatch.setattr(groups, "bfs_word_lengths", one_unreachable)
+        with pytest.raises(ConsistencyError, match="fail to generate"):
+            caller(Group(GroupParams(3, 1, 2)))
 
     def test_lengths_bounded_by_rank_plus_one(self):
         for params in [GroupParams(3, 1, 2), GroupParams(4, 2, 2), GroupParams(3, 3, 3)]:

@@ -8,6 +8,7 @@ the trace and Frobenius moment identities for whole spectra.
 import numpy as np
 import pytest
 
+from reflectra import spectra
 from reflectra.errors import (
     ConnectivityError,
     ParameterError,
@@ -26,6 +27,7 @@ from reflectra.spectra import (
     bipartite_check,
     build_matrix,
     class_algebra_data,
+    class_function,
     class_structure_constants,
     codimension_function,
     connection_set,
@@ -54,6 +56,14 @@ class TestJacobi:
 
 
 class TestClassFunction:
+    def test_kind_table(self):
+        group = Group(GroupParams(4, 2, 2))
+        assert class_function(group, "adjacency") == adjacency_function(group)
+        assert class_function(group, "distance") == distance_function(group)
+        assert class_function(group, "codimension") == codimension_function(group)
+        with pytest.raises(ParameterError, match="unknown kind"):
+            class_function(group, "laplacian")
+
     def test_rejects_non_class_function(self):
         group = Group(GroupParams(3, 1, 2))
         values = np.zeros(group.order, dtype=np.int64)
@@ -150,6 +160,30 @@ class TestMatrices:
         with pytest.raises(SizeLimitError) as excinfo:
             build_matrix(group, codimension_function(group), max_size=10)
         assert "class-algebra" in str(excinfo.value)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    @pytest.mark.parametrize(
+        "builder", ["build", "values", "adjacency", "distance"]
+    )
+    def test_cap_below_one_rejected_before_any_work(self, builder, cap, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started before the cap was checked")
+
+        monkeypatch.setattr(spectra, "bfs_word_lengths", no_work)
+        monkeypatch.setattr(Group, "right_mult_indices", no_work)
+        group = Group(GroupParams(3, 1, 2))
+        f = codimension_function(group)
+        conn = all_reflections_connection(group)
+        calls = {
+            "build": lambda: build_matrix(group, f, max_size=cap),
+            "values": lambda: matrix_from_element_values(
+                group, group.codims, "codimension", max_size=cap
+            ),
+            "adjacency": lambda: adjacency_matrix(group, conn, max_size=cap),
+            "distance": lambda: distance_matrix_bfs(group, conn, max_size=cap),
+        }
+        with pytest.raises(ParameterError, match="at least 1"):
+            calls[builder]()
 
     def test_non_generating_connection(self):
         group = Group(GroupParams(4, 1, 1))

@@ -5,11 +5,15 @@ These tests fail instead: every traced name must exist in the package."""
 import functools
 import importlib
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from reflectra import groups
 from reflectra.groups import Group
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -51,3 +55,36 @@ def test_every_traced_group_member_is_wrappable(tracer):
         isinstance(value, functools.cached_property) or inspect.isfunction(value)
         for value in members.values()
     )
+
+
+def test_bfs_is_one_function_bound_in_both_modules():
+    # The tracer wraps reflections.bfs_word_lengths and rebinds it by
+    # identity, which reaches the call inside Group.reflection_lengths only
+    # while both names hold the same function.  (The package attribute
+    # reflectra.reflections is the function, so import the module by name.)
+    reflections = importlib.import_module("reflectra.reflections")
+    assert groups.bfs_word_lengths is reflections.bfs_word_lengths
+
+
+def test_installed_tracer_records_the_reflection_bfs():
+    # In a subprocess, so that the wrapping does not leak into other tests.
+    script = (
+        "import json\n"
+        "from tracer import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "from reflectra.groups import Group, GroupParams\n"
+        "from reflectra.spectra import distance_function\n"
+        "distance_function(Group(GroupParams(2, 2, 3)))\n"
+        "spans = [span[0] for span in tracer.spans]\n"
+        "print(json.dumps({'bfs_spans': spans.count('reflections.bfs'),\n"
+        "                  'bfs_calls': tracer.counts['reflections.bfs_calls']}))\n"
+    )
+    src = Path(groups.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PERFBENCH), str(src)])}
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"bfs_spans": 1, "bfs_calls": 1}
