@@ -389,6 +389,16 @@ class Group:
         exps = (self._exps + ge[self._invperms]) % self.params.r
         return self._lookup(perms, exps)
 
+    def product_indices(self, a, b) -> np.ndarray:
+        """Index of elements[a] * elements[b], elementwise over the index
+        arrays a and b broadcast together."""
+        a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+        perms = np.take_along_axis(self._perms[a], self._perms[b], axis=-1)
+        exps = self._exps[a] + np.take_along_axis(
+            self._exps[b], self._invperms[a], axis=-1
+        )
+        return self._lookup(perms, exps % self.params.r)
+
     @cached_property
     def _cycle_walk(self) -> tuple[np.ndarray, np.ndarray]:
         """Per element: the fixed-space codimension (read-only), and the

@@ -10,8 +10,10 @@ with multiplicity chi(1)^2.  Three independent routes are implemented:
 
 * numeric: build the dense matrix and take its eigenvalues with LAPACK
   (numpy's eigvalsh);
-* class-algebra: recover the central characters from the class-sum structure
-  constants and evaluate theta_chi directly, no |G| x |G| matrix;
+* class-algebra: recover the central characters as shared eigenvectors of
+  the class-sum matrices of a few low-codimension classes and evaluate
+  theta_chi directly, with no |G| x |G| matrix and no (k, k, k) tensor of
+  structure constants;
 * combinatorial (codimension matrices of G(r, 1, n) only): exact integer
   eigenvalues from partition tuples, in the partitions module.
 
@@ -320,7 +322,11 @@ def spectrum_numeric(matrix: GroupMatrix, tolerance: float = 1e-8) -> Spectrum:
 
 def class_structure_constants(group: Group) -> np.ndarray:
     """a[i, j, k] counts pairs (u, v) in C_i x C_j with u*v equal to the
-    representative of C_k; one pass of |G| products per representative."""
+    representative of C_k; one pass of |G| products per representative.
+
+    No spectrum route uses this (k, k, k) tensor: class_algebra_data builds
+    only the slices a[C] of a few classes.  It is the reference that the
+    tests and the verify checks compare those slices and characters with."""
     classes = group.conjugacy
     k = len(classes)
     class_of = classes.class_of
@@ -334,82 +340,139 @@ def class_structure_constants(group: Group) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ClassAlgebraData:
-    """Structure constants, central character table, and recovered degrees."""
+    """The central characters of a group and the degrees recovered from them.
 
-    structure_constants: np.ndarray
+    Row chi of central_characters holds omega_chi(C) = |C| chi(C) / chi(1)
+    over the classes C.  class_sums lists the classes whose class-sum
+    matrices separated the characters, in the order they were taken."""
+
     central_characters: np.ndarray
     degrees: tuple[int, ...]
+    class_sums: tuple[int, ...]
 
 
 _SEED_BASE = 20260822
-_RESIDUAL_BLOCK = 16
 
 
-def _central_residual(a: np.ndarray, omegas: np.ndarray) -> float:
-    """max over chi, i, j of |sum_l a[i, j, l] omega_chi(l) - omega_chi(i)
-    omega_chi(j)|: how far the rows of omegas are from being characters of
-    the class algebra.  Blocks of at most _RESIDUAL_BLOCK first indices are
-    cast to float64 and multiplied by the real and imaginary parts of omegas
-    in two matrix products, so no complex copy of a is ever made."""
-    k = a.shape[0]
-    columns = omegas.T
-    residual = 0.0
-    for lo in range(0, k, _RESIDUAL_BLOCK):
-        hi = min(lo + _RESIDUAL_BLOCK, k)
-        rows = (hi - lo) * k
-        block = a[lo:hi].astype(np.float64).reshape(rows, k)
-        expected = (columns[lo:hi, None, :] * columns[None, :, :]).reshape(rows, k)
-        real = block @ omegas.real.T - expected.real
-        imag = block @ omegas.imag.T - expected.imag
-        residual = max(residual, float(np.hypot(real, imag).max()))
-    return residual
+def _class_sum_matrix(group: Group, c: int) -> np.ndarray:
+    """M[l, j] = #{u in C_c : u^-1 rep_j in C_l}, as float64.  This is the
+    slice a[c] of class_structure_constants, from |C_c| * k products; each
+    central character is a right eigenvector of it, with eigenvalue
+    omega_chi(C_c)."""
+    classes = group.conjugacy
+    k = len(classes)
+    inverses = group.inverse_indices[np.array(classes.members[c])]
+    products = group.product_indices(
+        inverses[:, None], np.array(classes.representatives)[None, :]
+    )
+    cells = classes.class_of[products] * k + np.arange(k)
+    return np.bincount(cells.ravel(), minlength=k * k).reshape(k, k).astype(np.float64)
 
 
-def _central_characters(group: Group, a: np.ndarray, attempts: int = 24) -> np.ndarray:
-    """Rows are the central characters omega_chi over the classes, recovered
-    as shared eigenvectors of the commuting class-sum matrices.
+def _class_sum_order(group: Group) -> list[int]:
+    """The classes other than the identity's, by (codimension of the
+    representative, class size, class index): the order in which
+    class_algebra_data takes their class sums."""
+    classes = group.conjugacy
+    k = len(classes)
+    codims = group.codims[np.array(classes.representatives)]
+    order = np.lexsort((np.arange(k), np.array(classes.sizes), codims))
+    identity_class = classes.class_of[group.identity_index]
+    return [int(c) for c in order if c != identity_class]
 
-    A candidate is accepted only when every row is a shared eigenvector of
-    every class-sum matrix (_central_residual at most 1e-6 times
-    max(1, max |omega|^2)).  That check runs in blocks of _RESIDUAL_BLOCK
-    slices of the (k, k, k) structure constants, so besides a its memory is
-    a few (_RESIDUAL_BLOCK * k, k) arrays, about 4.6 MB each at k = 190."""
-    k = a.shape[0]
-    id_class = int(group.conjugacy.class_of[group.identity_index])
+
+def _eigenvalue_gap(values: np.ndarray) -> float:
+    """Smallest |values[i] - values[j]| over i != j (inf for one value)."""
+    if values.size < 2:
+        return float("inf")
+    gaps = np.abs(values[:, None] - values[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    return float(gaps.min())
+
+
+def _eigenvector_residual(
+    matrices: np.ndarray, used: list[int], omegas: np.ndarray
+) -> float:
+    """max over chi, i, l of |(M_i omega_chi)(l) - omega_chi(C_i) omega_chi(l)|
+    for the stacked class-sum matrices M_i of the classes used[i]: how far
+    the rows of omegas are from being eigenvectors of every M_i with the
+    eigenvalues they claim.  Two real matrix products over the (m*k, k)
+    stack."""
+    m, k, _ = matrices.shape
+    flat = matrices.reshape(m * k, k)
+    expected = (omegas[:, used].T[:, None, :] * omegas.T[None, :, :]).reshape(m * k, -1)
+    real = flat @ omegas.real.T - expected.real
+    imag = flat @ omegas.imag.T - expected.imag
+    return float(np.hypot(real, imag).max())
+
+
+def _separate_characters(
+    group: Group, attempts: int = 24
+) -> tuple[np.ndarray, list[int], int, float]:
+    """Central characters as the shared right eigenvectors of class-sum
+    matrices, with the classes used, the number of attempts and the
+    eigenvector residual.
+
+    Attempt t takes the first min(2^t, k - 1) classes of _class_sum_order and
+    a random integer combination of their matrices (seed _SEED_BASE + t).
+    Its eigenvectors are the central characters once its k eigenvalues are
+    pairwise separated (by more than 1e-8 times max(1, max |eigenvalue|)):
+    each eigenspace is then a line, and every central character spans one.
+    A candidate, scaled to 1 at the identity class, is accepted only when
+    every row is an eigenvector of every matrix used, with eigenvalue its
+    own value at that class (_eigenvector_residual at most 1e-6 times
+    max(1, max |omega|^2))."""
+    classes = group.conjugacy
+    k = len(classes)
     if k == 1:
-        return np.ones((1, 1), dtype=np.complex128)
-    last_gap = 0.0
+        return np.ones((1, 1), dtype=np.complex128), [], 0, 0.0
+    identity_class = int(classes.class_of[group.identity_index])
+    order = _class_sum_order(group)
+    matrices: list[np.ndarray] = []
+    gap = 0.0
+    failure = ""
     for attempt in range(attempts):
+        used = order[: min(1 << attempt, len(order))]
+        matrices += [_class_sum_matrix(group, c) for c in used[len(matrices):]]
+        stack = np.stack(matrices)
         rng = np.random.default_rng(_SEED_BASE + attempt)
-        coeffs = rng.integers(1, 1 << 20, size=k)
-        combo = np.tensordot(coeffs, a, axes=(0, 0)).astype(np.float64)
-        eigvals, eigvecs = np.linalg.eig(combo)
-        order = np.lexsort((eigvals.imag, eigvals.real))
-        eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+        coeffs = rng.integers(1, 1 << 20, size=len(used)).astype(np.float64)
+        eigvals, eigvecs = np.linalg.eig(np.tensordot(coeffs, stack, axes=1))
         scale = max(1.0, float(np.abs(eigvals).max()))
-        gaps = np.abs(np.diff(eigvals))
-        last_gap = float(gaps.min()) if gaps.size else scale
-        if gaps.size and gaps.min() < 1e-8 * scale:
+        gap = _eigenvalue_gap(eigvals)
+        if gap <= 1e-8 * scale:
             continue
-        anchors = eigvecs[id_class, :]
+        anchors = eigvecs[identity_class, :]
         if np.abs(anchors).min() < 1e-12:
+            failure = "; an eigenvector vanished at the identity class"
             continue
         omegas = (eigvecs / anchors[None, :]).T
-        if _central_residual(a, omegas) > 1e-6 * max(
-            1.0, float(np.abs(omegas).max()) ** 2
-        ):
+        residual = _eigenvector_residual(stack, used, omegas)
+        bound = 1e-6 * max(1.0, float(np.abs(omegas).max()) ** 2)
+        if residual > bound:
+            failure = f"; eigenvector residual {residual:.3e} above {bound:.3e}"
             continue
-        return omegas
+        return omegas, used, attempt + 1, residual
     raise NumericError(
-        f"failed to separate central characters after {attempts} random "
-        f"class-sum combinations (last eigenvalue gap {last_gap:.3e}); retry "
-        "with a different seed base"
+        f"could not separate the central characters of {group.params}: "
+        f"{len(matrices)} of its {len(order)} non-identity class sums tried "
+        f"in {attempts} attempt{'' if attempts == 1 else 's'}, last smallest "
+        f"eigenvalue gap {gap:.3e}{failure}"
     )
 
 
-def class_algebra_data(group: Group) -> ClassAlgebraData:
-    a = class_structure_constants(group)
-    omegas = _central_characters(group, a)
+def character_degrees(
+    group: Group, omegas: np.ndarray
+) -> tuple[tuple[int, ...], float]:
+    """Degrees chi(1) from the central characters, and the orthogonality
+    error of the characters they give.
+
+    sum_C omega(C) omega(C^-1) / |C| = |G| / chi(1)^2 for each row; every
+    degree must come out a positive integer and their squares must sum to
+    |G|.  With chi(C) = chi(1) omega(C) / |C|, the Gram matrix
+    sum_C |C| chi(C) conj(psi(C)) must be |G| times the identity; the error
+    is its largest entrywise distance from that, relative to |G|, and must
+    be at most 1e-6."""
     classes = group.conjugacy
     sizes = np.array(classes.sizes, dtype=np.float64)
     reps = np.array(classes.representatives, dtype=np.int64)
@@ -431,10 +494,31 @@ def class_algebra_data(group: Group) -> ClassAlgebraData:
             f"squared degrees sum to {sum(d * d for d in degrees)}, "
             f"expected {group.order}"
         )
+    characters = omegas * (np.array(degrees, dtype=np.float64)[:, None] / sizes)
+    gram = (characters * sizes) @ characters.conj().T
+    error = float(np.abs(gram / group.order - np.eye(len(degrees))).max())
+    if error > 1e-6:
+        raise NumericError(
+            f"characters of {group.params} fail orthogonality by {error:.3e}"
+        )
+    return tuple(degrees), error
+
+
+def class_algebra_data(group: Group) -> ClassAlgebraData:
+    """Central characters from the class sums of a few low-codimension
+    classes (see _separate_characters), and the degrees they give (see
+    character_degrees); the structure-constant tensor is never built."""
+    omegas, used, attempts, residual = _separate_characters(group)
+    degrees, orthogonality = character_degrees(group, omegas)
+    sizes = group.conjugacy.sizes
+    log.debug(
+        "class algebra of %s: |G| = %d, k = %d, %d class sums (%d elements) "
+        "after %d attempts, eigenvector residual %.3e, orthogonality error %.3e",
+        group.params, group.order, len(degrees), len(used),
+        sum(sizes[c] for c in used), attempts, residual, orthogonality,
+    )
     return ClassAlgebraData(
-        structure_constants=a,
-        central_characters=omegas,
-        degrees=tuple(degrees),
+        central_characters=omegas, degrees=degrees, class_sums=tuple(used)
     )
 
 

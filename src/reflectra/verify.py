@@ -2,9 +2,11 @@
 
 Each check reproduces one structural fact at small scale: closed-form
 dihedral and rank-2/3 spectra, agreement of the numeric, class-algebra, and
-combinatorial routes, spectral integrality, the reflection-length versus
-codimension dichotomy, constancy on rational classes, Galois exponents,
-Perron-Frobenius radii, and the three equivalent bipartiteness tests.
+combinatorial routes, central characters from a few class sums against
+those from the full structure constants, spectral integrality, the
+reflection-length versus codimension dichotomy, constancy on rational
+classes, Galois exponents, Perron-Frobenius radii, and the three equivalent
+bipartiteness tests.
 
 Checks are grouped into suites matching the `verify` subcommand; every check
 also carries a criterion number so the acceptance tests can run the same
@@ -21,6 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import Callable
+
+import numpy as np
 
 from .errors import ConsistencyError, ReflectraError
 from .groups import (
@@ -41,8 +45,10 @@ from .spectra import (
     Spectrum,
     bipartite_check,
     build_matrix,
+    character_degrees,
     class_algebra_data,
     class_function,
+    class_structure_constants,
     distance_matrix_bfs,
     spectral_radius_check,
     spectrum_class_algebra,
@@ -242,6 +248,45 @@ def _class_algebra_degrees(params: GroupParams) -> CheckOutcome:
     return ok, detail, None
 
 
+def tensor_central_characters(group: Group) -> np.ndarray:
+    """Reference central characters from the full (k, k, k) structure
+    constants: the right eigenvectors of one random combination of all k
+    class-sum matrices, each scaled to 1 at the identity class."""
+    a = class_structure_constants(group).astype(np.float64)
+    coeffs = np.random.default_rng(0).integers(1, 1 << 20, size=len(a))
+    _, vectors = np.linalg.eig(np.tensordot(coeffs, a, axes=1))
+    identity_class = int(group.conjugacy.class_of[group.identity_index])
+    return (vectors / vectors[identity_class]).T
+
+
+def _class_sums_vs_tensor(params: GroupParams) -> CheckOutcome:
+    group = cached_group(params)
+    data = class_algebra_data(group)
+    reference = tensor_central_characters(group)
+    k = len(reference)
+    # match each character to its nearest reference row
+    distances = np.abs(
+        data.central_characters[:, None, :] - reference[None, :, :]
+    ).max(axis=2)
+    match = distances.argmin(axis=1)
+    worst = float(distances[np.arange(k), match].max())
+    reference_degrees, _ = character_degrees(group, reference)
+    ok = (
+        len(set(match.tolist())) == k
+        and worst <= 1e-6 * max(1.0, float(np.abs(reference).max()))
+        and list(data.degrees) == [reference_degrees[j] for j in match]
+    )
+    detail = (
+        f"{k} central characters and degrees from {len(data.class_sums)} "
+        "class sums"
+    )
+    if ok:
+        detail += " match the tensor route"
+    else:
+        detail += f" differ from the tensor route (largest difference {worst:.3e})"
+    return ok, detail, worst
+
+
 def _combinatorial_checks() -> list[Check]:
     checks: list[Check] = []
     for r, n in [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]:
@@ -269,6 +314,12 @@ def _combinatorial_checks() -> list[Check]:
             f"class-algebra-degrees-{params}",
             10,
             lambda q=params: _class_algebra_degrees(q),
+        ))
+    for params in desk_scale_params():
+        checks.append((
+            f"class-sums-vs-tensor-{params}",
+            10,
+            lambda q=params: _class_sums_vs_tensor(q),
         ))
     return checks
 

@@ -272,6 +272,23 @@ class TestIndexMaps:
                     multiply(group.elements[k], group.elements[g])
                 )
 
+    @pytest.mark.parametrize("r,p,n", [(3, 1, 2), (4, 2, 2), (2, 2, 3)])
+    def test_product_indices(self, r, p, n):
+        group = Group(GroupParams(r, p, n))
+        a = np.arange(group.order)
+        b = np.random.default_rng(5).permutation(group.order)
+        expected = [
+            group.index_of(multiply(group.elements[i], group.elements[j]))
+            for i, j in zip(a.tolist(), b.tolist())
+        ]
+        assert group.product_indices(a, b).tolist() == expected
+        # broadcasting: a column against a row gives the full product table
+        table = group.product_indices(a[:, None], a[None, :])
+        assert table.shape == (group.order, group.order)
+        for g in (0, 1, group.order - 1):
+            assert np.array_equal(table[:, g], group.right_mult_indices(g))
+            assert np.array_equal(table[g], group.left_mult_indices(g))
+
     @pytest.mark.parametrize("r,p,n", [(3, 1, 2), (4, 2, 2)])
     def test_inverse_indices(self, r, p, n):
         group = Group(GroupParams(r, p, n))

@@ -1,9 +1,12 @@
 """Group matrices, the eigensolver, and the two spectrum routes.
 
 Independent oracles: the class-algebra route for the numeric route (and the
-other way round), counting identities for class-sum structure constants, and
-the trace and Frobenius moment identities for whole spectra.
+other way round), counting identities for class-sum structure constants, the
+full structure-constant tensor for the class-sum matrices and central
+characters, and the trace and Frobenius moment identities for whole spectra.
 """
+
+import logging
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ import pytest
 from reflectra import spectra
 from reflectra.errors import (
     ConnectivityError,
+    NumericError,
     ParameterError,
     SizeLimitError,
 )
@@ -18,14 +22,19 @@ from reflectra.groups import Group, GroupElement, GroupParams
 from reflectra.reflections import codim, reflections
 from reflectra.spectra import (
     ClassFunction,
-    _central_residual,
+    _class_sum_matrix,
+    _class_sum_order,
     _cluster,
+    _eigenvalue_gap,
+    _eigenvector_residual,
+    _separate_characters,
     _round_spectrum,
     adjacency_function,
     adjacency_matrix,
     all_reflections_connection,
     bipartite_check,
     build_matrix,
+    character_degrees,
     class_algebra_data,
     class_function,
     class_structure_constants,
@@ -40,7 +49,7 @@ from reflectra.spectra import (
     spectrum_numeric,
     standard_connection,
 )
-from reflectra.verify import desk_scale_params
+from reflectra.verify import desk_scale_params, tensor_central_characters
 
 
 class TestJacobi:
@@ -314,45 +323,164 @@ class TestWeightedRounding:
         assert len(got.raw) == sum(weights)
 
 
-def _tensordot_residual(a, omegas):
-    """Reference for _central_residual: one complex tensordot of the whole
-    structure-constant tensor per character."""
-    residual = 0.0
-    for row in omegas:
-        products = np.tensordot(a, row, axes=(2, 0))
-        residual = max(
-            residual, float(np.abs(products - np.outer(row, row)).max())
-        )
-    return residual
+CHECKED_GROUPS = [(3, 3, 3), (4, 2, 3), (6, 1, 3)]
 
 
-class TestCentralResidual:
-    @pytest.mark.parametrize("r,p,n", [(3, 3, 3), (4, 2, 3), (6, 1, 3)])
-    def test_equals_tensordot_loop(self, r, p, n):
-        data = class_algebra_data(Group(GroupParams(r, p, n)))
-        a, omegas = data.structure_constants, data.central_characters
+class TestCharacterChecks:
+    @pytest.mark.parametrize("r,p,n", CHECKED_GROUPS)
+    def test_one_perturbed_entry_fails_the_eigenvector_check(self, r, p, n):
+        group = Group(GroupParams(r, p, n))
+        data = class_algebra_data(group)
+        omegas, used = data.central_characters, list(data.class_sums)
+        matrices = np.stack([_class_sum_matrix(group, c) for c in used])
         threshold = 1e-6 * max(1.0, float(np.abs(omegas).max()) ** 2)
-        assert _central_residual(a, omegas) <= threshold
-        assert _tensordot_residual(a, omegas) <= threshold
-        # away from the exact characters the residual is well above rounding
-        # error, so the two evaluations must agree to working precision
-        rng = np.random.default_rng(3)
-        noisy = omegas + 1e-3 * (
-            rng.standard_normal(omegas.shape) + 1j * rng.standard_normal(omegas.shape)
-        )
-        expected = _tensordot_residual(a, noisy)
-        assert _central_residual(a, noisy) == pytest.approx(expected, rel=1e-12)
-
-    @pytest.mark.parametrize("r,p,n", [(3, 3, 3), (4, 2, 3), (6, 1, 3)])
-    def test_one_perturbed_entry_fails_the_check(self, r, p, n):
-        data = class_algebra_data(Group(GroupParams(r, p, n)))
-        a, omegas = data.structure_constants, data.central_characters
-        threshold = 1e-6 * max(1.0, float(np.abs(omegas).max()) ** 2)
+        assert _eigenvector_residual(matrices, used, omegas) <= threshold
         row = omegas.shape[0] // 2
         for column in range(omegas.shape[1]):
             perturbed = omegas.copy()
             perturbed[row, column] += 1e-3
-            assert _central_residual(a, perturbed) > threshold
+            assert _eigenvector_residual(matrices, used, perturbed) > threshold
+
+    @pytest.mark.parametrize("r,p,n", CHECKED_GROUPS)
+    @pytest.mark.parametrize("factor", [2.0, 1.001, 1.0 + 1e-5])
+    def test_one_scaled_row_fails_the_degree_or_orthogonality_check(
+        self, r, p, n, factor
+    ):
+        group = Group(GroupParams(r, p, n))
+        omegas = class_algebra_data(group).central_characters
+        character_degrees(group, omegas)
+        scaled = omegas.copy()
+        scaled[omegas.shape[0] // 2] *= factor
+        with pytest.raises(NumericError, match="degree|orthogonality"):
+            character_degrees(group, scaled)
+
+    @pytest.mark.parametrize("r,p,n", CHECKED_GROUPS)
+    def test_a_repeated_character_fails_orthogonality(self, r, p, n):
+        # two characters of equal degree: repeating one keeps every degree
+        # and the sum of squares, so only orthogonality can notice
+        group = Group(GroupParams(r, p, n))
+        data = class_algebra_data(group)
+        degrees = np.array(data.degrees)
+        first, second = np.flatnonzero(degrees == degrees[-1])[:2]
+        repeated = data.central_characters.copy()
+        repeated[second] = repeated[first]
+        with pytest.raises(NumericError, match="orthogonality"):
+            character_degrees(group, repeated)
+
+
+class TestSeparation:
+    def test_all_pairs_gap_sees_repeats_that_neighbours_miss(self):
+        # The third attempt on G(8,4,2) combines its first four class sums
+        # and has +-319291i twice each; the copies differ in the sign of a
+        # zero real part, so sorting by (real, imag) puts them apart.
+        group = Group(GroupParams(8, 4, 2))
+        used = _class_sum_order(group)[:4]
+        matrices = np.stack([_class_sum_matrix(group, c) for c in used])
+        rng = np.random.default_rng(spectra._SEED_BASE + 2)
+        coeffs = rng.integers(1, 1 << 20, size=4).astype(np.float64)
+        values = np.linalg.eigvals(np.tensordot(coeffs, matrices, axes=1))
+        scale = max(1.0, float(np.abs(values).max()))
+        ordered = values[np.lexsort((values.imag, values.real))]
+        assert np.abs(np.diff(ordered)).min() > 1e-2 * scale
+        assert _eigenvalue_gap(values) < 1e-8 * scale
+        assert np.isclose(np.abs(values.imag), 319291).sum() == 4
+        _, used_classes, attempts, _ = _separate_characters(group)
+        assert attempts == 4 and len(used_classes) == 8
+
+    def test_eigenvalue_gap(self):
+        assert _eigenvalue_gap(np.array([3.0, 1.0, 2.5])) == 0.5
+        assert _eigenvalue_gap(np.array([1j, -1j, 1j])) == 0.0
+        assert _eigenvalue_gap(np.array([7.0])) == float("inf")
+
+    def test_unseparated_characters_name_group_classes_and_gap(self, monkeypatch):
+        group = Group(GroupParams(3, 1, 3))
+        k = len(group.conjugacy)
+
+        def repeated_eig(matrix):
+            return np.zeros(k, dtype=np.complex128), np.eye(k, dtype=np.complex128)
+
+        monkeypatch.setattr(np.linalg, "eig", repeated_eig)
+        with pytest.raises(NumericError) as caught:
+            _separate_characters(group, attempts=1)
+        message = str(caught.value)
+        assert "G(3,1,3)" in message
+        assert f"1 of its {k - 1} non-identity class sums" in message
+        assert "in 1 attempt," in message
+        assert "gap 0.000e+00" in message
+        assert "seed" not in message
+
+    def test_class_order_is_codimension_then_size(self):
+        group = Group(GroupParams(4, 2, 3))
+        classes = group.conjugacy
+        order = _class_sum_order(group)
+        identity_class = int(classes.class_of[group.identity_index])
+        assert sorted(order + [identity_class]) == list(range(len(classes)))
+        keys = [
+            (int(group.codims[classes.representatives[c]]), classes.sizes[c], c)
+            for c in order
+        ]
+        assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("r,p,n", [(3, 1, 2), (4, 2, 2), (2, 2, 3), (3, 3, 3)])
+def test_class_sum_matrices_are_tensor_slices(r, p, n):
+    group = Group(GroupParams(r, p, n))
+    a = class_structure_constants(group)
+    for c in range(len(a)):
+        assert np.array_equal(_class_sum_matrix(group, c), a[c])
+
+
+@pytest.mark.parametrize("params", desk_scale_params(), ids=str)
+def test_class_sums_agree_with_the_tensor_route(params):
+    group = Group(params)
+    data = class_algebra_data(group)
+    reference = tensor_central_characters(group)
+    reference_degrees, _ = character_degrees(group, reference)
+    # sort both by the real part of one random complex projection, which
+    # separates distinct rows (complex conjugate ones included) by far more
+    # than rounding error
+    rng = np.random.default_rng(11)
+    weights = rng.standard_normal(len(reference)) + 1j * rng.standard_normal(
+        len(reference)
+    )
+    ours = np.argsort((data.central_characters @ weights).real)
+    theirs = np.argsort((reference @ weights).real)
+    scale = max(1.0, float(np.abs(reference).max()))
+    np.testing.assert_allclose(
+        data.central_characters[ours], reference[theirs], rtol=0, atol=1e-6 * scale
+    )
+    assert np.array_equal(
+        np.array(data.degrees)[ours], np.array(reference_degrees)[theirs]
+    )
+
+
+@pytest.mark.parametrize("r,p,n", [(3, 1, 3), (4, 2, 3)])
+def test_spectrum_route_never_builds_the_tensor(r, p, n, monkeypatch):
+    def refuse(group):
+        raise AssertionError("the structure-constant tensor was built")
+
+    monkeypatch.setattr(spectra, "class_structure_constants", refuse)
+    group = Group(GroupParams(r, p, n))
+    for kind in ("adjacency", "distance", "codimension"):
+        spectrum = spectrum_class_algebra(group, class_function(group, kind))
+        assert spectrum.integral
+        assert spectrum.total_multiplicity() == group.order
+
+
+def test_class_algebra_data_logs_one_debug_record(caplog):
+    group = Group(GroupParams(3, 1, 3))
+    with caplog.at_level(logging.DEBUG, logger="reflectra.spectra"):
+        data = class_algebra_data(group)
+    records = [r for r in caplog.records if r.name == "reflectra.spectra"]
+    assert len(records) == 1
+    message = records[0].getMessage()
+    used = data.class_sums
+    elements = sum(group.conjugacy.sizes[c] for c in used)
+    k = len(group.conjugacy)
+    assert message.startswith(f"class algebra of G(3,1,3): |G| = 162, k = {k}, ")
+    assert f"{len(used)} class sums ({elements} elements)" in message
+    assert "attempts" in message
+    assert "eigenvector residual" in message and "orthogonality error" in message
 
 
 class TestStructureConstants:
