@@ -14,14 +14,27 @@ Conjugacy in G(r, 1, n) is governed by cycle data: to each cycle of s attach
 the pair (cycle size, sum of the exponents along the cycle mod r).  Two
 elements are conjugate in G(r, 1, n) exactly when these multisets agree.  For
 p > 1 classes may split, so they are computed directly as conjugation orbits.
+
+Reflection length, the word length over all reflections, also depends only
+on cycle data (J.-y. Shi, "Formula for the reflection length of elements in
+the group G(m,p,n)", J. Algebra 316, 2007).  With c(w) cycles and s_B the
+exponent sum of a set B of cycles,
+
+    l_T(w) = n + c(w) - max sum_B (1 + [s_B = 0 mod r]),
+
+the max running over the set partitions of the cycles into blocks B with
+s_B = 0 (mod p).  For p = 1 every cycle is its own block and l_T(w) is the
+codimension n - #(cycles with sum 0 mod r).
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import os
+import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import factorial, gcd, lcm
 
 import numpy as np
@@ -32,6 +45,8 @@ DEFAULT_ENUMERATION_CAP = 20000
 ENUMERATION_CAP_ENV = "REFLECTRA_MAX_ORDER"
 
 CycleType = tuple[tuple[int, int], ...]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, order=True)
@@ -150,6 +165,53 @@ def cycle_type(x: GroupElement) -> CycleType:
 def element_order(x: GroupElement) -> int:
     # a cycle of size k with exponent sum c powers to zeta^c * I after k steps
     return lcm(*(k * (x.r // gcd(c, x.r)) for k, c in cycle_type(x)))
+
+
+def cycle_type_length(ctype: CycleType, r: int, p: int) -> int:
+    """Reflection length in G(r, p, n) of the elements of cycle type ctype,
+    by Shi's formula (module docstring).  Merging a cycle whose sum is
+    0 mod p into any block gains at most 1 and loses its own block, so such
+    cycles stay single; only the sums of the others are partitioned."""
+    n = sum(size for size, _ in ctype)
+    single = sum(2 if total == 0 else 1 for _, total in ctype if total % p == 0)
+    merged = _best_blocks(tuple(sorted(total for _, total in ctype if total % p)), r, p)
+    return n + len(ctype) - single - merged
+
+
+@cache
+def _best_blocks(sums: tuple[int, ...], r: int, p: int) -> int:
+    """Max of sum_B (1 + [s_B = 0 mod r]) over the partitions of the sorted
+    cycle sums into blocks with s_B = 0 mod p.  sums[0] shares its block
+    with some sub-multiset of the rest.  All the sums add up to 0 mod p, so
+    what is left beside such a block does too and can always be partitioned
+    (at worst as one block)."""
+    if not sums:
+        return 0
+    first, rest = sums[0], sums[1:]
+    best = 0
+    for size in range(len(rest) + 1):
+        for picked in set(itertools.combinations(rest, size)):
+            total = first + sum(picked)
+            if total % p:
+                continue
+            remaining = list(rest)
+            for x in picked:
+                remaining.remove(x)
+            value = 1 + (total % r == 0) + _best_blocks(tuple(remaining), r, p)
+            best = max(best, value)
+    return best
+
+
+def _cycle_type_of_codes(codes: list[int], r: int) -> CycleType:
+    """Cycle type from an element's sorted per-position codes
+    (cycle size - 1) * r + cycle sum: a cycle of size k fills k equal,
+    adjacent codes."""
+    pairs, i = [], 0
+    while i < len(codes):
+        size = codes[i] // r + 1
+        pairs.append((size, codes[i] % r))
+        i += size
+    return tuple(pairs)
 
 
 def format_element(x: GroupElement) -> str:
@@ -288,8 +350,13 @@ class Group:
 
     The per-element facts are read-only cached properties, each computed on
     first use: `codims`, `conjugacy` (and `rational` over it) and
-    `reflection_lengths`.  One cycle walk feeds both `codims` and the p = 1
-    class keys; only its two |G|-long results are kept.  For p > 1 every
+    `reflection_lengths`.  One cycle walk feeds `codims`, the p = 1 class
+    keys and the lengths; only its two |G|-long results are kept.  The
+    lengths come from Shi's formula (J. Algebra 316, 2007),
+    l_T(w) = n + c(w) - max sum_B (1 + [s_B = 0 mod r]) over the partitions
+    of the cycles into blocks with s_B = 0 mod p (module docstring),
+    evaluated once per G(r, 1, n) cycle type; for p = 1 it is the
+    codimension.  For p > 1 every
     element carries a label, first its own index, that is lowered to the
     least label over its images under conjugation by each generator and
     then replaced by the label of its label, until nothing changes; each
@@ -443,13 +510,39 @@ class Group:
     @cached_property
     def reflection_lengths(self) -> np.ndarray:
         """Read-only reflection length of every element: its word length over
-        all reflections (the codimension-1 elements), by one BFS from the
-        identity.  Reflections generate G(r, p, n), so an unreachable
-        element means the group data are inconsistent."""
-        lengths = bfs_word_lengths(self, np.flatnonzero(self.codims == 1))
-        if (lengths < 0).any():
-            raise ConsistencyError(f"reflections fail to generate {self.params}")
+        all reflections (the codimension-1 elements).  Shi's formula
+        (J. Algebra 316, 2007) gives it from the cycle type alone:
+        l_T(w) = n + c(w) - max sum_B (1 + [s_B = 0 mod r]) over the
+        partitions of the c(w) cycles into blocks B whose exponent sums s_B
+        are 0 mod p.  So `cycle_type_length` runs once per distinct class
+        key of the cycle walk and the values are scattered back; for p = 1
+        every cycle is its own block and the length is the codimension.
+        Certificate: the identity has length 0, every reflection length 1,
+        and no element a length below its codimension."""
+        codims, class_keys = self._cycle_walk
+        start = time.perf_counter()
+        n, r, p = self.params.n, self.params.r, self.params.p
+        keys, inverse = np.unique(class_keys, return_inverse=True)
+        codes = np.stack(np.unravel_index(keys, (n * r,) * n), axis=1)
+        values = [
+            cycle_type_length(_cycle_type_of_codes(row, r), r, p)
+            for row in codes.tolist()
+        ]
+        lengths = np.array(values, dtype=np.int64)[inverse]
+        identity = int(lengths[self.identity_index])
+        not_one = int((lengths[codims == 1] != 1).sum())
+        below = int((lengths < codims).sum())
+        if identity != 0 or not_one or below:
+            raise ConsistencyError(
+                f"reflection lengths of {self.params} fail the certificate: "
+                f"identity length {identity}, {not_one} reflections not of "
+                f"length 1, {below} elements below their codimension"
+            )
         lengths.setflags(write=False)
+        log.debug(
+            "reflection lengths of %s: |G| = %d, %d cycle types, %.4fs",
+            self.params, self.order, len(keys), time.perf_counter() - start,
+        )
         return lengths
 
     def conjugation_indices(self, g: int) -> np.ndarray:

@@ -3,16 +3,18 @@
 Each check reproduces one structural fact at small scale: closed-form
 dihedral and rank-2/3 spectra, agreement of the numeric, class-algebra, and
 combinatorial routes, central characters from a few class sums against
-those from the full structure constants, spectral integrality, the
+those from the full structure constants, spectral integrality, Shi's
+reflection-length formula against breadth-first search, the
 reflection-length versus codimension dichotomy, constancy on rational
 classes, Galois exponents, Perron-Frobenius radii, and the three equivalent
 bipartiteness tests.
 
 Checks are grouped into suites matching the `verify` subcommand; every check
 also carries a criterion number so the acceptance tests can run the same
-registry sliced the other way.  All orderings are deterministic.  Groups
-and numeric spectra are cached per process; each group caches its own
-per-element data (codimensions, classes, reflection lengths).
+registry sliced the other way.  All orderings are deterministic.  Groups,
+numeric spectra and BFS reference lengths are cached per process; each
+group caches its own per-element data (codimensions, classes, reflection
+lengths).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .groups import (
     Group,
     GroupElement,
     GroupParams,
+    bfs_word_lengths,
     cycle_type,
     element_order,
     element_power,
@@ -39,7 +42,7 @@ from .groups import (
     is_real,
 )
 from .partitions import closed_form_reference, codim_spectrum_combinatorial
-from .reflections import eta1_closed_form, xi1_closed_form
+from .reflections import eta1_closed_form, reflections, xi1_closed_form
 from .spectra import (
     KINDS,
     Spectrum,
@@ -143,6 +146,15 @@ def cached_numeric_spectrum(params: GroupParams, kind: str) -> Spectrum:
     group = cached_group(params)
     matrix = build_matrix(group, class_function(group, kind))
     return spectrum_numeric(matrix)
+
+
+@lru_cache(maxsize=None)
+def cached_bfs_lengths(params: GroupParams) -> np.ndarray:
+    """Reference reflection lengths: a breadth-first search over all
+    reflections, independent of the formula behind
+    `Group.reflection_lengths`."""
+    group = cached_group(params)
+    return bfs_word_lengths(group, reflections(group))
 
 
 def _fmt_entries(entries) -> str:
@@ -373,7 +385,7 @@ def _integrality_checks() -> list[Check]:
 
 def _length_equals_codim(params: GroupParams) -> CheckOutcome:
     group = cached_group(params)
-    mismatches = int((group.reflection_lengths != group.codims).sum())
+    mismatches = int((cached_bfs_lengths(params) != group.codims).sum())
     ok = mismatches == 0
     detail = f"{group.order} elements, {mismatches} mismatches"
     return ok, detail, None
@@ -384,12 +396,24 @@ def _length_exceeds_codim_witness() -> CheckOutcome:
     group = cached_group(params)
     witness = GroupElement(r=4, exponents=(1, 1), perm=(0, 1))
     index = group.index_of(witness)
-    length = int(group.reflection_lengths[index])
+    length = int(cached_bfs_lengths(params)[index])
     codimension = int(group.codims[index])
     ok = length == 3 and codimension == 2
     detail = (
         f"element {witness} of {params}: reflection length {length}, "
         f"codimension {codimension} (expected 3 > 2)"
+    )
+    return ok, detail, None
+
+
+def _length_formula(params: GroupParams) -> CheckOutcome:
+    group = cached_group(params)
+    bfs = cached_bfs_lengths(params)
+    mismatches = int((group.reflection_lengths != bfs).sum())
+    ok = mismatches == 0
+    detail = (
+        f"{group.order} elements, {mismatches} mismatches between Shi's "
+        "formula and BFS over all reflections"
     )
     return ok, detail, None
 
@@ -409,6 +433,14 @@ def _length_codim_checks() -> list[Check]:
         5,
         lambda: _length_exceeds_codim_witness(),
     ))
+    checks += [
+        (
+            f"length-formula-{params}",
+            5,
+            lambda q=params: _length_formula(q),
+        )
+        for params in desk_scale_params()
+    ]
     return checks
 
 

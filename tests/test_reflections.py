@@ -1,11 +1,13 @@
-"""Reflections, codimension, BFS word lengths, and degree data.
+"""Reflections, codimension, reflection lengths against BFS, and degree data.
 
 Independent oracles: fixed-space dimension from the complex monomial matrix,
 explicit short products of reflections, and exact polynomial expansion of
 the codimension generating function.
 """
 
+import importlib
 import itertools
+import logging
 from collections import Counter
 
 import numpy as np
@@ -29,6 +31,13 @@ from reflectra.spectra import bipartite_check, distance_function
 from reflectra.verify import desk_scale_params
 
 from oracles import monomial_matrix
+
+
+# p > 1 groups above the desk-scale orders, for the formula against BFS
+BEYOND_DESK_SCALE = tuple(
+    GroupParams(*t)
+    for t in [(4, 2, 4), (6, 2, 4), (4, 4, 4), (12, 3, 3), (3, 3, 5), (8, 2, 4)]
+)
 
 
 def fixed_space_codim(x: GroupElement) -> int:
@@ -132,26 +141,44 @@ class TestWordLengths:
         with pytest.raises(ValueError):
             lengths[0] = 1
 
-    @pytest.mark.parametrize("params", desk_scale_params(), ids=str)
+    @pytest.mark.parametrize(
+        "params", desk_scale_params() + BEYOND_DESK_SCALE, ids=str
+    )
     def test_reflection_lengths_are_bfs_over_reflections(self, params):
-        group = Group(params)
+        group = Group(params, max_order=params.order)
         expected = bfs_word_lengths(group, reflections(group))
         assert group.reflection_lengths.tolist() == expected.tolist()
 
-    def test_one_bfs_per_group(self, monkeypatch):
-        calls = []
-        bfs = groups.bfs_word_lengths
+    def test_no_bfs_on_the_lengths_path(self, monkeypatch):
+        def no_bfs(group, generator_indices):
+            raise AssertionError("breadth-first search on the lengths path")
 
-        def counting(group, generator_indices):
-            calls.append(group)
-            return bfs(group, generator_indices)
-
-        monkeypatch.setattr(groups, "bfs_word_lengths", counting)
-        group = Group(GroupParams(3, 1, 2))
+        for module in ("groups", "reflections", "spectra"):
+            home = importlib.import_module(f"reflectra.{module}")
+            monkeypatch.setattr(home, "bfs_word_lengths", no_bfs)
+        group = Group(GroupParams(4, 2, 3))
+        assert group.reflection_lengths.max() == 4
         reflection_length_table(group)
         distance_function(group)
-        bipartite_check(group)
-        assert len(calls) == 1
+        assert bipartite_check(group)
+
+    def test_g424_witness(self):
+        group = Group(GroupParams(4, 2, 4))
+        witness = GroupElement(r=4, exponents=(1, 1, 0, 0), perm=(0, 1, 2, 3))
+        index = group.index_of(witness)
+        assert group.codims[index] == 2
+        assert group.reflection_lengths[index] == 3
+
+    def test_lengths_logged_once(self, caplog):
+        # for p = 1 the cycle types are the conjugacy classes
+        group = Group(GroupParams(3, 1, 3))
+        with caplog.at_level(logging.DEBUG, logger="reflectra.groups"):
+            group.reflection_lengths
+            group.reflection_lengths
+        records = [r for r in caplog.records if r.name == "reflectra.groups"]
+        assert len(records) == 1
+        expected = f"|G| = 162, {len(group.conjugacy)} cycle types"
+        assert expected in records[0].getMessage()
 
     @pytest.mark.parametrize(
         "caller",
@@ -165,15 +192,13 @@ class TestWordLengths:
         ids=["property", "table", "sum", "distance", "bipartite"],
     )
     def test_unreachable_element_is_inconsistent(self, caller, monkeypatch):
-        bfs = groups.bfs_word_lengths
+        formula = groups.cycle_type_length
 
-        def one_unreachable(group, generator_indices):
-            lengths = bfs(group, generator_indices)
-            lengths[-1] = -1
-            return lengths
+        def below_codim(ctype, r, p):
+            return max(formula(ctype, r, p) - 1, 0)
 
-        monkeypatch.setattr(groups, "bfs_word_lengths", one_unreachable)
-        with pytest.raises(ConsistencyError, match="fail to generate"):
+        monkeypatch.setattr(groups, "cycle_type_length", below_codim)
+        with pytest.raises(ConsistencyError, match="fail the certificate"):
             caller(Group(GroupParams(3, 1, 2)))
 
     def test_lengths_bounded_by_rank_plus_one(self):

@@ -59,8 +59,8 @@ def test_every_traced_group_member_is_wrappable(tracer):
 
 def test_bfs_is_one_function_bound_in_both_modules():
     # The tracer wraps reflections.bfs_word_lengths and rebinds it by
-    # identity, which reaches the call inside Group.reflection_lengths only
-    # while both names hold the same function.  (The package attribute
+    # identity, which reaches the calls through the other modules' names
+    # only while they hold the same function.  (The package attribute
     # reflectra.reflections is the function, so import the module by name.)
     reflections = importlib.import_module("reflectra.reflections")
     assert groups.bfs_word_lengths is reflections.bfs_word_lengths
@@ -74,8 +74,9 @@ def test_installed_tracer_records_the_reflection_bfs():
         "tracer = Tracer()\n"
         "tracer.install()\n"
         "from reflectra.groups import Group, GroupParams\n"
-        "from reflectra.spectra import distance_function\n"
-        "distance_function(Group(GroupParams(2, 2, 3)))\n"
+        "from reflectra.spectra import distance_matrix_bfs, standard_connection\n"
+        "group = Group(GroupParams(2, 2, 3))\n"
+        "distance_matrix_bfs(group, standard_connection(group))\n"
         "spans = [span[0] for span in tracer.spans]\n"
         "print(json.dumps({'bfs_spans': spans.count('reflections.bfs'),\n"
         "                  'bfs_calls': tracer.counts['reflections.bfs_calls']}))\n"
