@@ -47,6 +47,7 @@ from .spectra import (
     build_matrix,
     class_function,
     codimension_function,
+    distance_function,
     distance_matrix_bfs,
     spectrum_class_algebra,
     spectrum_numeric,
@@ -342,6 +343,9 @@ def _build_group_matrix(group: Group, kind: str, connection: str | None):
     if kind == "codimension":
         return build_matrix(group, codimension_function(group)), None
     name = connection or "all-reflections"
+    if kind == "distance" and name == "all-reflections":
+        # the word length over all reflections is Group.reflection_lengths
+        return build_matrix(group, distance_function(group)), name
     conn = (
         standard_connection(group)
         if name == "standard"

@@ -15,6 +15,14 @@ the pair (cycle size, sum of the exponents along the cycle mod r).  Two
 elements are conjugate in G(r, 1, n) exactly when these multisets agree.  For
 p > 1 classes may split, so they are computed directly as conjugation orbits.
 
+`Group` lists the elements as a product, index = (permutation rank) * m +
+(exponent rank) over the n! permutations and the m = r^n / p admissible
+exponent rows, both in lex order.  Cycle data depend on the permutation
+alone apart from the cycle sums, so the cycles are walked on the n!
+permutations and the sums of every element come from one product with the
+exponent rows; element text is likewise formatted per permutation and per
+exponent row and then joined.
+
 Reflection length, the word length over all reflections, also depends only
 on cycle data (J.-y. Shi, "Formula for the reflection length of elements in
 the group G(m,p,n)", J. Algebra 316, 2007).  With c(w) cycles and s_B the
@@ -216,11 +224,7 @@ def _cycle_type_of_codes(codes: list[int], r: int) -> CycleType:
 
 def format_element(x: GroupElement) -> str:
     """Text form "a1,...,an|p1 ... pn" with a 1-based permutation image list."""
-    return _element_text(x.exponents, x.perm)
-
-
-def _element_text(exponents, perm) -> str:
-    return ",".join(map(str, exponents)) + "|" + " ".join(str(i + 1) for i in perm)
+    return ",".join(map(str, x.exponents)) + "|" + " ".join(str(i + 1) for i in x.perm)
 
 
 def parse_element(text: str, r: int) -> GroupElement:
@@ -342,16 +346,26 @@ class Group:
     """G(r, p, n) with a fixed, deterministic element enumeration.
 
     Elements are listed lexicographically by (perm, exponents), so the
-    identity has index 0.  The arrays `_perms` and `_exps` (one row per
-    element) are primary; their int64 keys `_keys` (perm digits base n, then
-    exponent digits base r) increase strictly, so lookups are binary
-    searches.  `element(i)` builds one `GroupElement`, `elements` all of them
-    on first use.  Dense index maps keep bulk operations in numpy.
+    identity has index 0.  The listing is a product of two blocks:
+    `_perm_block` holds the n! permutations and `_exp_block` the
+    m = r^n / p exponent rows with sum = 0 mod p, each in lex order, and
+    element q * m + e is (exponent row e | permutation q).  The flat arrays
+    `_perms` and `_exps` (one row per element) serve the index maps; their
+    int64 keys `_keys` (perm digits base n, then exponent digits base r)
+    increase strictly, so lookups are binary searches.  `element(i)` builds
+    one `GroupElement`, `elements` all of them on first use.  Dense index
+    maps keep bulk operations in numpy.
 
     The per-element facts are read-only cached properties, each computed on
     first use: `codims`, `conjugacy` (and `rational` over it) and
-    `reflection_lengths`.  One cycle walk feeds `codims`, the p = 1 class
-    keys and the lengths; only its two |G|-long results are kept.  The
+    `reflection_lengths`.  A fact that depends on one block is computed on
+    that block and broadcast: the cycles are walked once per permutation,
+    and one product of the exponent block with each permutation's cycle
+    incidence gives every element's cycle sums; `element_texts` formats
+    each permutation and each exponent row once.  The cycle data feed
+    `codims`, the p = 1 class keys and the lengths; only its two |G|-long
+    results are kept.  `rational` raises the k class representatives to
+    their powers together, one index product per exponent.  The
     lengths come from Shi's formula (J. Algebra 316, 2007),
     l_T(w) = n + c(w) - max sum_B (1 + [s_B = 0 mod r]) over the partitions
     of the cycles into blocks with s_B = 0 mod p (module docstring),
@@ -378,6 +392,7 @@ class Group:
         perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
         exps = np.indices((r,) * n, dtype=np.int64).reshape(n, -1).T
         exps = exps[exps.sum(axis=1) % p == 0]
+        self._perm_block, self._exp_block = perms, exps
         self._perms = np.repeat(perms, len(exps), axis=0)
         self._exps = np.tile(exps, (len(perms), 1))
         self._invperms = np.repeat(np.argsort(perms, axis=1), len(exps), axis=0)
@@ -403,7 +418,12 @@ class Group:
         return 0
 
     def element(self, i: int) -> GroupElement:
-        """The i-th element of the enumeration."""
+        """The i-th element of the enumeration, 0 <= i < |G|."""
+        if not 0 <= i < self.order:
+            raise ParameterError(
+                f"element index {i} is out of range for {self.params} "
+                f"of order {self.order}"
+            )
         exps, perm = self._exps[i].tolist(), self._perms[i].tolist()
         return GroupElement(self.params.r, tuple(exps), tuple(perm))
 
@@ -413,11 +433,14 @@ class Group:
         return tuple(self.element(i) for i in range(self.order))
 
     def element_texts(self) -> list[str]:
-        """`format_element` of every element, in enumeration order."""
-        return [
-            _element_text(a, s)
-            for a, s in zip(self._exps.tolist(), self._perms.tolist())
+        """`format_element` of every element, in enumeration order: each
+        exponent row and each permutation is formatted once, and element
+        q * m + e joins exponent row e to permutation q."""
+        exp_texts = [",".join(map(str, row)) + "|" for row in self._exp_block.tolist()]
+        perm_texts = [
+            " ".join(str(i + 1) for i in row) for row in self._perm_block.tolist()
         ]
+        return [e + s for s in perm_texts for e in exp_texts]
 
     def index_of(self, x: GroupElement) -> int:
         r, n = self.params.r, self.params.n
@@ -469,10 +492,12 @@ class Group:
     @cached_property
     def _cycle_walk(self) -> tuple[np.ndarray, np.ndarray]:
         """Per element: the fixed-space codimension (read-only), and the
-        G(r, 1, n) class key.  Each position gets the size of the cycle
-        through it, that cycle's exponent sum mod r, and whether it is the
-        least position on the cycle, from one walk on flat positions
-        (row * n + i) in which every cycle closes within n - 1 steps.
+        G(r, 1, n) class key.  The cycles are a fact of the permutation
+        block: a walk over the n! permutations finds the least position on
+        the cycle through each position, hence which positions share a
+        cycle (the 0/1 incidence of each permutation) and the cycle sizes.
+        One product exps @ incidence then gives every element's exponent sum
+        along the cycle through each position, as an (n!, m, n) array.
 
         The codimension is n minus the number of cycles whose sum vanishes
         mod r, each cycle counted at its least position.  The key reads an
@@ -480,26 +505,27 @@ class Group:
         digits (below (nr)^n, inside the int64 bound checked at
         construction), so its fibres are the cycle types."""
         n, r = self.params.n, self.params.r
-        starts = np.arange(self.order * n)
-        step = (self._perms + starts[::n, None]).ravel()
-        exps = self._exps.ravel()
-        pos = step
-        totals = exps.copy()
-        sizes = np.ones(starts.size, dtype=np.int64)
-        leads = np.ones(starts.size, dtype=bool)
+        perms = self._perm_block
+        lead, pos = np.broadcast_to(np.arange(n), perms.shape), perms
         for _ in range(n - 1):
-            open_ = pos != starts
-            totals += exps[pos] * open_
-            sizes += open_
-            leads &= pos >= starts
-            pos = np.where(open_, step[pos], pos)
-        del starts, step, pos
-        totals %= r
-        shape = self._perms.shape
-        codims = n - (leads & (totals == 0)).reshape(shape).sum(axis=1)
+            lead = np.minimum(lead, pos)
+            pos = np.take_along_axis(perms, pos, axis=1)
+        # no cycle sum (before mod r) or code reaches n * r, so the (n!, m, n)
+        # arrays take the smallest type that holds it
+        dtype = np.min_scalar_type(n * r)
+        incidence = (lead[:, :, None] == lead[:, None, :]).astype(dtype)
+        sums = self._exp_block.astype(dtype) @ incidence
+        sums %= r
+        is_lead = (lead == np.arange(n))[:, None, :]
+        codims = n - np.count_nonzero((sums == 0) & is_lead, axis=2).reshape(-1)
         codims.setflags(write=False)
-        codes = np.sort(((sizes - 1) * r + totals).reshape(shape), axis=1)
-        keys = np.ravel_multi_index(tuple(codes.T), (n * r,) * n)
+        codes = sums
+        codes += ((incidence.sum(axis=2) - 1) * r)[:, None, :]
+        codes.sort(axis=2)
+        keys = np.zeros(self.order, dtype=np.int64)
+        for digits in codes.reshape(-1, n).T:
+            keys *= n * r
+            keys += digits
         return codims, keys
 
     @property
@@ -587,17 +613,26 @@ class Group:
         """Coprime powers g^d of g have g as a coprime power again, so the
         classes of the coprime powers of a representative form its whole
         rational class; scanning classes in order numbers the rational
-        classes by least member."""
+        classes by least member.  The powers of all k representatives are
+        taken together, one index product per exponent d, until each has
+        reached the identity; that d is its order."""
         classes = self.conjugacy
+        reps = np.array(classes.representatives, dtype=np.int64)
+        orders = np.zeros(len(reps), dtype=np.int64)
+        current, powers = reps, []
+        while not orders.all():
+            powers.append(classes.class_of[current])
+            orders[(orders == 0) & (current == self.identity_index)] = len(powers)
+            current = self.product_indices(current, reps)
+        # power_class[c][d - 1] is the class of the d-th power of class c
+        power_class = np.stack(powers, axis=1).tolist()
         class_to_rational = [-1] * len(classes)
         groups = []
-        for c, rep in enumerate(classes.representatives):
+        for c, o in enumerate(orders.tolist()):
             if class_to_rational[c] >= 0:
                 continue
-            g = self.element(rep)
-            o = element_order(g)
-            powers = (element_power(g, d) for d in range(1, o + 1) if gcd(d, o) == 1)
-            grp = sorted({int(classes.class_of[self.index_of(x)]) for x in powers})
+            coprime = (d for d in range(1, o + 1) if gcd(d, o) == 1)
+            grp = sorted({power_class[c][d - 1] for d in coprime})
             for j in grp:
                 class_to_rational[j] = len(groups)
             groups.append(tuple(grp))

@@ -1,8 +1,16 @@
 """Shared independent oracles used across test modules."""
 
+from math import gcd
+
 import numpy as np
 
-from reflectra.groups import GroupElement
+from reflectra.groups import (
+    GroupElement,
+    RationalClasses,
+    element_order,
+    element_power,
+    format_element,
+)
 
 
 def monomial_matrix(x: GroupElement) -> np.ndarray:
@@ -43,3 +51,57 @@ def conjugation_orbits(group) -> list[list[int]]:
                     frontier.extend(int(i) for i in fresh)
         orbits.append(sorted(orbit))
     return orbits
+
+
+def flat_cycle_walk(group) -> tuple[np.ndarray, np.ndarray]:
+    """(codims, G(r, 1, n) class keys) from a walk on all |G| * n flat
+    positions (row * n + i), every cycle closing within n - 1 steps: each
+    position gets its cycle's size and exponent sum mod r, and whether it is
+    the least position on its cycle."""
+    n, r = group.params.n, group.params.r
+    starts = np.arange(group.order * n)
+    step = (group._perms + starts[::n, None]).ravel()
+    exps = group._exps.ravel()
+    pos = step
+    totals = exps.copy()
+    sizes = np.ones(starts.size, dtype=np.int64)
+    leads = np.ones(starts.size, dtype=bool)
+    for _ in range(n - 1):
+        open_ = pos != starts
+        totals += exps[pos] * open_
+        sizes += open_
+        leads &= pos >= starts
+        pos = np.where(open_, step[pos], pos)
+    totals %= r
+    shape = group._perms.shape
+    codims = n - (leads & (totals == 0)).reshape(shape).sum(axis=1)
+    codes = np.sort(((sizes - 1) * r + totals).reshape(shape), axis=1)
+    keys = np.ravel_multi_index(tuple(codes.T), (n * r,) * n)
+    return codims, keys
+
+
+def element_texts(group) -> list[str]:
+    """`format_element` of every element, one element at a time."""
+    return [format_element(group.element(i)) for i in range(group.order)]
+
+
+def power_scan_rational(group) -> RationalClasses:
+    """Rational classes by scanning the classes in order: the classes of the
+    coprime powers of each unassigned representative, found one
+    `element_power` and `index_of` at a time, form a new rational class."""
+    classes = group.conjugacy
+    class_to_rational = [-1] * len(classes)
+    found = []
+    for c, rep in enumerate(classes.representatives):
+        if class_to_rational[c] >= 0:
+            continue
+        g = group.element(rep)
+        o = element_order(g)
+        powers = (element_power(g, d) for d in range(1, o + 1) if gcd(d, o) == 1)
+        grp = sorted({int(classes.class_of[group.index_of(x)]) for x in powers})
+        for j in grp:
+            class_to_rational[j] = len(found)
+        found.append(tuple(grp))
+    return RationalClasses(
+        groups=tuple(found), class_to_rational=tuple(class_to_rational)
+    )

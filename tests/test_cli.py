@@ -13,9 +13,11 @@ import pytest
 from click.testing import CliRunner
 
 import reflectra
+from reflectra import spectra
 from reflectra.cli import main
 from reflectra.groups import Group, format_element
 from reflectra.reflections import reflection_length_table
+from reflectra.spectra import all_reflections_connection, distance_matrix_bfs
 from reflectra.verify import desk_scale_params
 
 
@@ -165,3 +167,42 @@ def test_lengths_rows_match_element_reference(params):
         result = CliRunner().invoke(main, args + ["--format", fmt])
         assert result.exit_code == 0, result.output
         assert result.stdout_bytes == text.encode()
+
+
+@pytest.mark.parametrize(
+    "args,calls",
+    [
+        (["spectrum", "4", "1", "2", "--kind", "distance", "--method", "numeric"], 0),
+        (["matrix", "4", "1", "2", "--kind", "distance"], 0),
+        (["spectrum", "4", "1", "2", "--kind", "distance",
+          "--connection-set", "standard"], 1),
+        (["matrix", "4", "1", "2", "--kind", "distance",
+          "--connection-set", "standard"], 1),
+    ],
+    ids=["spectrum", "matrix", "spectrum-standard", "matrix-standard"],
+)
+def test_distance_matrix_runs_a_bfs_only_off_the_reflections(args, calls, monkeypatch):
+    # On all reflections the word length is Group.reflection_lengths; only
+    # another connection set needs a breadth-first search.
+    seen = []
+    bfs = spectra.bfs_word_lengths
+
+    def counting(group, generator_indices):
+        seen.append(len(generator_indices))
+        return bfs(group, generator_indices)
+
+    monkeypatch.setattr(spectra, "bfs_word_lengths", counting)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("params", desk_scale_params(max_order=200), ids=str)
+def test_distance_matrix_matches_bfs_over_reflections(params):
+    group = Group(params)
+    entries = distance_matrix_bfs(group, all_reflections_connection(group)).entries
+    expected = "".join(" ".join(map(str, row)) + "\n" for row in entries.tolist())
+    args = ["matrix", str(params.r), str(params.p), str(params.n), "--kind", "distance"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == expected.encode()

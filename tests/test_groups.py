@@ -33,7 +33,21 @@ from reflectra.groups import (
 )
 from reflectra.verify import desk_scale_params
 
-from oracles import conjugation_orbits, monomial_matrix
+from oracles import (
+    conjugation_orbits,
+    element_texts,
+    flat_cycle_walk,
+    monomial_matrix,
+    power_scan_rational,
+)
+
+# the factored per-element passes against their oracles: every desk-scale
+# group, larger ones with many permutations or many exponent rows, and n = 1
+ORACLE_GROUPS = tuple(dict.fromkeys(desk_scale_params() + tuple(
+    GroupParams(*t)
+    for t in [(2, 1, 6), (2, 2, 6), (3, 1, 5), (6, 2, 4), (1, 1, 1), (5, 1, 1),
+              (3, 3, 1)]
+)))
 
 
 def elements_strategy(max_r: int = 6, max_n: int = 4):
@@ -202,6 +216,14 @@ class TestEnumeration:
         assert (identity == np.arange(n)).all()
         assert [(x.perm, x.exponents) for x in group.elements] == brute
         assert all(group.index_of(x) == i for i, x in enumerate(group.elements))
+
+    def test_element_index_out_of_range(self):
+        group = Group(GroupParams(2, 1, 2))
+        assert format_element(group.element(7)) == "1,1|2 1"
+        for i in (-1, -8, 8, 100):
+            expected = rf"index {i} .*G\(2,1,2\) of order 8"
+            with pytest.raises(ParameterError, match=expected):
+                group.element(i)
 
     def test_index_roundtrip(self):
         group = Group(GroupParams(3, 1, 2))
@@ -414,6 +436,49 @@ class TestConjugacy:
         for members in group.conjugacy.members:
             types = {cycle_type(group.elements[i]) for i in members}
             assert len(types) == 1
+
+
+class TestFactoredPerElementData:
+    """Cycle data, element text and rational classes are computed on the
+    permutation and exponent blocks; each must match a flat per-element
+    oracle."""
+
+    @pytest.mark.parametrize("params", ORACLE_GROUPS, ids=str)
+    def test_cycle_walk_matches_flat_walk(self, params):
+        group = Group(params, max_order=50000)
+        for got, expected in zip(group._cycle_walk, flat_cycle_walk(group)):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("params", ORACLE_GROUPS, ids=str)
+    def test_element_texts_match_format_element(self, params):
+        group = Group(params, max_order=50000)
+        assert group.element_texts() == element_texts(group)
+
+    @pytest.mark.parametrize("params", ORACLE_GROUPS, ids=str)
+    def test_rational_matches_power_scan(self, params):
+        group = Group(params, max_order=50000)
+        expected = power_scan_rational(group)
+        assert group.rational.groups == expected.groups
+        assert group.rational.class_to_rational == expected.class_to_rational
+
+    @pytest.mark.parametrize(
+        "params", [GroupParams(2, 2, 6), GroupParams(3, 1, 5)], ids=str
+    )
+    def test_per_element_data_builds_no_elements(self, params, monkeypatch):
+        def no_elements(*args, **kwargs):
+            raise AssertionError("an element was built on a per-element path")
+
+        group = Group(params, max_order=50000)
+        if params.p > 1:
+            # the p > 1 classes look up the few standard generators, which
+            # are GroupElements; only the passes over all elements are guarded
+            group.conjugacy
+        monkeypatch.setattr(GroupElement, "__init__", no_elements)
+        monkeypatch.setattr(Group, "element", no_elements)
+        assert len(group.element_texts()) == group.order
+        assert len(group.rational) > 0
+        assert group.codims.size == group.order
 
 
 class TestRationalClasses:
