@@ -17,11 +17,14 @@ p > 1 classes may split, so they are computed directly as conjugation orbits.
 
 `Group` lists the elements as a product, index = (permutation rank) * m +
 (exponent rank) over the n! permutations and the m = r^n / p admissible
-exponent rows, both in lex order.  Cycle data depend on the permutation
-alone apart from the cycle sums, so the cycles are walked on the n!
-permutations and the sums of every element come from one product with the
-exponent rows; element text is likewise formatted per permutation and per
-exponent row and then joined.
+exponent rows, both in lex order.  Both ranks are arithmetic: a
+permutation's is its Lehmer code read in mixed radix, and an admissible
+row's is its base-r value divided by p.  So an index map forms each
+product on the two blocks and ranks it, without a |G|-long table.  Cycle
+data depend on the permutation alone apart from the cycle sums, so the
+cycles are walked on the n! permutations and the sums of every element come
+from one product with the exponent rows; element text is likewise formatted
+per permutation and per exponent row and then joined.
 
 Reflection length, the word length over all reflections, also depends only
 on cycle data (J.-y. Shi, "Formula for the reflection length of elements in
@@ -347,14 +350,23 @@ class Group:
 
     Elements are listed lexicographically by (perm, exponents), so the
     identity has index 0.  The listing is a product of two blocks:
-    `_perm_block` holds the n! permutations and `_exp_block` the
-    m = r^n / p exponent rows with sum = 0 mod p, each in lex order, and
-    element q * m + e is (exponent row e | permutation q).  The flat arrays
-    `_perms` and `_exps` (one row per element) serve the index maps; their
-    int64 keys `_keys` (perm digits base n, then exponent digits base r)
-    increase strictly, so lookups are binary searches.  `element(i)` builds
-    one `GroupElement`, `elements` all of them on first use.  Dense index
-    maps keep bulk operations in numpy.
+    `_perm_block` holds the n! permutations (`_inv_block` their inverses)
+    and `_exp_block` the m = r^n / p exponent rows with sum = 0 mod p, each
+    in lex order, and element q * m + e is (exponent row e | permutation
+    q).  No array of the group is |G| long until a per-element fact asks
+    for one.  The index maps (`product_indices`, `left_mult_indices`,
+    `right_mult_indices`, `inverse_indices`, `conjugation_indices`) and
+    `index_of` compute each product's permutation and exponent row from the
+    blocks and rank them: `_perm_rank` reads the Lehmer code, whose digit
+    at position i is perm[i] less the popcount of the smaller images
+    already seen, in mixed radix; `_exp_rank` divides the base-r value by
+    p, since the r / p admissible rows with a common prefix are values p
+    apart.  A left multiplication changes the permutation and the exponent
+    row of each element independently, so its map is an outer sum of n!
+    and m ranks; the right multiplications and conjugations are read off it
+    through the (cached) inverse map.  `element(i)` builds one
+    `GroupElement`, `elements` all of them on first use.  Dense index maps
+    keep bulk operations in numpy.
 
     The per-element facts are read-only cached properties, each computed on
     first use: `codims`, `conjugacy` (and `rational` over it) and
@@ -386,29 +398,43 @@ class Group:
             )
         n, r, p = params.n, params.r, params.p
         if (n**n) * (r**n) > 2**62:
-            raise SizeLimitError(f"index keys for {params} overflow int64")
+            raise SizeLimitError(
+                f"cycle-type keys of the class walk for {params} overflow int64"
+            )
         self.params = params
         self.order = params.order
         perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
         exps = np.indices((r,) * n, dtype=np.int64).reshape(n, -1).T
-        exps = exps[exps.sum(axis=1) % p == 0]
-        self._perm_block, self._exp_block = perms, exps
-        self._perms = np.repeat(perms, len(exps), axis=0)
-        self._exps = np.tile(exps, (len(perms), 1))
-        self._invperms = np.repeat(np.argsort(perms, axis=1), len(exps), axis=0)
-        self._keys = self._encode(self._perms, self._exps)
+        self._perm_block = perms
+        self._inv_block = np.argsort(perms, axis=1)
+        self._exp_block = exps[exps.sum(axis=1) % p == 0]
+        self._exp_weights = r ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        # popcount of every n-bit mask of images, for the Lehmer digits
+        self._popcount = np.zeros(1 << n, dtype=np.int64)
+        for bit in range(n):
+            self._popcount[1 << bit : 2 << bit] = self._popcount[: 1 << bit] + 1
 
-    def _encode(self, perms: np.ndarray, exps: np.ndarray) -> np.ndarray:
-        n, r = self.params.n, self.params.r
-        key = np.zeros(perms.shape[:-1], dtype=np.int64)
-        for i in range(n):
-            key = key * n + perms[..., i]
-        for i in range(n):
-            key = key * r + exps[..., i]
-        return key
+    def _perm_rank(self, perms: np.ndarray) -> np.ndarray:
+        """Lex rank among the n! permutations of each row of perms: its
+        Lehmer code read in mixed radix.  Digit i counts the images after
+        position i below perms[i], that is perms[i] less the popcount of
+        the images seen so far that lie below it; the last digit is 0."""
+        n = self.params.n
+        bits = 1 << perms
+        rank = perms[..., 0].astype(np.int64)
+        seen = bits[..., 0].copy()
+        for i in range(1, n - 1):
+            rank *= n - i
+            rank += perms[..., i] - self._popcount[seen & (bits[..., i] - 1)]
+            seen |= bits[..., i]
+        return rank
 
-    def _lookup(self, perms: np.ndarray, exps: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self._keys, self._encode(perms, exps))
+    def _exp_rank(self, exps: np.ndarray) -> np.ndarray:
+        """Lex rank among the admissible rows of each row of exps, taken
+        mod r: its base-r value divided by p.  The r / p admissible rows
+        with a common prefix differ in the last entry only, and that entry
+        is fixed mod p, so they are consecutive values apart by p."""
+        return (exps % self.params.r) @ self._exp_weights // self.params.p
 
     def __len__(self) -> int:
         return self.order
@@ -424,7 +450,8 @@ class Group:
                 f"element index {i} is out of range for {self.params} "
                 f"of order {self.order}"
             )
-        exps, perm = self._exps[i].tolist(), self._perms[i].tolist()
+        q, e = divmod(i, len(self._exp_block))
+        exps, perm = self._exp_block[e].tolist(), self._perm_block[q].tolist()
         return GroupElement(self.params.r, tuple(exps), tuple(perm))
 
     @cached_property
@@ -443,14 +470,14 @@ class Group:
         return [e + s for s in perm_texts for e in exp_texts]
 
     def index_of(self, x: GroupElement) -> int:
-        r, n = self.params.r, self.params.n
+        r, n, p = self.params.r, self.params.n, self.params.p
         if (x.r, x.n) != (r, n):
             raise ParameterError(f"element has r={x.r}, n={x.n}; group has r={r}, n={n}")
-        key = self._encode(np.array(x.perm), np.array(x.exponents))
-        i = int(np.searchsorted(self._keys, key))
-        if i == self.order or self._keys[i] != key:
+        if sum(x.exponents) % p:
             raise ParameterError(f"{x} is not in {self.params}")
-        return i
+        q = self._perm_rank(np.array(x.perm, dtype=np.int64))
+        e = self._exp_rank(np.array(x.exponents, dtype=np.int64))
+        return int(q * len(self._exp_block) + e)
 
     def contains(self, x: GroupElement) -> bool:
         try:
@@ -461,33 +488,47 @@ class Group:
 
     @cached_property
     def inverse_indices(self) -> np.ndarray:
-        inv_exps = (-np.take_along_axis(self._exps, self._perms, axis=1)) % self.params.r
-        return self._lookup(self._invperms, inv_exps)
+        """(a | s)^{-1} = (b | s^{-1}) with b_i = c_{s(i)}, c = -a mod r.
+        Permuting a row keeps its entries in [0, r), so the base-r value of
+        b is c @ (weights permuted by s^{-1}): one (n!, n) x (n, m) product
+        gives every exponent rank."""
+        negated = (-self._exp_block) % self.params.r
+        values = self._exp_weights[self._inv_block] @ negated.T
+        q = self._perm_rank(self._inv_block)
+        m = len(self._exp_block)
+        return (q[:, None] * m + values // self.params.p).ravel()
 
     def left_mult_indices(self, g: int) -> np.ndarray:
-        """Index map k -> index of elements[g] * elements[k]."""
-        gp, ge = self._perms[g], self._exps[g]
-        ginv = self._invperms[g]
-        perms = gp[self._perms]
-        exps = (self._exps[:, ginv] + ge[None, :]) % self.params.r
-        return self._lookup(perms, exps)
+        """Index map k -> index of elements[g] * elements[k].  The product
+        permutation depends on the permutation of elements[k] alone and the
+        product exponents on its exponent row alone, so the map is an outer
+        sum of n! permutation ranks and m exponent ranks."""
+        m = len(self._exp_block)
+        q, e = divmod(g, m)
+        perms = self._perm_block[q][self._perm_block]
+        exps = self._exp_block[:, self._inv_block[q]] + self._exp_block[e]
+        return (self._perm_rank(perms)[:, None] * m + self._exp_rank(exps)).ravel()
 
     def right_mult_indices(self, g: int) -> np.ndarray:
-        """Index map k -> index of elements[k] * elements[g]."""
-        gp, ge = self._perms[g], self._exps[g]
-        perms = self._perms[:, gp]
-        exps = (self._exps + ge[self._invperms]) % self.params.r
-        return self._lookup(perms, exps)
+        """Index map k -> index of elements[k] * elements[g], read off a
+        left multiplication: x * g = (g^{-1} * x^{-1})^{-1}."""
+        inv = self.inverse_indices
+        return inv[self.left_mult_indices(inv[g])[inv]]
 
     def product_indices(self, a, b) -> np.ndarray:
         """Index of elements[a] * elements[b], elementwise over the index
         arrays a and b broadcast together."""
+        m = len(self._exp_block)
         a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-        perms = np.take_along_axis(self._perms[a], self._perms[b], axis=-1)
-        exps = self._exps[a] + np.take_along_axis(
-            self._exps[b], self._invperms[a], axis=-1
+        qa, ea = np.divmod(a, m)
+        qb, eb = np.divmod(b, m)
+        perms = np.take_along_axis(
+            self._perm_block[qa], self._perm_block[qb], axis=-1
         )
-        return self._lookup(perms, exps % self.params.r)
+        exps = self._exp_block[ea] + np.take_along_axis(
+            self._exp_block[eb], self._inv_block[qa], axis=-1
+        )
+        return self._perm_rank(perms) * m + self._exp_rank(exps)
 
     @cached_property
     def _cycle_walk(self) -> tuple[np.ndarray, np.ndarray]:
@@ -572,17 +613,20 @@ class Group:
         return lengths
 
     def conjugation_indices(self, g: int) -> np.ndarray:
-        """Index map k -> index of g * x_k * g^{-1}."""
+        """Index map k -> index of g * x_k * g^{-1}.  With L the left
+        multiplication by g, x_j * g^{-1} = (g * x_j^{-1})^{-1} has index
+        inv[L[inv[j]]]."""
         left = self.left_mult_indices(g)
-        right = self.right_mult_indices(self.inverse_indices[g])
-        return right[left]
+        inv = self.inverse_indices
+        return inv[left[inv]][left]
 
     @cached_property
     def conjugacy(self) -> ConjugacyClasses:
         """For p = 1, the fibres of the cycle-type key.  For p > 1, the
         orbits of conjugation by the generators, found by label propagation
-        (see the class docstring).  Either way each element is first mapped
-        to the least member of its class."""
+        (see the class docstring), which map each element to the least
+        member of its class.  Either way the classes are numbered in order
+        of least member."""
         if self.params.p > 1:
             cmaps = [self.conjugation_indices(self.index_of(g)) for g in self.generators()]
             least = np.arange(self.order)
@@ -593,13 +637,16 @@ class Group:
                 least = least[least]
                 if np.array_equal(least, previous):
                     break
+            # number the classes in order of least member
+            _, class_of = np.unique(least, return_inverse=True)
         else:
             _, first, labels = np.unique(
                 self._cycle_walk[1], return_index=True, return_inverse=True
             )
-            least = first[labels]
-        # number the classes in order of least member
-        _, class_of = np.unique(least, return_inverse=True)
+            # first holds each fibre's least member: number them in its order
+            number = np.empty(len(first), dtype=np.int64)
+            number[np.argsort(first)] = np.arange(len(first))
+            class_of = number[labels]
         counts = np.bincount(class_of)
         by_class = np.split(np.argsort(class_of, kind="stable"), np.cumsum(counts)[:-1])
         members = tuple(tuple(m.tolist()) for m in by_class)

@@ -53,15 +53,82 @@ def conjugation_orbits(group) -> list[list[int]]:
     return orbits
 
 
+def flat_arrays(group) -> tuple[np.ndarray, np.ndarray]:
+    """(perms, exps): one int64 row per element in enumeration order, element
+    q * m + e being (exponent row e | permutation q) of the two blocks."""
+    perm_block, exp_block = group._perm_block, group._exp_block
+    perms = np.repeat(perm_block, len(exp_block), axis=0)
+    exps = np.tile(exp_block, (len(perm_block), 1))
+    return perms, exps
+
+
+class FlatIndexMaps:
+    """The index maps on flat |G| x n copies of the blocks: each product is
+    formed row by row, and its rows are found by binary search over the
+    int64 keys (perm digits base n, then exponent digits base r), which
+    increase strictly along the enumeration."""
+
+    def __init__(self, group):
+        self.n, self.r = group.params.n, group.params.r
+        self.perms, self.exps = flat_arrays(group)
+        self.invperms = np.argsort(self.perms, axis=1)
+        self.keys = self.encode(self.perms, self.exps)
+
+    def encode(self, perms: np.ndarray, exps: np.ndarray) -> np.ndarray:
+        key = np.zeros(perms.shape[:-1], dtype=np.int64)
+        for i in range(self.n):
+            key = key * self.n + perms[..., i]
+        for i in range(self.n):
+            key = key * self.r + exps[..., i]
+        return key
+
+    def lookup(self, perms: np.ndarray, exps: np.ndarray) -> np.ndarray:
+        keys = self.encode(perms, exps % self.r)
+        found = np.searchsorted(self.keys, keys)
+        assert np.array_equal(self.keys[found], keys), "a product left the group"
+        return found
+
+    def index_of(self, x) -> int:
+        return int(self.lookup(np.array(x.perm), np.array(x.exponents)))
+
+    def inverse_indices(self) -> np.ndarray:
+        inv_exps = -np.take_along_axis(self.exps, self.perms, axis=1)
+        return self.lookup(self.invperms, inv_exps)
+
+    def left_mult_indices(self, g: int) -> np.ndarray:
+        perms = self.perms[g][self.perms]
+        exps = self.exps[:, self.invperms[g]] + self.exps[g][None, :]
+        return self.lookup(perms, exps)
+
+    def right_mult_indices(self, g: int) -> np.ndarray:
+        perms = self.perms[:, self.perms[g]]
+        exps = self.exps + self.exps[g][self.invperms]
+        return self.lookup(perms, exps)
+
+    def product_indices(self, a, b) -> np.ndarray:
+        a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+        perms = np.take_along_axis(self.perms[a], self.perms[b], axis=-1)
+        exps = self.exps[a] + np.take_along_axis(
+            self.exps[b], self.invperms[a], axis=-1
+        )
+        return self.lookup(perms, exps)
+
+    def conjugation_indices(self, g: int) -> np.ndarray:
+        left = self.left_mult_indices(g)
+        right = self.right_mult_indices(self.inverse_indices()[g])
+        return right[left]
+
+
 def flat_cycle_walk(group) -> tuple[np.ndarray, np.ndarray]:
     """(codims, G(r, 1, n) class keys) from a walk on all |G| * n flat
     positions (row * n + i), every cycle closing within n - 1 steps: each
     position gets its cycle's size and exponent sum mod r, and whether it is
     the least position on its cycle."""
     n, r = group.params.n, group.params.r
+    perms, exps = flat_arrays(group)
     starts = np.arange(group.order * n)
-    step = (group._perms + starts[::n, None]).ravel()
-    exps = group._exps.ravel()
+    step = (perms + starts[::n, None]).ravel()
+    exps = exps.ravel()
     pos = step
     totals = exps.copy()
     sizes = np.ones(starts.size, dtype=np.int64)
@@ -73,7 +140,7 @@ def flat_cycle_walk(group) -> tuple[np.ndarray, np.ndarray]:
         leads &= pos >= starts
         pos = np.where(open_, step[pos], pos)
     totals %= r
-    shape = group._perms.shape
+    shape = perms.shape
     codims = n - (leads & (totals == 0)).reshape(shape).sum(axis=1)
     codes = np.sort(((sizes - 1) * r + totals).reshape(shape), axis=1)
     keys = np.ravel_multi_index(tuple(codes.T), (n * r,) * n)

@@ -34,8 +34,10 @@ from reflectra.groups import (
 from reflectra.verify import desk_scale_params
 
 from oracles import (
+    FlatIndexMaps,
     conjugation_orbits,
     element_texts,
+    flat_arrays,
     flat_cycle_walk,
     monomial_matrix,
     power_scan_rational,
@@ -209,11 +211,15 @@ class TestEnumeration:
             if sum(exponents) % p == 0
         ]
         group = Group(params)
-        assert group._perms.tolist() == [list(perm) for perm, _ in brute]
-        assert group._exps.tolist() == [list(exps) for _, exps in brute]
-        assert (np.diff(group._keys) > 0).all()
-        identity = np.take_along_axis(group._perms, group._invperms, axis=1)
+        perms, exps = flat_arrays(group)
+        assert perms.tolist() == [list(perm) for perm, _ in brute]
+        assert exps.tolist() == [list(row) for _, row in brute]
+        assert (np.diff(FlatIndexMaps(group).keys) > 0).all()
+        identity = np.take_along_axis(group._perm_block, group._inv_block, axis=1)
         assert (identity == np.arange(n)).all()
+        # every flat row ranks to its own index
+        ranks = group._perm_rank(perms) * len(group._exp_block) + group._exp_rank(exps)
+        assert np.array_equal(ranks, np.arange(group.order))
         assert [(x.perm, x.exponents) for x in group.elements] == brute
         assert all(group.index_of(x) == i for i, x in enumerate(group.elements))
 
@@ -274,7 +280,9 @@ class TestEnumeration:
                 raise AssertionError("enumeration started")
 
         monkeypatch.setattr(groups, "itertools", NoEnumeration)
-        # 16^16 > 2^62: the permutation digits alone overflow an int64 key
+        # 16^16 > 2^62: the class walk's cycle-type keys, n digits base n r,
+        # would overflow int64; the check runs before the blocks and the
+        # popcount table are built
         with pytest.raises(SizeLimitError, match="overflow int64"):
             Group(GroupParams(1, 1, 16), max_order=10**20)
 
@@ -325,6 +333,73 @@ class TestIndexMaps:
         for k, x in enumerate(group.elements):
             expected = multiply(multiply(gx, x), gx.inverse())
             assert conj[k] == group.index_of(expected)
+
+
+class TestRankArithmetic:
+    """The index maps rank products on the permutation and exponent blocks;
+    each must match the flat |G| x n arrays with their binary-searched
+    keys."""
+
+    @pytest.mark.parametrize("params", ORACLE_GROUPS, ids=str)
+    def test_product_indices_match_flat_lookup(self, params):
+        group = Group(params, max_order=50000)
+        flat = FlatIndexMaps(group)
+        sample = np.random.default_rng(group.order).integers(group.order, size=100)
+        reps = np.array(group.conjugacy.representatives)
+        got = group.product_indices(sample[:, None], reps[None, :])
+        expected = flat.product_indices(sample[:, None], reps[None, :])
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("params", ORACLE_GROUPS, ids=str)
+    def test_mult_maps_match_flat_lookup(self, params):
+        group = Group(params, max_order=50000)
+        flat = FlatIndexMaps(group)
+        gens = [flat.index_of(g) for g in group.generators()]
+        picked = np.random.default_rng(group.order).integers(group.order, size=3)
+        for g in gens + picked.tolist():
+            for name in ("left_mult_indices", "right_mult_indices",
+                         "conjugation_indices"):
+                got = getattr(group, name)(g)
+                expected = getattr(flat, name)(g)
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected), (name, g)
+
+    @pytest.mark.parametrize("params", ORACLE_GROUPS, ids=str)
+    def test_inverse_and_index_of_match_flat_lookup(self, params):
+        group = Group(params, max_order=50000)
+        flat = FlatIndexMaps(group)
+        got, expected = group.inverse_indices, flat.inverse_indices()
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        picked = np.random.default_rng(group.order).integers(group.order, size=300)
+        for i in sorted({0, group.order - 1, *picked.tolist()}):
+            x = group.element(i)
+            assert group.index_of(x) == flat.index_of(x) == i
+
+    @pytest.mark.parametrize(
+        "params", [q for q in desk_scale_params() if q.p > 1], ids=str
+    )
+    def test_contains_iff_exponent_sum_divisible_by_p(self, params):
+        group = Group(params)
+        inside = []
+        for x in Group(GroupParams(params.r, 1, params.n)).elements:
+            contained = group.contains(x)
+            assert contained == (sum(x.exponents) % params.p == 0)
+            if contained:
+                inside.append(group.index_of(x))
+        # G(r, p, n) keeps the lex order of G(r, 1, n)
+        assert inside == list(range(group.order))
+
+    def test_fresh_group_holds_no_per_element_array(self):
+        group = Group(GroupParams(2, 1, 6), max_order=50000)
+        sizes = {
+            name: value.size
+            for name, value in vars(group).items()
+            if isinstance(value, np.ndarray)
+        }
+        assert sizes
+        assert max(sizes.values()) < group.order, sizes
 
 
 def brute_force_classes(group: Group) -> set[frozenset[int]]:
