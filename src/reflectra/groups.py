@@ -708,7 +708,8 @@ def bfs_word_lengths(group: Group, generator_indices) -> np.ndarray:
             if images.size:
                 lengths[images] = depth
                 fresh.append(images)
-        frontier = np.unique(np.concatenate(fresh)) if fresh else np.empty(0, np.int64)
+        # each image is claimed by one map only, so the pieces are disjoint
+        frontier = np.concatenate(fresh) if fresh else np.empty(0, np.int64)
     return lengths
 
 

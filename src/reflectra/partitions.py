@@ -92,6 +92,10 @@ def conjugate_partition(p: Partition) -> Partition:
     """Column lengths: columns p[i+1] .. p[i]-1 have length i + 1, so the
     rows, read bottom up, fill the columns left to right."""
     validate_partition(p)
+    return _conjugate(p)
+
+
+def _conjugate(p: Partition) -> Partition:
     conj: list[int] = []
     for i in range(len(p) - 1, -1, -1):
         conj.extend([i + 1] * (p[i] - len(conj)))
@@ -229,21 +233,28 @@ class _PartitionFactors(NamedTuple):
 
 def _partition_table(r: int, n: int) -> dict[Partition, _PartitionFactors]:
     """Factors of every partition that can be a component of an r-tuple of
-    total size n, keyed by partition; with one slot only partitions of n."""
+    total size n, keyed by partition; with one slot only partitions of n.
+
+    The partitions come from partitions_of, so they are not validated again,
+    and one walk over each one's boxes gives its contents and hook lengths."""
     shifts = (r - 1, -1) if r > 1 else (r - 1,)
     table = {}
     for k in range(n + 1) if r > 1 else (n,):
+        k_factorial = factorial(k)
         for p in partitions_of(k):
-            rcs = [r * c for c in contents(p)]
-            tableaux = standard_tableaux_count(p)
+            conj = _conjugate(p)
+            rcs, hooks = [], 1
+            for row, size in enumerate(p):
+                for col in range(size):
+                    rcs.append(r * (col - row))
+                    hooks *= size - col + conj[col] - row - 1
             table[p] = _PartitionFactors(
                 pairs=tuple(
                     _product((1 + shift + rc, shift + rc) for rc in rcs)
                     for shift in shifts
                 ),
-                tableaux=tableaux,
-                # exact: standard_tableaux_count checked that k! / hooks is whole
-                hook_product=factorial(k) // tableaux,
+                tableaux=_dimension(k_factorial, (hooks,), (p,)),
+                hook_product=hooks,
             )
     return table
 
@@ -290,8 +301,9 @@ def codim_spectrum_combinatorial(
             # the last slot takes whatever size is left
             for k in (n - size,) if last else range(n - size + 1):
                 scale = weight * comb(size + k, k) ** 2
-                for pair, squared in slot_choices[k]:
-                    key = (size + k, *_product(((value, derivative), pair)))
+                for (v, d), squared in slot_choices[k]:
+                    # the product rule of _product, inlined in the hot loop
+                    key = (size + k, value * v, derivative * v + value * d)
                     folded[key] = folded.get(key, 0) + scale * squared
         states = folded
     aggregated: dict[int, int] = {}

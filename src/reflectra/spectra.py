@@ -10,10 +10,10 @@ with multiplicity chi(1)^2.  Three independent routes are implemented:
 
 * numeric: build the dense matrix and take its eigenvalues with LAPACK
   (numpy's eigvalsh);
-* class-algebra: recover the central characters as shared eigenvectors of
-  the class-sum matrices of a few low-codimension classes and evaluate
-  theta_chi directly, with no |G| x |G| matrix and no (k, k, k) tensor of
-  structure constants;
+* class-algebra: split the space into the common eigenlines of the class
+  sums of low-codimension classes, one class sum at a time, in a scaled
+  basis where they are normal; each line is a certified central character,
+  and theta_chi needs no |G| x |G| matrix and no (k, k, k) tensor;
 * combinatorial (codimension matrices of G(r, 1, n) only): exact integer
   eigenvalues from partition tuples, in the partitions module.
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import groupby
 from math import isfinite, sqrt
 
 import numpy as np
@@ -69,13 +70,17 @@ class ClassFunction:
             )
         return cls(kind=kind, values=tuple(per_class.tolist()))
 
-    def element_values(self, group: Group) -> np.ndarray:
+    def class_values(self, group: Group) -> np.ndarray:
+        """The values as an array, after checking there is one per class."""
         if len(self.values) != len(group.conjugacy):
             raise ParameterError(
                 f"class function has {len(self.values)} values, group has "
                 f"{len(group.conjugacy)} classes"
             )
-        return np.asarray(self.values, dtype=np.int64)[group.conjugacy.class_of]
+        return np.asarray(self.values, dtype=np.int64)
+
+    def element_values(self, group: Group) -> np.ndarray:
+        return self.class_values(group)[group.conjugacy.class_of]
 
 
 def adjacency_function(group: Group) -> ClassFunction:
@@ -261,16 +266,9 @@ class Spectrum:
 def _cluster(values: np.ndarray, width: float = 1e-6) -> list[list[int]]:
     """Indices of values, ascending by value, split wherever neighbours
     differ by more than width."""
-    clusters: list[list[int]] = []
-    last = 0.0
-    for index in np.argsort(values, kind="stable").tolist():
-        value = float(values[index])
-        if clusters and value - last <= width:
-            clusters[-1].append(index)
-        else:
-            clusters.append([index])
-        last = value
-    return clusters
+    order = np.argsort(values, kind="stable")
+    breaks = np.flatnonzero(np.diff(values[order]) > width) + 1
+    return [cluster.tolist() for cluster in np.split(order, breaks) if cluster.size]
 
 
 def _round_spectrum(
@@ -343,15 +341,15 @@ class ClassAlgebraData:
     """The central characters of a group and the degrees recovered from them.
 
     Row chi of central_characters holds omega_chi(C) = |C| chi(C) / chi(1)
-    over the classes C.  class_sums lists the classes whose class-sum
-    matrices separated the characters, in the order they were taken."""
+    over the classes C: a common eigenline of the class sums, found by
+    splitting their eigenspaces one class sum at a time in the basis
+    D^-1/2 M_C D^1/2 where they are normal (_separate_characters), and
+    certified on the kept class sums (_certify).  class_sums lists the kept
+    classes, those whose class sums split an eigenspace, in the order taken."""
 
     central_characters: np.ndarray
     degrees: tuple[int, ...]
     class_sums: tuple[int, ...]
-
-
-_SEED_BASE = 20260822
 
 
 def _class_sum_matrix(group: Group, c: int) -> np.ndarray:
@@ -382,83 +380,125 @@ def _class_sum_order(group: Group) -> list[int]:
 
 
 def _eigenvalue_gap(values: np.ndarray) -> float:
-    """Smallest |values[i] - values[j]| over i != j (inf for one value)."""
-    if values.size < 2:
-        return float("inf")
-    gaps = np.abs(values[:, None] - values[None, :])
+    """Smallest distance between two entries of a vector, or between two rows
+    of a matrix (their largest entrywise difference); inf for one."""
+    gaps = np.zeros((len(values), len(values)))
+    for column in values.reshape(len(values), -1).T:
+        np.maximum(gaps, np.abs(column[:, None] - column[None, :]), out=gaps)
     np.fill_diagonal(gaps, np.inf)
     return float(gaps.min())
 
 
-def _eigenvector_residual(
-    matrices: np.ndarray, used: list[int], omegas: np.ndarray
-) -> float:
+def _real_product(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """matrix @ vectors, real times complex, as one real matrix product."""
+    vectors = np.ascontiguousarray(vectors, dtype=np.complex128)
+    return (matrix @ vectors.view(np.float64)).view(np.complex128)
+
+
+def _eigenvector_residual(matrices, used: list[int], omegas: np.ndarray) -> float:
     """max over chi, i, l of |(M_i omega_chi)(l) - omega_chi(C_i) omega_chi(l)|
-    for the stacked class-sum matrices M_i of the classes used[i]: how far
-    the rows of omegas are from being eigenvectors of every M_i with the
-    eigenvalues they claim.  Two real matrix products over the (m*k, k)
-    stack."""
-    m, k, _ = matrices.shape
-    flat = matrices.reshape(m * k, k)
-    expected = (omegas[:, used].T[:, None, :] * omegas.T[None, :, :]).reshape(m * k, -1)
-    real = flat @ omegas.real.T - expected.real
-    imag = flat @ omegas.imag.T - expected.imag
-    return float(np.hypot(real, imag).max())
+    for the class-sum matrices M_i of the classes used[i], one at a time: how
+    far the rows are from eigenvectors of each M_i with the values they claim."""
+    columns = np.ascontiguousarray(omegas.T)
+    residuals = [
+        np.abs(_real_product(m, columns) - columns * omegas[:, c]).max()
+        for m, c in zip(matrices, used)
+    ]
+    return float(max(residuals, default=0.0))
 
 
 def _separate_characters(
-    group: Group, attempts: int = 24
-) -> tuple[np.ndarray, list[int], int, float]:
-    """Central characters as the shared right eigenvectors of class-sum
-    matrices, with the classes used, the number of attempts and the
-    eigenvector residual.
+    group: Group,
+) -> tuple[np.ndarray, list[int], int, int, int, float]:
+    """Central characters by eigenspace splitting (Dixon 1967, Schneider
+    1990), with the classes kept, the number of class sums taken, the number
+    and widest size of the restricted eigenproblems, and the residual of
+    _certify.
 
-    Attempt t takes the first min(2^t, k - 1) classes of _class_sum_order and
-    a random integer combination of their matrices (seed _SEED_BASE + t).
-    Its eigenvectors are the central characters once its k eigenvalues are
-    pairwise separated (by more than 1e-8 times max(1, max |eigenvalue|)):
-    each eigenspace is then a line, and every central character spans one.
-    A candidate, scaled to 1 at the identity class, is accepted only when
-    every row is an eigenvector of every matrix used, with eigenvalue its
-    own value at that class (_eigenvector_residual at most 1e-6 times
-    max(1, max |omega|^2))."""
+    Basis: S_C = D^-1/2 M_C D^1/2 with D = diag(|C|) satisfies
+    S_C^T = S_{C^-1}, so every S_C is normal, and the central characters
+    span orthogonal common eigenlines D^-1/2 omega_chi.
+
+    Splitting: the first class sum of _class_sum_order splits the whole
+    space into the eigenspaces of the symmetric S_C + S_C^T, whose
+    eigenvalues are 2 Re omega(C).  Each later one splits every space V
+    still wider than a line by the Hermitian A + A^H, A = e^-i V^H S_C V,
+    with the solves batched by size.  Its eigenvalues 2 Re(e^-i omega(C))
+    differ wherever the algebraic numbers omega(C) differ, since tan 1 is
+    transcendental.  Eigenvalues within 1e-8 max(1, max |eigenvalue|) of
+    each other stay together.  A class sum is kept when it splits a space,
+    and splitting ends when all k spaces are lines."""
     classes = group.conjugacy
     k = len(classes)
-    if k == 1:
-        return np.ones((1, 1), dtype=np.complex128), [], 0, 0.0
-    identity_class = int(classes.class_of[group.identity_index])
+    root = np.sqrt(np.array(classes.sizes, dtype=np.float64))
     order = _class_sum_order(group)
-    matrices: list[np.ndarray] = []
-    gap = 0.0
-    failure = ""
-    for attempt in range(attempts):
-        used = order[: min(1 << attempt, len(order))]
-        matrices += [_class_sum_matrix(group, c) for c in used[len(matrices):]]
-        stack = np.stack(matrices)
-        rng = np.random.default_rng(_SEED_BASE + attempt)
-        coeffs = rng.integers(1, 1 << 20, size=len(used)).astype(np.float64)
-        eigvals, eigvecs = np.linalg.eig(np.tensordot(coeffs, stack, axes=1))
-        scale = max(1.0, float(np.abs(eigvals).max()))
-        gap = _eigenvalue_gap(eigvals)
-        if gap <= 1e-8 * scale:
-            continue
-        anchors = eigvecs[identity_class, :]
-        if np.abs(anchors).min() < 1e-12:
-            failure = "; an eigenvector vanished at the identity class"
-            continue
-        omegas = (eigvecs / anchors[None, :]).T
-        residual = _eigenvector_residual(stack, used, omegas)
-        bound = 1e-6 * max(1.0, float(np.abs(omegas).max()) ** 2)
-        if residual > bound:
-            failure = f"; eigenvector residual {residual:.3e} above {bound:.3e}"
-            continue
-        return omegas, used, attempt + 1, residual
-    raise NumericError(
-        f"could not separate the central characters of {group.params}: "
-        f"{len(matrices)} of its {len(order)} non-identity class sums tried "
-        f"in {attempts} attempt{'' if attempts == 1 else 's'}, last smallest "
-        f"eigenvalue gap {gap:.3e}{failure}"
-    )
+    spaces, lines = ([np.eye(k)], []) if k > 1 else ([], [np.eye(1)])
+    kept, matrices, taken, solves, widest = [], [], 0, 0, 0
+    while spaces:
+        if taken == len(order):
+            raise NumericError(
+                f"could not separate the central characters of {group.params}: "
+                f"all {taken} class sums taken, a space of size "
+                f"{spaces[-1].shape[1]} still open"
+            )
+        matrix = _class_sum_matrix(group, order[taken])
+        scaled = matrix * (root / root[:, None])
+        if not taken:
+            problems = [(None, *np.linalg.eigh(scaled + scaled.T))]
+        else:
+            # one product with every open basis, then one batched solve per size
+            ends = np.cumsum([v.shape[1] for v in spaces])[:-1]
+            images = np.split(_real_product(scaled, np.hstack(spaces)), ends, axis=1)
+            problems = []
+            for _, same in groupby(zip(spaces, images), lambda vi: vi[0].shape[1]):
+                bases, image = map(np.stack, zip(*same))
+                a = np.exp(-1j) * bases.conj().transpose(0, 2, 1) @ image
+                problems += zip(bases, *np.linalg.eigh(a + a.conj().transpose(0, 2, 1)))
+            solves, widest = solves + len(spaces), max(widest, spaces[-1].shape[1])
+        width = 1e-8 * max(1.0, max(np.abs(p[1]).max() for p in problems))
+        found = [(basis, w, _cluster(e, width)) for basis, e, w in problems]
+        if any(len(clusters) > 1 for _, _, clusters in found):
+            kept.append(order[taken])
+            matrices.append(matrix)
+        taken, spaces = taken + 1, []
+        for basis, w, clusters in found:
+            for cluster in clusters:
+                piece = w[:, cluster] if basis is None else basis @ w[:, cluster]
+                (lines if len(cluster) == 1 else spaces).append(piece)
+        spaces.sort(key=lambda v: v.shape[1])
+    vectors = np.hstack(lines)
+    anchors = vectors[int(classes.class_of[group.identity_index])]
+    if np.abs(anchors).min() < 1e-12:
+        raise NumericError(
+            f"a common eigenvector of the class sums of {group.params} "
+            "vanishes at the identity class"
+        )
+    omegas = (vectors * root[:, None] / anchors).T.astype(np.complex128)
+    return omegas, kept, taken, solves, widest, _certify(group, omegas, kept, matrices)
+
+
+def _certify(group: Group, omegas: np.ndarray, kept: list[int], matrices) -> float:
+    """The eigenvector residual of the rows of omegas, after checking the
+    certificate that makes them the central characters.
+
+    Each row must be an eigenvector of each kept class sum, with eigenvalue
+    its own value at that class (_eigenvector_residual at most
+    1e-6 max(1, max |omega|^2)), and the rows' values on the kept classes
+    must be pairwise more than 1e-8 max(1, max |value|) apart
+    (_eigenvalue_gap).  A common eigenvector of the kept class sums lies in
+    the sum of the lines of the characters that share its values there, so
+    k rows with k distinct value vectors lie on the k lines, one each."""
+    residual = _eigenvector_residual(matrices, kept, omegas)
+    bound = 1e-6 * max(1.0, float(np.abs(omegas).max()) ** 2)
+    gap = _eigenvalue_gap(omegas[:, kept])
+    separation = 1e-8 * max(1.0, float(np.abs(omegas[:, kept]).max(initial=0.0)))
+    if not (residual <= bound and gap > separation):
+        raise NumericError(
+            f"central characters of {group.params} fail the certificate on "
+            f"{len(kept)} class sums: eigenvector residual {residual:.3e} "
+            f"(bound {bound:.3e}), smallest gap {gap:.3e} (bound {separation:.3e})"
+        )
+    return residual
 
 
 def character_degrees(
@@ -505,20 +545,28 @@ def character_degrees(
 
 
 def class_algebra_data(group: Group) -> ClassAlgebraData:
-    """Central characters from the class sums of a few low-codimension
-    classes (see _separate_characters), and the degrees they give (see
-    character_degrees); the structure-constant tensor is never built."""
-    omegas, used, attempts, residual = _separate_characters(group)
+    """Central characters and their degrees, with no structure-constant
+    tensor.
+
+    The characters come from splitting the eigenspaces of low-codimension
+    class sums one at a time, in the scaled basis D^-1/2 M_C D^1/2 where
+    every class sum is normal (_separate_characters).  They are certified as
+    eigenvectors of every kept class sum with pairwise distinct values there
+    (_certify), and character_degrees checks their degrees and orthogonality.
+    One DEBUG record reports the class sums taken and kept, the restricted
+    eigenproblems, the eigenvector residual and the orthogonality error."""
+    omegas, kept, taken, solves, widest, residual = _separate_characters(group)
     degrees, orthogonality = character_degrees(group, omegas)
     sizes = group.conjugacy.sizes
     log.debug(
-        "class algebra of %s: |G| = %d, k = %d, %d class sums (%d elements) "
-        "after %d attempts, eigenvector residual %.3e, orthogonality error %.3e",
-        group.params, group.order, len(degrees), len(used),
-        sum(sizes[c] for c in used), attempts, residual, orthogonality,
+        "class algebra of %s: |G| = %d, k = %d, %d class sums taken, %d kept "
+        "(%d elements), %d restricted eigenproblems (widest %d), eigenvector "
+        "residual %.3e, orthogonality error %.3e",
+        group.params, group.order, len(degrees), taken, len(kept),
+        sum(sizes[c] for c in kept), solves, widest, residual, orthogonality,
     )
     return ClassAlgebraData(
-        central_characters=omegas, degrees=degrees, class_sums=tuple(used)
+        central_characters=omegas, degrees=degrees, class_sums=tuple(kept)
     )
 
 
@@ -526,21 +574,27 @@ def spectrum_class_algebra(
     group: Group, f: ClassFunction, tolerance: float = 1e-8
 ) -> Spectrum:
     """Spectrum of the group matrix of f via central characters: eigenvalue
-    sum_C f(C) omega_chi(C) with multiplicity chi(1)^2 per character."""
+    sum_C f(C) omega_chi(C) with multiplicity chi(1)^2 per character.
+
+    The matrix is symmetric exactly when f(C) = f(C^-1) on every class,
+    which is checked on the integer values.  The eigenvalues are then real,
+    and their computed imaginary parts, roundoff only, must stay within
+    1e-6 max(1, max |eigenvalue|), the scale of the character certificate,
+    whatever the rounding tolerance."""
     _check_tolerance(tolerance)
-    if len(f.values) != len(group.conjugacy):
-        raise ParameterError(
-            f"class function has {len(f.values)} values, group has "
-            f"{len(group.conjugacy)} classes"
-        )
+    classes = group.conjugacy
+    values = f.class_values(group).astype(np.float64)
+    inverse = group.inverse_indices[np.array(classes.representatives, dtype=np.int64)]
+    if not np.array_equal(values, values[classes.class_of[inverse]]):
+        raise ParameterError(f"{f.kind} matrix is not symmetric: f(C) != f(C^-1)")
     data = class_algebra_data(group)
-    values = np.asarray(f.values, dtype=np.float64)
     thetas = data.central_characters @ values
     scale = max(1.0, float(np.abs(thetas).max()))
-    if float(np.abs(thetas.imag).max()) > tolerance * scale:
+    imaginary = float(np.abs(thetas.imag).max())
+    if imaginary > 1e-6 * scale:
         raise NumericError(
-            "complex eigenvalues from the class-algebra route; the group "
-            "matrix of this class function is not symmetric"
+            f"class-algebra eigenvalues of {group.params} have imaginary parts "
+            f"up to {imaginary:.3e}, above {1e-6 * scale:.3e}"
         )
     weights = [d * d for d in data.degrees]
     return _round_spectrum(thetas.real, weights, tolerance * scale, "class-algebra")

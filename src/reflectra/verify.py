@@ -2,7 +2,8 @@
 
 Each check reproduces one structural fact at small scale: closed-form
 dihedral and rank-2/3 spectra, agreement of the numeric, class-algebra, and
-combinatorial routes, central characters from a few class sums against
+combinatorial routes (class algebra against the codimension fold on every
+desk-scale G(r, 1, n)), central characters from a few class sums against
 those from the full structure constants, spectral integrality, Shi's
 reflection-length formula against breadth-first search, the
 reflection-length versus codimension dichotomy, constancy on rational
@@ -247,6 +248,25 @@ def _class_algebra_spectrum(params: GroupParams, kind: str) -> CheckOutcome:
     return ok, detail, max(algebraic.max_residual, numeric.max_residual)
 
 
+def _class_algebra_vs_combinatorial(
+    params: GroupParams, kind: str
+) -> CheckOutcome:
+    """A p = 1 spectrum of the given kind from class algebra against the
+    codimension fold; the distance kind is included because reflection length
+    equals codimension on G(r, 1, n) (Shi)."""
+    group = cached_group(params)
+    algebraic = spectrum_class_algebra(group, class_function(group, kind))
+    fold = {
+        e.eigenvalue: e.multiplicity
+        for e in codim_spectrum_combinatorial(params.r, params.n)
+    }
+    ok = algebraic.integral and algebraic.as_dict() == fold
+    detail = f"{kind}: codimension fold {_fmt_entries(fold)}"
+    if not ok:
+        detail += f"; class-algebra {_fmt_entries(algebraic.entries)}"
+    return ok, detail, algebraic.max_residual
+
+
 def _class_algebra_degrees(params: GroupParams) -> CheckOutcome:
     group = cached_group(params)
     data = class_algebra_data(group)
@@ -327,6 +347,13 @@ def _combinatorial_checks() -> list[Check]:
             10,
             lambda q=params: _class_algebra_degrees(q),
         ))
+    for params in (q for q in desk_scale_params() if q.p == 1):
+        for kind in ("codimension", "distance"):
+            checks.append((
+                f"class-algebra-vs-combinatorial-{kind}-{params}",
+                3,
+                lambda q=params, k=kind: _class_algebra_vs_combinatorial(q, k),
+            ))
     for params in desk_scale_params():
         checks.append((
             f"class-sums-vs-tensor-{params}",

@@ -206,3 +206,17 @@ def test_distance_matrix_matches_bfs_over_reflections(params):
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
     assert result.stdout_bytes == expected.encode()
+
+
+@pytest.mark.parametrize("method", ["class-algebra", "numeric"])
+@pytest.mark.parametrize("tolerance", ["1e-16", "1e-300"])
+def test_tolerance_below_roundoff_rounds_instead_of_failing(method, tolerance):
+    # G(3,1,3) eigenvalues carry roundoff near 1e-14: a smaller tolerance
+    # makes the spectrum non-integral on both routes, never an error
+    args = ["spectrum", "3", "1", "3", "--kind", "adjacency",
+            "--method", method, "--tolerance", tolerance]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert "error" not in result.output
+    if tolerance == "1e-300":
+        assert result.output.rstrip().endswith("NON-INTEGRAL")

@@ -7,6 +7,7 @@ characters, and the trace and Frobenius moment identities for whole spectra.
 """
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -19,11 +20,13 @@ from reflectra.errors import (
     SizeLimitError,
 )
 from reflectra.groups import Group, GroupElement, GroupParams
+from reflectra.partitions import codim_spectrum_combinatorial
 from reflectra.reflections import codim, reflections
 from reflectra.spectra import (
     ClassFunction,
     _class_sum_matrix,
     _class_sum_order,
+    _certify,
     _cluster,
     _eigenvalue_gap,
     _eigenvector_residual,
@@ -342,6 +345,20 @@ class TestCharacterChecks:
             assert _eigenvector_residual(matrices, used, perturbed) > threshold
 
     @pytest.mark.parametrize("r,p,n", CHECKED_GROUPS)
+    def test_one_perturbed_entry_fails_the_certificate(self, r, p, n):
+        group = Group(GroupParams(r, p, n))
+        data = class_algebra_data(group)
+        kept = list(data.class_sums)
+        matrices = [_class_sum_matrix(group, c) for c in kept]
+        perturbed = data.central_characters.copy()
+        perturbed[len(perturbed) // 2, -1] += 1e-3
+        with pytest.raises(NumericError) as caught:
+            _certify(group, perturbed, kept, matrices)
+        pattern = r"eigenvector residual (\S+) \(bound (\S+)\)"
+        found = re.search(pattern, str(caught.value))
+        assert float(found[1]) > float(found[2])
+
+    @pytest.mark.parametrize("r,p,n", CHECKED_GROUPS)
     @pytest.mark.parametrize("factor", [2.0, 1.001, 1.0 + 1e-5])
     def test_one_scaled_row_fails_the_degree_or_orthogonality_check(
         self, r, p, n, factor
@@ -370,44 +387,93 @@ class TestCharacterChecks:
 
 class TestSeparation:
     def test_all_pairs_gap_sees_repeats_that_neighbours_miss(self):
-        # The third attempt on G(8,4,2) combines its first four class sums
-        # and has +-319291i twice each; the copies differ in the sign of a
-        # zero real part, so sorting by (real, imag) puts them apart.
+        # On G(8,4,2) four characters vanish on the first three class sums and
+        # take +-i, each twice, on the fourth.  The first split (by real
+        # parts) keeps them together, only the rotated Hermitian split of a
+        # later class sum parts the conjugates, and no kept class sum alone
+        # separates every row: only the rows' joint values do.
         group = Group(GroupParams(8, 4, 2))
-        used = _class_sum_order(group)[:4]
-        matrices = np.stack([_class_sum_matrix(group, c) for c in used])
-        rng = np.random.default_rng(spectra._SEED_BASE + 2)
-        coeffs = rng.integers(1, 1 << 20, size=4).astype(np.float64)
-        values = np.linalg.eigvals(np.tensordot(coeffs, matrices, axes=1))
-        scale = max(1.0, float(np.abs(values).max()))
-        ordered = values[np.lexsort((values.imag, values.real))]
-        assert np.abs(np.diff(ordered)).min() > 1e-2 * scale
-        assert _eigenvalue_gap(values) < 1e-8 * scale
-        assert np.isclose(np.abs(values.imag), 319291).sum() == 4
-        _, used_classes, attempts, _ = _separate_characters(group)
-        assert attempts == 4 and len(used_classes) == 8
+        data = class_algebra_data(group)
+        omegas, kept = data.central_characters, list(data.class_sums)
+        order = _class_sum_order(group)
+        pure = np.flatnonzero(np.abs(omegas[:, order[3]].imag) > 0.5)
+        np.testing.assert_allclose(omegas[pure][:, order[:3]], 0, atol=1e-12)
+        values = omegas[pure, order[3]]
+        assert sorted(np.round(values.imag).tolist()) == [-1, -1, 1, 1]
+        assert _eigenvalue_gap(values) < 1e-8
+        assert order[3] in kept
+        assert all(_eigenvalue_gap(omegas[:, c]) < 1e-8 for c in kept)
+        assert _eigenvalue_gap(omegas[:, kept]) > 1.0
+        assert_matches_the_tensor_route(group, data)
+        # roundoff in a zero real part can sort the repeats of a value apart,
+        # so the gap is taken over all pairs, not between sorted neighbours
+        noisy = np.array([-3e-16 + 1j, -2e-16 - 1j, 1e-16 + 1j, 4e-16 - 1j])
+        ordered = noisy[np.lexsort((noisy.imag, noisy.real))]
+        assert np.abs(np.diff(ordered)).min() > 1.0
+        assert _eigenvalue_gap(noisy) < 1e-15
 
     def test_eigenvalue_gap(self):
         assert _eigenvalue_gap(np.array([3.0, 1.0, 2.5])) == 0.5
         assert _eigenvalue_gap(np.array([1j, -1j, 1j])) == 0.0
         assert _eigenvalue_gap(np.array([7.0])) == float("inf")
 
+    def test_eigenvalue_gap_of_rows_is_the_largest_entrywise_difference(self):
+        rows = np.array([[1.0, 5.0], [1.0, 2.0], [1.5, 5.0]])
+        assert _eigenvalue_gap(rows) == 0.5
+        assert _eigenvalue_gap(rows[:, :1]) == 0.0
+        assert _eigenvalue_gap(rows[:1]) == float("inf")
+
+    @pytest.mark.parametrize("r,p,n", [(8, 4, 2), (4, 2, 3), (6, 1, 3)])
+    def test_a_duplicated_row_fails_joint_separation(self, r, p, n):
+        # the copy is still an eigenvector of every kept class sum, so only
+        # the joint separation of the rows can notice it
+        group = Group(GroupParams(r, p, n))
+        data = class_algebra_data(group)
+        kept = list(data.class_sums)
+        matrices = [_class_sum_matrix(group, c) for c in kept]
+        omegas = data.central_characters
+        _certify(group, omegas, kept, matrices)
+        duplicated = omegas.copy()
+        duplicated[1] = duplicated[0]
+        with pytest.raises(NumericError, match="smallest gap 0.000e"):
+            _certify(group, duplicated, kept, matrices)
+
+    @pytest.mark.parametrize("r,p,n", [(8, 4, 2), (6, 2, 4)])
+    def test_every_kept_class_sum_splits_a_space(self, r, p, n):
+        # the first class sum splits by Re omega, every later one by
+        # Re(e^-i omega): the characters fall into more groups of equal split
+        # values with each kept class sum, and into k groups on all of them
+        group = Group(GroupParams(r, p, n))
+        data = class_algebra_data(group)
+        omegas, kept = data.central_characters, list(data.class_sums)
+        assert kept[0] == _class_sum_order(group)[0]
+        split = (np.exp(-1j) * omegas[:, kept]).real
+        split[:, 0] = omegas[:, kept[0]].real
+
+        def groups(count):
+            return len({tuple(row) for row in np.round(split[:, :count], 6).tolist()})
+
+        counts = [groups(count) for count in range(len(kept) + 1)]
+        assert counts == sorted(set(counts))
+        assert counts[-1] == len(omegas)
+
     def test_unseparated_characters_name_group_classes_and_gap(self, monkeypatch):
+        # class sums that split nothing leave a space open until the class
+        # order runs out; the first one may split one line off
         group = Group(GroupParams(3, 1, 3))
         k = len(group.conjugacy)
+        first = _class_sum_order(group)[0]
+        for split_first, open_size in ((False, k), (True, k - 1)):
+            def class_sum(group, c, split=split_first):
+                return np.diag(np.eye(k)[0]) if split and c == first else np.eye(k)
 
-        def repeated_eig(matrix):
-            return np.zeros(k, dtype=np.complex128), np.eye(k, dtype=np.complex128)
-
-        monkeypatch.setattr(np.linalg, "eig", repeated_eig)
-        with pytest.raises(NumericError) as caught:
-            _separate_characters(group, attempts=1)
-        message = str(caught.value)
-        assert "G(3,1,3)" in message
-        assert f"1 of its {k - 1} non-identity class sums" in message
-        assert "in 1 attempt," in message
-        assert "gap 0.000e+00" in message
-        assert "seed" not in message
+            monkeypatch.setattr(spectra, "_class_sum_matrix", class_sum)
+            with pytest.raises(NumericError) as caught:
+                _separate_characters(group)
+            message = str(caught.value)
+            assert "G(3,1,3)" in message
+            assert f"all {k - 1} class sums taken" in message
+            assert f"a space of size {open_size} still open" in message
 
     def test_class_order_is_codimension_then_size(self):
         group = Group(GroupParams(4, 2, 3))
@@ -430,10 +496,7 @@ def test_class_sum_matrices_are_tensor_slices(r, p, n):
         assert np.array_equal(_class_sum_matrix(group, c), a[c])
 
 
-@pytest.mark.parametrize("params", desk_scale_params(), ids=str)
-def test_class_sums_agree_with_the_tensor_route(params):
-    group = Group(params)
-    data = class_algebra_data(group)
+def assert_matches_the_tensor_route(group, data):
     reference = tensor_central_characters(group)
     reference_degrees, _ = character_degrees(group, reference)
     # sort both by the real part of one random complex projection, which
@@ -452,6 +515,12 @@ def test_class_sums_agree_with_the_tensor_route(params):
     assert np.array_equal(
         np.array(data.degrees)[ours], np.array(reference_degrees)[theirs]
     )
+
+
+@pytest.mark.parametrize("params", desk_scale_params(), ids=str)
+def test_class_sums_agree_with_the_tensor_route(params):
+    group = Group(params)
+    assert_matches_the_tensor_route(group, class_algebra_data(group))
 
 
 @pytest.mark.parametrize("r,p,n", [(3, 1, 3), (4, 2, 3)])
@@ -477,9 +546,13 @@ def test_class_algebra_data_logs_one_debug_record(caplog):
     used = data.class_sums
     elements = sum(group.conjugacy.sizes[c] for c in used)
     k = len(group.conjugacy)
+    # splitting stops at the class sum that leaves only lines, a kept one
+    taken = _class_sum_order(group).index(used[-1]) + 1
     assert message.startswith(f"class algebra of G(3,1,3): |G| = 162, k = {k}, ")
-    assert f"{len(used)} class sums ({elements} elements)" in message
-    assert "attempts" in message
+    kept = f"{taken} class sums taken, {len(used)} kept ({elements} elements)"
+    assert kept in message
+    assert re.search(r", \d+ restricted eigenproblems \(widest \d+\), ", message)
+    assert "attempts" not in message
     assert "eigenvector residual" in message and "orthogonality error" in message
 
 
@@ -534,6 +607,34 @@ class TestClassAlgebraRoute:
         assert algebraic.integral and numeric.integral
         assert algebraic.entries == numeric.entries
         assert algebraic.method == "class-algebra"
+
+    def test_non_symmetric_class_function_is_rejected_exactly(self, monkeypatch):
+        # the indicator of one non-real class: f(C) != f(C^-1), decided on the
+        # integer values before any eigenproblem is solved
+        group = Group(GroupParams(3, 1, 2))
+        classes = group.conjugacy
+        reps = np.array(classes.representatives)
+        inverse_class = classes.class_of[group.inverse_indices[reps]]
+        c = next(c for c in range(len(classes)) if inverse_class[c] != c)
+        values = tuple(int(i == c) for i in range(len(classes)))
+        monkeypatch.setattr(spectra, "class_algebra_data", None)
+        with pytest.raises(ParameterError, match="not symmetric"):
+            spectrum_class_algebra(group, ClassFunction("one-class", values))
+        symmetric = tuple(int(i in (c, inverse_class[c])) for i in range(len(classes)))
+        monkeypatch.undo()
+        pair = ClassFunction("two-classes", symmetric)
+        spectrum = spectrum_class_algebra(group, pair)
+        assert spectrum.integral and spectrum.total_multiplicity() == group.order
+
+    @pytest.mark.parametrize("tolerance", [1e-16, 1e-300])
+    def test_tiny_tolerance_rounds_instead_of_failing(self, tolerance):
+        # the imaginary parts are bounded at the certificate's scale, so a
+        # tolerance below roundoff only makes the rounding stricter
+        group = Group(GroupParams(3, 1, 3))
+        spectrum = spectrum_class_algebra(group, adjacency_function(group), tolerance)
+        scale = len(reflections(group))  # the largest eigenvalue
+        assert spectrum.integral == (spectrum.max_residual <= tolerance * scale)
+        assert spectrum.total_multiplicity() == group.order
 
     def test_pinned_codimension_g213(self):
         group = Group(GroupParams(2, 1, 3))
@@ -640,3 +741,14 @@ def test_group_codims_match_codim(params):
     expected = [codim(x) for x in group.elements]
     assert group.codims.tolist() == expected
     assert not group.codims.flags.writeable
+
+
+def test_class_algebra_matches_the_codimension_fold_at_many_classes():
+    # G(8,1,4): k = 726 classes, well past the desk-scale verify checks
+    params = GroupParams(8, 1, 4)
+    group = Group(params, max_order=params.order)
+    assert len(group.conjugacy) == 726
+    spectrum = spectrum_class_algebra(group, codimension_function(group))
+    fold = {e.eigenvalue: e.multiplicity for e in codim_spectrum_combinatorial(8, 4)}
+    assert spectrum.integral
+    assert spectrum.as_dict() == fold
