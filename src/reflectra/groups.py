@@ -20,11 +20,14 @@ p > 1 classes may split, so they are computed directly as conjugation orbits.
 exponent rows, both in lex order.  Both ranks are arithmetic: a
 permutation's is its Lehmer code read in mixed radix, and an admissible
 row's is its base-r value divided by p.  So an index map forms each
-product on the two blocks and ranks it, without a |G|-long table.  Cycle
-data depend on the permutation alone apart from the cycle sums, so the
-cycles are walked on the n! permutations and the sums of every element come
-from one product with the exponent rows; element text is likewise formatted
-per permutation and per exponent row and then joined.
+product on the two blocks and ranks it, without a |G|-long table; the
+quotients x_i x_j^{-1} of one permutation's elements by all of G, rows of a
+group matrix's index table, need only n! permutation ranks and an (m, m)
+table of exponent ranks.  Cycle data depend on the permutation alone apart
+from the cycle sums, so the cycles are walked on the n! permutations and
+the sums of every element come from one product with the exponent rows;
+element text is likewise formatted per permutation and per exponent row and
+then joined.
 
 Reflection length, the word length over all reflections, also depends only
 on cycle data (J.-y. Shi, "Formula for the reflection length of elements in
@@ -364,7 +367,11 @@ class Group:
     apart.  A left multiplication changes the permutation and the exponent
     row of each element independently, so its map is an outer sum of n!
     and m ranks; the right multiplications and conjugations are read off it
-    through the (cached) inverse map.  `element(i)` builds one
+    through the (cached) inverse map.  `quotient_row_chunks` yields the
+    index table of a group matrix, x_i * x_j^{-1} for a chunk of rows
+    against every column, chunk by chunk: per left permutation, an outer
+    sum of n! permutation ranks and an (m, m) table of exponent ranks read
+    at the inverses' exponent ranks.  `element(i)` builds one
     `GroupElement`, `elements` all of them on first use.  Dense index maps
     keep bulk operations in numpy.
 
@@ -529,6 +536,46 @@ class Group:
             self._exp_block[eb], self._inv_block[qa], axis=-1
         )
         return self._perm_rank(perms) * m + self._exp_rank(exps)
+
+    def quotient_row_chunks(self, max_entries: int):
+        """Yield (rows, table) for consecutive slices of rows covering the
+        group in order: table[k, j] is the index of x_i * x_j^{-1} for
+        i = rows.start + k, the rows of a group matrix's index table.
+
+        A chunk holds the rows of whole left permutations, as many as fit
+        in max_entries entries, or, when one permutation's m rows do not
+        fit, a run of its exponent rows (at least one row).  Every
+        temporary holds at most n * max(max_entries, |G|) entries."""
+        perms, m = len(self._perm_block), len(self._exp_block)
+        inverse_exps = self.inverse_indices.reshape(perms, m) % m
+        rows = max(1, max_entries // self.order)
+        span, step = (rows // m, m) if rows >= m else (1, rows)
+        for q in range(0, perms, span):
+            qs = np.arange(q, min(q + span, perms))
+            for a in range(0, m, step):
+                table = self._quotient_block(qs, slice(a, a + step), inverse_exps)
+                yield slice(q * m + a, q * m + a + len(table)), table
+
+    def _quotient_block(self, qs, exps: slice, inverse_exps) -> np.ndarray:
+        """Index of x_i * x_j^{-1} for the elements x_i = (a | s) with s of
+        rank in qs and a in exponent rows exps (rows ordered by s, then a)
+        against every x_j (columns j); inverse_exps[t, b] is the exponent
+        rank of x_j^{-1} for x_j = (b | t).
+
+        With x_j^{-1} = (c | t^{-1}) the product is (a + c o s^{-1} | s
+        t^{-1}): its permutation rank depends on s and t alone (n! per s),
+        and its exponent rank on s, a and the exponent rank of c alone, an
+        (m, m) table per s.  So the rows of one s are an outer sum of n!
+        permutation ranks and that table read at inverse_exps."""
+        m = len(self._exp_block)
+        # s o t^{-1} for every s in qs and every t, and its rank times m
+        ranks = self._perm_rank(self._perm_block[qs][:, self._inv_block]) * m
+        # a + c o s^{-1}: rows a, columns c, one table per s
+        shifted = self._exp_block[:, self._inv_block[qs]].transpose(1, 0, 2)
+        ranked = self._exp_rank(self._exp_block[exps, None] + shifted[:, None])
+        table = np.take(ranked, inverse_exps, axis=2)
+        table += ranks[:, None, :, None]
+        return table.reshape(-1, self.order)
 
     @cached_property
     def _cycle_walk(self) -> tuple[np.ndarray, np.ndarray]:

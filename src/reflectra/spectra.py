@@ -8,8 +8,9 @@ irreducible character chi contributes the eigenvalue
 
 with multiplicity chi(1)^2.  Three independent routes are implemented:
 
-* numeric: build the dense matrix and take its eigenvalues with LAPACK
-  (numpy's eigvalsh);
+* numeric: build the dense matrix, a chunk of rows at a time from the
+  group's block rank tables (matrix_from_element_values), and take its
+  eigenvalues with LAPACK (numpy's eigvalsh);
 * class-algebra: split the space into the common eigenlines of the class
   sums of low-codimension classes, one class sum at a time, in a scaled
   basis where they are normal; each line is a certified central character,
@@ -28,7 +29,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import groupby
-from math import isfinite, sqrt
+from math import isfinite
 
 import numpy as np
 
@@ -45,6 +46,14 @@ from .reflections import all_reflections_order_two, reflections
 log = logging.getLogger(__name__)
 
 DEFAULT_MATRIX_CAP = 1200
+# Entries per chunk of rows in matrix_from_element_values.  Chosen from a
+# sweep of 2^14 to 2^20 over the 14 groups of orders 32 to 3,840 in
+# scripts/bench_matrix_build.py (1 BLAS thread, best of 7): 2^16 is within
+# 17 % of the fastest size on every group of order 384 or more, 2^14 is
+# 1.4-1.5x slower from order 1,920 on, and 2^17 or more make G(1,1,6) (one
+# row per permutation, permutation-rank temporaries n times a chunk) 1.5-2x
+# slower.  Matrices of order 32 to 72 are one chunk at every size tried.
+_CHUNK_ENTRIES = 1 << 16
 ELEMENT_ORDER_REFERENCE = "lex(perm,exponents)"
 
 @dataclass(frozen=True)
@@ -179,13 +188,18 @@ def matrix_from_element_values(
     group: Group, values, kind: str, max_size: int | None = None
 ) -> GroupMatrix:
     """Group matrix for a per-element function (not necessarily a class
-    function); values[k] is f of the k-th element."""
+    function); values[k] is f of the k-th element.
+
+    The rows are built a chunk at a time: Group.quotient_row_chunks gives
+    the index of x_i * x_j^{-1} for a chunk of rows against every column,
+    and the chunk's entries are values read at those indices.  A chunk
+    holds at most max(_CHUNK_ENTRIES, |G|) entries, so no temporary grows
+    with |G|^2."""
     _check_matrix_cap(group, max_size)
     values = np.asarray(values, dtype=np.int64)
-    inv = group.inverse_indices
     entries = np.empty((group.order, group.order), dtype=np.int64)
-    for j in range(group.order):
-        entries[:, j] = values[group.right_mult_indices(inv[j])]
+    for rows, table in group.quotient_row_chunks(_CHUNK_ENTRIES):
+        entries[rows] = values[table]
     return GroupMatrix(kind=kind, params=group.params, entries=entries)
 
 
@@ -517,18 +531,23 @@ def character_degrees(
     sizes = np.array(classes.sizes, dtype=np.float64)
     reps = np.array(classes.representatives, dtype=np.int64)
     inverse_class = classes.class_of[group.inverse_indices[reps]]
-    degrees = []
-    for row in omegas:
-        denom = float(np.real(np.sum(row * row[inverse_class] / sizes)))
-        if denom <= 0:
+    norms = np.real(np.sum(omegas * omegas[:, inverse_class] / sizes, axis=1))
+    positive = norms > 0
+    squared = group.order / np.where(positive, norms, 1.0)
+    rounded = np.rint(np.sqrt(squared))
+    square = (rounded >= 1) & (
+        np.abs(rounded * rounded - squared) <= 1e-4 * np.maximum(1.0, squared)
+    )
+    bad = np.flatnonzero(~(positive & square))
+    if bad.size:
+        first = bad[0]
+        if not positive[first]:
             raise NumericError("nonpositive norm while recovering a degree")
-        squared = group.order / denom
-        degree = round(sqrt(squared))
-        if degree < 1 or abs(degree * degree - squared) > 1e-4 * max(1.0, squared):
-            raise NumericError(
-                f"recovered squared degree {squared} is not a positive square"
-            )
-        degrees.append(int(degree))
+        raise NumericError(
+            f"recovered squared degree {float(squared[first])} is not a "
+            "positive square"
+        )
+    degrees = rounded.astype(np.int64).tolist()
     if sum(d * d for d in degrees) != group.order:
         raise NumericError(
             f"squared degrees sum to {sum(d * d for d in degrees)}, "
@@ -571,10 +590,15 @@ def class_algebra_data(group: Group) -> ClassAlgebraData:
 
 
 def spectrum_class_algebra(
-    group: Group, f: ClassFunction, tolerance: float = 1e-8
+    group: Group,
+    f: ClassFunction,
+    tolerance: float = 1e-8,
+    data: ClassAlgebraData | None = None,
 ) -> Spectrum:
     """Spectrum of the group matrix of f via central characters: eigenvalue
-    sum_C f(C) omega_chi(C) with multiplicity chi(1)^2 per character.
+    sum_C f(C) omega_chi(C) with multiplicity chi(1)^2 per character.  The
+    characters are class_algebra_data(group), or data when given, so that
+    several class functions of one group share one computation.
 
     The matrix is symmetric exactly when f(C) = f(C^-1) on every class,
     which is checked on the integer values.  The eigenvalues are then real,
@@ -587,7 +611,8 @@ def spectrum_class_algebra(
     inverse = group.inverse_indices[np.array(classes.representatives, dtype=np.int64)]
     if not np.array_equal(values, values[classes.class_of[inverse]]):
         raise ParameterError(f"{f.kind} matrix is not symmetric: f(C) != f(C^-1)")
-    data = class_algebra_data(group)
+    if data is None:
+        data = class_algebra_data(group)
     thetas = data.central_characters @ values
     scale = max(1.0, float(np.abs(thetas).max()))
     imaginary = float(np.abs(thetas.imag).max())

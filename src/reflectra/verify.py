@@ -46,6 +46,7 @@ from .partitions import closed_form_reference, codim_spectrum_combinatorial
 from .reflections import eta1_closed_form, reflections, xi1_closed_form
 from .spectra import (
     KINDS,
+    ClassAlgebraData,
     Spectrum,
     bipartite_check,
     build_matrix,
@@ -150,6 +151,11 @@ def cached_numeric_spectrum(params: GroupParams, kind: str) -> Spectrum:
 
 
 @lru_cache(maxsize=None)
+def cached_class_algebra_data(params: GroupParams) -> ClassAlgebraData:
+    return class_algebra_data(cached_group(params))
+
+
+@lru_cache(maxsize=None)
 def cached_bfs_lengths(params: GroupParams) -> np.ndarray:
     """Reference reflection lengths: a breadth-first search over all
     reflections, independent of the formula behind
@@ -239,7 +245,9 @@ def _combinatorial_vs_closed_form(r: int, n: int) -> CheckOutcome:
 
 def _class_algebra_spectrum(params: GroupParams, kind: str) -> CheckOutcome:
     group = cached_group(params)
-    algebraic = spectrum_class_algebra(group, class_function(group, kind))
+    algebraic = spectrum_class_algebra(
+        group, class_function(group, kind), data=cached_class_algebra_data(params)
+    )
     numeric = cached_numeric_spectrum(params, kind)
     ok = algebraic.integral and numeric.integral and algebraic.entries == numeric.entries
     detail = f"{kind}: class-algebra {_fmt_entries(algebraic.entries)}"
@@ -255,7 +263,9 @@ def _class_algebra_vs_combinatorial(
     codimension fold; the distance kind is included because reflection length
     equals codimension on G(r, 1, n) (Shi)."""
     group = cached_group(params)
-    algebraic = spectrum_class_algebra(group, class_function(group, kind))
+    algebraic = spectrum_class_algebra(
+        group, class_function(group, kind), data=cached_class_algebra_data(params)
+    )
     fold = {
         e.eigenvalue: e.multiplicity
         for e in codim_spectrum_combinatorial(params.r, params.n)
@@ -269,7 +279,7 @@ def _class_algebra_vs_combinatorial(
 
 def _class_algebra_degrees(params: GroupParams) -> CheckOutcome:
     group = cached_group(params)
-    data = class_algebra_data(group)
+    data = cached_class_algebra_data(params)
     square_sum = sum(d * d for d in data.degrees)
     dividing = all(d >= 1 and group.order % d == 0 for d in data.degrees)
     ok = dividing and square_sum == group.order
@@ -293,7 +303,7 @@ def tensor_central_characters(group: Group) -> np.ndarray:
 
 def _class_sums_vs_tensor(params: GroupParams) -> CheckOutcome:
     group = cached_group(params)
-    data = class_algebra_data(group)
+    data = cached_class_algebra_data(params)
     reference = tensor_central_characters(group)
     k = len(reference)
     # match each character to its nearest reference row

@@ -1,9 +1,10 @@
 """Shared independent oracles used across test modules."""
 
-from math import gcd
+from math import gcd, sqrt
 
 import numpy as np
 
+from reflectra.errors import NumericError
 from reflectra.groups import (
     GroupElement,
     RationalClasses,
@@ -172,3 +173,38 @@ def power_scan_rational(group) -> RationalClasses:
     return RationalClasses(
         groups=tuple(found), class_to_rational=tuple(class_to_rational)
     )
+
+
+def matrix_by_columns(group, values) -> np.ndarray:
+    """The group matrix M[i, j] = values[x_i * x_j^{-1}], one column at a
+    time: column j reads values through the right multiplication by x_j^{-1}."""
+    values = np.asarray(values, dtype=np.int64)
+    inv = group.inverse_indices
+    entries = np.empty((group.order, group.order), dtype=np.int64)
+    for j in range(group.order):
+        entries[:, j] = values[group.right_mult_indices(inv[j])]
+    return entries
+
+
+def character_degrees_by_rows(group, omegas) -> list[int]:
+    """The degrees of `spectra.character_degrees`, one character at a time:
+    each row's norm sum_C omega(C) omega(C^-1) / |C| = |G| / chi(1)^2 gives
+    its degree, and the first row whose norm is not positive, or whose
+    squared degree is not a positive square, raises."""
+    classes = group.conjugacy
+    sizes = np.array(classes.sizes, dtype=np.float64)
+    reps = np.array(classes.representatives, dtype=np.int64)
+    inverse_class = classes.class_of[group.inverse_indices[reps]]
+    degrees = []
+    for row in omegas:
+        norm = float(np.real(np.sum(row * row[inverse_class] / sizes)))
+        if norm <= 0:
+            raise NumericError("nonpositive norm while recovering a degree")
+        squared = group.order / norm
+        degree = round(sqrt(squared))
+        if degree < 1 or abs(degree * degree - squared) > 1e-4 * max(1.0, squared):
+            raise NumericError(
+                f"recovered squared degree {squared} is not a positive square"
+            )
+        degrees.append(degree)
+    return degrees

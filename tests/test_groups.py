@@ -7,7 +7,7 @@ the full group, and repeated multiplication for element orders.
 
 import functools
 import itertools
-from math import gcd
+from math import factorial, gcd
 
 import numpy as np
 import pytest
@@ -364,6 +364,35 @@ class TestRankArithmetic:
                 expected = getattr(flat, name)(g)
                 assert got.dtype == expected.dtype
                 assert np.array_equal(got, expected), (name, g)
+
+    @pytest.mark.parametrize("params", ORACLE_GROUPS, ids=str)
+    def test_quotient_blocks_match_flat_lookup(self, params):
+        # rows: a run of exponent rows of a few left permutations, taken in
+        # any order; columns: x_j^{-1} for a sample of j, all of them on
+        # small groups
+        group = Group(params, max_order=50000)
+        flat = FlatIndexMaps(group)
+        rng = np.random.default_rng(group.order)
+        perms = factorial(params.n)
+        m = group.order // perms
+        count = max(1, min(perms, (1 << 20) // (m * group.order)))
+        qs = rng.permutation(perms)[:count]
+        first = int(rng.integers(m))
+        exps = np.arange(first, int(rng.integers(first, m)) + 1)
+        inverse_exps = group.inverse_indices.reshape(perms, m) % m
+        table = group._quotient_block(
+            qs, slice(exps[0], exps[-1] + 1), inverse_exps
+        )
+        assert table.shape == (count * len(exps), group.order)
+        rows = (qs[:, None] * m + exps).ravel()
+        columns = np.arange(group.order)
+        if group.order > 400:
+            columns = np.unique(rng.integers(group.order, size=500))
+        expected = flat.product_indices(
+            rows[:, None], flat.inverse_indices()[columns][None, :]
+        )
+        assert table.dtype == expected.dtype
+        assert np.array_equal(table[:, columns], expected)
 
     @pytest.mark.parametrize("params", ORACLE_GROUPS, ids=str)
     def test_inverse_and_index_of_match_flat_lookup(self, params):

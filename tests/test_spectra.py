@@ -19,10 +19,11 @@ from reflectra.errors import (
     ParameterError,
     SizeLimitError,
 )
-from reflectra.groups import Group, GroupElement, GroupParams
+from reflectra.groups import Group, GroupElement, GroupParams, bfs_word_lengths
 from reflectra.partitions import codim_spectrum_combinatorial
 from reflectra.reflections import codim, reflections
 from reflectra.spectra import (
+    KINDS,
     ClassFunction,
     _class_sum_matrix,
     _class_sum_order,
@@ -53,6 +54,8 @@ from reflectra.spectra import (
     standard_connection,
 )
 from reflectra.verify import desk_scale_params, tensor_central_characters
+
+from oracles import character_degrees_by_rows, matrix_by_columns
 
 
 class TestJacobi:
@@ -136,6 +139,20 @@ class TestConnectionSets:
             assert int(group.inverse_indices[i]) in conn.indices
 
 
+def _matrix_builders(group: Group, cap: int) -> dict:
+    """Each dense matrix builder on the group, called with the given cap."""
+    f = codimension_function(group)
+    conn = all_reflections_connection(group)
+    return {
+        "build": lambda: build_matrix(group, f, max_size=cap),
+        "values": lambda: matrix_from_element_values(
+            group, group.codims, "codimension", max_size=cap
+        ),
+        "adjacency": lambda: adjacency_matrix(group, conn, max_size=cap),
+        "distance": lambda: distance_matrix_bfs(group, conn, max_size=cap),
+    }
+
+
 class TestMatrices:
     def test_complete_graph(self):
         group = Group(GroupParams(5, 1, 1))
@@ -183,18 +200,23 @@ class TestMatrices:
 
         monkeypatch.setattr(spectra, "bfs_word_lengths", no_work)
         monkeypatch.setattr(Group, "right_mult_indices", no_work)
-        group = Group(GroupParams(3, 1, 2))
-        f = codimension_function(group)
-        conn = all_reflections_connection(group)
-        calls = {
-            "build": lambda: build_matrix(group, f, max_size=cap),
-            "values": lambda: matrix_from_element_values(
-                group, group.codims, "codimension", max_size=cap
-            ),
-            "adjacency": lambda: adjacency_matrix(group, conn, max_size=cap),
-            "distance": lambda: distance_matrix_bfs(group, conn, max_size=cap),
-        }
+        monkeypatch.setattr(Group, "quotient_row_chunks", no_work)
         with pytest.raises(ParameterError, match="at least 1"):
+            _matrix_builders(Group(GroupParams(3, 1, 2)), cap)[builder]()
+
+    @pytest.mark.parametrize(
+        "builder", ["build", "values", "adjacency", "distance"]
+    )
+    def test_over_cap_rejected_before_any_table(self, builder, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a table was built before the cap was checked")
+
+        group = Group(GroupParams(3, 1, 2))
+        calls = _matrix_builders(group, group.order - 1)
+        monkeypatch.setattr(spectra, "bfs_word_lengths", no_work)
+        monkeypatch.setattr(Group, "right_mult_indices", no_work)
+        monkeypatch.setattr(Group, "quotient_row_chunks", no_work)
+        with pytest.raises(SizeLimitError, match="exceeds the dense matrix cap"):
             calls[builder]()
 
     def test_non_generating_connection(self):
@@ -203,6 +225,66 @@ class TestMatrices:
         conn = connection_set(group, [half_turn], "subgroup")
         with pytest.raises(ConnectivityError):
             distance_matrix_bfs(group, conn)
+
+
+# the desk-scale groups (n = 1 among them: one permutation, one chunk),
+# G(1,1,6): one exponent row, 720 permutations in chunks that do not divide
+# 720, and G(1200,1,1): one permutation whose 1200 rows are split in chunks
+BLOCK_GROUPS = desk_scale_params() + (GroupParams(1, 1, 6), GroupParams(1200, 1, 1))
+
+
+class TestBlockBuild:
+    """matrix_from_element_values builds its rows a chunk at a time; every
+    matrix must equal the per-column build."""
+
+    @pytest.mark.parametrize("params", BLOCK_GROUPS, ids=str)
+    def test_every_kind_and_non_class_values_match_the_column_build(self, params):
+        group = Group(params)
+        for kind in KINDS:
+            f = class_function(group, kind)
+            expected = matrix_by_columns(group, f.element_values(group))
+            assert np.array_equal(build_matrix(group, f).entries, expected), kind
+        values = np.arange(group.order)
+        built = matrix_from_element_values(group, values, "index")
+        assert built.entries.dtype == np.int64
+        assert np.array_equal(built.entries, matrix_by_columns(group, values))
+
+    @pytest.mark.parametrize("params", BLOCK_GROUPS, ids=str)
+    def test_standard_set_distance_matches_the_column_build(self, params):
+        group = Group(params)
+        conn = standard_connection(group)
+        lengths = bfs_word_lengths(group, conn.indices)
+        built = distance_matrix_bfs(group, conn).entries
+        assert np.array_equal(built, matrix_by_columns(group, lengths))
+
+    @pytest.mark.parametrize(
+        "r,n,rows,longest",
+        [(2, 4, 1, 1), (2, 4, 5, 5), (2, 4, 16, 16), (2, 4, 20, 16),
+         (2, 4, 80, 80), (2, 4, 112, 112), (2, 4, 384, 384),
+         (24, 1, 5, 5), (24, 1, 24, 24)],
+    )
+    def test_chunks_cover_the_rows_in_order(self, r, n, rows, longest, monkeypatch):
+        # G(2,1,4): 24 permutations of 16 rows each.  Room for 5 rows splits
+        # each permutation 5 + 5 + 5 + 1, for 20 rows holds one permutation,
+        # for 80 and 112 rows (5 and 7 permutations) leaves a short last
+        # chunk; G(24,1,1) is one permutation of 24 rows
+        group = Group(GroupParams(r, 1, n))
+        monkeypatch.setattr(spectra, "_CHUNK_ENTRIES", rows * group.order)
+        seen = []
+        original = Group.quotient_row_chunks
+
+        def recording(self, max_entries):
+            for chunk, table in original(self, max_entries):
+                seen.append((chunk.start, chunk.stop))
+                yield chunk, table
+
+        monkeypatch.setattr(Group, "quotient_row_chunks", recording)
+        values = np.arange(group.order)
+        built = matrix_from_element_values(group, values, "index").entries
+        assert np.array_equal(built, matrix_by_columns(group, values))
+        starts, stops = zip(*seen)
+        assert starts == (0,) + stops[:-1] and stops[-1] == group.order
+        assert max(stop - start for start, stop in seen) == longest
 
 
 class TestSpectrumNumeric:
@@ -370,6 +452,41 @@ class TestCharacterChecks:
         scaled[omegas.shape[0] // 2] *= factor
         with pytest.raises(NumericError, match="degree|orthogonality"):
             character_degrees(group, scaled)
+
+    @pytest.mark.parametrize("params", desk_scale_params(), ids=str)
+    def test_degrees_match_the_row_by_row_reference(self, params):
+        group = Group(params)
+        omegas = class_algebra_data(group).central_characters
+        degrees, _ = character_degrees(group, omegas)
+        assert list(degrees) == character_degrees_by_rows(group, omegas)
+
+    @pytest.mark.parametrize("r,p,n", CHECKED_GROUPS)
+    @pytest.mark.parametrize(
+        "edits",
+        [[(1, 0.0)], [(1, 1j)], [(1, 1.001)], [(1, 1.001), (2, 0.0)],
+         [(1, 0.0), (2, 1.001)]],
+        ids=["zero", "rotated", "scaled", "scaled-then-zero", "zero-then-scaled"],
+    )
+    def test_the_first_bad_row_raises_as_in_the_row_by_row_reference(
+        self, r, p, n, edits
+    ):
+        # a zero or rotated row (norm times -1) has no positive norm, a
+        # scaled row no square degree; the first bad row names the error
+        group = Group(GroupParams(r, p, n))
+        omegas = class_algebra_data(group).central_characters.copy()
+        for row, factor in edits:
+            omegas[row] *= factor
+        with pytest.raises(NumericError) as expected:
+            character_degrees_by_rows(group, omegas)
+        with pytest.raises(NumericError) as got:
+            character_degrees(group, omegas)
+        number = r"-?[\d.]+(?:e[-+]\d+)?"
+        assert re.sub(number, "#", str(got.value)) == re.sub(
+            number, "#", str(expected.value)
+        )
+        got_numbers = [float(x) for x in re.findall(number, str(got.value))]
+        expected_numbers = [float(x) for x in re.findall(number, str(expected.value))]
+        assert got_numbers == pytest.approx(expected_numbers, rel=1e-12)
 
     @pytest.mark.parametrize("r,p,n", CHECKED_GROUPS)
     def test_a_repeated_character_fails_orthogonality(self, r, p, n):
@@ -607,6 +724,16 @@ class TestClassAlgebraRoute:
         assert algebraic.integral and numeric.integral
         assert algebraic.entries == numeric.entries
         assert algebraic.method == "class-algebra"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("params", desk_scale_params(), ids=str)
+    def test_agrees_with_numeric_on_every_desk_group(self, params, kind):
+        group = Group(params)
+        f = class_function(group, kind)
+        algebraic = spectrum_class_algebra(group, f)
+        numeric = spectrum_numeric(build_matrix(group, f))
+        assert algebraic.integral and numeric.integral
+        assert algebraic.entries == numeric.entries
 
     def test_non_symmetric_class_function_is_rejected_exactly(self, monkeypatch):
         # the indicator of one non-real class: f(C) != f(C^-1), decided on the
