@@ -5,28 +5,23 @@
 
 Each --tree names a checkout (LABEL=PATH) whose reflectra package is
 imported from PATH/src.  Every round starts one fresh interpreter per tree,
-alternating which tree goes first, with one BLAS thread.  The interpreter
-enumerates each group of GROUPS, computes its codimension class function and
-inverse map, and then times `build_matrix` REPEATS times, keeping the best;
-the record holds the median over ROUNDS rounds of those best times, in ms.
-For each of RSS_GROUPS, a separate fresh interpreter per tree and round
-builds the matrix once and reports its peak RSS (`ru_maxrss`) before and
-after the build.  Orders above the default caps are built with the caps
-raised.  The JSON record also holds the machine, Python and numpy versions.
+alternating which tree goes first, with one BLAS thread (benchtrees.py).
+The interpreter enumerates each group of GROUPS, computes its codimension
+class function and inverse map, and then times `build_matrix` REPEATS
+times, keeping the best; the record holds the median over ROUNDS rounds of
+those best times, in ms.  For each of RSS_GROUPS, a separate fresh
+interpreter per tree and round builds the matrix once and reports its peak
+RSS (`ru_maxrss`) before and after the build.  Orders above the default
+caps are built with the caps raised.  The JSON record also holds the
+machine, Python and numpy versions.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import statistics
-import subprocess
-import sys
 from pathlib import Path
 
-import numpy
+from benchtrees import alternate, main, run_in
 
 # the numeric-small orders 32-72, then larger orders up to and past the
 # default cap of 1200: few permutations with many exponent rows, one
@@ -77,72 +72,40 @@ print(json.dumps([before, after]))
 """
 
 
-def run_in(tree: Path, code: str, argument) -> object:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[name] = "1"
-    done = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(argument)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    return json.loads(done.stdout.splitlines()[-1])
-
-
 def measure(trees: dict[str, Path]) -> dict:
-    times = {label: [] for label in trees}
-    peaks = {(label, g): [] for label in trees for g in RSS_GROUPS}
-    for round_ in range(ROUNDS):
-        labels = list(trees) if round_ % 2 == 0 else list(reversed(trees))
-        for label in labels:
-            timing = [GROUPS, REPEATS, RAISED_CAP]
-            times[label].append(run_in(trees[label], TIMING, timing))
-            for g in RSS_GROUPS:
-                peaks[label, g].append(run_in(trees[label], PEAK_RSS, [g, RAISED_CAP]))
+    def once(tree: Path):
+        timing = run_in(tree, TIMING, [GROUPS, REPEATS, RAISED_CAP])
+        return timing, [run_in(tree, PEAK_RSS, [g, RAISED_CAP]) for g in RSS_GROUPS]
+
+    runs = alternate(trees, ROUNDS, once)
     first = next(iter(trees))
     groups = []
-    for name, (order, _) in times[first][0].items():
+    for name, (order, _) in runs[first][0][0].items():
         row = {"group": name, "order": order}
         for label in trees:
-            row[f"{label}_ms"] = statistics.median(t[name][1] for t in times[label])
+            row[f"{label}_ms"] = statistics.median(t[name][1] for t, _ in runs[label])
         groups.append(row)
     rss = []
-    for g in RSS_GROUPS:
+    for i, g in enumerate(RSS_GROUPS):
         row = {"group": "G({},{},{})".format(*g)}
         for label in trees:
-            runs = peaks[label, g]
-            row[f"{label}_before_build_mb"] = statistics.median(b for b, _ in runs)
-            row[f"{label}_peak_mb"] = statistics.median(a for _, a in runs)
+            peaks = [p[i] for _, p in runs[label]]
+            row[f"{label}_before_build_mb"] = statistics.median(b for b, _ in peaks)
+            row[f"{label}_peak_mb"] = statistics.median(a for _, a in peaks)
         rss.append(row)
     return {"build_matrix": groups, "peak_rss": rss}
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tree", action="append", required=True,
-                        help="LABEL=PATH of a source checkout; give two or more")
-    parser.add_argument("--output", required=True, type=Path)
-    args = parser.parse_args()
-    trees = {}
-    for item in args.tree:
-        label, _, path = item.partition("=")
-        trees[label] = Path(path).resolve()
-    record = {
-        "script": "scripts/bench_matrix_build.py",
-        "what": "best-of-repeats build_matrix time (codimension class function), "
-                "median over rounds of fresh interpreters, 1 BLAS thread",
-        "rounds": ROUNDS,
-        "repeats": REPEATS,
-        "machine": {
-            "cpus": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-        },
-        **measure(trees),
-    }
-    args.output.write_text(json.dumps(record, indent=2) + "\n")
-    print(json.dumps(record, indent=2))
-
-
 if __name__ == "__main__":
-    main()
+    main(
+        __doc__.splitlines()[0],
+        {
+            "script": "scripts/bench_matrix_build.py",
+            "what": "best-of-repeats build_matrix time (codimension class "
+                    "function), median over rounds of fresh interpreters, "
+                    "1 BLAS thread",
+            "rounds": ROUNDS,
+            "repeats": REPEATS,
+        },
+        measure,
+    )

@@ -103,11 +103,9 @@ def _table(rows: list[list[str]], header: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_text(rows: list[list], header: list[str] | None = None) -> str:
+def _csv_text(rows: list[list]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    if header is not None:
-        writer.writerow(header)
     writer.writerows(rows)
     return buffer.getvalue()
 
@@ -328,7 +326,15 @@ def lengths_command(r: int, p: int, n: int, fmt: str, output: str | None) -> Non
         return
     header = ["index", "element", "reflection_length", "codimension"]
     if fmt == "csv":
-        _emit(_csv_text(rows, header), output)
+        # as csv.writer would write it: an element's text holds a comma, and
+        # is quoted, exactly when n > 1
+        quote = '"' if n > 1 else ""
+        lines = [",".join(header) + "\n"]
+        lines += [
+            f"{i},{quote}{text}{quote},{length},{codim}\n"
+            for i, text, length, codim in rows
+        ]
+        _emit("".join(lines), output)
         return
     text_rows = [
         [str(i), str(length), str(codim), text] for i, text, length, codim in rows

@@ -13,7 +13,8 @@ with multiplicity chi(1)^2.  Three independent routes are implemented:
   eigenvalues with LAPACK (numpy's eigvalsh);
 * class-algebra: split the space into the common eigenlines of the class
   sums of low-codimension classes, one class sum at a time, in a scaled
-  basis where they are normal; each line is a certified central character,
+  basis where they are normal, passing over the class sums of inverse
+  classes, which split nothing; each line is a certified central character,
   and theta_chi needs no |G| x |G| matrix and no (k, k, k) tensor;
 * combinatorial (codimension matrices of G(r, 1, n) only): exact integer
   eigenvalues from partition tuples, in the partitions module.
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import groupby
 from math import isfinite
 
 import numpy as np
@@ -382,15 +382,32 @@ def _class_sum_matrix(group: Group, c: int) -> np.ndarray:
 
 
 def _class_sum_order(group: Group) -> list[int]:
-    """The classes other than the identity's, by (codimension of the
-    representative, class size, class index): the order in which
-    class_algebra_data takes their class sums."""
+    """The order in which class_algebra_data takes class sums: the classes
+    other than the identity's, by (codimension of the representative, class
+    size, class index), leaving out each class whose inverse class is
+    already listed after the first entry.
+
+    omega_chi(C^-1) = conj omega_chi(C), so a space on which omega(C) is
+    constant has omega(C^-1) constant too.  Every class sum after the first
+    splits by Re(e^-i omega(C)), which is constant exactly where omega(C) is
+    (see _separate_characters), so the class sum of C^-1 would split
+    nothing.  The first splits by Re omega only, so its inverse stays
+    listed, and a class that is its own inverse is always listed."""
     classes = group.conjugacy
     k = len(classes)
-    codims = group.codims[np.array(classes.representatives)]
-    order = np.lexsort((np.arange(k), np.array(classes.sizes), codims))
+    reps = np.array(classes.representatives, dtype=np.int64)
+    inverse_class = classes.class_of[group.inverse_indices[reps]].tolist()
+    order = np.lexsort((np.arange(k), np.array(classes.sizes), group.codims[reps]))
     identity_class = classes.class_of[group.identity_index]
-    return [int(c) for c in order if c != identity_class]
+    listed: list[int] = []
+    rotated: set[int] = set()
+    for c in order.tolist():
+        if c == identity_class or inverse_class[c] in rotated:
+            continue
+        if listed:
+            rotated.add(c)
+        listed.append(c)
+    return listed
 
 
 def _eigenvalue_gap(values: np.ndarray) -> float:
@@ -423,11 +440,11 @@ def _eigenvector_residual(matrices, used: list[int], omegas: np.ndarray) -> floa
 
 def _separate_characters(
     group: Group,
-) -> tuple[np.ndarray, list[int], int, int, int, float]:
+) -> tuple[np.ndarray, list[int], int, int, int, int, float]:
     """Central characters by eigenspace splitting (Dixon 1967, Schneider
     1990), with the classes kept, the number of class sums taken, the number
-    and widest size of the restricted eigenproblems, and the residual of
-    _certify.
+    of inverse classes left out of _class_sum_order, the number and widest
+    size of the restricted eigenproblems, and the residual of _certify.
 
     Basis: S_C = D^-1/2 M_C D^1/2 with D = diag(|C|) satisfies
     S_C^T = S_{C^-1}, so every S_C is normal, and the central characters
@@ -436,59 +453,93 @@ def _separate_characters(
     Splitting: the first class sum of _class_sum_order splits the whole
     space into the eigenspaces of the symmetric S_C + S_C^T, whose
     eigenvalues are 2 Re omega(C).  Each later one splits every space V
-    still wider than a line by the Hermitian A + A^H, A = e^-i V^H S_C V,
-    with the solves batched by size.  Its eigenvalues 2 Re(e^-i omega(C))
-    differ wherever the algebraic numbers omega(C) differ, since tan 1 is
-    transcendental.  Eigenvalues within 1e-8 max(1, max |eigenvalue|) of
-    each other stay together.  A class sum is kept when it splits a space,
-    and splitting ends when all k spaces are lines."""
+    still wider than a line by the Hermitian A + A^H, A = e^-i V^H S_C V.
+    Its eigenvalues 2 Re(e^-i omega(C)) differ wherever the algebraic
+    numbers omega(C) differ, since tan 1 is transcendental.  Eigenvalues
+    within 1e-8 max(1, max |eigenvalue|) of each other stay together.  A
+    class sum is kept when it splits a space, and splitting ends when all k
+    spaces are lines.
+
+    The open spaces are held as one (b, k, w) stack of orthonormal bases per
+    width w, so a class sum costs one real product and one batched eigh per
+    width.  eigh returns each space's eigenvalues ascending, so a space
+    splits wherever two neighbours differ by more than the width above.  The
+    spaces that do not split carry over as they are; only those that do are
+    rotated into their eigenvectors and cut apart."""
     classes = group.conjugacy
     k = len(classes)
     root = np.sqrt(np.array(classes.sizes, dtype=np.float64))
     order = _class_sum_order(group)
-    spaces, lines = ([np.eye(k)], []) if k > 1 else ([], [np.eye(1)])
+    stacks = {k: np.eye(k)[None]} if k > 1 else {}
+    # the common eigenvectors found so far, one per column
+    lines, found = np.eye(k, dtype=np.complex128), 0 if k > 1 else 1
     kept, matrices, taken, solves, widest = [], [], 0, 0, 0
-    while spaces:
+    while stacks:
         if taken == len(order):
             raise NumericError(
                 f"could not separate the central characters of {group.params}: "
                 f"all {taken} class sums taken, a space of size "
-                f"{spaces[-1].shape[1]} still open"
+                f"{max(stacks)} still open"
             )
         matrix = _class_sum_matrix(group, order[taken])
         scaled = matrix * (root / root[:, None])
         if not taken:
-            problems = [(None, *np.linalg.eigh(scaled + scaled.T))]
+            values, vectors = np.linalg.eigh(scaled + scaled.T)
+            solved = [(stacks[k], values[None], vectors[None])]
         else:
-            # one product with every open basis, then one batched solve per size
-            ends = np.cumsum([v.shape[1] for v in spaces])[:-1]
-            images = np.split(_real_product(scaled, np.hstack(spaces)), ends, axis=1)
-            problems = []
-            for _, same in groupby(zip(spaces, images), lambda vi: vi[0].shape[1]):
-                bases, image = map(np.stack, zip(*same))
-                a = np.exp(-1j) * bases.conj().transpose(0, 2, 1) @ image
-                problems += zip(bases, *np.linalg.eigh(a + a.conj().transpose(0, 2, 1)))
-            solves, widest = solves + len(spaces), max(widest, spaces[-1].shape[1])
-        width = 1e-8 * max(1.0, max(np.abs(p[1]).max() for p in problems))
-        found = [(basis, w, _cluster(e, width)) for basis, e, w in problems]
-        if any(len(clusters) > 1 for _, _, clusters in found):
+            solved = []
+            for w, bases in stacks.items():
+                flat = bases.transpose(1, 0, 2).reshape(k, -1)
+                image = _real_product(scaled, flat).reshape(k, -1, w).transpose(1, 0, 2)
+                a = bases.conj().transpose(0, 2, 1) @ image
+                a *= np.exp(-1j)
+                solved.append((bases, *np.linalg.eigh(a + a.conj().transpose(0, 2, 1))))
+                solves, widest = solves + len(bases), max(widest, w)
+        width = 1e-8 * max(1.0, max(np.abs(values).max() for _, values, _ in solved))
+        carried: dict[int, np.ndarray] = {}
+        pieces: dict[int, list[np.ndarray]] = {}
+        split = False
+        for bases, values, vectors in solved:
+            w = bases.shape[2]
+            cuts = np.diff(values, axis=1) > width
+            splits = cuts.any(axis=1)
+            if not splits.any():
+                carried[w] = bases
+                continue
+            if not splits.all():
+                carried[w] = bases[~splits]
+            split = True
+            # the first class sum's basis is the identity
+            rotated = bases[splits] @ vectors[splits] if taken else vectors
+            for basis, at in zip(rotated, cuts[splits]):
+                ends = [0, *(np.flatnonzero(at) + 1).tolist(), w]
+                for start, stop in zip(ends, ends[1:]):
+                    if stop - start == 1:
+                        lines[:, found] = basis[:, start]
+                        found += 1
+                    else:
+                        pieces.setdefault(stop - start, []).append(
+                            basis[None, :, start:stop]
+                        )
+        if split:
             kept.append(order[taken])
             matrices.append(matrix)
-        taken, spaces = taken + 1, []
-        for basis, w, clusters in found:
-            for cluster in clusters:
-                piece = w[:, cluster] if basis is None else basis @ w[:, cluster]
-                (lines if len(cluster) == 1 else spaces).append(piece)
-        spaces.sort(key=lambda v: v.shape[1])
-    vectors = np.hstack(lines)
-    anchors = vectors[int(classes.class_of[group.identity_index])]
+        taken += 1
+        stacks = carried
+        for w, stacked in pieces.items():
+            if w in carried:
+                stacked.append(carried[w])
+            stacks[w] = np.concatenate(stacked)
+    anchors = lines[int(classes.class_of[group.identity_index])]
     if np.abs(anchors).min() < 1e-12:
         raise NumericError(
             f"a common eigenvector of the class sums of {group.params} "
             "vanishes at the identity class"
         )
-    omegas = (vectors * root[:, None] / anchors).T.astype(np.complex128)
-    return omegas, kept, taken, solves, widest, _certify(group, omegas, kept, matrices)
+    omegas = (lines * root[:, None] / anchors).T
+    dropped = k - 1 - len(order)
+    residual = _certify(group, omegas, kept, matrices)
+    return omegas, kept, taken, dropped, solves, widest, residual
 
 
 def _certify(group: Group, omegas: np.ndarray, kept: list[int], matrices) -> float:
@@ -572,17 +623,20 @@ def class_algebra_data(group: Group) -> ClassAlgebraData:
     every class sum is normal (_separate_characters).  They are certified as
     eigenvectors of every kept class sum with pairwise distinct values there
     (_certify), and character_degrees checks their degrees and orthogonality.
-    One DEBUG record reports the class sums taken and kept, the restricted
-    eigenproblems, the eigenvector residual and the orthogonality error."""
-    omegas, kept, taken, solves, widest, residual = _separate_characters(group)
+    One DEBUG record reports the class sums taken and kept, the inverse
+    classes left out of the order, the restricted eigenproblems, the
+    eigenvector residual and the orthogonality error."""
+    omegas, kept, taken, dropped, solves, widest, residual = _separate_characters(group)
     degrees, orthogonality = character_degrees(group, omegas)
     sizes = group.conjugacy.sizes
     log.debug(
         "class algebra of %s: |G| = %d, k = %d, %d class sums taken, %d kept "
-        "(%d elements), %d restricted eigenproblems (widest %d), eigenvector "
-        "residual %.3e, orthogonality error %.3e",
+        "(%d elements), %d inverse classes dropped, %d restricted "
+        "eigenproblems (widest %d), eigenvector residual %.3e, orthogonality "
+        "error %.3e",
         group.params, group.order, len(degrees), taken, len(kept),
-        sum(sizes[c] for c in kept), solves, widest, residual, orthogonality,
+        sum(sizes[c] for c in kept), dropped, solves, widest, residual,
+        orthogonality,
     )
     return ClassAlgebraData(
         central_characters=omegas, degrees=degrees, class_sums=tuple(kept)

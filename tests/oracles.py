@@ -1,5 +1,7 @@
 """Shared independent oracles used across test modules."""
 
+import csv
+import io
 from math import gcd, sqrt
 
 import numpy as np
@@ -208,3 +210,12 @@ def character_degrees_by_rows(group, omegas) -> list[int]:
             )
         degrees.append(degree)
     return degrees
+
+
+def csv_by_writer(rows, header) -> str:
+    """The header and rows as csv.writer writes them, one line each."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()

@@ -1,8 +1,6 @@
 """Command-line front end: the JSON schema of each subcommand, usage errors,
 determinism of data output, and the module entry point."""
 
-import csv
-import io
 import json
 import os
 import subprocess
@@ -19,6 +17,8 @@ from reflectra.groups import Group, format_element
 from reflectra.reflections import reflection_length_table
 from reflectra.spectra import all_reflections_connection, distance_matrix_bfs
 from reflectra.verify import desk_scale_params
+
+from oracles import csv_by_writer
 
 
 def test_spectrum_json_is_byte_identical_on_repeat():
@@ -141,8 +141,9 @@ def test_verify_json_is_byte_identical_on_repeat():
     assert all("runtime" not in check for check in payload["checks"])
 
 
-@pytest.mark.parametrize("params", desk_scale_params(max_order=200), ids=str)
+@pytest.mark.parametrize("params", desk_scale_params(), ids=str)
 def test_lengths_rows_match_element_reference(params):
+    # the CSV is what csv.writer writes, on n = 1 (no comma, no quotes) too
     group = Group(params)
     table = reflection_length_table(group)
     rows = [
@@ -151,17 +152,16 @@ def test_lengths_rows_match_element_reference(params):
         for i in range(group.order)
     ]
     header = ["index", "element", "reflection_length", "codimension"]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
     payload = {
         "schema": 1,
         "params": [params.r, params.p, params.n],
         "total_reflection_length": int(table.lengths.sum()),
         "elements": [dict(zip(header, row)) for row in rows],
     }
-    expected = {"csv": buffer.getvalue(), "json": json.dumps(payload, indent=2) + "\n"}
+    expected = {
+        "csv": csv_by_writer(rows, header),
+        "json": json.dumps(payload, indent=2) + "\n",
+    }
     args = ["lengths", str(params.r), str(params.p), str(params.n)]
     for fmt, text in expected.items():
         result = CliRunner().invoke(main, args + ["--format", fmt])

@@ -579,7 +579,8 @@ class TestSeparation:
         # order runs out; the first one may split one line off
         group = Group(GroupParams(3, 1, 3))
         k = len(group.conjugacy)
-        first = _class_sum_order(group)[0]
+        order = _class_sum_order(group)
+        first = order[0]
         for split_first, open_size in ((False, k), (True, k - 1)):
             def class_sum(group, c, split=split_first):
                 return np.diag(np.eye(k)[0]) if split and c == first else np.eye(k)
@@ -589,20 +590,57 @@ class TestSeparation:
                 _separate_characters(group)
             message = str(caught.value)
             assert "G(3,1,3)" in message
-            assert f"all {k - 1} class sums taken" in message
+            assert f"all {len(order)} class sums taken" in message
             assert f"a space of size {open_size} still open" in message
 
     def test_class_order_is_codimension_then_size(self):
+        # listed by (codimension, size, index); a class is left out exactly
+        # when its inverse class is listed before it, other than first
         group = Group(GroupParams(4, 2, 3))
         classes = group.conjugacy
         order = _class_sum_order(group)
         identity_class = int(classes.class_of[group.identity_index])
-        assert sorted(order + [identity_class]) == list(range(len(classes)))
         keys = [
             (int(group.codims[classes.representatives[c]]), classes.sizes[c], c)
-            for c in order
+            for c in range(len(classes))
         ]
-        assert keys == sorted(keys)
+        assert [keys[c] for c in order] == sorted(keys[c] for c in order)
+        dropped = set(range(len(classes))) - set(order) - {identity_class}
+        assert dropped and identity_class not in order
+        for c in range(len(classes)):
+            if c == identity_class:
+                continue
+            inverse = inverse_class(group, c)
+            listed_before = inverse in order[1:] and keys[inverse] < keys[c]
+            assert (c in dropped) == listed_before
+            if c in order and inverse in order and inverse != c:
+                assert order[0] in (c, inverse)
+
+
+def inverse_class(group, c):
+    """The class of the inverse of class c's representative, from the
+    element's own inverse."""
+    classes = group.conjugacy
+    rep = group.element(classes.representatives[c])
+    return int(classes.class_of[group.index_of(rep.inverse())])
+
+
+@pytest.mark.parametrize("params", desk_scale_params(), ids=str)
+def test_dropped_classes_are_inverses_with_conjugate_characters(params):
+    # omega(C^-1) = conj omega(C): a dropped class's column is the conjugate
+    # of the column of its inverse class, which is listed after the first
+    group = Group(params)
+    classes = group.conjugacy
+    order = _class_sum_order(group)
+    omegas = class_algebra_data(group).central_characters
+    scale = max(1.0, float(np.abs(omegas).max()))
+    identity_class = int(classes.class_of[group.identity_index])
+    for c in set(range(len(classes))) - set(order) - {identity_class}:
+        inverse = inverse_class(group, c)
+        assert inverse in order[1:]
+        np.testing.assert_allclose(
+            omegas[:, c], omegas[:, inverse].conj(), rtol=0, atol=1e-9 * scale
+        )
 
 
 @pytest.mark.parametrize("r,p,n", [(3, 1, 2), (4, 2, 2), (2, 2, 3), (3, 3, 3)])
@@ -663,10 +701,17 @@ def test_class_algebra_data_logs_one_debug_record(caplog):
     used = data.class_sums
     elements = sum(group.conjugacy.sizes[c] for c in used)
     k = len(group.conjugacy)
-    # splitting stops at the class sum that leaves only lines, a kept one
-    taken = _class_sum_order(group).index(used[-1]) + 1
+    # splitting stops at the class sum that leaves only lines, a kept one;
+    # the classes left out of the order are the non-identity ones not listed
+    order = _class_sum_order(group)
+    taken = order.index(used[-1]) + 1
+    dropped = k - 1 - len(order)
+    assert dropped > 0
     assert message.startswith(f"class algebra of G(3,1,3): |G| = 162, k = {k}, ")
-    kept = f"{taken} class sums taken, {len(used)} kept ({elements} elements)"
+    kept = (
+        f"{taken} class sums taken, {len(used)} kept ({elements} elements), "
+        f"{dropped} inverse classes dropped, "
+    )
     assert kept in message
     assert re.search(r", \d+ restricted eigenproblems \(widest \d+\), ", message)
     assert "attempts" not in message
@@ -868,6 +913,21 @@ def test_group_codims_match_codim(params):
     expected = [codim(x) for x in group.elements]
     assert group.codims.tolist() == expected
     assert not group.codims.flags.writeable
+
+
+def test_class_algebra_matches_the_fold_at_190_classes():
+    # G(5,1,4): k = 190, and 87 classes are left out of the order as
+    # inverses; reflection length equals codimension on G(r, 1, n) (Shi)
+    params = GroupParams(5, 1, 4)
+    group = Group(params, max_order=params.order)
+    assert len(group.conjugacy) == 190
+    assert len(_class_sum_order(group)) == 102
+    data = class_algebra_data(group)
+    fold = {e.eigenvalue: e.multiplicity for e in codim_spectrum_combinatorial(5, 4)}
+    for kind in ("codimension", "distance"):
+        spectrum = spectrum_class_algebra(group, class_function(group, kind), data=data)
+        assert spectrum.integral
+        assert spectrum.as_dict() == fold
 
 
 def test_class_algebra_matches_the_codimension_fold_at_many_classes():
