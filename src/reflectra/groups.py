@@ -12,8 +12,16 @@ Multiplication matches matrix multiplication:
 
 Conjugacy in G(r, 1, n) is governed by cycle data: to each cycle of s attach
 the pair (cycle size, sum of the exponents along the cycle mod r).  Two
-elements are conjugate in G(r, 1, n) exactly when these multisets agree.  For
-p > 1 classes may split, so they are computed directly as conjugation orbits.
+elements are conjugate in G(r, 1, n) exactly when these multisets agree.  In
+G(r, p, n) the class of w with cycle sizes k_i and sums c_i splits into
+d = gcd(p, k_1, ..., c_1, ...) classes (J. R. Stembridge, Pacific J. Math.
+1989): the exponent sums mod p of its G(r, 1, n) centraliser are generated
+by the c_i (one cycle) and the k_i (a scalar on one cycle).  Let L(w) be the
+sum of the partial exponent sums along each cycle walked from its least
+position.  A permutation conjugates cycles to cycles and moves where walks
+start, changing L by c_i - k_i a_j = 0 (mod d); a diagonal element changes
+L by its exponent sum.  So L mod d is a class invariant of G(r, p, n) taking
+all d values on the G(r, 1, n) class: the class of w is (type, L(w) mod d).
 
 `Group` lists the elements as a product, index = (permutation rank) * m +
 (exponent rank) over the n! permutations and the m = r^n / p admissible
@@ -23,11 +31,9 @@ row's is its base-r value divided by p.  So an index map forms each
 product on the two blocks and ranks it, without a |G|-long table; the
 quotients x_i x_j^{-1} of one permutation's elements by all of G, rows of a
 group matrix's index table, need only n! permutation ranks and an (m, m)
-table of exponent ranks.  Cycle data depend on the permutation alone apart
-from the cycle sums, so the cycles are walked on the n! permutations and
-the sums of every element come from one product with the exponent rows;
-element text is likewise formatted per permutation and per exponent row and
-then joined.
+table of exponent ranks.  The cycles and element text are likewise found
+per permutation and per exponent row and then combined: every element's
+cycle sums and L are products of the exponent rows with per-permutation data.
 
 Reflection length, the word length over all reflections, also depends only
 on cycle data (J.-y. Shi, "Formula for the reflection length of elements in
@@ -319,6 +325,15 @@ class ConjugacyClasses:
         return len(self.members)
 
 
+def _by_least_member(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Labels renumbered in order of least index, and those least indices."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty(len(first), dtype=np.int64)
+    number[order] = np.arange(len(first))
+    return number[inverse], first[order]
+
+
 @dataclass(frozen=True)
 class RationalClasses:
     """Partition of ordinary classes: two classes fall together when one
@@ -358,42 +373,32 @@ class Group:
     in lex order, and element q * m + e is (exponent row e | permutation
     q).  No array of the group is |G| long until a per-element fact asks
     for one.  The index maps (`product_indices`, `left_mult_indices`,
-    `right_mult_indices`, `inverse_indices`, `conjugation_indices`) and
-    `index_of` compute each product's permutation and exponent row from the
-    blocks and rank them: `_perm_rank` reads the Lehmer code, whose digit
-    at position i is perm[i] less the popcount of the smaller images
-    already seen, in mixed radix; `_exp_rank` divides the base-r value by
-    p, since the r / p admissible rows with a common prefix are values p
-    apart.  A left multiplication changes the permutation and the exponent
-    row of each element independently, so its map is an outer sum of n!
-    and m ranks; the right multiplications and conjugations are read off it
-    through the (cached) inverse map.  `quotient_row_chunks` yields the
-    index table of a group matrix, x_i * x_j^{-1} for a chunk of rows
-    against every column, chunk by chunk: per left permutation, an outer
-    sum of n! permutation ranks and an (m, m) table of exponent ranks read
-    at the inverses' exponent ranks.  `element(i)` builds one
-    `GroupElement`, `elements` all of them on first use.  Dense index maps
-    keep bulk operations in numpy.
+    `right_mult_indices`, `inverse_indices`) and `index_of` compute each
+    product's permutation and exponent row from the blocks and rank them:
+    `_perm_rank` reads the Lehmer code, whose digit at position i is perm[i]
+    less the popcount of the smaller images already seen, in mixed radix;
+    `_exp_rank` divides the base-r value by p, since the r / p admissible
+    rows with a common prefix are values p apart.  A left multiplication
+    changes the permutation and the exponent row of each element
+    independently, so its map is an outer sum of n! and m ranks; the right
+    multiplications are read off it through the (cached) inverse map.
+    `quotient_row_chunks` yields the index table of a group matrix,
+    x_i * x_j^{-1} for a chunk of rows against every column, chunk by chunk:
+    per left permutation, an outer sum of n! permutation ranks and an (m, m)
+    table of exponent ranks read at the inverses' exponent ranks.
+    `element(i)` builds one `GroupElement`, `elements` all of them on first
+    use.  Dense index maps keep bulk operations in numpy.
 
     The per-element facts are read-only cached properties, each computed on
     first use: `codims`, `conjugacy` (and `rational` over it) and
     `reflection_lengths`.  A fact that depends on one block is computed on
-    that block and broadcast: the cycles are walked once per permutation,
-    and one product of the exponent block with each permutation's cycle
-    incidence gives every element's cycle sums; `element_texts` formats
-    each permutation and each exponent row once.  The cycle data feed
-    `codims`, the p = 1 class keys and the lengths; only its two |G|-long
-    results are kept.  `rational` raises the k class representatives to
-    their powers together, one index product per exponent.  The
-    lengths come from Shi's formula (J. Algebra 316, 2007),
-    l_T(w) = n + c(w) - max sum_B (1 + [s_B = 0 mod r]) over the partitions
-    of the cycles into blocks with s_B = 0 mod p (module docstring),
-    evaluated once per G(r, 1, n) cycle type; for p = 1 it is the
-    codimension.  For p > 1 every
-    element carries a label, first its own index, that is lowered to the
-    least label over its images under conjugation by each generator and
-    then replaced by the label of its label, until nothing changes; each
-    label then settles on the least member of its class.
+    that block and broadcast: `element_texts` formats each permutation and
+    each exponent row once, and the cycles are walked once per permutation.
+    The walk feeds `codims`, one table of the distinct cycle types (each
+    element's type, the only other |G|-long array kept) and the weights of L;
+    the classes are (cycle type, L mod d) and the lengths come from Shi's
+    formula once per type (module docstring).  `rational` raises the k class
+    representatives to their powers together, one index product per exponent.
     """
 
     def __init__(self, params: GroupParams, max_order: int | None = None):
@@ -577,27 +582,29 @@ class Group:
         table += ranks[:, None, :, None]
         return table.reshape(-1, self.order)
 
-    @cached_property
-    def _cycle_walk(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per element: the fixed-space codimension (read-only), and the
-        G(r, 1, n) class key.  The cycles are a fact of the permutation
-        block: a walk over the n! permutations finds the least position on
-        the cycle through each position, hence which positions share a
-        cycle (the 0/1 incidence of each permutation) and the cycle sizes.
-        One product exps @ incidence then gives every element's exponent sum
-        along the cycle through each position, as an (n!, m, n) array.
+    def _cycle_walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per element: the fixed-space codimension (read-only) and the
+        G(r, 1, n) class key; per permutation, the weights of the label L.
+        The powers s^0, ..., s^n of the n! permutations give the least
+        position on the cycle through each position, hence the 0/1 incidence
+        of positions sharing a cycle and the cycle sizes.  One product
+        exps @ incidence gives every element's cycle sums, (n!, m, n).
 
         The codimension is n minus the number of cycles whose sum vanishes
         mod r, each cycle counted at its least position.  The key reads an
         element's sorted codes (cycle size - 1) * r + cycle sum as base-nr
         digits (below (nr)^n, inside the int64 bound checked at
-        construction), so its fibres are the cycle types."""
+        construction), so its fibres are the cycle types.  The weight of a_i
+        in L is the first j >= 1 with s^j(i) the least position of its
+        cycle: walked from there, a_i enters that many partial sums."""
         n, r = self.params.n, self.params.r
         perms = self._perm_block
-        lead, pos = np.broadcast_to(np.arange(n), perms.shape), perms
-        for _ in range(n - 1):
-            lead = np.minimum(lead, pos)
-            pos = np.take_along_axis(perms, pos, axis=1)
+        powers = [np.broadcast_to(np.arange(n), perms.shape)]
+        for _ in range(n):
+            powers.append(np.take_along_axis(perms, powers[-1], axis=1))
+        powers = np.stack(powers)
+        lead = powers.min(axis=0)
+        weights = (powers[1:] == lead).argmax(axis=0) + 1
         # no cycle sum (before mod r) or code reaches n * r, so the (n!, m, n)
         # arrays take the smallest type that holds it
         dtype = np.min_scalar_type(n * r)
@@ -610,39 +617,45 @@ class Group:
         codes = sums
         codes += ((incidence.sum(axis=2) - 1) * r)[:, None, :]
         codes.sort(axis=2)
-        keys = np.zeros(self.order, dtype=np.int64)
-        for digits in codes.reshape(-1, n).T:
-            keys *= n * r
-            keys += digits
-        return codims, keys
+        keys = np.ravel_multi_index(tuple(codes.reshape(-1, n).T), (n * r,) * n)
+        return codims, keys, weights
+
+    @cached_property
+    def _cycle_data(self) -> tuple[np.ndarray, ...]:
+        """(codims, type_of, codes, splits, weights) from one cycle walk,
+        whose keys are dropped once the cycle-type table is built: the
+        distinct types numbered by least member, `type_of` labelling each
+        element, `codes` holding each type's sorted codes and `splits` its
+        number d of G(r, p, n) classes."""
+        codims, keys, weights = self._cycle_walk()
+        n, r, p = self.params.n, self.params.r, self.params.p
+        type_of, least = _by_least_member(keys)
+        codes = np.stack(np.unravel_index(keys[least], (n * r,) * n), axis=1)
+        sizes_and_sums = np.concatenate([codes // r + 1, codes % r], axis=1)
+        splits = np.gcd(p, np.gcd.reduce(sizes_and_sums, axis=1))
+        return codims, type_of, codes, splits, weights
 
     @property
     def codims(self) -> np.ndarray:
         """Read-only fixed-space codimension of every element."""
-        return self._cycle_walk[0]
+        return self._cycle_data[0]
 
     @cached_property
     def reflection_lengths(self) -> np.ndarray:
         """Read-only reflection length of every element: its word length over
-        all reflections (the codimension-1 elements).  Shi's formula
-        (J. Algebra 316, 2007) gives it from the cycle type alone:
-        l_T(w) = n + c(w) - max sum_B (1 + [s_B = 0 mod r]) over the
-        partitions of the c(w) cycles into blocks B whose exponent sums s_B
-        are 0 mod p.  So `cycle_type_length` runs once per distinct class
-        key of the cycle walk and the values are scattered back; for p = 1
-        every cycle is its own block and the length is the codimension.
-        Certificate: the identity has length 0, every reflection length 1,
-        and no element a length below its codimension."""
-        codims, class_keys = self._cycle_walk
+        all reflections (the codimension-1 elements).  Shi's formula (module
+        docstring) gives it from the cycle type alone, so `cycle_type_length`
+        runs once per row of the cycle-type table and the values are
+        scattered back.  Certificate: the identity has length 0, every
+        reflection length 1, and no element a length below its codimension."""
+        codims, type_of, codes, _, _ = self._cycle_data
         start = time.perf_counter()
-        n, r, p = self.params.n, self.params.r, self.params.p
-        keys, inverse = np.unique(class_keys, return_inverse=True)
-        codes = np.stack(np.unravel_index(keys, (n * r,) * n), axis=1)
+        r, p = self.params.r, self.params.p
         values = [
             cycle_type_length(_cycle_type_of_codes(row, r), r, p)
             for row in codes.tolist()
         ]
-        lengths = np.array(values, dtype=np.int64)[inverse]
+        lengths = np.array(values, dtype=np.int64)[type_of]
         identity = int(lengths[self.identity_index])
         not_one = int((lengths[codims == 1] != 1).sum())
         below = int((lengths < codims).sum())
@@ -655,45 +668,22 @@ class Group:
         lengths.setflags(write=False)
         log.debug(
             "reflection lengths of %s: |G| = %d, %d cycle types, %.4fs",
-            self.params, self.order, len(keys), time.perf_counter() - start,
+            self.params, self.order, len(values), time.perf_counter() - start,
         )
         return lengths
 
-    def conjugation_indices(self, g: int) -> np.ndarray:
-        """Index map k -> index of g * x_k * g^{-1}.  With L the left
-        multiplication by g, x_j * g^{-1} = (g * x_j^{-1})^{-1} has index
-        inv[L[inv[j]]]."""
-        left = self.left_mult_indices(g)
-        inv = self.inverse_indices
-        return inv[left[inv]][left]
-
     @cached_property
     def conjugacy(self) -> ConjugacyClasses:
-        """For p = 1, the fibres of the cycle-type key.  For p > 1, the
-        orbits of conjugation by the generators, found by label propagation
-        (see the class docstring), which map each element to the least
-        member of its class.  Either way the classes are numbered in order
-        of least member."""
-        if self.params.p > 1:
-            cmaps = [self.conjugation_indices(self.index_of(g)) for g in self.generators()]
-            least = np.arange(self.order)
-            while True:
-                previous = least
-                for cmap in cmaps:
-                    least = np.minimum(least, least[cmap])
-                least = least[least]
-                if np.array_equal(least, previous):
-                    break
-            # number the classes in order of least member
-            _, class_of = np.unique(least, return_inverse=True)
-        else:
-            _, first, labels = np.unique(
-                self._cycle_walk[1], return_index=True, return_inverse=True
-            )
-            # first holds each fibre's least member: number them in its order
-            number = np.empty(len(first), dtype=np.int64)
-            number[np.argsort(first)] = np.arange(len(first))
-            class_of = number[labels]
+        """The classes (cycle type, L mod d) of the module docstring, in
+        order of least member: the types themselves unless one splits (never
+        for p = 1), else L is one product of the weights with the exponent
+        block."""
+        _, class_of, _, splits, weights = self._cycle_data
+        if splits.max() > 1:
+            labels = (weights @ self._exp_block.T).reshape(-1)
+            labels %= splits[class_of]
+            labels += (np.cumsum(splits) - splits)[class_of]
+            class_of, _ = _by_least_member(labels)
         counts = np.bincount(class_of)
         by_class = np.split(np.argsort(class_of, kind="stable"), np.cumsum(counts)[:-1])
         members = tuple(tuple(m.tolist()) for m in by_class)

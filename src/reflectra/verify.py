@@ -4,8 +4,9 @@ Each check reproduces one structural fact at small scale: closed-form
 dihedral and rank-2/3 spectra, agreement of the numeric, class-algebra, and
 combinatorial routes (class algebra against the codimension fold on every
 desk-scale G(r, 1, n)), central characters from a few class sums against
-those from the full structure constants, spectral integrality, Shi's
-reflection-length formula against breadth-first search, the
+those from the full structure constants, class counts against the
+irreducible characters counted by Clifford theory, spectral integrality,
+Shi's reflection-length formula against breadth-first search, the
 reflection-length versus codimension dichotomy, constancy on rational
 classes, Galois exponents, Perron-Frobenius radii, and the three equivalent
 bipartiteness tests.
@@ -24,7 +25,7 @@ import logging
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Callable
 
 import numpy as np
@@ -42,7 +43,11 @@ from .groups import (
     galois_apply,
     is_real,
 )
-from .partitions import closed_form_reference, codim_spectrum_combinatorial
+from .partitions import (
+    closed_form_reference,
+    codim_spectrum_combinatorial,
+    count_partition_tuples,
+)
 from .reflections import eta1_closed_form, reflections, xi1_closed_form
 from .spectra import (
     KINDS,
@@ -329,6 +334,34 @@ def _class_sums_vs_tensor(params: GroupParams) -> CheckOutcome:
     return ok, detail, worst
 
 
+def clifford_class_count(params: GroupParams) -> int:
+    """Number of irreducible characters of G(r, p, n), without enumerating
+    it.  Those of G(r, 1, n) are the r-tuples of partitions of total size n,
+    and the characters trivial on G(r, p, n) form a cyclic group Z_p acting
+    on them by shifting the tuple r/p slots.  G(r, p, n) is normal with
+    cyclic quotient, so (Clifford) a character with stabiliser S restricts
+    to |S| irreducibles, shared by its p/|S| shifts: in all
+    (1/p) sum_chi |S_chi|^2 = (1/p) sum over a, b in Z_p of the tuples fixed
+    by both.  These are fixed by the subgroup of order t = lcm(ord a, ord b),
+    so they repeat with period r/t and, when t divides n, are the (r/t)-tuples
+    of total size n/t."""
+    r, p, n = params.r, params.p, params.n
+    total = 0
+    for a in range(p):
+        for b in range(p):
+            t = lcm(p // gcd(a, p), p // gcd(b, p))
+            if n % t == 0:
+                total += count_partition_tuples(r // t, n // t)
+    return total // p
+
+
+def _class_count(params: GroupParams) -> CheckOutcome:
+    classes = len(cached_group(params).conjugacy)
+    characters = clifford_class_count(params)
+    detail = f"{classes} classes, {characters} irreducible characters by Clifford"
+    return classes == characters, detail, None
+
+
 def _combinatorial_checks() -> list[Check]:
     checks: list[Check] = []
     for r, n in [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]:
@@ -369,6 +402,11 @@ def _combinatorial_checks() -> list[Check]:
             f"class-sums-vs-tensor-{params}",
             10,
             lambda q=params: _class_sums_vs_tensor(q),
+        ))
+        checks.append((
+            f"class-count-{params}",
+            10,
+            lambda q=params: _class_count(q),
         ))
     return checks
 

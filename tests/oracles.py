@@ -26,12 +26,21 @@ def monomial_matrix(x: GroupElement) -> np.ndarray:
     return matrix
 
 
+def conjugation_indices(group, g: int) -> np.ndarray:
+    """Index map k -> index of g * x_k * g^{-1}.  With L the left
+    multiplication by g, x_j * g^{-1} = (g * x_j^{-1})^{-1} has index
+    inv[L[inv[j]]]."""
+    left = group.left_mult_indices(g)
+    inv = group.inverse_indices
+    return inv[left[inv]][left]
+
+
 def conjugation_orbits(group) -> list[list[int]]:
     """Conjugacy classes as sorted index lists, in order of least member, by
     a breadth-first search over conjugation by the generators from every
     element not yet assigned."""
     conj_maps = [
-        group.conjugation_indices(group.index_of(g)) for g in group.generators()
+        conjugation_indices(group, group.index_of(g)) for g in group.generators()
     ]
     assigned = np.zeros(group.order, dtype=bool)
     orbits = []
@@ -122,11 +131,13 @@ class FlatIndexMaps:
         return right[left]
 
 
-def flat_cycle_walk(group) -> tuple[np.ndarray, np.ndarray]:
-    """(codims, G(r, 1, n) class keys) from a walk on all |G| * n flat
-    positions (row * n + i), every cycle closing within n - 1 steps: each
-    position gets its cycle's size and exponent sum mod r, and whether it is
-    the least position on its cycle."""
+def flat_cycle_walk(group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(codims, G(r, 1, n) class keys, labels L) from a walk on all |G| * n
+    flat positions (row * n + i), every cycle closing within n - 1 steps:
+    each position gets its cycle's size and exponent sum mod r, and whether
+    it is the least position on its cycle.  A second walk from each least
+    position adds up the partial exponent sums along its cycle, and L is
+    their total over the cycles of an element."""
     n, r = group.params.n, group.params.r
     perms, exps = flat_arrays(group)
     starts = np.arange(group.order * n)
@@ -147,7 +158,14 @@ def flat_cycle_walk(group) -> tuple[np.ndarray, np.ndarray]:
     codims = n - (leads & (totals == 0)).reshape(shape).sum(axis=1)
     codes = np.sort(((sizes - 1) * r + totals).reshape(shape), axis=1)
     keys = np.ravel_multi_index(tuple(codes.T), (n * r,) * n)
-    return codims, keys
+    pos, partial, labels = starts, np.zeros_like(exps), np.zeros_like(exps)
+    open_ = leads
+    for _ in range(n):
+        partial = partial + exps[pos] * open_
+        labels += partial * open_
+        pos = step[pos]
+        open_ = open_ & (pos != starts)
+    return codims, keys, labels.reshape(shape).sum(axis=1)
 
 
 def element_texts(group) -> list[str]:

@@ -35,6 +35,7 @@ from reflectra.verify import desk_scale_params
 
 from oracles import (
     FlatIndexMaps,
+    conjugation_indices,
     conjugation_orbits,
     element_texts,
     flat_arrays,
@@ -328,7 +329,7 @@ class TestIndexMaps:
     def test_conjugation_map(self):
         group = Group(GroupParams(4, 2, 2))
         g = 5
-        conj = group.conjugation_indices(g)
+        conj = conjugation_indices(group, g)
         gx = group.elements[g]
         for k, x in enumerate(group.elements):
             expected = multiply(multiply(gx, x), gx.inverse())
@@ -358,9 +359,13 @@ class TestRankArithmetic:
         gens = [flat.index_of(g) for g in group.generators()]
         picked = np.random.default_rng(group.order).integers(group.order, size=3)
         for g in gens + picked.tolist():
-            for name in ("left_mult_indices", "right_mult_indices",
-                         "conjugation_indices"):
-                got = getattr(group, name)(g)
+            maps = {
+                "left_mult_indices": group.left_mult_indices(g),
+                "right_mult_indices": group.right_mult_indices(g),
+                # the oracles' conjugation map, over the group's index maps
+                "conjugation_indices": conjugation_indices(group, g),
+            }
+            for name, got in maps.items():
                 expected = getattr(flat, name)(g)
                 assert got.dtype == expected.dtype
                 assert np.array_equal(got, expected), (name, g)
@@ -489,10 +494,15 @@ class TestConjugacy:
 
     @pytest.mark.parametrize(
         "params",
-        [q for q in desk_scale_params() if q.p > 1] + [GroupParams(2, 2, 6)],
+        [q for q in desk_scale_params() if q.p > 1] + [
+            GroupParams(*t)
+            # G(2,2,6) and groups whose cycle types split into up to d = 4
+            for t in [(2, 2, 6), (4, 4, 4), (8, 4, 3), (12, 3, 3), (6, 2, 4),
+                      (3, 3, 5)]
+        ],
         ids=str,
     )
-    def test_label_propagation_matches_orbit_search(self, params):
+    def test_classes_match_orbit_search(self, params):
         group = Group(params, max_order=50000)
         orbits = conjugation_orbits(group)
         class_of = np.empty(group.order, dtype=np.int64)
@@ -505,20 +515,30 @@ class TestConjugacy:
         assert classes.sizes == tuple(len(orbit) for orbit in orbits)
 
     def test_one_cycle_walk_feeds_codims_and_classes(self, monkeypatch):
-        walk = vars(Group)["_cycle_walk"]
-        calls = []
+        # the walk and the cycle-type table built from it, each counted
+        walk, table = Group._cycle_walk, vars(Group)["_cycle_data"]
+        walks, tables = [], []
 
-        def counting(self):
-            calls.append(self)
-            return walk.func(self)
+        def counting_walk(self):
+            walks.append(self)
+            return walk(self)
 
-        counted = functools.cached_property(counting)
-        counted.__set_name__(Group, "_cycle_walk")
-        monkeypatch.setattr(Group, "_cycle_walk", counted)
-        group = Group(GroupParams(3, 1, 3))
-        assert group.codims.size == group.order
-        assert len(group.conjugacy) > 0
-        assert len(calls) == 1
+        def counting_table(self):
+            tables.append(self)
+            return table.func(self)
+
+        counted = functools.cached_property(counting_table)
+        counted.__set_name__(Group, "_cycle_data")
+        monkeypatch.setattr(Group, "_cycle_walk", counting_walk)
+        monkeypatch.setattr(Group, "_cycle_data", counted)
+        # the cycle type (3, 0) of G(3,3,3) splits, so its classes read L
+        for params in (GroupParams(3, 1, 3), GroupParams(3, 3, 3)):
+            group = Group(params)
+            assert group.codims.size == group.order
+            assert len(group.conjugacy) > 0
+            assert group.reflection_lengths.size == group.order
+            assert walks.count(group) == tables.count(group) == 1
+        assert group._cycle_data[3].max() > 1
 
     def test_p1_conjugacy_builds_no_elements(self, monkeypatch):
         built = []
@@ -550,9 +570,13 @@ class TestFactoredPerElementData:
     @pytest.mark.parametrize("params", ORACLE_GROUPS, ids=str)
     def test_cycle_walk_matches_flat_walk(self, params):
         group = Group(params, max_order=50000)
-        for got, expected in zip(group._cycle_walk, flat_cycle_walk(group)):
-            assert got.dtype == expected.dtype
-            assert np.array_equal(got, expected)
+        codims, keys, weights = group._cycle_walk()
+        flat_codims, flat_keys, flat_labels = flat_cycle_walk(group)
+        assert codims.dtype == flat_codims.dtype and keys.dtype == flat_keys.dtype
+        assert np.array_equal(codims, flat_codims)
+        assert np.array_equal(keys, flat_keys)
+        # L of element q * m + e is its exponent row e weighted by weights[q]
+        assert np.array_equal((weights @ group._exp_block.T).ravel(), flat_labels)
 
     @pytest.mark.parametrize("params", ORACLE_GROUPS, ids=str)
     def test_element_texts_match_format_element(self, params):
@@ -574,15 +598,13 @@ class TestFactoredPerElementData:
             raise AssertionError("an element was built on a per-element path")
 
         group = Group(params, max_order=50000)
-        if params.p > 1:
-            # the p > 1 classes look up the few standard generators, which
-            # are GroupElements; only the passes over all elements are guarded
-            group.conjugacy
         monkeypatch.setattr(GroupElement, "__init__", no_elements)
         monkeypatch.setattr(Group, "element", no_elements)
         assert len(group.element_texts()) == group.order
+        assert len(group.conjugacy) > 0
         assert len(group.rational) > 0
         assert group.codims.size == group.order
+        assert group.reflection_lengths.size == group.order
 
 
 class TestRationalClasses:

@@ -30,7 +30,7 @@ from reflectra.reflections import (
 from reflectra.spectra import bipartite_check, distance_function
 from reflectra.verify import desk_scale_params
 
-from oracles import monomial_matrix
+from oracles import conjugation_indices, monomial_matrix
 
 
 # p > 1 groups above the desk-scale orders, for the formula against BFS
@@ -95,7 +95,7 @@ class TestReflectionSet:
         for t in refl:
             assert int(group.inverse_indices[t]) in refl
         for g in range(group.order):
-            conj = group.conjugation_indices(g)
+            conj = conjugation_indices(group, g)
             assert {int(conj[t]) for t in refl} == refl
 
 
