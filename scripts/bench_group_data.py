@@ -20,9 +20,14 @@ from pathlib import Path
 
 from benchtrees import alternate, main, run_in
 
-# the two group-large orders of 23,040-46,080, the class-algebra-wide
-# G(6,2,4), and orders 645,120-10,321,920 with few classes
-GROUPS = ((2, 1, 6), (2, 2, 6), (6, 2, 4), (2, 2, 7), (2, 1, 8), (2, 2, 8))
+# the numeric-small G(2,1,3) of order 48, where the cycle-type table is
+# about as large as the group, the two group-large orders of 23,040-46,080,
+# the class-algebra-wide G(6,2,4), and orders 322,560-10,321,920 with few
+# classes
+GROUPS = (
+    (2, 1, 3), (2, 1, 6), (2, 2, 6), (6, 2, 4), (2, 2, 7), (2, 1, 7),
+    (2, 1, 8), (2, 2, 8),
+)
 STAGES = ("codims", "conjugacy", "reflection_lengths")
 RAISED_CAP = 10**8
 ROUNDS = 5

@@ -32,8 +32,13 @@ product on the two blocks and ranks it, without a |G|-long table; the
 quotients x_i x_j^{-1} of one permutation's elements by all of G, rows of a
 group matrix's index table, need only n! permutation ranks and an (m, m)
 table of exponent ranks.  The cycles and element text are likewise found
-per permutation and per exponent row and then combined: every element's
-cycle sums and L are products of the exponent rows with per-permutation data.
+per permutation and per exponent row and then combined.  The cycle types
+come from one small table per group: a permutation's cycles, listed by
+least position, have a size sequence (a composition of n), and the raw
+exponent sums along them, read in mixed radix, pick an entry in that
+sequence's block.  So every element's entry is one product of the exponent
+rows with per-permutation place values, its type and codimension are
+gathers from the table, and L is one such product too.
 
 Reflection length, the word length over all reflections, also depends only
 on cycle data (J.-y. Shi, "Formula for the reflection length of elements in
@@ -325,13 +330,22 @@ class ConjugacyClasses:
         return len(self.members)
 
 
-def _by_least_member(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Labels renumbered in order of least index, and those least indices."""
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    number = np.empty(len(first), dtype=np.int64)
-    number[order] = np.arange(len(first))
-    return number[inverse], first[order]
+_NO_MEMBER = np.iinfo(np.int64).max
+
+
+def _by_least_member(
+    labels: np.ndarray, members: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Renumbering of the labels 0, ..., count - 1 in order of least member,
+    from the labels of some members that include the least one of each label
+    met: the new number of each label (-1 if never met) and the met labels
+    in their new order."""
+    least = np.full(count, _NO_MEMBER)
+    np.minimum.at(least, labels, members)
+    ordered = np.argsort(least)[: np.count_nonzero(least < _NO_MEMBER)]
+    number = np.full(count, -1, dtype=np.int64)
+    number[ordered] = np.arange(len(ordered))
+    return number, ordered
 
 
 @dataclass(frozen=True)
@@ -394,11 +408,14 @@ class Group:
     `reflection_lengths`.  A fact that depends on one block is computed on
     that block and broadcast: `element_texts` formats each permutation and
     each exponent row once, and the cycles are walked once per permutation.
-    The walk feeds `codims`, one table of the distinct cycle types (each
-    element's type, the only other |G|-long array kept) and the weights of L;
-    the classes are (cycle type, L mod d) and the lengths come from Shi's
-    formula once per type (module docstring).  `rational` raises the k class
-    representatives to their powers together, one index product per exponent.
+    The walk builds the cycle-type table, at most 2^(n-1) r^n entries
+    decoded and keyed once, and each element's entry in it; `codims` and
+    each element's type (the only other |G|-long array kept) are gathers
+    through that entry.  The classes are (cycle type, L mod d), numbered by
+    least member from one row per size sequence, and the lengths come from
+    Shi's formula once per type (module docstring).  `rational` raises the
+    k class representatives to their powers together, one index product per
+    exponent.
     """
 
     def __init__(self, params: GroupParams, max_order: int | None = None):
@@ -582,58 +599,114 @@ class Group:
         table += ranks[:, None, :, None]
         return table.reshape(-1, self.order)
 
-    def _cycle_walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per element: the fixed-space codimension (read-only) and the
-        G(r, 1, n) class key; per permutation, the weights of the label L.
-        The powers s^0, ..., s^n of the n! permutations give the least
-        position on the cycle through each position, hence the 0/1 incidence
-        of positions sharing a cycle and the cycle sizes.  One product
-        exps @ incidence gives every element's cycle sums, (n!, m, n).
+    def _cycle_walk(self) -> tuple[np.ndarray, ...]:
+        """The cycle-type table and every element's entry in it, as
+        (index, firsts, weights, codes, codims).
 
-        The codimension is n minus the number of cycles whose sum vanishes
-        mod r, each cycle counted at its least position.  The key reads an
-        element's sorted codes (cycle size - 1) * r + cycle sum as base-nr
-        digits (below (nr)^n, inside the int64 bound checked at
-        construction), so its fibres are the cycle types.  The weight of a_i
-        in L is the first j >= 1 with s^j(i) the least position of its
-        cycle: walked from there, a_i enters that many partial sums."""
+        The powers s^0, ..., s^n of the n! permutations give the least
+        position on the cycle through each position; the cycles, listed by
+        least position, have a size sequence k_1, ..., k_j, a composition of
+        n.  An element's sum along cycle i, before the reduction mod r, lies
+        in [0, k_i (r - 1)], so these sums read in mixed radix with bases
+        k_i (r - 1) + 1 number the cycle data of the permutation's elements
+        densely.  The table holds one such block per size sequence, at most
+        2^(n-1) r^n entries in all.  Each position carries the place value
+        of its cycle, so place values @ exps.T plus the block's offset is
+        `index`, the entry of every element, (n!, m), in the smallest
+        unsigned type.  Per entry, decoded once for the whole table, `codes`
+        holds the sorted codes (cycle size - 1) * r + cycle sum, a cycle of
+        size k filling k equal codes, and `codims` n minus the number of
+        cycles whose sum vanishes mod r.
+
+        `weights` holds the weight of a_i in L, the first j >= 1 with
+        s^j(i) the least position of its cycle: walked from there, a_i
+        enters that many partial sums.  Two permutations with the same size
+        sequence differ by a relabelling of positions that maps cycle to
+        cycle and walk to walk; it keeps the exponent sum, so both reach
+        the same entries with the same values of L.  The least member of
+        each entry, and of each (type, L mod d) class, thus lies in the row
+        of the least permutation with its size sequence; `firsts` holds the
+        rank of that permutation for each sequence."""
         n, r = self.params.n, self.params.r
         perms = self._perm_block
+        rows = np.arange(len(perms))[:, None]
         powers = [np.broadcast_to(np.arange(n), perms.shape)]
         for _ in range(n):
-            powers.append(np.take_along_axis(perms, powers[-1], axis=1))
+            powers.append(perms[rows, powers[-1]])
         powers = np.stack(powers)
         lead = powers.min(axis=0)
         weights = (powers[1:] == lead).argmax(axis=0) + 1
-        # no cycle sum (before mod r) or code reaches n * r, so the (n!, m, n)
-        # arrays take the smallest type that holds it
-        dtype = np.min_scalar_type(n * r)
-        incidence = (lead[:, :, None] == lead[:, None, :]).astype(dtype)
-        sums = self._exp_block.astype(dtype) @ incidence
-        sums %= r
-        is_lead = (lead == np.arange(n))[:, None, :]
-        codims = n - np.count_nonzero((sums == 0) & is_lead, axis=2).reshape(-1)
-        codims.setflags(write=False)
-        codes = sums
-        codes += ((incidence.sum(axis=2) - 1) * r)[:, None, :]
-        codes.sort(axis=2)
-        keys = np.ravel_multi_index(tuple(codes.reshape(-1, n).T), (n * r,) * n)
-        return codims, keys, weights
+        weights = weights.astype(np.min_scalar_type(n))
+        # the size sequences: slot t of 0..n-1 ends a cycle when bit t of
+        # the sequence's mask is set (slot n-1 always), and slot_cycle
+        # numbers the cycle of each slot; cycles past the last have size 0
+        masks = np.arange(1 << (n - 1))[:, None] | (1 << (n - 1))
+        ends = (masks >> np.arange(n)) & 1
+        slot_cycle = np.cumsum(ends, axis=1) - ends
+        sizes = np.count_nonzero(slot_cycle[:, :, None] == np.arange(n), axis=1)
+        bases = sizes * (r - 1) + 1
+        lengths = bases.prod(axis=1)
+        place = np.cumprod(bases, axis=1) // bases
+        offsets = np.cumsum(lengths) - lengths
+        # per permutation: each position's cycle number, and the mask of its
+        # size sequence from the sorted least positions
+        cycle = (np.cumsum(lead == np.arange(n), axis=1) - 1)[rows, lead]
+        ordered = np.sort(lead, axis=1)
+        mask = (ordered[:, 1:] != ordered[:, :-1]) @ (1 << np.arange(n - 1))
+        firsts = np.full(len(ends), len(perms))
+        np.minimum.at(firsts, mask, rows[:, 0])
+        # every partial sum of the product stays below the entry it ends
+        # at, so the narrow type cannot wrap
+        dtype = np.min_scalar_type(lengths.sum() - 1)
+        index = place[mask[:, None], cycle].astype(dtype)
+        index = index @ self._exp_block.T.astype(dtype)
+        index += offsets[mask, None].astype(dtype)
+        # per entry: its size sequence and, slot by slot, the sum mod r of
+        # the slot's cycle; a cycle of size k fills k slots and is counted
+        # at its last
+        slots = np.arange(len(ends))[:, None], slot_cycle
+        block = np.repeat(np.arange(len(ends)), lengths)
+        local = np.arange(len(block)) - offsets[block]
+        sums = local[:, None] // place[slots][block] % bases[slots][block] % r
+        codims = n - np.count_nonzero((sums == 0) & (ends[block] == 1), axis=1)
+        codes = np.sort(sums + ((sizes[slots] - 1) * r)[block], axis=1)
+        return index, firsts, weights, codes, codims
 
     @cached_property
     def _cycle_data(self) -> tuple[np.ndarray, ...]:
-        """(codims, type_of, codes, splits, weights) from one cycle walk,
-        whose keys are dropped once the cycle-type table is built: the
-        distinct types numbered by least member, `type_of` labelling each
-        element, `codes` holding each type's sorted codes and `splits` its
-        number d of G(r, p, n) classes."""
-        codims, keys, weights = self._cycle_walk()
+        """(codims, type_of, codes, splits, weights, firsts) from one cycle
+        walk.  The table entries are keyed by their sorted codes read as
+        base-nr digits (below (nr)^n, inside the int64 bound checked at
+        construction), and one `np.unique` over the table, not over the
+        group, gives the distinct types.  The types met in G (for p > 1,
+        entries whose sums add up to a non-multiple of p are met by no
+        element) are numbered by least member, read off the rows of
+        `firsts`: `codes` holds each type's sorted codes and `splits` its
+        number d of G(r, p, n) classes.  Every element's codimension and
+        type, `codims` (read-only) and `type_of`, are then two gathers
+        through its entry, and the entries are dropped."""
+        start = time.perf_counter()
+        index, firsts, weights, codes, entry_codims = self._cycle_walk()
         n, r, p = self.params.n, self.params.r, self.params.p
-        type_of, least = _by_least_member(keys)
-        codes = np.stack(np.unravel_index(keys[least], (n * r,) * n), axis=1)
+        keys = np.ravel_multi_index(tuple(codes.T), (n * r,) * n)
+        _, first, entry_type = np.unique(keys, return_index=True, return_inverse=True)
+        m = len(self._exp_block)
+        number, types = _by_least_member(
+            entry_type[index[firsts]], firsts[:, None] * m + np.arange(m), len(first)
+        )
+        codes = codes[first[types]]
         sizes_and_sums = np.concatenate([codes // r + 1, codes % r], axis=1)
         splits = np.gcd(p, np.gcd.reduce(sizes_and_sums, axis=1))
-        return codims, type_of, codes, splits, weights
+        codims = entry_codims[index].reshape(-1)
+        codims.setflags(write=False)
+        type_of = number[entry_type][index].reshape(-1)
+        log.debug(
+            "cycle-type table of %s: |G| = %d, %d size sequences, %d table "
+            "entries, %d cycle types, %.4fs",
+            self.params, self.order, len(firsts), len(keys), len(types),
+            time.perf_counter() - start,
+        )
+        return codims, type_of, codes, splits, weights, firsts
 
     @property
     def codims(self) -> np.ndarray:
@@ -648,7 +721,7 @@ class Group:
         runs once per row of the cycle-type table and the values are
         scattered back.  Certificate: the identity has length 0, every
         reflection length 1, and no element a length below its codimension."""
-        codims, type_of, codes, _, _ = self._cycle_data
+        codims, type_of, codes, *_ = self._cycle_data
         start = time.perf_counter()
         r, p = self.params.r, self.params.p
         values = [
@@ -677,16 +750,31 @@ class Group:
         """The classes (cycle type, L mod d) of the module docstring, in
         order of least member: the types themselves unless one splits (never
         for p = 1), else L is one product of the weights with the exponent
-        block."""
-        _, class_of, _, splits, weights = self._cycle_data
+        block and the least members are read off the rows of `firsts`.  The
+        members of every class come from one stable sort of the labels."""
+        _, class_of, _, splits, weights, firsts = self._cycle_data
         if splits.max() > 1:
-            labels = (weights @ self._exp_block.T).reshape(-1)
-            labels %= splits[class_of]
-            labels += (np.cumsum(splits) - splits)[class_of]
-            class_of, _ = _by_least_member(labels)
+            m = len(self._exp_block)
+            starts = np.cumsum(splits) - splits
+            types = class_of.reshape(-1, m)
+            labels = weights @ self._exp_block.T
+            labels %= splits[types]
+            labels += starts[types]
+            number, _ = _by_least_member(
+                labels[firsts], firsts[:, None] * m + np.arange(m), splits.sum()
+            )
+            class_of = number[labels].reshape(-1)
+            del labels
         counts = np.bincount(class_of)
-        by_class = np.split(np.argsort(class_of, kind="stable"), np.cumsum(counts)[:-1])
-        members = tuple(tuple(m.tolist()) for m in by_class)
+        # a stable sort of labels in the smallest unsigned type is a radix
+        # sort; the order, narrowed likewise, is read class by class
+        order = np.argsort(
+            class_of.astype(np.min_scalar_type(len(counts) - 1)), kind="stable"
+        ).astype(np.min_scalar_type(self.order - 1))
+        ends = np.cumsum(counts).tolist()
+        members = tuple(
+            tuple(order[a:b].tolist()) for a, b in zip([0] + ends[:-1], ends)
+        )
         return ConjugacyClasses(
             class_of=class_of, members=members,
             representatives=tuple(m[0] for m in members), sizes=tuple(counts.tolist()),

@@ -7,6 +7,7 @@ the full group, and repeated multiplication for element orders.
 
 import functools
 import itertools
+import logging
 from math import factorial, gcd
 
 import numpy as np
@@ -540,6 +541,42 @@ class TestConjugacy:
             assert walks.count(group) == tables.count(group) == 1
         assert group._cycle_data[3].max() > 1
 
+    @pytest.mark.parametrize(
+        "params", [GroupParams(2, 1, 6), GroupParams(2, 2, 6)], ids=str
+    )
+    def test_no_unique_over_the_whole_group(self, params, monkeypatch):
+        # the cycle types come from a table far smaller than the group, and
+        # the classes are numbered and listed without sorting |G| keys
+        sizes = []
+        unique = np.unique
+
+        def spy(values, *args, **kwargs):
+            sizes.append(np.size(values))
+            return unique(values, *args, **kwargs)
+
+        monkeypatch.setattr(groups.np, "unique", spy)
+        group = Group(params, max_order=50000)
+        group.codims, group.conjugacy, group.reflection_lengths
+        assert sizes and max(sizes) < group.order
+
+    def test_cycle_type_table_logged_once(self, caplog):
+        group = Group(GroupParams(3, 3, 3))
+        with caplog.at_level(logging.DEBUG, logger="reflectra.groups"):
+            group.codims, group.conjugacy, group.reflection_lengths
+            group.codims
+        records = [
+            r.getMessage() for r in caplog.records
+            if r.name == "reflectra.groups" and "cycle-type table" in r.getMessage()
+        ]
+        assert len(records) == 1
+        # the size sequences 111, 12, 21 and 3 have blocks of 3 * 3 * 3,
+        # 3 * 5, 5 * 3 and 7 entries: base k (r - 1) + 1 per cycle of size k
+        types = len(group._cycle_data[2])
+        assert records[0].startswith(
+            f"cycle-type table of G(3,3,3): |G| = 54, 4 size sequences, "
+            f"64 table entries, {types} cycle types, "
+        )
+
     def test_p1_conjugacy_builds_no_elements(self, monkeypatch):
         built = []
         check = GroupElement.__post_init__
@@ -570,9 +607,12 @@ class TestFactoredPerElementData:
     @pytest.mark.parametrize("params", ORACLE_GROUPS, ids=str)
     def test_cycle_walk_matches_flat_walk(self, params):
         group = Group(params, max_order=50000)
-        codims, keys, weights = group._cycle_walk()
+        codims, type_of, codes, _, weights, _ = group._cycle_data
         flat_codims, flat_keys, flat_labels = flat_cycle_walk(group)
-        assert codims.dtype == flat_codims.dtype and keys.dtype == flat_keys.dtype
+        # each element's type key: its type's sorted codes as base-nr digits
+        n, r = params.n, params.r
+        keys = np.ravel_multi_index(tuple(codes[type_of].T), (n * r,) * n)
+        assert codims.dtype == flat_codims.dtype
         assert np.array_equal(codims, flat_codims)
         assert np.array_equal(keys, flat_keys)
         # L of element q * m + e is its exponent row e weighted by weights[q]

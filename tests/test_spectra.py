@@ -915,15 +915,30 @@ def test_group_codims_match_codim(params):
     assert not group.codims.flags.writeable
 
 
-def test_class_algebra_matches_the_fold_at_190_classes():
-    # G(5,1,4): k = 190, and 87 classes are left out of the order as
-    # inverses; reflection length equals codimension on G(r, 1, n) (Shi)
-    params = GroupParams(5, 1, 4)
+@pytest.mark.parametrize(
+    "params, classes, listed",
+    [
+        (GroupParams(5, 1, 4), 190, 102),
+        (GroupParams(2, 1, 6), 65, None),
+        (GroupParams(3, 1, 5), 108, None),
+        (GroupParams(2, 1, 7), 110, None),
+    ],
+    ids=str,
+)
+def test_class_algebra_matches_the_fold_at_190_classes(params, classes, listed):
+    # the class-algebra route and the partition-tuple fold agree; k is the
+    # number of r-multipartitions of n.  G(5,1,4): k = 190, and 87 classes
+    # are left out of the order as inverses.  Reflection length equals
+    # codimension on G(r, 1, n) (Shi)
     group = Group(params, max_order=params.order)
-    assert len(group.conjugacy) == 190
-    assert len(_class_sum_order(group)) == 102
+    assert len(group.conjugacy) == classes
+    if listed is not None:
+        assert len(_class_sum_order(group)) == listed
     data = class_algebra_data(group)
-    fold = {e.eigenvalue: e.multiplicity for e in codim_spectrum_combinatorial(5, 4)}
+    fold = {
+        e.eigenvalue: e.multiplicity
+        for e in codim_spectrum_combinatorial(params.r, params.n)
+    }
     for kind in ("codimension", "distance"):
         spectrum = spectrum_class_algebra(group, class_function(group, kind), data=data)
         assert spectrum.integral
