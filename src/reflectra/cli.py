@@ -150,27 +150,6 @@ def _spectrum_text(
     return "\n".join(lines) + "\n"
 
 
-def _emit_spectrum(
-    params: GroupParams, kind: str, spectrum: Spectrum, connection: str | None,
-    fmt: str, output: str | None,
-) -> None:
-    if fmt == "json":
-        _emit(_json_text(_spectrum_payload(params, kind, spectrum, connection)), output)
-    else:
-        _emit(_spectrum_text(params, kind, spectrum, connection), output)
-
-
-def _combinatorial_spectrum(r: int, n: int, max_tuples: int | None = None) -> Spectrum:
-    """Exact codimension spectrum of G(r, 1, n) from partition tuples."""
-    entries = codim_spectrum_combinatorial(r, n, max_tuples)
-    return Spectrum(
-        entries=tuple((e.eigenvalue, e.multiplicity) for e in entries),
-        method="combinatorial",
-        max_residual=0.0,
-        integral=True,
-    )
-
-
 @click.group()
 def main() -> None:
     """Monomial reflection groups G(r, p, n) and their Cayley-graph spectra."""
@@ -445,7 +424,11 @@ def spectrum_command(
         )
     used_connection = None
     if method == "combinatorial":
-        spectrum = _combinatorial_spectrum(r, n)
+        entries = codim_spectrum_combinatorial(r, n)
+        spectrum = Spectrum(
+            entries=tuple((e.eigenvalue, e.multiplicity) for e in entries),
+            method="combinatorial", max_residual=0.0, integral=True,
+        )
     elif method == "class-algebra":
         group = Group(params)
         spectrum = spectrum_class_algebra(group, class_function(group, kind), tolerance)
@@ -453,7 +436,11 @@ def spectrum_command(
         group = Group(params)
         matrix, used_connection = _build_group_matrix(group, kind, connection)
         spectrum = spectrum_numeric(matrix, tolerance)
-    _emit_spectrum(params, kind, spectrum, used_connection, fmt, output)
+    if fmt == "json":
+        payload = _spectrum_payload(params, kind, spectrum, used_connection)
+        _emit(_json_text(payload), output)
+    else:
+        _emit(_spectrum_text(params, kind, spectrum, used_connection), output)
 
 
 @main.command("poincare")
@@ -512,22 +499,6 @@ def poincare_command(tuple_text: str, fmt: str) -> None:
         f"dimension = {dimension}, multiplicity = {dimension * dimension}",
     ]
     _emit("\n".join(lines) + "\n", None)
-
-
-@main.command("codim-spectrum")
-@click.argument("r", type=int)
-@click.argument("n", type=int)
-@click.option("--max-tuples", type=click.IntRange(min=1), default=None)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
-@_cli_errors
-def codim_spectrum_command(
-    r: int, n: int, max_tuples: int | None, fmt: str, output: str | None
-) -> None:
-    """Exact codimension spectrum of G(R, 1, N) from partition tuples."""
-    params = _make_params(r, 1, n)
-    spectrum = _combinatorial_spectrum(r, n, max_tuples)
-    _emit_spectrum(params, "codimension", spectrum, None, fmt, output)
 
 
 @main.command("verify")

@@ -318,19 +318,27 @@ class ConjugacyClasses:
 
     Classes are numbered by their least member index (`class_of` labels each
     element); that member, the lexicographically least element of the class,
-    is the representative.
+    is the representative.  `types` holds each class's row in the group's
+    cycle-type table and `inverse` its inverse class, both k long.
     """
 
     class_of: np.ndarray
     members: tuple[tuple[int, ...], ...]
     representatives: tuple[int, ...]
     sizes: tuple[int, ...]
+    types: np.ndarray
+    inverse: np.ndarray
 
     def __len__(self) -> int:
         return len(self.members)
 
 
 _NO_MEMBER = np.iinfo(np.int64).max
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _by_least_member(
@@ -387,7 +395,7 @@ class Group:
     in lex order, and element q * m + e is (exponent row e | permutation
     q).  No array of the group is |G| long until a per-element fact asks
     for one.  The index maps (`product_indices`, `left_mult_indices`,
-    `right_mult_indices`, `inverse_indices`) and `index_of` compute each
+    `right_mult_indices`, `inverse_of`) and `index_of` compute each
     product's permutation and exponent row from the blocks and rank them:
     `_perm_rank` reads the Lehmer code, whose digit at position i is perm[i]
     less the popcount of the smaller images already seen, in mixed radix;
@@ -403,19 +411,18 @@ class Group:
     `element(i)` builds one `GroupElement`, `elements` all of them on first
     use.  Dense index maps keep bulk operations in numpy.
 
-    The per-element facts are read-only cached properties, each computed on
-    first use: `codims`, `conjugacy` (and `rational` over it) and
-    `reflection_lengths`.  A fact that depends on one block is computed on
-    that block and broadcast: `element_texts` formats each permutation and
-    each exponent row once, and the cycles are walked once per permutation.
-    The walk builds the cycle-type table, at most 2^(n-1) r^n entries
-    decoded and keyed once, and each element's entry in it; `codims` and
-    each element's type (the only other |G|-long array kept) are gathers
-    through that entry.  The classes are (cycle type, L mod d), numbered by
-    least member from one row per size sequence, and the lengths come from
-    Shi's formula once per type (module docstring).  `rational` raises the
-    k class representatives to their powers together, one index product per
-    exponent.
+    Codimension and reflection length depend on the cycle type alone, so
+    they are kept per type, `type_codims` and `type_lengths` (Shi's formula,
+    module docstring, certified on the types).  The cycles are walked once
+    per permutation into the cycle-type table, at most 2^(n-1) r^n entries
+    decoded and keyed once, and each element's type, kept |G| long, is a
+    gather through its entry.  `conjugacy` holds the classes
+    (cycle type, L mod d), numbered by least member from one row per size
+    sequence, with the k-long record the spectrum routes read.  `codims`
+    and `reflection_lengths` are read-only gathers through the types, built
+    when an element-level caller asks.  `element_texts` formats each
+    permutation and exponent row once, and `rational` raises the k class
+    representatives to their powers together.
     """
 
     def __init__(self, params: GroupParams, max_order: int | None = None):
@@ -515,17 +522,27 @@ class Group:
             return False
         return True
 
+    def _inverse_ranks(self, q, e) -> np.ndarray:
+        """Index of the inverse of (exponent row e | permutation q), over q
+        and e broadcast together: (a | s)^{-1} = (b | s^{-1}) with
+        b_i = c_{s(i)}, c = -a mod r, so the base-r value of b is
+        c @ (weights permuted by s^{-1})."""
+        inverse = self._inv_block[q]
+        negated = (-self._exp_block[e]) % self.params.r
+        values = np.einsum("...i,...i->...", negated, self._exp_weights[inverse])
+        return self._perm_rank(inverse) * len(self._exp_block) + values // self.params.p
+
+    def inverse_of(self, indices) -> np.ndarray:
+        """Index of the inverse of each element of an index array."""
+        indices = np.asarray(indices, dtype=np.int64)
+        return self._inverse_ranks(*np.divmod(indices, len(self._exp_block)))
+
     @cached_property
     def inverse_indices(self) -> np.ndarray:
-        """(a | s)^{-1} = (b | s^{-1}) with b_i = c_{s(i)}, c = -a mod r.
-        Permuting a row keeps its entries in [0, r), so the base-r value of
-        b is c @ (weights permuted by s^{-1}): one (n!, n) x (n, m) product
-        gives every exponent rank."""
-        negated = (-self._exp_block) % self.params.r
-        values = self._exp_weights[self._inv_block] @ negated.T
-        q = self._perm_rank(self._inv_block)
-        m = len(self._exp_block)
-        return (q[:, None] * m + values // self.params.p).ravel()
+        """Index map k -> index of elements[k]^{-1}: `_inverse_ranks` over
+        every permutation against every exponent row."""
+        perms, m = len(self._perm_block), len(self._exp_block)
+        return self._inverse_ranks(np.arange(perms)[:, None], np.arange(m)).ravel()
 
     def left_mult_indices(self, g: int) -> np.ndarray:
         """Index map k -> index of elements[g] * elements[k].  The product
@@ -674,17 +691,17 @@ class Group:
 
     @cached_property
     def _cycle_data(self) -> tuple[np.ndarray, ...]:
-        """(codims, type_of, codes, splits, weights, firsts) from one cycle
+        """(type_of, codes, codims, splits, weights, firsts) from one cycle
         walk.  The table entries are keyed by their sorted codes read as
         base-nr digits (below (nr)^n, inside the int64 bound checked at
         construction), and one `np.unique` over the table, not over the
         group, gives the distinct types.  The types met in G (for p > 1,
         entries whose sums add up to a non-multiple of p are met by no
         element) are numbered by least member, read off the rows of
-        `firsts`: `codes` holds each type's sorted codes and `splits` its
-        number d of G(r, p, n) classes.  Every element's codimension and
-        type, `codims` (read-only) and `type_of`, are then two gathers
-        through its entry, and the entries are dropped."""
+        `firsts`: `codes` holds each type's sorted codes, `codims` its
+        codimension (read-only) and `splits` its number d of G(r, p, n)
+        classes.  Every element's type, `type_of`, is then a gather through
+        its entry, and the entries are dropped."""
         start = time.perf_counter()
         index, firsts, weights, codes, entry_codims = self._cycle_walk()
         n, r, p = self.params.n, self.params.r, self.params.p
@@ -695,10 +712,9 @@ class Group:
             entry_type[index[firsts]], firsts[:, None] * m + np.arange(m), len(first)
         )
         codes = codes[first[types]]
+        codims = _frozen(entry_codims[first[types]])
         sizes_and_sums = np.concatenate([codes // r + 1, codes % r], axis=1)
         splits = np.gcd(p, np.gcd.reduce(sizes_and_sums, axis=1))
-        codims = entry_codims[index].reshape(-1)
-        codims.setflags(write=False)
         type_of = number[entry_type][index].reshape(-1)
         log.debug(
             "cycle-type table of %s: |G| = %d, %d size sequences, %d table "
@@ -706,44 +722,53 @@ class Group:
             self.params, self.order, len(firsts), len(keys), len(types),
             time.perf_counter() - start,
         )
-        return codims, type_of, codes, splits, weights, firsts
+        return type_of, codes, codims, splits, weights, firsts
 
     @property
-    def codims(self) -> np.ndarray:
-        """Read-only fixed-space codimension of every element."""
-        return self._cycle_data[0]
+    def type_codims(self) -> np.ndarray:
+        """Read-only fixed-space codimension of each cycle type."""
+        return self._cycle_data[2]
 
     @cached_property
-    def reflection_lengths(self) -> np.ndarray:
-        """Read-only reflection length of every element: its word length over
-        all reflections (the codimension-1 elements).  Shi's formula (module
-        docstring) gives it from the cycle type alone, so `cycle_type_length`
-        runs once per row of the cycle-type table and the values are
-        scattered back.  Certificate: the identity has length 0, every
-        reflection length 1, and no element a length below its codimension."""
-        codims, type_of, codes, *_ = self._cycle_data
+    def type_lengths(self) -> np.ndarray:
+        """Read-only reflection length of each cycle type: the word length
+        over all reflections (the codimension-1 elements) of its elements.
+        Shi's formula (module docstring) gives it from the cycle type alone,
+        so `cycle_type_length` runs once per row of the cycle-type table.
+        Certificate, on the table: the identity's type has length 0, every
+        type of codimension 1 length 1, and no type a length below its
+        codimension."""
+        type_of, codes, codims, *_ = self._cycle_data
         start = time.perf_counter()
         r, p = self.params.r, self.params.p
-        values = [
+        lengths = _frozen(np.array([
             cycle_type_length(_cycle_type_of_codes(row, r), r, p)
             for row in codes.tolist()
-        ]
-        lengths = np.array(values, dtype=np.int64)[type_of]
-        identity = int(lengths[self.identity_index])
+        ], dtype=np.int64))
+        identity = int(lengths[type_of[self.identity_index]])
         not_one = int((lengths[codims == 1] != 1).sum())
         below = int((lengths < codims).sum())
         if identity != 0 or not_one or below:
             raise ConsistencyError(
                 f"reflection lengths of {self.params} fail the certificate: "
-                f"identity length {identity}, {not_one} reflections not of "
-                f"length 1, {below} elements below their codimension"
+                f"identity length {identity}, {not_one} reflection types not "
+                f"of length 1, {below} types below their codimension"
             )
-        lengths.setflags(write=False)
         log.debug(
             "reflection lengths of %s: |G| = %d, %d cycle types, %.4fs",
-            self.params, self.order, len(values), time.perf_counter() - start,
+            self.params, self.order, len(lengths), time.perf_counter() - start,
         )
         return lengths
+
+    @cached_property
+    def codims(self) -> np.ndarray:
+        """Read-only fixed-space codimension of every element."""
+        return _frozen(self.type_codims[self._cycle_data[0]])
+
+    @cached_property
+    def reflection_lengths(self) -> np.ndarray:
+        """Read-only reflection length of every element."""
+        return _frozen(self.type_lengths[self._cycle_data[0]])
 
     @cached_property
     def conjugacy(self) -> ConjugacyClasses:
@@ -751,12 +776,14 @@ class Group:
         order of least member: the types themselves unless one splits (never
         for p = 1), else L is one product of the weights with the exponent
         block and the least members are read off the rows of `firsts`.  The
-        members of every class come from one stable sort of the labels."""
-        _, class_of, _, splits, weights, firsts = self._cycle_data
+        members of every class come from one stable sort of the labels, and
+        the inverse classes from the inverses of the k representatives."""
+        type_of, _, _, splits, weights, firsts = self._cycle_data
+        class_of = type_of
         if splits.max() > 1:
             m = len(self._exp_block)
             starts = np.cumsum(splits) - splits
-            types = class_of.reshape(-1, m)
+            types = type_of.reshape(-1, m)
             labels = weights @ self._exp_block.T
             labels %= splits[types]
             labels += starts[types]
@@ -775,9 +802,11 @@ class Group:
         members = tuple(
             tuple(order[a:b].tolist()) for a, b in zip([0] + ends[:-1], ends)
         )
+        reps = np.array([m[0] for m in members], dtype=np.int64)
         return ConjugacyClasses(
             class_of=class_of, members=members,
-            representatives=tuple(m[0] for m in members), sizes=tuple(counts.tolist()),
+            representatives=tuple(reps.tolist()), sizes=tuple(counts.tolist()),
+            types=type_of[reps], inverse=class_of[self.inverse_of(reps)],
         )
 
     @cached_property

@@ -165,24 +165,20 @@ def count_partition_tuples(r: int, n: int) -> int:
     return vec[n]
 
 
-def _check_tuple_cap(r: int, n: int, max_tuples: int | None) -> None:
-    cap = DEFAULT_TUPLE_CAP if max_tuples is None else max_tuples
-    if cap < 1:
-        raise ParameterError(f"the tuple cap must be at least 1, got {cap}")
+def _check_tuple_cap(r: int, n: int) -> None:
     total = count_partition_tuples(r, n)
-    if total > cap:
+    if total > DEFAULT_TUPLE_CAP:
         raise SizeLimitError(
-            f"{total} partition tuples for r={r}, n={n} exceed the cap {cap}"
+            f"{total} partition tuples for r={r}, n={n} exceed the cap "
+            f"{DEFAULT_TUPLE_CAP}"
         )
 
 
-def enumerate_partition_tuples(
-    r: int, n: int, max_tuples: int | None = None
-) -> tuple[PartitionTuple, ...]:
+def enumerate_partition_tuples(r: int, n: int) -> tuple[PartitionTuple, ...]:
     """All r-tuples of partitions with total size n, deterministic order:
     compositions with earlier slots as large as possible, then each slot in
     partitions_of order.  The trivial tuple ((n), (), ..., ()) comes first."""
-    _check_tuple_cap(r, n, max_tuples)
+    _check_tuple_cap(r, n)
     out = []
     for comp in _compositions(n, r):
         out.extend(itertools.product(*(partitions_of(k) for k in comp)))
@@ -259,12 +255,10 @@ def _partition_table(r: int, n: int) -> dict[Partition, _PartitionFactors]:
     return table
 
 
-def codim_spectrum_entries(
-    r: int, n: int, max_tuples: int | None = None
-) -> tuple[SpectrumEntry, ...]:
+def codim_spectrum_entries(r: int, n: int) -> tuple[SpectrumEntry, ...]:
     """One (eigenvalue, squared dimension, tuple) entry per partition tuple,
     in enumerate_partition_tuples order."""
-    tuples = enumerate_partition_tuples(r, n, max_tuples)
+    tuples = enumerate_partition_tuples(r, n)
     table = _partition_table(r, n)
     n_factorial = factorial(n)
     entries = []
@@ -278,15 +272,13 @@ def codim_spectrum_entries(
     return tuple(entries)
 
 
-def codim_spectrum_combinatorial(
-    r: int, n: int, max_tuples: int | None = None
-) -> tuple[SpectrumEntry, ...]:
+def codim_spectrum_combinatorial(r: int, n: int) -> tuple[SpectrumEntry, ...]:
     """Aggregated codimension spectrum of G(r, 1, n), eigenvalues descending,
     by the slot fold of the module docstring.
 
     The tuple cap applies as in enumerate_partition_tuples, although no tuple
     is listed.  Squared dimensions must add up to the group order r^n * n!."""
-    _check_tuple_cap(r, n, max_tuples)
+    _check_tuple_cap(r, n)
     # choices[kind][k]: (pair, f^2) of each partition of k in that slot kind
     choices: list[dict[int, list]] = [{}, {}]
     for p, row in _partition_table(r, n).items():

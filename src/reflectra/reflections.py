@@ -14,9 +14,10 @@ of cycles,
     l_T(w) = n + c(w) - max sum_B (1 + [s_B = 0 mod r]),
 
 over the set partitions of the cycles into blocks with s_B = 0 (mod p).  For
-p = 1 each cycle is a block and l_T(w) = codim(w).  `Group.reflection_lengths`
-caches it next to `Group.codims`, and the functions here read both from the
-group; `bfs_word_lengths`, a breadth-first search on the Cayley graph, is the
+p = 1 each cycle is a block and l_T(w) = codim(w).  `Group.type_lengths`
+holds it per cycle type next to `Group.type_codims`, the functions here read
+the per-element gathers `Group.reflection_lengths` and `Group.codims`, and
+`bfs_word_lengths`, a breadth-first search on the Cayley graph, is the
 reference it is tested against.  l_T(w) always dominates codim(w), with
 equality for every element exactly in the G(r, 1, n) and real cases.
 """

@@ -19,6 +19,11 @@ with multiplicity chi(1)^2.  Three independent routes are implemented:
 * combinatorial (codimension matrices of G(r, 1, n) only): exact integer
   eigenvalues from partition tuples, in the partitions module.
 
+The three kinds of class function depend on the cycle type alone and are
+read per class from the group's per-type values.  The class-algebra route
+reads k-long class records (sizes, cycle types, inverse classes) and the
+members of the few classes whose sums it takes, nothing else |G| long.
+
 Adjacency (f = indicator of a connection set) and shortest-path distance
 matrices of Cayley graphs are the main instances.  Distance matrices work
 for any inversion-closed generating connection set via breadth-first search,
@@ -58,26 +63,11 @@ ELEMENT_ORDER_REFERENCE = "lex(perm,exponents)"
 
 @dataclass(frozen=True)
 class ClassFunction:
-    """Integer values, one per conjugacy class of a fixed group."""
+    """Integer values, one per conjugacy class of a fixed group; the builders
+    of the three kinds read them through `ConjugacyClasses.types`."""
 
     kind: str
     values: tuple[int, ...]
-
-    @classmethod
-    def from_element_values(cls, group: Group, values, kind: str) -> "ClassFunction":
-        values = np.asarray(values, dtype=np.int64)
-        if values.shape != (group.order,):
-            raise ParameterError(
-                f"need {group.order} element values, got shape {values.shape}"
-            )
-        classes = group.conjugacy
-        per_class = values[list(classes.representatives)]
-        off = classes.class_of[values != per_class[classes.class_of]]
-        if off.size:
-            raise ParameterError(
-                f"values are not constant on conjugacy class {off.min()}"
-            )
-        return cls(kind=kind, values=tuple(per_class.tolist()))
 
     def class_values(self, group: Group) -> np.ndarray:
         """The values as an array, after checking there is one per class."""
@@ -92,21 +82,23 @@ class ClassFunction:
         return self.class_values(group)[group.conjugacy.class_of]
 
 
+def _per_class(group: Group, per_type: np.ndarray, kind: str) -> ClassFunction:
+    values = per_type[group.conjugacy.types].astype(np.int64)
+    return ClassFunction(kind=kind, values=tuple(values.tolist()))
+
+
 def adjacency_function(group: Group) -> ClassFunction:
     """Indicator of the full reflection set."""
-    flags = (group.codims == 1).astype(np.int64)
-    return ClassFunction.from_element_values(group, flags, "adjacency")
+    return _per_class(group, group.type_codims == 1, "adjacency")
 
 
 def distance_function(group: Group) -> ClassFunction:
     """Reflection length as a class function."""
-    return ClassFunction.from_element_values(
-        group, group.reflection_lengths, "distance"
-    )
+    return _per_class(group, group.type_lengths, "distance")
 
 
 def codimension_function(group: Group) -> ClassFunction:
-    return ClassFunction.from_element_values(group, group.codims, "codimension")
+    return _per_class(group, group.type_codims, "codimension")
 
 
 KINDS = ("adjacency", "distance", "codimension")
@@ -370,12 +362,13 @@ def _class_sum_matrix(group: Group, c: int) -> np.ndarray:
     """M[l, j] = #{u in C_c : u^-1 rep_j in C_l}, as float64.  This is the
     slice a[c] of class_structure_constants, from |C_c| * k products; each
     central character is a right eigenvector of it, with eigenvalue
-    omega_chi(C_c)."""
+    omega_chi(C_c).  The inverses u^-1 of the members of C_c are the
+    members of the inverse class, so those are multiplied as they are."""
     classes = group.conjugacy
     k = len(classes)
-    inverses = group.inverse_indices[np.array(classes.members[c])]
     products = group.product_indices(
-        inverses[:, None], np.array(classes.representatives)[None, :]
+        np.array(classes.members[classes.inverse[c]])[:, None],
+        np.array(classes.representatives)[None, :],
     )
     cells = classes.class_of[products] * k + np.arange(k)
     return np.bincount(cells.ravel(), minlength=k * k).reshape(k, k).astype(np.float64)
@@ -395,9 +388,9 @@ def _class_sum_order(group: Group) -> list[int]:
     listed, and a class that is its own inverse is always listed."""
     classes = group.conjugacy
     k = len(classes)
-    reps = np.array(classes.representatives, dtype=np.int64)
-    inverse_class = classes.class_of[group.inverse_indices[reps]].tolist()
-    order = np.lexsort((np.arange(k), np.array(classes.sizes), group.codims[reps]))
+    inverse_class = classes.inverse.tolist()
+    codims = group.type_codims[classes.types]
+    order = np.lexsort((np.arange(k), np.array(classes.sizes), codims))
     identity_class = classes.class_of[group.identity_index]
     listed: list[int] = []
     rotated: set[int] = set()
@@ -580,9 +573,7 @@ def character_degrees(
     be at most 1e-6."""
     classes = group.conjugacy
     sizes = np.array(classes.sizes, dtype=np.float64)
-    reps = np.array(classes.representatives, dtype=np.int64)
-    inverse_class = classes.class_of[group.inverse_indices[reps]]
-    norms = np.real(np.sum(omegas * omegas[:, inverse_class] / sizes, axis=1))
+    norms = np.real(np.sum(omegas * omegas[:, classes.inverse] / sizes, axis=1))
     positive = norms > 0
     squared = group.order / np.where(positive, norms, 1.0)
     rounded = np.rint(np.sqrt(squared))
@@ -660,10 +651,8 @@ def spectrum_class_algebra(
     1e-6 max(1, max |eigenvalue|), the scale of the character certificate,
     whatever the rounding tolerance."""
     _check_tolerance(tolerance)
-    classes = group.conjugacy
     values = f.class_values(group).astype(np.float64)
-    inverse = group.inverse_indices[np.array(classes.representatives, dtype=np.int64)]
-    if not np.array_equal(values, values[classes.class_of[inverse]]):
+    if not np.array_equal(values, values[group.conjugacy.inverse]):
         raise ParameterError(f"{f.kind} matrix is not symmetric: f(C) != f(C^-1)")
     if data is None:
         data = class_algebra_data(group)

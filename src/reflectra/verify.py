@@ -15,8 +15,8 @@ Checks are grouped into suites matching the `verify` subcommand; every check
 also carries a criterion number so the acceptance tests can run the same
 registry sliced the other way.  All orderings are deterministic.  Groups,
 numeric spectra and BFS reference lengths are cached per process; each
-group caches its own per-element data (codimensions, classes, reflection
-lengths).
+group caches its classes and its per-type codimensions and reflection
+lengths, and the per-element arrays gathered from them on first use.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ from math import gcd, sqrt
 
 import numpy as np
 
-from reflectra.errors import NumericError
+from reflectra.errors import NumericError, ParameterError
 from reflectra.groups import (
     GroupElement,
     RationalClasses,
@@ -14,6 +14,7 @@ from reflectra.groups import (
     element_power,
     format_element,
 )
+from reflectra.spectra import ClassFunction
 
 
 def monomial_matrix(x: GroupElement) -> np.ndarray:
@@ -166,6 +167,24 @@ def flat_cycle_walk(group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         pos = step[pos]
         open_ = open_ & (pos != starts)
     return codims, keys, labels.reshape(shape).sum(axis=1)
+
+
+def class_function_from_element_values(group, values, kind: str) -> ClassFunction:
+    """The class function with the given per-element values, read at the
+    class representatives, after checking on all |G| elements that the
+    values are constant on every class; the error names the least class
+    where they are not."""
+    values = np.asarray(values, dtype=np.int64)
+    if values.shape != (group.order,):
+        raise ParameterError(
+            f"need {group.order} element values, got shape {values.shape}"
+        )
+    classes = group.conjugacy
+    per_class = values[list(classes.representatives)]
+    off = classes.class_of[values != per_class[classes.class_of]]
+    if off.size:
+        raise ParameterError(f"values are not constant on conjugacy class {off.min()}")
+    return ClassFunction(kind=kind, values=tuple(per_class.tolist()))
 
 
 def element_texts(group) -> list[str]:

@@ -82,8 +82,6 @@ SPECTRUM_KEYS = {
             "schema", "tuple", "r", "n", "roots", "poincare_star", "poincare",
             "xi", "dimension", "multiplicity",
         }, id="poincare"),
-        pytest.param(["codim-spectrum", "3", "2"], SPECTRUM_KEYS,
-                     id="codim-spectrum"),
     ],
 )
 def test_json_top_level_keys(args, keys):
@@ -114,17 +112,21 @@ def test_spectrum_usage_errors_exit_2(extra):
     assert result.stdout_bytes == b""
 
 
-@pytest.mark.parametrize("cap", ["0", "-1"])
-def test_codim_spectrum_non_positive_cap_exits_2(cap):
-    result = CliRunner().invoke(main, ["codim-spectrum", "2", "3", "--max-tuples", cap])
-    assert result.exit_code == 2, result.output
+def test_combinatorial_tuple_cap_exceeded_exits_1():
+    # G(2,1,40) has 9,035,539 partition tuples, above the default cap
+    result = CliRunner().invoke(main, [
+        "spectrum", "2", "1", "40", "--kind", "codimension",
+        "--method", "combinatorial",
+    ])
+    assert result.exit_code == 1
+    assert "9035539 partition tuples" in result.stderr
     assert result.stdout_bytes == b""
 
 
-def test_codim_spectrum_cap_exceeded_exits_1():
-    result = CliRunner().invoke(main, ["codim-spectrum", "2", "3", "--max-tuples", "9"])
-    assert result.exit_code == 1
-    assert "10 partition tuples" in result.stderr
+def test_codim_spectrum_subcommand_is_gone():
+    result = CliRunner().invoke(main, ["codim-spectrum", "3", "2"])
+    assert result.exit_code == 2
+    assert result.stdout_bytes == b""
 
 
 def test_verify_json_is_byte_identical_on_repeat():

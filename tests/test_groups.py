@@ -607,16 +607,44 @@ class TestFactoredPerElementData:
     @pytest.mark.parametrize("params", ORACLE_GROUPS, ids=str)
     def test_cycle_walk_matches_flat_walk(self, params):
         group = Group(params, max_order=50000)
-        codims, type_of, codes, _, weights, _ = group._cycle_data
+        type_of, codes, type_codims, _, weights, _ = group._cycle_data
         flat_codims, flat_keys, flat_labels = flat_cycle_walk(group)
         # each element's type key: its type's sorted codes as base-nr digits
         n, r = params.n, params.r
         keys = np.ravel_multi_index(tuple(codes[type_of].T), (n * r,) * n)
-        assert codims.dtype == flat_codims.dtype
-        assert np.array_equal(codims, flat_codims)
+        assert type_codims.dtype == flat_codims.dtype
+        assert np.array_equal(type_codims[type_of], flat_codims)
+        assert np.array_equal(group.codims, flat_codims)
         assert np.array_equal(keys, flat_keys)
         # L of element q * m + e is its exponent row e weighted by weights[q]
         assert np.array_equal((weights @ group._exp_block.T).ravel(), flat_labels)
+
+    @pytest.mark.parametrize(
+        "params",
+        ORACLE_GROUPS + tuple(
+            GroupParams(*t) for t in [(4, 4, 4), (3, 3, 5), (12, 3, 3)]
+        ),
+        ids=str,
+    )
+    def test_class_record_matches_per_element_data(self, params):
+        group = Group(params, max_order=50000)
+        classes = group.conjugacy
+        type_of, codes = group._cycle_data[:2]
+        reps = np.array(classes.representatives)
+        assert np.array_equal(classes.types, type_of[reps])
+        assert np.array_equal(
+            classes.inverse, classes.class_of[group.inverse_indices[reps]]
+        )
+        # against the flat walk's keys and each representative's own inverse
+        _, flat_keys, _ = flat_cycle_walk(group)
+        n, r = params.n, params.r
+        keys = np.ravel_multi_index(tuple(codes[classes.types].T), (n * r,) * n)
+        assert np.array_equal(keys, flat_keys[reps])
+        inverses = [
+            int(classes.class_of[group.index_of(group.element(i).inverse())])
+            for i in classes.representatives
+        ]
+        assert classes.inverse.tolist() == inverses
 
     @pytest.mark.parametrize("params", ORACLE_GROUPS, ids=str)
     def test_element_texts_match_format_element(self, params):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from reflectra import partitions as partitions_module
 from reflectra.errors import ParameterError, SizeLimitError
 from reflectra.partitions import (
+    DEFAULT_TUPLE_CAP,
     SpectrumEntry,
     character_dimension,
     closed_form_reference,
@@ -162,13 +163,10 @@ class TestTupleEnumeration:
         assert tuples[0] == ((2,), (), ())
 
     def test_cap(self):
-        with pytest.raises(SizeLimitError):
-            enumerate_partition_tuples(4, 4, max_tuples=5)
-
-    @pytest.mark.parametrize("cap", [0, -1])
-    def test_non_positive_cap_is_bad_input(self, cap):
-        with pytest.raises(ParameterError):
-            enumerate_partition_tuples(2, 3, max_tuples=cap)
+        # 9,035,539 tuples, above the default cap
+        assert count_partition_tuples(2, 40) == 9035539 > DEFAULT_TUPLE_CAP
+        with pytest.raises(SizeLimitError, match="9035539 partition tuples"):
+            enumerate_partition_tuples(2, 40)
 
     @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (4, 2)])
     def test_squared_dimensions_sum_to_group_order(self, r, n):
@@ -310,23 +308,20 @@ class TestCodimSpectrum:
             raise AssertionError("partition table built before the cap check")
 
         monkeypatch.setattr(partitions_module, "partitions_of", unreachable)
-        with pytest.raises(SizeLimitError):
-            codim_spectrum_combinatorial(4, 4, max_tuples=5)
-        with pytest.raises(SizeLimitError):
-            codim_spectrum_entries(4, 4, max_tuples=5)
+        for fn in (
+            codim_spectrum_combinatorial, codim_spectrum_entries,
+            enumerate_partition_tuples,
+        ):
+            with pytest.raises(SizeLimitError, match="9035539 partition tuples"):
+                fn(2, 40)
 
-    @pytest.mark.parametrize("cap", [0, -1])
-    def test_non_positive_cap_is_bad_input(self, cap):
-        with pytest.raises(ParameterError):
-            codim_spectrum_combinatorial(2, 3, max_tuples=cap)
-        with pytest.raises(ParameterError):
-            codim_spectrum_entries(2, 3, max_tuples=cap)
-
-    def test_cap_at_the_tuple_count_passes(self):
+    def test_cap_at_the_tuple_count_passes(self, monkeypatch):
         total = count_partition_tuples(3, 4)
-        assert codim_spectrum_combinatorial(3, 4, max_tuples=total)
+        monkeypatch.setattr(partitions_module, "DEFAULT_TUPLE_CAP", total)
+        assert codim_spectrum_combinatorial(3, 4)
+        monkeypatch.setattr(partitions_module, "DEFAULT_TUPLE_CAP", total - 1)
         with pytest.raises(SizeLimitError):
-            codim_spectrum_combinatorial(3, 4, max_tuples=total - 1)
+            codim_spectrum_combinatorial(3, 4)
 
 
 class TestTupleText:

@@ -40,6 +40,15 @@ BEYOND_DESK_SCALE = tuple(
 )
 
 
+def test_package_attribute_is_the_module():
+    import reflectra
+
+    module = importlib.import_module("reflectra.reflections")
+    assert reflectra.reflections is module
+    assert reflectra.reflections.bfs_word_lengths is bfs_word_lengths
+    assert reflectra.reflections.reflections is reflections
+
+
 def fixed_space_codim(x: GroupElement) -> int:
     """Geometric oracle: n minus the dimension of the fixed space."""
     matrix = monomial_matrix(x) - np.eye(x.n)
@@ -202,6 +211,28 @@ class TestWordLengths:
         monkeypatch.setattr(groups, "cycle_type_length", below_codim)
         with pytest.raises(ConsistencyError, match="fail the certificate"):
             caller(Group(GroupParams(3, 1, 2)))
+
+    @pytest.mark.parametrize(
+        "shift, message",
+        [
+            (lambda length: 1 if length == 0 else length,
+             "identity length 1, 0 reflection types not of length 1, 0 types"),
+            (lambda length: 2 if length == 1 else length,
+             r"identity length 0, [1-9]\d* reflection types not of length 1, 0 "),
+            (lambda length: length - (length > 1),
+             r"identity length 0, 0 reflection types not of length 1, [1-9]"),
+        ],
+        ids=["identity", "reflections", "below-codim"],
+    )
+    def test_each_certificate_condition_is_checked(self, shift, message, monkeypatch):
+        # each broken formula breaks one condition of the certificate on the
+        # cycle types of G(3,1,2) and keeps the other two
+        formula = groups.cycle_type_length
+        monkeypatch.setattr(
+            groups, "cycle_type_length", lambda *args: shift(formula(*args))
+        )
+        with pytest.raises(ConsistencyError, match=message):
+            Group(GroupParams(3, 1, 2)).type_lengths
 
     def test_lengths_bounded_by_rank_plus_one(self):
         for params in [GroupParams(3, 1, 2), GroupParams(4, 2, 2), GroupParams(3, 3, 3)]:

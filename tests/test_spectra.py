@@ -55,7 +55,11 @@ from reflectra.spectra import (
 )
 from reflectra.verify import desk_scale_params, tensor_central_characters
 
-from oracles import character_degrees_by_rows, matrix_by_columns
+from oracles import (
+    character_degrees_by_rows,
+    class_function_from_element_values,
+    matrix_by_columns,
+)
 
 
 class TestJacobi:
@@ -87,7 +91,7 @@ class TestClassFunction:
         )
         values[target] = 1
         with pytest.raises(ParameterError):
-            ClassFunction.from_element_values(group, values, "broken")
+            class_function_from_element_values(group, values, "broken")
 
     def test_error_names_first_non_constant_class(self):
         group = Group(GroupParams(3, 1, 2))
@@ -97,12 +101,12 @@ class TestClassFunction:
         values[members[big[-1]][0]] = 1
         values[members[big[1]][-1]] = 2
         with pytest.raises(ParameterError, match=f"conjugacy class {big[1]}$"):
-            ClassFunction.from_element_values(group, values, "broken")
+            class_function_from_element_values(group, values, "broken")
 
     def test_rejects_wrong_length(self):
         group = Group(GroupParams(3, 1, 2))
         with pytest.raises(ParameterError):
-            ClassFunction.from_element_values(group, [0, 1], "short")
+            class_function_from_element_values(group, [0, 1], "short")
 
     def test_roundtrip_through_classes(self):
         group = Group(GroupParams(4, 2, 2))
@@ -111,8 +115,26 @@ class TestClassFunction:
         for i, x in enumerate(group.elements):
             assert values[i] == group.conjugacy.class_of[i] >= 0
             break
-        rebuilt = ClassFunction.from_element_values(group, values, f.kind)
+        rebuilt = class_function_from_element_values(group, values, f.kind)
         assert rebuilt == f
+
+    @pytest.mark.parametrize("params", desk_scale_params(), ids=str)
+    def test_per_class_values_match_the_constancy_oracle(self, params):
+        # each kind reads one value per class through the cycle types; the
+        # oracle checks element values found independently on every class:
+        # codimensions one element at a time, lengths by BFS
+        group = Group(params)
+        codims = np.array([codim(x) for x in group.elements])
+        element_values = {
+            "adjacency": (codims == 1).astype(np.int64),
+            "distance": bfs_word_lengths(group, reflections(group)),
+            "codimension": codims,
+        }
+        for kind in KINDS:
+            expected = class_function_from_element_values(
+                group, element_values[kind], kind
+            )
+            assert class_function(group, kind) == expected
 
 
 class TestConnectionSets:
@@ -905,6 +927,22 @@ class TestBipartite:
         eigs = spectrum.as_dict()
         assert all(eigs.get(-value) == mult for value, mult in eigs.items())
         assert bipartite_check(group, spectrum)
+
+
+@pytest.mark.parametrize(
+    "params", [GroupParams(2, 1, 6), GroupParams(2, 2, 6)], ids=str
+)
+def test_class_algebra_spectra_read_no_per_element_arrays(params):
+    # the class functions and the class algebra read per-class records
+    # only: no |G|-long inverse map, codimensions or lengths are built
+    group = Group(params, max_order=50000)
+    data = class_algebra_data(group)
+    for kind in KINDS:
+        spectrum = spectrum_class_algebra(group, class_function(group, kind), data=data)
+        assert spectrum.integral
+        assert spectrum.total_multiplicity() == group.order
+    for name in ("inverse_indices", "codims", "reflection_lengths"):
+        assert name not in vars(group)
 
 
 @pytest.mark.parametrize("params", desk_scale_params(), ids=str)

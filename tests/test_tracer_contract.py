@@ -60,8 +60,8 @@ def test_every_traced_group_member_is_wrappable(tracer):
 def test_bfs_is_one_function_bound_in_both_modules():
     # The tracer wraps reflections.bfs_word_lengths and rebinds it by
     # identity, which reaches the calls through the other modules' names
-    # only while they hold the same function.  (The package attribute
-    # reflectra.reflections is the function, so import the module by name.)
+    # only while they hold the same function.  (The module is imported by
+    # name, as the tracer looks it up.)
     reflections = importlib.import_module("reflectra.reflections")
     assert groups.bfs_word_lengths is reflections.bfs_word_lengths
 
