@@ -6,8 +6,8 @@
 Each --tree names a checkout (LABEL=PATH) whose reflectra package is
 imported from PATH/src.  Every round starts one fresh interpreter per tree,
 alternating which tree goes first, with one BLAS thread (benchtrees.py).
-The interpreter builds each group of GROUPS with its classes, codimensions
-and inverse map, then times `class_algebra_data` REPEATS times, keeping the
+The interpreter builds each group of GROUPS with its classes (all the
+class-algebra route reads of it), then times `class_algebra_data` REPEATS times, keeping the
 best; the record holds the median over ROUNDS rounds of those best times,
 in ms, and the class sums taken and kept (from the DEBUG record of the last
 call).  For each of RSS_GROUPS, a separate fresh interpreter per tree and
@@ -50,7 +50,7 @@ logging.getLogger("reflectra.spectra").setLevel(logging.DEBUG)
 
 def prepared(r, p, n, cap):
     group = Group(GroupParams(r, p, n), max_order=cap)
-    group.conjugacy, group.codims, group.inverse_indices
+    group.conjugacy
     return group
 """
 

@@ -43,17 +43,13 @@ from .spectra import (
     KINDS,
     Spectrum,
     adjacency_matrix,
-    all_reflections_connection,
     build_matrix,
     class_function,
-    codimension_function,
-    distance_function,
     distance_matrix_bfs,
     spectrum_class_algebra,
     spectrum_numeric,
     standard_connection,
 )
-from .verify import SUITE_NAMES, run_suite
 
 METHOD_CHOICES = ("numeric", "class-algebra", "combinatorial")
 CONNECTION_CHOICES = ("standard", "all-reflections")
@@ -325,20 +321,15 @@ def lengths_command(r: int, p: int, n: int, fmt: str, output: str | None) -> Non
 
 
 def _build_group_matrix(group: Group, kind: str, connection: str | None):
-    if kind == "codimension":
-        return build_matrix(group, codimension_function(group)), None
-    name = connection or "all-reflections"
-    if kind == "distance" and name == "all-reflections":
-        # the word length over all reflections is Group.reflection_lengths
-        return build_matrix(group, distance_function(group)), name
-    conn = (
-        standard_connection(group)
-        if name == "standard"
-        else all_reflections_connection(group)
-    )
-    if kind == "adjacency":
-        return adjacency_matrix(group, conn), name
-    return distance_matrix_bfs(group, conn), name
+    if connection == "standard":
+        conn = standard_connection(group)
+        if kind == "adjacency":
+            return adjacency_matrix(group, conn), connection
+        return distance_matrix_bfs(group, conn), connection
+    # on all reflections, adjacency and distance (the word length over all
+    # reflections, Group.reflection_lengths) are class functions
+    matrix = build_matrix(group, class_function(group, kind))
+    return matrix, None if kind == "codimension" else "all-reflections"
 
 
 @main.command("matrix")
@@ -502,12 +493,19 @@ def poincare_command(tuple_text: str, fmt: str) -> None:
 
 
 @main.command("verify")
-@click.argument("suite", default="all", required=False,
-                type=click.Choice(SUITE_NAMES))
+@click.argument("suite", default="all", required=False)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @_cli_errors
 def verify_command(suite: str, fmt: str) -> None:
-    """Run the named check suite; exit 0 only when every check passes."""
+    """Run the named check suite (default all); exit 0 only when every check
+    passes."""
+    # imported here, so that no other command loads the check registry
+    from .verify import SUITE_NAMES, run_suite
+
+    if suite not in SUITE_NAMES:
+        raise click.BadParameter(
+            f"{suite!r} is not one of {', '.join(SUITE_NAMES)}", param_hint="SUITE"
+        )
 
     def progress(name: str) -> None:
         click.echo(f"running {name}", err=True)

@@ -11,20 +11,24 @@ reflection-length versus codimension dichotomy, constancy on rational
 classes, Galois exponents, Perron-Frobenius radii, and the three equivalent
 bipartiteness tests.
 
-Checks are grouped into suites matching the `verify` subcommand; every check
-also carries a criterion number so the acceptance tests can run the same
-registry sliced the other way.  All orderings are deterministic.  Groups,
-numeric spectra and BFS reference lengths are cached per process; each
-group caches its classes and its per-type codimensions and reflection
-lengths, and the per-element arrays gathered from them on first use.
+The suites of the `verify` subcommand are one ordered table.  A suite is a
+list of sections, each a tuple of groups and a tuple of rows (prefix,
+criterion, check[, condition on the group]); for each group in turn, every
+row whose condition holds gives one check named prefix-G(r,p,n), which calls
+check(group).  Every comparison of two spectra goes through `_agree`.  Each
+check also carries the criterion number of the fact it tests.  All orderings
+are deterministic.  Groups, numeric spectra and BFS reference lengths are
+cached per process; each group caches its classes and its per-type
+codimensions and reflection lengths, and the per-element arrays gathered
+from them on first use.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import asdict, dataclass
+from functools import lru_cache, partial
 from math import gcd, lcm
 from typing import Callable
 
@@ -92,13 +96,7 @@ class CheckResult:
     runtime: float
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "criterion": self.criterion,
-            "passed": self.passed,
-            "detail": self.detail,
-            "residual": self.residual,
-        }
+        return {key: value for key, value in asdict(self).items() if key != "runtime"}
 
 
 @dataclass(frozen=True)
@@ -169,12 +167,6 @@ def cached_bfs_lengths(params: GroupParams) -> np.ndarray:
     return bfs_word_lengths(group, reflections(group))
 
 
-def _fmt_entries(entries) -> str:
-    if hasattr(entries, "items"):
-        entries = sorted(entries.items(), reverse=True)
-    return " ".join(f"{value}^{mult}" for value, mult in entries)
-
-
 def _integer_deviation(spectrum: Spectrum) -> float:
     """Largest distance from any eigenvalue to its nearest integer."""
     if spectrum.raw is None:
@@ -182,104 +174,91 @@ def _integer_deviation(spectrum: Spectrum) -> float:
     return max(abs(x - round(x)) for x in spectrum.raw)
 
 
-def _spectrum_equals(params: GroupParams, kind: str, expected: dict) -> CheckOutcome:
+def _entry_dict(entries) -> dict:
+    """Eigenvalue -> multiplicity of a Spectrum, of spectrum entries, or of
+    a dict (returned as it is)."""
+    if isinstance(entries, Spectrum):
+        return entries.as_dict()
+    if isinstance(entries, dict):
+        return entries
+    return {e.eigenvalue: e.multiplicity for e in entries}
+
+
+def _fmt_entries(entries: dict) -> str:
+    entries = sorted(entries.items(), reverse=True)
+    return " ".join(f"{value}^{mult}" for value, mult in entries)
+
+
+def _agree(
+    label: str,
+    got,
+    reference_label: str,
+    reference,
+    integral: bool,
+    residual: float | None,
+) -> CheckOutcome:
+    """Two spectra (see _entry_dict) agree when integral holds and their
+    entries are equal.  The detail shows got, and the reference as well when
+    they disagree."""
+    got, reference = _entry_dict(got), _entry_dict(reference)
+    ok = integral and got == reference
+    detail = f"{label} {_fmt_entries(got)}"
+    if not ok:
+        detail += f"; {reference_label} {_fmt_entries(reference)}"
+    return ok, detail, residual
+
+
+def _numeric_equals(params: GroupParams, kind: str, expected) -> CheckOutcome:
     spectrum = cached_numeric_spectrum(params, kind)
-    got = spectrum.as_dict()
-    ok = spectrum.integral and got == expected
-    detail = f"{kind} spectrum {_fmt_entries(got)}"
-    if not ok:
-        detail += f"; expected {_fmt_entries(expected)}"
-    return ok, detail, spectrum.max_residual
+    return _agree(
+        f"{kind} spectrum", spectrum, "expected", expected,
+        spectrum.integral, spectrum.max_residual,
+    )
 
 
-def _dihedral_checks() -> list[Check]:
-    checks: list[Check] = []
-    for r in range(3, 9):
-        params = GroupParams(r, r, 2)
-        adjacency = {r: 1, 0: 2 * r - 2, -r: 1}
-        distance = {3 * r - 2: 1, r - 2: 1, -2: 2 * r - 2}
-        checks.append((
-            f"dihedral-adjacency-{params}",
-            1,
-            lambda q=params, e=adjacency: _spectrum_equals(q, "adjacency", e),
-        ))
-        checks.append((
-            f"dihedral-distance-{params}",
-            1,
-            lambda q=params, e=distance: _spectrum_equals(q, "distance", e),
-        ))
-    return checks
+def _fold(params: GroupParams):
+    return codim_spectrum_combinatorial(params.r, params.n)
 
 
-def _table_checks() -> list[Check]:
-    checks: list[Check] = []
-    for r, n in [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3)]:
-        params = GroupParams(r, 1, n)
-        expected = {e.eigenvalue: e.multiplicity for e in closed_form_reference(r, n)}
-        checks.append((
-            f"table-distance-{params}",
-            2,
-            lambda q=params, e=expected: _spectrum_equals(q, "distance", e),
-        ))
-    return checks
+def _combinatorial_vs_numeric(params: GroupParams) -> CheckOutcome:
+    numeric = cached_numeric_spectrum(params, "codimension")
+    return _agree(
+        "combinatorial", _fold(params), "numeric", numeric,
+        numeric.integral, numeric.max_residual,
+    )
 
 
-def _combinatorial_vs_numeric(r: int, n: int) -> CheckOutcome:
-    combinatorial = {
-        e.eigenvalue: e.multiplicity for e in codim_spectrum_combinatorial(r, n)
-    }
-    spectrum = cached_numeric_spectrum(GroupParams(r, 1, n), "codimension")
-    ok = spectrum.integral and spectrum.as_dict() == combinatorial
-    detail = f"combinatorial {_fmt_entries(combinatorial)}"
-    if not ok:
-        detail += f"; numeric {_fmt_entries(spectrum.as_dict())}"
-    return ok, detail, spectrum.max_residual
+def _combinatorial_vs_closed_form(params: GroupParams) -> CheckOutcome:
+    reference = closed_form_reference(params.r, params.n)
+    return _agree("combinatorial", _fold(params), "closed form", reference, True, None)
 
 
-def _combinatorial_vs_closed_form(r: int, n: int) -> CheckOutcome:
-    combinatorial = {
-        e.eigenvalue: e.multiplicity for e in codim_spectrum_combinatorial(r, n)
-    }
-    reference = {e.eigenvalue: e.multiplicity for e in closed_form_reference(r, n)}
-    ok = combinatorial == reference
-    detail = f"combinatorial {_fmt_entries(combinatorial)}"
-    if not ok:
-        detail += f"; closed form {_fmt_entries(reference)}"
-    return ok, detail, None
-
-
-def _class_algebra_spectrum(params: GroupParams, kind: str) -> CheckOutcome:
+def _class_algebra(params: GroupParams, kind: str) -> Spectrum:
     group = cached_group(params)
-    algebraic = spectrum_class_algebra(
+    return spectrum_class_algebra(
         group, class_function(group, kind), data=cached_class_algebra_data(params)
     )
+
+
+def _class_algebra_vs_numeric(params: GroupParams, kind: str) -> CheckOutcome:
+    algebraic = _class_algebra(params, kind)
     numeric = cached_numeric_spectrum(params, kind)
-    ok = algebraic.integral and numeric.integral and algebraic.entries == numeric.entries
-    detail = f"{kind}: class-algebra {_fmt_entries(algebraic.entries)}"
-    if not ok:
-        detail += f"; numeric {_fmt_entries(numeric.entries)}"
-    return ok, detail, max(algebraic.max_residual, numeric.max_residual)
+    return _agree(
+        f"{kind}: class-algebra", algebraic, "numeric", numeric,
+        algebraic.integral and numeric.integral,
+        max(algebraic.max_residual, numeric.max_residual),
+    )
 
 
-def _class_algebra_vs_combinatorial(
-    params: GroupParams, kind: str
-) -> CheckOutcome:
+def _class_algebra_vs_fold(params: GroupParams, kind: str) -> CheckOutcome:
     """A p = 1 spectrum of the given kind from class algebra against the
     codimension fold; the distance kind is included because reflection length
     equals codimension on G(r, 1, n) (Shi)."""
-    group = cached_group(params)
-    algebraic = spectrum_class_algebra(
-        group, class_function(group, kind), data=cached_class_algebra_data(params)
+    algebraic = _class_algebra(params, kind)
+    return _agree(
+        f"{kind}: codimension fold", _fold(params), "class-algebra", algebraic,
+        algebraic.integral, algebraic.max_residual,
     )
-    fold = {
-        e.eigenvalue: e.multiplicity
-        for e in codim_spectrum_combinatorial(params.r, params.n)
-    }
-    ok = algebraic.integral and algebraic.as_dict() == fold
-    detail = f"{kind}: codimension fold {_fmt_entries(fold)}"
-    if not ok:
-        detail += f"; class-algebra {_fmt_entries(algebraic.entries)}"
-    return ok, detail, algebraic.max_residual
 
 
 def _class_algebra_degrees(params: GroupParams) -> CheckOutcome:
@@ -362,55 +341,6 @@ def _class_count(params: GroupParams) -> CheckOutcome:
     return classes == characters, detail, None
 
 
-def _combinatorial_checks() -> list[Check]:
-    checks: list[Check] = []
-    for r, n in [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]:
-        checks.append((
-            f"codim-combinatorial-vs-numeric-G({r},1,{n})",
-            3,
-            lambda a=r, b=n: _combinatorial_vs_numeric(a, b),
-        ))
-    for n in (2, 3):
-        for r in range(2, 9):
-            checks.append((
-                f"codim-combinatorial-vs-closed-form-G({r},1,{n})",
-                3,
-                lambda a=r, b=n: _combinatorial_vs_closed_form(a, b),
-            ))
-    for r, p, n in [(3, 1, 2), (2, 1, 3), (4, 2, 2)]:
-        params = GroupParams(r, p, n)
-        for kind in KINDS:
-            checks.append((
-                f"class-algebra-{kind}-{params}",
-                10,
-                lambda q=params, k=kind: _class_algebra_spectrum(q, k),
-            ))
-        checks.append((
-            f"class-algebra-degrees-{params}",
-            10,
-            lambda q=params: _class_algebra_degrees(q),
-        ))
-    for params in (q for q in desk_scale_params() if q.p == 1):
-        for kind in ("codimension", "distance"):
-            checks.append((
-                f"class-algebra-vs-combinatorial-{kind}-{params}",
-                3,
-                lambda q=params, k=kind: _class_algebra_vs_combinatorial(q, k),
-            ))
-    for params in desk_scale_params():
-        checks.append((
-            f"class-sums-vs-tensor-{params}",
-            10,
-            lambda q=params: _class_sums_vs_tensor(q),
-        ))
-        checks.append((
-            f"class-count-{params}",
-            10,
-            lambda q=params: _class_count(q),
-        ))
-    return checks
-
-
 def _integrality(params: GroupParams) -> CheckOutcome:
     worst = 0.0
     bad: list[str] = []
@@ -439,23 +369,10 @@ def _standard_set_observation(params: GroupParams) -> CheckOutcome:
     return ok, detail, deviation
 
 
-def _integrality_checks() -> list[Check]:
-    checks: list[Check] = [
-        (
-            f"integral-spectra-{params}",
-            4,
-            lambda q=params: _integrality(q),
-        )
-        for params in desk_scale_params()
-    ]
-    for r in (3, 4):
-        params = GroupParams(r, 1, 2)
-        checks.append((
-            f"standard-set-nonintegral-{params}",
-            11,
-            lambda q=params: _standard_set_observation(q),
-        ))
-    return checks
+def _length_is_codim(params: GroupParams) -> bool:
+    """Reflection length equals codimension on G(r, 1, n) and on the real
+    groups."""
+    return params.p == 1 or is_real(params)
 
 
 def _length_equals_codim(params: GroupParams) -> CheckOutcome:
@@ -466,10 +383,9 @@ def _length_equals_codim(params: GroupParams) -> CheckOutcome:
     return ok, detail, None
 
 
-def _length_exceeds_codim_witness() -> CheckOutcome:
-    params = GroupParams(4, 2, 2)
+def _length_exceeds_codim_witness(params: GroupParams) -> CheckOutcome:
     group = cached_group(params)
-    witness = GroupElement(r=4, exponents=(1, 1), perm=(0, 1))
+    witness = GroupElement(r=params.r, exponents=(1, 1), perm=(0, 1))
     index = group.index_of(witness)
     length = int(cached_bfs_lengths(params)[index])
     codimension = int(group.codims[index])
@@ -491,32 +407,6 @@ def _length_formula(params: GroupParams) -> CheckOutcome:
         "formula and BFS over all reflections"
     )
     return ok, detail, None
-
-
-def _length_codim_checks() -> list[Check]:
-    checks: list[Check] = [
-        (
-            f"length-equals-codim-{params}",
-            5,
-            lambda q=params: _length_equals_codim(q),
-        )
-        for params in desk_scale_params()
-        if params.p == 1 or is_real(params)
-    ]
-    checks.append((
-        "length-exceeds-codim-G(4,2,2)",
-        5,
-        lambda: _length_exceeds_codim_witness(),
-    ))
-    checks += [
-        (
-            f"length-formula-{params}",
-            5,
-            lambda q=params: _length_formula(q),
-        )
-        for params in desk_scale_params()
-    ]
-    return checks
 
 
 def _rational_constancy(params: GroupParams) -> CheckOutcome:
@@ -557,25 +447,6 @@ def _galois_exhaustive(params: GroupParams) -> CheckOutcome:
     return True, f"{pairs} (element, power) pairs verified", None
 
 
-def _rational_length_checks() -> list[Check]:
-    checks: list[Check] = [
-        (
-            f"rational-constancy-{params}",
-            6,
-            lambda q=params: _rational_constancy(q),
-        )
-        for params in desk_scale_params()
-    ]
-    for r, p, n in [(4, 1, 2), (6, 1, 2), (4, 2, 2)]:
-        params = GroupParams(r, p, n)
-        checks.append((
-            f"galois-exhaustive-{params}",
-            7,
-            lambda q=params: _galois_exhaustive(q),
-        ))
-    return checks
-
-
 def _radius(params: GroupParams) -> CheckOutcome:
     group = cached_group(params)
     bad: list[str] = []
@@ -591,128 +462,150 @@ def _radius(params: GroupParams) -> CheckOutcome:
     return ok, detail, None
 
 
-def _xi1_formula(params: GroupParams) -> CheckOutcome:
-    expected = xi1_closed_form(params)
-    total = int(cached_group(params).codims.sum())
-    ok = expected == total
-    detail = f"codimension sum {total}, closed form {expected}"
-    return ok, detail, None
+def _sum_formula(label: str, values: np.ndarray, closed_form: int) -> CheckOutcome:
+    total = int(values.sum())
+    return total == closed_form, f"{label} sum {total}, closed form {closed_form}", None
 
 
-def _eta1_formula(params: GroupParams) -> CheckOutcome:
-    expected = eta1_closed_form(params)
-    total = int(cached_group(params).reflection_lengths.sum())
-    ok = expected == total
-    detail = f"reflection length sum {total}, closed form {expected}"
-    return ok, detail, None
-
-
-def _radius_checks() -> list[Check]:
-    checks: list[Check] = []
-    for params in desk_scale_params():
-        checks.append((
-            f"radius-{params}",
-            8,
-            lambda q=params: _radius(q),
-        ))
-        checks.append((
-            f"xi1-formula-{params}",
-            8,
-            lambda q=params: _xi1_formula(q),
-        ))
-        if params.p == 1 or is_real(params):
-            checks.append((
-                f"eta1-formula-{params}",
-                8,
-                lambda q=params: _eta1_formula(q),
-            ))
-    return checks
+def _bipartite(params: GroupParams) -> bool:
+    """Whether the Cayley graph on all reflections is 2-colourable;
+    bipartite_check raises if the spectrum or the reflection orders say
+    otherwise."""
+    spectrum = cached_numeric_spectrum(params, "adjacency")
+    return bipartite_check(cached_group(params), spectrum)
 
 
 def _bipartite_agreement(params: GroupParams) -> CheckOutcome:
-    group = cached_group(params)
-    spectrum = cached_numeric_spectrum(params, "adjacency")
-    colorable = bipartite_check(group, spectrum)
-    detail = "bipartite" if colorable else "not bipartite"
+    detail = "bipartite" if _bipartite(params) else "not bipartite"
     return True, f"{detail}; 2-coloring, spectrum symmetry, orders agree", None
 
 
-def _bipartite_classification(params: GroupParams, expected: bool) -> CheckOutcome:
-    group = cached_group(params)
-    spectrum = cached_numeric_spectrum(params, "adjacency")
-    colorable = bipartite_check(group, spectrum)
-    ok = colorable == expected
-    detail = (
-        f"bipartite = {colorable}, expected {expected}"
-    )
-    return ok, detail, None
-
-
-def _bipartite_checks() -> list[Check]:
-    checks: list[Check] = [
-        (
-            f"bipartite-agreement-{params}",
-            9,
-            lambda q=params: _bipartite_agreement(q),
-        )
-        for params in desk_scale_params()
-    ]
+def _bipartite_classification(params: GroupParams) -> CheckOutcome:
     # det(g) = sign(perm) * zeta_r^sum(e) with sum(e) in pZ/rZ.  For r/p <= 2
     # det takes only the values +-1 and every reflection has order 2, hence
     # det -1, so det 2-colours the graph.  For r/p >= 3 a diagonal reflection
     # t has t^2 also a reflection, and t * t * t^-2 = 1 is an odd cycle.
-    for params in desk_scale_params():
-        expected = params.r // params.p <= 2
-        checks.append((
-            f"bipartite-class-{params}",
-            9,
-            lambda q=params, e=expected: _bipartite_classification(q, e),
-        ))
-    return checks
+    expected = params.r // params.p <= 2
+    colorable = _bipartite(params)
+    return colorable == expected, f"bipartite = {colorable}, expected {expected}", None
 
 
-_SUITE_BUILDERS: dict[str, Callable[[], list[Check]]] = {
-    "dihedral": _dihedral_checks,
-    "tables": _table_checks,
-    "combinatorial-vs-numeric": _combinatorial_checks,
-    "integrality": _integrality_checks,
-    "length-codim": _length_codim_checks,
-    "rational-length": _rational_length_checks,
-    "radius": _radius_checks,
-    "bipartite": _bipartite_checks,
+def _groups(*triples: tuple[int, int, int]) -> tuple[GroupParams, ...]:
+    return tuple(GroupParams(*triple) for triple in triples)
+
+
+# (prefix, criterion, check[, condition]); check and condition take the group
+Row = tuple
+Section = tuple[tuple[GroupParams, ...], tuple[Row, ...]]
+
+_DESK = desk_scale_params()
+
+_SUITES: dict[str, tuple[Section, ...]] = {
+    "dihedral": (
+        (tuple(GroupParams(r, r, 2) for r in range(3, 9)), (
+            ("dihedral-adjacency", 1, lambda q: _numeric_equals(
+                q, "adjacency", {q.r: 1, 0: 2 * q.r - 2, -q.r: 1})),
+            ("dihedral-distance", 1, lambda q: _numeric_equals(
+                q, "distance", {3 * q.r - 2: 1, q.r - 2: 1, -2: 2 * q.r - 2})),
+        )),
+    ),
+    "tables": (
+        (_groups((2, 1, 2), (3, 1, 2), (4, 1, 2), (5, 1, 2), (2, 1, 3), (3, 1, 3)), (
+            ("table-distance", 2, lambda q: _numeric_equals(
+                q, "distance", closed_form_reference(q.r, q.n))),
+        )),
+    ),
+    "combinatorial-vs-numeric": (
+        (_groups((2, 1, 2), (3, 1, 2), (4, 1, 2), (2, 1, 3), (3, 1, 3)), (
+            ("codim-combinatorial-vs-numeric", 3, _combinatorial_vs_numeric),
+        )),
+        (tuple(GroupParams(r, 1, n) for n in (2, 3) for r in range(2, 9)), (
+            ("codim-combinatorial-vs-closed-form", 3, _combinatorial_vs_closed_form),
+        )),
+        (_groups((3, 1, 2), (2, 1, 3), (4, 2, 2)), tuple(
+            (f"class-algebra-{kind}", 10, partial(_class_algebra_vs_numeric, kind=kind))
+            for kind in KINDS
+        ) + (
+            ("class-algebra-degrees", 10, _class_algebra_degrees),
+        )),
+        (tuple(q for q in _DESK if q.p == 1), tuple(
+            (f"class-algebra-vs-combinatorial-{kind}", 3,
+             partial(_class_algebra_vs_fold, kind=kind))
+            for kind in ("codimension", "distance")
+        )),
+        (_DESK, (
+            ("class-sums-vs-tensor", 10, _class_sums_vs_tensor),
+            ("class-count", 10, _class_count),
+        )),
+    ),
+    "integrality": (
+        (_DESK, (("integral-spectra", 4, _integrality),)),
+        (_groups((3, 1, 2), (4, 1, 2)), (
+            ("standard-set-nonintegral", 11, _standard_set_observation),
+        )),
+    ),
+    "length-codim": (
+        (_DESK, (("length-equals-codim", 5, _length_equals_codim, _length_is_codim),)),
+        (_groups((4, 2, 2)), (
+            ("length-exceeds-codim", 5, _length_exceeds_codim_witness),
+        )),
+        (_DESK, (("length-formula", 5, _length_formula),)),
+    ),
+    "rational-length": (
+        (_DESK, (("rational-constancy", 6, _rational_constancy),)),
+        (_groups((4, 1, 2), (6, 1, 2), (4, 2, 2)), (
+            ("galois-exhaustive", 7, _galois_exhaustive),
+        )),
+    ),
+    "radius": (
+        (_DESK, (
+            ("radius", 8, _radius),
+            ("xi1-formula", 8, lambda q: _sum_formula(
+                "codimension", cached_group(q).codims, xi1_closed_form(q))),
+            ("eta1-formula", 8, lambda q: _sum_formula(
+                "reflection length", cached_group(q).reflection_lengths,
+                eta1_closed_form(q),
+            ), _length_is_codim),
+        )),
+    ),
+    "bipartite": (
+        (_DESK, (("bipartite-agreement", 9, _bipartite_agreement),)),
+        (_DESK, (("bipartite-class", 9, _bipartite_classification),)),
+    ),
 }
 
-SUITE_NAMES = tuple(_SUITE_BUILDERS) + ("all",)
-CRITERIA = tuple(range(1, 12))
+SUITE_NAMES = tuple(_SUITES) + ("all",)
+
+
+def _expand(sections: tuple[Section, ...]) -> list[Check]:
+    """One check per group of a section and row of that section, group by
+    group, skipping a row whose condition fails for the group."""
+    return [
+        (f"{prefix}-{params}", criterion, partial(check, params))
+        for groups, rows in sections
+        for params in groups
+        for prefix, criterion, check, *condition in rows
+        if not condition or condition[0](params)
+    ]
 
 
 def checks_for_suite(suite: str) -> list[Check]:
     if suite == "all":
-        return [check for name in _SUITE_BUILDERS for check in _SUITE_BUILDERS[name]()]
+        return [check for name in _SUITES for check in _expand(_SUITES[name])]
     try:
-        builder = _SUITE_BUILDERS[suite]
+        sections = _SUITES[suite]
     except KeyError:
         raise ReflectraError(
             f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}"
         ) from None
-    return builder()
+    return _expand(sections)
 
 
-def checks_for_criterion(criterion: int) -> list[Check]:
-    if criterion not in CRITERIA:
-        raise ReflectraError(f"criteria run 1..{CRITERIA[-1]}, got {criterion}")
-    return [
-        check for check in checks_for_suite("all") if check[1] == criterion
-    ]
-
-
-def _run_checks(
-    suite: str,
-    checks: list[Check],
-    progress: Callable[[str], None] | None = None,
+def run_suite(
+    suite: str, progress: Callable[[str], None] | None = None
 ) -> VerificationReport:
     results = []
-    for name, criterion, thunk in checks:
+    for name, criterion, thunk in checks_for_suite(suite):
         if progress is not None:
             progress(name)
         start = time.perf_counter()
@@ -723,29 +616,6 @@ def _run_checks(
             detail = f"{type(exc).__name__}: {exc}"
             residual = None
         runtime = time.perf_counter() - start
-        results.append(
-            CheckResult(
-                name=name,
-                criterion=criterion,
-                passed=passed,
-                detail=detail,
-                residual=residual,
-                runtime=runtime,
-            )
-        )
+        results.append(CheckResult(name, criterion, passed, detail, residual, runtime))
         log.debug("check %s: %s (%.3fs)", name, "pass" if passed else "FAIL", runtime)
     return VerificationReport(suite=suite, results=tuple(results))
-
-
-def run_suite(
-    suite: str, progress: Callable[[str], None] | None = None
-) -> VerificationReport:
-    return _run_checks(suite, checks_for_suite(suite), progress)
-
-
-def run_criterion(
-    criterion: int, progress: Callable[[str], None] | None = None
-) -> VerificationReport:
-    return _run_checks(
-        f"criterion-{criterion}", checks_for_criterion(criterion), progress
-    )

@@ -47,6 +47,25 @@ def test_python_dash_m_runs_the_cli():
         assert done.stdout.startswith("G(2,1,2): order 8"), done.stdout
 
 
+def test_only_the_verify_command_imports_verify():
+    src = str(Path(reflectra.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    script = "import sys, reflectra.cli; print('reflectra.verify' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+    done = subprocess.run(
+        [sys.executable, "-m", "reflectra", "verify", "nosuch"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "dihedral" in done.stderr and "all" in done.stderr
+
+
 SPECTRUM_KEYS = {
     "schema", "params", "kind", "method", "entries", "max_residual", "integral",
 }
