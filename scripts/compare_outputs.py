@@ -1,0 +1,109 @@
+"""List the reflectra requests whose stdout or exit code differs between two
+source trees.
+
+    python3 scripts/compare_outputs.py --tree parent=PATH --tree change=.
+
+Each --tree names a checkout (LABEL=PATH) whose reflectra package is
+imported from PATH/src.  The requests are:
+
+* every request of the benchmark workloads (perfbench/workloads.py of this
+  checkout, imported read-only), each with its workload's environment;
+* `verify all`, in text and in json;
+* on every desk-scale group of order at most 200: `group`, `classes`,
+  `lengths --format csv`, `matrix --format json` for the three kinds, and
+  `spectrum --format json` for the three kinds by the numeric and the
+  class-algebra routes.
+
+Each tree answers all of them in one fresh interpreter (benchtrees.run_in)
+through click's test runner, which keeps stdout apart from stderr; a
+request's answer is its exit code, the SHA-256 of its stdout and the type of
+an uncaught exception, if any.  The script prints each request whose answers
+differ, then a count, and exits with status 1 when any differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+from benchtrees import run_in
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from reflectra.spectra import KINDS  # noqa: E402
+from reflectra.verify import desk_scale_params  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+ANSWER = """
+import hashlib, json, sys
+from click.testing import CliRunner
+from reflectra.cli import main
+
+runner = CliRunner()
+answers = []
+for args, env in json.loads(sys.argv[1]):
+    result = runner.invoke(main, args, env=env)
+    error = result.exception
+    answers.append([
+        result.exit_code,
+        hashlib.sha256(result.stdout_bytes).hexdigest(),
+        None if error is None or isinstance(error, SystemExit)
+        else type(error).__name__,
+    ])
+print(json.dumps(answers))
+"""
+
+
+def requests() -> list[tuple[list[str], dict[str, str]]]:
+    """(arguments, environment) of every request, in a fixed order."""
+    found = [
+        (list(request), workload.env)
+        for workload in WORKLOADS.values()
+        for request in workload.requests
+    ]
+    found += [(["verify", "all", "--format", fmt], {}) for fmt in ("text", "json")]
+    for params in desk_scale_params(max_order=200):
+        group = [str(params.r), str(params.p), str(params.n)]
+        found += [
+            (["group", *group], {}),
+            (["classes", *group], {}),
+            (["lengths", *group, "--format", "csv"], {}),
+        ]
+        for kind in KINDS:
+            found.append((["matrix", *group, "--kind", kind, "--format", "json"], {}))
+            found += [
+                (["spectrum", *group, "--kind", kind, "--method", method,
+                  "--format", "json"], {})
+                for method in ("numeric", "class-algebra")
+            ]
+    return found
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tree", action="append", required=True,
+                        help="LABEL=PATH of a source checkout; give two")
+    args = parser.parse_args()
+    trees = dict(item.partition("=")[::2] for item in args.tree)
+    if len(trees) != 2:
+        parser.error("give exactly two trees")
+    listed = requests()
+    answers = {
+        label: run_in(Path(path).resolve(), ANSWER, listed)
+        for label, path in trees.items()
+    }
+    first, second = answers
+    differ = 0
+    for (request, _), a, b in zip(listed, answers[first], answers[second]):
+        if a != b:
+            differ += 1
+            print(f"{' '.join(request)}: {first} {a}, {second} {b}")
+    print(f"{len(listed)} requests, {differ} differ")
+    sys.exit(1 if differ else 0)
+
+
+if __name__ == "__main__":
+    main()

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from functools import wraps
 from pathlib import Path
@@ -23,6 +24,8 @@ import click
 
 from .errors import ParameterError, ReflectraError
 from .groups import (
+    DEFAULT_ENUMERATION_CAP,
+    ENUMERATION_CAP_ENV,
     Group,
     GroupParams,
     element_order,
@@ -64,6 +67,17 @@ def _cli_errors(fn):
             raise
         except ReflectraError as exc:
             click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+        except MemoryError:
+            # numpy's failed allocations raise a MemoryError subclass
+            what = "the request"
+            if "r" in kwargs:
+                what = str(GroupParams(kwargs["r"], kwargs["p"], kwargs["n"]))
+            cap = os.environ.get(ENUMERATION_CAP_ENV, DEFAULT_ENUMERATION_CAP)
+            click.echo(
+                f"error: out of memory on {what} (enumeration cap {cap}, "
+                f"set by {ENUMERATION_CAP_ENV})", err=True,
+            )
             sys.exit(1)
 
     return wrapper

@@ -318,19 +318,21 @@ class ConjugacyClasses:
 
     Classes are numbered by their least member index (`class_of` labels each
     element); that member, the lexicographically least element of the class,
-    is the representative.  `types` holds each class's row in the group's
-    cycle-type table and `inverse` its inverse class, both k long.
+    is the representative.  The identity has index 0, so its class is
+    class 0.  `types` holds each class's row in the group's cycle-type table
+    and `inverse` its inverse class, both k long.  `_members` lists each
+    class's members in index order; only `Group.class_sum_matrix` reads it.
     """
 
     class_of: np.ndarray
-    members: tuple[tuple[int, ...], ...]
+    _members: tuple[tuple[int, ...], ...]
     representatives: tuple[int, ...]
     sizes: tuple[int, ...]
     types: np.ndarray
     inverse: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.sizes)
 
 
 _NO_MEMBER = np.iinfo(np.int64).max
@@ -395,15 +397,14 @@ class Group:
     in lex order, and element q * m + e is (exponent row e | permutation
     q).  No array of the group is |G| long until a per-element fact asks
     for one.  The index maps (`product_indices`, `left_mult_indices`,
-    `right_mult_indices`, `inverse_of`) and `index_of` compute each
-    product's permutation and exponent row from the blocks and rank them:
+    `inverse_of`) and `index_of` compute each product's permutation and
+    exponent row from the blocks and rank them:
     `_perm_rank` reads the Lehmer code, whose digit at position i is perm[i]
     less the popcount of the smaller images already seen, in mixed radix;
     `_exp_rank` divides the base-r value by p, since the r / p admissible
     rows with a common prefix are values p apart.  A left multiplication
     changes the permutation and the exponent row of each element
-    independently, so its map is an outer sum of n! and m ranks; the right
-    multiplications are read off it through the (cached) inverse map.
+    independently, so its map is an outer sum of n! and m ranks.
     `quotient_row_chunks` yields the index table of a group matrix,
     x_i * x_j^{-1} for a chunk of rows against every column, chunk by chunk:
     per left permutation, an outer sum of n! permutation ranks and an (m, m)
@@ -418,7 +419,8 @@ class Group:
     decoded and keyed once, and each element's type, kept |G| long, is a
     gather through its entry.  `conjugacy` holds the classes
     (cycle type, L mod d), numbered by least member from one row per size
-    sequence, with the k-long record the spectrum routes read.  `codims`
+    sequence, with the k-long record the spectrum routes read, and
+    `class_sum_matrix` multiplies out one class sum on it.  `codims`
     and `reflection_lengths` are read-only gathers through the types, built
     when an element-level caller asks.  `element_texts` formats each
     permutation and exponent row once, and `rational` raises the k class
@@ -554,12 +556,6 @@ class Group:
         perms = self._perm_block[q][self._perm_block]
         exps = self._exp_block[:, self._inv_block[q]] + self._exp_block[e]
         return (self._perm_rank(perms)[:, None] * m + self._exp_rank(exps)).ravel()
-
-    def right_mult_indices(self, g: int) -> np.ndarray:
-        """Index map k -> index of elements[k] * elements[g], read off a
-        left multiplication: x * g = (g^{-1} * x^{-1})^{-1}."""
-        inv = self.inverse_indices
-        return inv[self.left_mult_indices(inv[g])[inv]]
 
     def product_indices(self, a, b) -> np.ndarray:
         """Index of elements[a] * elements[b], elementwise over the index
@@ -804,10 +800,26 @@ class Group:
         )
         reps = np.array([m[0] for m in members], dtype=np.int64)
         return ConjugacyClasses(
-            class_of=class_of, members=members,
+            class_of=class_of, _members=members,
             representatives=tuple(reps.tolist()), sizes=tuple(counts.tolist()),
             types=type_of[reps], inverse=class_of[self.inverse_of(reps)],
         )
+
+    def class_sum_matrix(self, c: int) -> np.ndarray:
+        """M[l, j] = #{u in C_c : u^-1 rep_j in C_l}, as float64.  This is the
+        slice a[c] of `spectra.class_structure_constants`, from |C_c| * k
+        products; each central character is a right eigenvector of it, with
+        eigenvalue omega_chi(C_c).  The inverses u^-1 of the members of C_c
+        are the members of the inverse class, so those are multiplied as
+        they are."""
+        classes = self.conjugacy
+        k = len(classes)
+        products = self.product_indices(
+            np.array(classes._members[classes.inverse[c]])[:, None],
+            np.array(classes.representatives)[None, :],
+        )
+        cells = classes.class_of[products] * k + np.arange(k)
+        return np.bincount(cells.ravel(), minlength=k * k).reshape(k, k).astype(np.float64)
 
     @cached_property
     def rational(self) -> RationalClasses:

@@ -118,14 +118,6 @@ def hook_product(p: Partition) -> int:
     return product
 
 
-def standard_tableaux_count(p: Partition) -> int:
-    size = sum(p)
-    count, rem = divmod(factorial(size), hook_product(p))
-    if rem:
-        raise ParameterError(f"hook product does not divide {size}! for {p}")
-    return count
-
-
 def _dimension(n_factorial: int, hook_products, tpl: PartitionTuple) -> int:
     denom = 1
     for h in hook_products:
@@ -224,7 +216,6 @@ class _PartitionFactors(NamedTuple):
     # 0 (roots r - 1 + r*c), then, when r > 1, any later slot (-1 + r*c).
     pairs: tuple[ValueDerivative, ...]
     tableaux: int
-    hook_product: int
 
 
 def _partition_table(r: int, n: int) -> dict[Partition, _PartitionFactors]:
@@ -250,26 +241,23 @@ def _partition_table(r: int, n: int) -> dict[Partition, _PartitionFactors]:
                     for shift in shifts
                 ),
                 tableaux=_dimension(k_factorial, (hooks,), (p,)),
-                hook_product=hooks,
             )
     return table
 
 
 def codim_spectrum_entries(r: int, n: int) -> tuple[SpectrumEntry, ...]:
     """One (eigenvalue, squared dimension, tuple) entry per partition tuple,
-    in enumerate_partition_tuples order."""
-    tuples = enumerate_partition_tuples(r, n)
-    table = _partition_table(r, n)
-    n_factorial = factorial(n)
-    entries = []
-    for tpl in tuples:
-        rows = [table[p] for p in tpl]
-        _, eigenvalue = _product(
-            row.pairs[min(slot, 1)] for slot, row in enumerate(rows)
+    in enumerate_partition_tuples order, from each tuple's own roots and
+    hook lengths: the path of the `poincare` command, which shares no
+    partition table with the fold."""
+    return tuple(
+        SpectrumEntry(
+            xi_from_roots(poincare_star_roots(tpl, r)),
+            character_dimension(tpl) ** 2,
+            tpl,
         )
-        dim = _dimension(n_factorial, (row.hook_product for row in rows), tpl)
-        entries.append(SpectrumEntry(eigenvalue, dim * dim, tpl))
-    return tuple(entries)
+        for tpl in enumerate_partition_tuples(r, n)
+    )
 
 
 def codim_spectrum_combinatorial(r: int, n: int) -> tuple[SpectrumEntry, ...]:

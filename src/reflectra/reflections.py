@@ -6,20 +6,14 @@ exponent sum vanishes mod r, so
     codim(w) = n - #(cycles with exponent sum 0 mod r).
 
 Reflections are the elements of codimension 1.  The word length l_T(w) over
-the full reflection set T is a function of the cycle data alone (J.-y. Shi,
-"Formula for the reflection length of elements in the group G(m,p,n)",
-J. Algebra 316, 2007): with c(w) cycles and s_B the exponent sum of a set B
-of cycles,
-
-    l_T(w) = n + c(w) - max sum_B (1 + [s_B = 0 mod r]),
-
-over the set partitions of the cycles into blocks with s_B = 0 (mod p).  For
-p = 1 each cycle is a block and l_T(w) = codim(w).  `Group.type_lengths`
-holds it per cycle type next to `Group.type_codims`, the functions here read
-the per-element gathers `Group.reflection_lengths` and `Group.codims`, and
-`bfs_word_lengths`, a breadth-first search on the Cayley graph, is the
-reference it is tested against.  l_T(w) always dominates codim(w), with
-equality for every element exactly in the G(r, 1, n) and real cases.
+the full reflection set T is a function of the cycle data alone, by Shi's
+formula (stated in the docstring of the groups module); for p = 1 it is
+codim(w).  `Group.type_lengths` holds it per cycle type next to
+`Group.type_codims`, the functions here read the per-element gathers
+`Group.reflection_lengths` and `Group.codims`, and `bfs_word_lengths`, a
+breadth-first search on the Cayley graph, is the reference it is tested
+against.  l_T(w) always dominates codim(w), with equality for every element
+exactly in the G(r, 1, n) and real cases.
 """
 
 from __future__ import annotations
@@ -105,10 +99,8 @@ def xi1_closed_form(params: GroupParams) -> int:
 def eta1_closed_form(params: GroupParams) -> int:
     """|W| * sum((d_i - 1) / d_i), which is also the total codimension.  It
     matches the total reflection length for real groups and for every
-    G(r, 1, n): by Shi's formula (J. Algebra 316, 2007; module docstring)
-    l_T(w) = n + c(w) - max sum_B (1 + [s_B = 0 mod r]) over partitions of
-    the cycles into blocks with s_B = 0 mod p, which for p = 1 leaves each
-    cycle a block and reduces to codim(w)."""
+    G(r, 1, n), where Shi's formula (groups module docstring) reduces to
+    codim(w)."""
     data = degree_data(params)
     total = sum(
         (d - 1) * (params.order // d) for d in data.degrees

@@ -22,7 +22,7 @@ with multiplicity chi(1)^2.  Three independent routes are implemented:
 The three kinds of class function depend on the cycle type alone and are
 read per class from the group's per-type values.  The class-algebra route
 reads k-long class records (sizes, cycle types, inverse classes) and the
-members of the few classes whose sums it takes, nothing else |G| long.
+class sums of a few classes (`Group.class_sum_matrix`), nothing else |G| long.
 
 Adjacency (f = indicator of a connection set) and shortest-path distance
 matrices of Cayley graphs are the main instances.  Distance matrices work
@@ -337,7 +337,8 @@ def class_structure_constants(group: Group) -> np.ndarray:
     a = np.zeros((k, k, k), dtype=np.int64)
     inv = group.inverse_indices
     for target, rep in enumerate(classes.representatives):
-        to_rep = group.right_mult_indices(rep)[inv]
+        # u^-1 * rep = (rep^-1 * u)^-1 for every u
+        to_rep = inv[group.left_mult_indices(inv[rep])]
         np.add.at(a, (class_of, class_of[to_rep], target), 1)
     return a
 
@@ -358,27 +359,11 @@ class ClassAlgebraData:
     class_sums: tuple[int, ...]
 
 
-def _class_sum_matrix(group: Group, c: int) -> np.ndarray:
-    """M[l, j] = #{u in C_c : u^-1 rep_j in C_l}, as float64.  This is the
-    slice a[c] of class_structure_constants, from |C_c| * k products; each
-    central character is a right eigenvector of it, with eigenvalue
-    omega_chi(C_c).  The inverses u^-1 of the members of C_c are the
-    members of the inverse class, so those are multiplied as they are."""
-    classes = group.conjugacy
-    k = len(classes)
-    products = group.product_indices(
-        np.array(classes.members[classes.inverse[c]])[:, None],
-        np.array(classes.representatives)[None, :],
-    )
-    cells = classes.class_of[products] * k + np.arange(k)
-    return np.bincount(cells.ravel(), minlength=k * k).reshape(k, k).astype(np.float64)
-
-
 def _class_sum_order(group: Group) -> list[int]:
     """The order in which class_algebra_data takes class sums: the classes
-    other than the identity's, by (codimension of the representative, class
-    size, class index), leaving out each class whose inverse class is
-    already listed after the first entry.
+    other than the identity's (class 0), by (codimension of the
+    representative, class size, class index), leaving out each class whose
+    inverse class is already listed after the first entry.
 
     omega_chi(C^-1) = conj omega_chi(C), so a space on which omega(C) is
     constant has omega(C^-1) constant too.  Every class sum after the first
@@ -391,11 +376,10 @@ def _class_sum_order(group: Group) -> list[int]:
     inverse_class = classes.inverse.tolist()
     codims = group.type_codims[classes.types]
     order = np.lexsort((np.arange(k), np.array(classes.sizes), codims))
-    identity_class = classes.class_of[group.identity_index]
     listed: list[int] = []
     rotated: set[int] = set()
     for c in order.tolist():
-        if c == identity_class or inverse_class[c] in rotated:
+        if c == 0 or inverse_class[c] in rotated:
             continue
         if listed:
             rotated.add(c)
@@ -474,7 +458,7 @@ def _separate_characters(
                 f"all {taken} class sums taken, a space of size "
                 f"{max(stacks)} still open"
             )
-        matrix = _class_sum_matrix(group, order[taken])
+        matrix = group.class_sum_matrix(order[taken])
         scaled = matrix * (root / root[:, None])
         if not taken:
             values, vectors = np.linalg.eigh(scaled + scaled.T)
@@ -523,7 +507,8 @@ def _separate_characters(
             if w in carried:
                 stacked.append(carried[w])
             stacks[w] = np.concatenate(stacked)
-    anchors = lines[int(classes.class_of[group.identity_index])]
+    # each common eigenvector's entry at the identity's class, class 0
+    anchors = lines[0]
     if np.abs(anchors).min() < 1e-12:
         raise NumericError(
             f"a common eigenvector of the class sums of {group.params} "

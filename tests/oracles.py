@@ -27,6 +27,22 @@ def monomial_matrix(x: GroupElement) -> np.ndarray:
     return matrix
 
 
+def right_mult_indices(group, g: int) -> np.ndarray:
+    """Index map k -> index of x_k * g, from the left multiplication by
+    g^{-1} and the inverse map: x_k * g = (g^{-1} * x_k^{-1})^{-1}."""
+    inv = group.inverse_indices
+    return inv[group.left_mult_indices(inv[g])[inv]]
+
+
+def class_members(group) -> tuple[tuple[int, ...], ...]:
+    """The members of each conjugacy class in index order, from `class_of`
+    one element at a time."""
+    members: list[list[int]] = [[] for _ in range(len(group.conjugacy))]
+    for i, c in enumerate(group.conjugacy.class_of.tolist()):
+        members[c].append(i)
+    return tuple(tuple(m) for m in members)
+
+
 def conjugation_indices(group, g: int) -> np.ndarray:
     """Index map k -> index of g * x_k * g^{-1}.  With L the left
     multiplication by g, x_j * g^{-1} = (g * x_j^{-1})^{-1} has index
@@ -221,7 +237,7 @@ def matrix_by_columns(group, values) -> np.ndarray:
     inv = group.inverse_indices
     entries = np.empty((group.order, group.order), dtype=np.int64)
     for j in range(group.order):
-        entries[:, j] = values[group.right_mult_indices(inv[j])]
+        entries[:, j] = values[right_mult_indices(group, inv[j])]
     return entries
 
 

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import reflectra
-from reflectra import spectra
+from reflectra import cli, spectra
 from reflectra.cli import main
 from reflectra.groups import Group, format_element
 from reflectra.reflections import reflection_length_table
@@ -140,6 +140,28 @@ def test_combinatorial_tuple_cap_exceeded_exits_1():
     assert result.exit_code == 1
     assert "9035539 partition tuples" in result.stderr
     assert result.stdout_bytes == b""
+
+
+@pytest.mark.parametrize(
+    "args", [["group", "2", "1", "9"],
+             ["spectrum", "2", "1", "9", "--kind", "distance",
+              "--method", "class-algebra", "--format", "json"]],
+    ids=["group", "spectrum"],
+)
+def test_out_of_memory_is_one_error_line(args, monkeypatch):
+    # a failed allocation, as numpy raises it for G(2,1,9) with the cap
+    # raised, reports the group and the cap instead of a traceback
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.38 GiB")
+
+    monkeypatch.setattr(cli, "Group", out_of_memory)
+    result = CliRunner().invoke(main, args, env={"REFLECTRA_MAX_ORDER": "200000000"})
+    assert result.exit_code == 1
+    assert result.stdout_bytes == b""
+    assert result.stderr == (
+        "error: out of memory on G(2,1,9) (enumeration cap 200000000, "
+        "set by REFLECTRA_MAX_ORDER)\n"
+    )
 
 
 def test_codim_spectrum_subcommand_is_gone():

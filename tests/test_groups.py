@@ -36,6 +36,7 @@ from reflectra.verify import desk_scale_params
 
 from oracles import (
     FlatIndexMaps,
+    class_members,
     conjugation_indices,
     conjugation_orbits,
     element_texts,
@@ -43,6 +44,7 @@ from oracles import (
     flat_cycle_walk,
     monomial_matrix,
     power_scan_rational,
+    right_mult_indices,
 )
 
 # the factored per-element passes against their oracles: every desk-scale
@@ -295,7 +297,7 @@ class TestIndexMaps:
         group = Group(GroupParams(r, p, n))
         for g in (1, group.order // 2, group.order - 1):
             left = group.left_mult_indices(g)
-            right = group.right_mult_indices(g)
+            right = right_mult_indices(group, g)
             for k in (0, 1, group.order // 3, group.order - 1):
                 assert left[k] == group.index_of(
                     multiply(group.elements[g], group.elements[k])
@@ -318,7 +320,7 @@ class TestIndexMaps:
         table = group.product_indices(a[:, None], a[None, :])
         assert table.shape == (group.order, group.order)
         for g in (0, 1, group.order - 1):
-            assert np.array_equal(table[:, g], group.right_mult_indices(g))
+            assert np.array_equal(table[:, g], right_mult_indices(group, g))
             assert np.array_equal(table[g], group.left_mult_indices(g))
 
     @pytest.mark.parametrize("r,p,n", [(3, 1, 2), (4, 2, 2)])
@@ -362,8 +364,9 @@ class TestRankArithmetic:
         for g in gens + picked.tolist():
             maps = {
                 "left_mult_indices": group.left_mult_indices(g),
-                "right_mult_indices": group.right_mult_indices(g),
-                # the oracles' conjugation map, over the group's index maps
+                # the oracles' right multiplication and conjugation maps,
+                # over the group's left and inverse maps
+                "right_mult_indices": right_mult_indices(group, g),
                 "conjugation_indices": conjugation_indices(group, g),
             }
             for name, got in maps.items():
@@ -458,7 +461,7 @@ class TestConjugacy:
     @pytest.mark.parametrize("r,p,n", [(3, 1, 2), (1, 1, 4), (4, 2, 2), (3, 3, 2), (2, 2, 3)])
     def test_against_brute_force(self, r, p, n):
         group = Group(GroupParams(r, p, n))
-        computed = {frozenset(members) for members in group.conjugacy.members}
+        computed = {frozenset(members) for members in class_members(group)}
         assert computed == brute_force_classes(group)
 
     def test_class_count_g312(self):
@@ -468,11 +471,21 @@ class TestConjugacy:
         group = Group(GroupParams(4, 2, 2))
         classes = group.conjugacy
         assert sum(classes.sizes) == group.order
-        for index, members in enumerate(classes.members):
+        for index, members in enumerate(class_members(group)):
             assert classes.sizes[index] == len(members)
             assert classes.representatives[index] == members[0]
             for member in members:
                 assert classes.class_of[member] == index
+        assert classes._members == class_members(group)
+
+    @pytest.mark.parametrize(
+        "params", desk_scale_params() + (GroupParams(2, 2, 6),), ids=str
+    )
+    def test_identity_is_class_zero(self, params):
+        # the class-algebra route and verify take the identity's class as 0
+        group = Group(params, max_order=50000)
+        assert group.element(group.identity_index).is_identity()
+        assert group.conjugacy.class_of[group.identity_index] == 0
 
     @pytest.mark.parametrize(
         "params", [q for q in desk_scale_params() if q.p == 1], ids=str
@@ -489,7 +502,8 @@ class TestConjugacy:
                 class_of[i] = c
         classes = group.conjugacy
         assert classes.class_of.tolist() == class_of
-        assert classes.members == tuple(tuple(orbit) for orbit in orbits)
+        assert class_members(group) == tuple(tuple(orbit) for orbit in orbits)
+        assert classes._members == class_members(group)
         assert classes.representatives == tuple(orbit[0] for orbit in orbits)
         assert classes.sizes == tuple(len(orbit) for orbit in orbits)
 
@@ -511,7 +525,9 @@ class TestConjugacy:
             class_of[orbit] = c
         classes = group.conjugacy
         assert classes.class_of.tolist() == class_of.tolist()
-        assert classes.members == tuple(tuple(orbit) for orbit in orbits)
+        assert class_members(group) == tuple(tuple(orbit) for orbit in orbits)
+        # the member lists behind Group.class_sum_matrix
+        assert classes._members == class_members(group)
         assert classes.representatives == tuple(orbit[0] for orbit in orbits)
         assert classes.sizes == tuple(len(orbit) for orbit in orbits)
 
@@ -594,7 +610,7 @@ class TestConjugacy:
 
     def test_cycle_type_constant_on_classes_p1(self):
         group = Group(GroupParams(3, 1, 2))
-        for members in group.conjugacy.members:
+        for members in class_members(group):
             types = {cycle_type(group.elements[i]) for i in members}
             assert len(types) == 1
 
@@ -691,7 +707,7 @@ class TestRationalClasses:
         group = Group(GroupParams(r, p, n))
         classes = group.conjugacy
         rational_of = group.rational.class_to_rational
-        for members in classes.members:
+        for members in class_members(group):
             x = group.elements[members[0]]
             order = element_order(x)
             for d in range(1, order + 1):

@@ -16,6 +16,7 @@ from reflectra.errors import ParameterError, SizeLimitError
 from reflectra.partitions import (
     DEFAULT_TUPLE_CAP,
     SpectrumEntry,
+    _partition_table,
     character_dimension,
     closed_form_reference,
     codim_spectrum_combinatorial,
@@ -30,7 +31,6 @@ from reflectra.partitions import (
     partition_counts,
     partitions_of,
     poincare_star_roots,
-    standard_tableaux_count,
     validate_partition,
     xi_from_roots,
 )
@@ -135,10 +135,11 @@ class TestBoxStatistics:
 
     @given(partitions)
     def test_tableaux_count_against_brute_force(self, p):
-        assert standard_tableaux_count(p) == brute_standard_tableaux(p)
+        # the counts f the fold weights each partition with
+        assert _partition_table(1, sum(p))[p].tableaux == brute_standard_tableaux(p)
 
     def test_tableaux_count_example(self):
-        assert standard_tableaux_count((3, 1)) == 3
+        assert _partition_table(3, 4)[(3, 1)].tableaux == 3
 
 
 class TestTupleEnumeration:

@@ -25,7 +25,6 @@ from reflectra.reflections import codim, reflections
 from reflectra.spectra import (
     KINDS,
     ClassFunction,
-    _class_sum_matrix,
     _class_sum_order,
     _certify,
     _cluster,
@@ -57,6 +56,7 @@ from reflectra.verify import desk_scale_params, tensor_central_characters
 
 from oracles import (
     character_degrees_by_rows,
+    class_members,
     class_function_from_element_values,
     matrix_by_columns,
 )
@@ -87,7 +87,7 @@ class TestClassFunction:
         group = Group(GroupParams(3, 1, 2))
         values = np.zeros(group.order, dtype=np.int64)
         target = next(
-            members[0] for members in group.conjugacy.members if len(members) > 1
+            members[0] for members in class_members(group) if len(members) > 1
         )
         values[target] = 1
         with pytest.raises(ParameterError):
@@ -95,7 +95,7 @@ class TestClassFunction:
 
     def test_error_names_first_non_constant_class(self):
         group = Group(GroupParams(3, 1, 2))
-        members = group.conjugacy.members
+        members = class_members(group)
         big = [c for c, m in enumerate(members) if len(m) > 1]
         values = np.zeros(group.order, dtype=np.int64)
         values[members[big[-1]][0]] = 1
@@ -221,7 +221,7 @@ class TestMatrices:
             raise AssertionError("work started before the cap was checked")
 
         monkeypatch.setattr(spectra, "bfs_word_lengths", no_work)
-        monkeypatch.setattr(Group, "right_mult_indices", no_work)
+        monkeypatch.setattr(spectra, "class_structure_constants", no_work)
         monkeypatch.setattr(Group, "quotient_row_chunks", no_work)
         with pytest.raises(ParameterError, match="at least 1"):
             _matrix_builders(Group(GroupParams(3, 1, 2)), cap)[builder]()
@@ -236,7 +236,7 @@ class TestMatrices:
         group = Group(GroupParams(3, 1, 2))
         calls = _matrix_builders(group, group.order - 1)
         monkeypatch.setattr(spectra, "bfs_word_lengths", no_work)
-        monkeypatch.setattr(Group, "right_mult_indices", no_work)
+        monkeypatch.setattr(spectra, "class_structure_constants", no_work)
         monkeypatch.setattr(Group, "quotient_row_chunks", no_work)
         with pytest.raises(SizeLimitError, match="exceeds the dense matrix cap"):
             calls[builder]()
@@ -439,7 +439,7 @@ class TestCharacterChecks:
         group = Group(GroupParams(r, p, n))
         data = class_algebra_data(group)
         omegas, used = data.central_characters, list(data.class_sums)
-        matrices = np.stack([_class_sum_matrix(group, c) for c in used])
+        matrices = np.stack([group.class_sum_matrix(c) for c in used])
         threshold = 1e-6 * max(1.0, float(np.abs(omegas).max()) ** 2)
         assert _eigenvector_residual(matrices, used, omegas) <= threshold
         row = omegas.shape[0] // 2
@@ -453,7 +453,7 @@ class TestCharacterChecks:
         group = Group(GroupParams(r, p, n))
         data = class_algebra_data(group)
         kept = list(data.class_sums)
-        matrices = [_class_sum_matrix(group, c) for c in kept]
+        matrices = [group.class_sum_matrix(c) for c in kept]
         perturbed = data.central_characters.copy()
         perturbed[len(perturbed) // 2, -1] += 1e-3
         with pytest.raises(NumericError) as caught:
@@ -569,7 +569,7 @@ class TestSeparation:
         group = Group(GroupParams(r, p, n))
         data = class_algebra_data(group)
         kept = list(data.class_sums)
-        matrices = [_class_sum_matrix(group, c) for c in kept]
+        matrices = [group.class_sum_matrix(c) for c in kept]
         omegas = data.central_characters
         _certify(group, omegas, kept, matrices)
         duplicated = omegas.copy()
@@ -607,7 +607,7 @@ class TestSeparation:
             def class_sum(group, c, split=split_first):
                 return np.diag(np.eye(k)[0]) if split and c == first else np.eye(k)
 
-            monkeypatch.setattr(spectra, "_class_sum_matrix", class_sum)
+            monkeypatch.setattr(Group, "class_sum_matrix", class_sum)
             with pytest.raises(NumericError) as caught:
                 _separate_characters(group)
             message = str(caught.value)
@@ -670,7 +670,7 @@ def test_class_sum_matrices_are_tensor_slices(r, p, n):
     group = Group(GroupParams(r, p, n))
     a = class_structure_constants(group)
     for c in range(len(a)):
-        assert np.array_equal(_class_sum_matrix(group, c), a[c])
+        assert np.array_equal(group.class_sum_matrix(c), a[c])
 
 
 def assert_matches_the_tensor_route(group, data):
