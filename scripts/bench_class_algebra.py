@@ -24,10 +24,15 @@ from pathlib import Path
 from benchtrees import alternate, main, run_in
 
 # the three groups of the class-algebra-wide workload (k = 98-171) and
-# G(5,1,4) (k = 190), then two groups with k = 726 and 918
-GROUPS = ((6, 2, 4), (4, 1, 4), (6, 1, 3), (5, 1, 4), (8, 1, 4), (6, 1, 5))
-RSS_GROUPS = ((8, 1, 4), (6, 1, 5))
-RAISED_CAP = 10**6
+# G(5,1,4) (k = 190), two groups with k = 726 and 918, and two with h = 2
+# scalar blocks: G(2,1,6) (k = 65) and G(2,2,8) (order 5,160,960, class
+# sums over classes of up to 8,960 elements)
+GROUPS = (
+    (6, 2, 4), (4, 1, 4), (6, 1, 3), (5, 1, 4), (8, 1, 4), (6, 1, 5),
+    (2, 1, 6), (2, 2, 8),
+)
+RSS_GROUPS = ((2, 2, 8), (8, 1, 4), (6, 1, 5))
+RAISED_CAP = 10**7
 ROUNDS = 5
 REPEATS = 5
 

@@ -40,6 +40,10 @@ sequence's block.  So every element's entry is one product of the exponent
 rows with per-permutation place values, its type and codimension are
 gathers from the table, and L is one such product too.
 
+The scalar matrices of G(r, p, n) are the powers of z = zeta^c0 I with
+c0 = p / gcd(n, p), a cyclic group of order h = r gcd(n, p) / p.  They are
+central, so multiplying by z permutes the classes (`Group.scalar_shift`).
+
 Reflection length, the word length over all reflections, also depends only
 on cycle data (J.-y. Shi, "Formula for the reflection length of elements in
 the group G(m,p,n)", J. Algebra 316, 2007).  With c(w) cycles and s_B the
@@ -420,7 +424,10 @@ class Group:
     gather through its entry.  `conjugacy` holds the classes
     (cycle type, L mod d), numbered by least member from one row per size
     sequence, with the k-long record the spectrum routes read, and
-    `class_sum_matrix` multiplies out one class sum on it.  `codims`
+    `class_sum_matrix` multiplies out one class sum on it, at every class
+    or at chosen columns only.  `scalar_shift`, built lazily and read only
+    by the class-algebra route, maps each class C to z C for the generator
+    z of the scalar matrices (module docstring).  `codims`
     and `reflection_lengths` are read-only gathers through the types, built
     when an element-level caller asks.  `element_texts` formats each
     permutation and exponent row once, and `rational` raises the k class
@@ -805,21 +812,49 @@ class Group:
             types=type_of[reps], inverse=class_of[self.inverse_of(reps)],
         )
 
-    def class_sum_matrix(self, c: int) -> np.ndarray:
-        """M[l, j] = #{u in C_c : u^-1 rep_j in C_l}, as float64.  This is the
-        slice a[c] of `spectra.class_structure_constants`, from |C_c| * k
-        products; each central character is a right eigenvector of it, with
-        eigenvalue omega_chi(C_c).  The inverses u^-1 of the members of C_c
-        are the members of the inverse class, so those are multiplied as
-        they are."""
+    @cached_property
+    def scalar_shift(self) -> np.ndarray:
+        """Read-only class of z rep_C for each class C, where
+        z = zeta^c0 I, c0 = p / gcd(n, p), generates the scalar matrices of
+        G(r, p, n) (zeta^c I lies in it exactly when n c = 0 mod p); z has
+        order h = r gcd(n, p) / p.  z is central, so z C is a class; the map
+        costs k products and is built only when asked for."""
+        n, p = self.params.n, self.params.p
+        # the identity permutation has rank 0
+        z = self._exp_rank(np.full(n, p // gcd(n, p)))
         classes = self.conjugacy
-        k = len(classes)
-        products = self.product_indices(
-            np.array(classes._members[classes.inverse[c]])[:, None],
-            np.array(classes.representatives)[None, :],
-        )
-        cells = classes.class_of[products] * k + np.arange(k)
-        return np.bincount(cells.ravel(), minlength=k * k).reshape(k, k).astype(np.float64)
+        reps = np.array(classes.representatives)
+        return _frozen(classes.class_of[self.product_indices(z, reps)])
+
+    def class_sum_matrix(self, c: int, columns=None) -> np.ndarray:
+        """M[l, j] = #{u in C_c : u^-1 rep_j in C_l}, as float64, over the
+        classes j of columns (every class by default) as columns.  Over all
+        columns this is the slice a[c] of
+        `spectra.class_structure_constants`; each central character is a
+        right eigenvector of it, with eigenvalue omega_chi(C_c).  The
+        inverses u^-1 of the members of C_c are the members of the inverse
+        class, so those are multiplied as they are, |C_c| per column.
+
+        A product (a | s) (b | t) = (a + b o s^-1 | s t): its permutation
+        is ranked once per distinct pair (s, t), and its exponent row is
+        b o s^-1, gathered once per distinct s and column, plus a."""
+        classes = self.conjugacy
+        reps = np.array(classes.representatives)
+        if columns is not None:
+            reps = reps[columns]
+        members = np.array(classes._members[classes.inverse[c]])
+        m = len(self._exp_block)
+        perms, perm_of = np.unique(members // m, return_inverse=True)
+        rep_perms, rep_perm_of = np.unique(reps // m, return_inverse=True)
+        ranks = self._perm_rank(self._perm_block[perms][:, self._perm_block[rep_perms]])
+        # b o s^-1 for each column b and each distinct s
+        shifted = self._exp_block[reps % m][:, self._inv_block[perms]]
+        exps = shifted.transpose(1, 0, 2)[perm_of]
+        exps += self._exp_block[members % m][:, None]
+        products = ranks[perm_of][:, rep_perm_of] * m + self._exp_rank(exps)
+        cells = classes.class_of[products] * len(reps) + np.arange(len(reps))
+        counts = np.bincount(cells.ravel(), minlength=len(classes) * len(reps))
+        return counts.reshape(len(classes), len(reps)).astype(np.float64)
 
     @cached_property
     def rational(self) -> RationalClasses:

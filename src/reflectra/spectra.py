@@ -11,18 +11,23 @@ with multiplicity chi(1)^2.  Three independent routes are implemented:
 * numeric: build the dense matrix, a chunk of rows at a time from the
   group's block rank tables (matrix_from_element_values), and take its
   eigenvalues with LAPACK (numpy's eigvalsh);
-* class-algebra: split the space into the common eigenlines of the class
+* class-algebra: the scalar matrices <z>, of order h, are central, so the
+  characters fall into h blocks by their value at z, and the class algebra
+  into h invariant blocks of about k / h coordinates, one per z-orbit of
+  classes.  Each block is split into the common eigenlines of the class
   sums of low-codimension classes, one class sum at a time, in a scaled
   basis where they are normal, passing over the class sums of inverse
-  classes, which split nothing; each line is a certified central character,
-  and theta_chi needs no |G| x |G| matrix and no (k, k, k) tensor;
+  classes, which split nothing; a class sum is built only at the columns of
+  the orbit heads.  Each line is a certified central character, and
+  theta_chi needs no |G| x |G| matrix and no (k, k, k) tensor;
 * combinatorial (codimension matrices of G(r, 1, n) only): exact integer
   eigenvalues from partition tuples, in the partitions module.
 
 The three kinds of class function depend on the cycle type alone and are
 read per class from the group's per-type values.  The class-algebra route
-reads k-long class records (sizes, cycle types, inverse classes) and the
-class sums of a few classes (`Group.class_sum_matrix`), nothing else |G| long.
+reads k-long class records (sizes, cycle types, inverse classes, the class
+of z C for each class C) and the class sums of a few classes at the orbit
+heads (`Group.class_sum_matrix`), nothing else |G| long.
 
 Adjacency (f = indicator of a connection set) and shortest-path distance
 matrices of Cayley graphs are the main instances.  Distance matrices work
@@ -348,42 +353,107 @@ class ClassAlgebraData:
     """The central characters of a group and the degrees recovered from them.
 
     Row chi of central_characters holds omega_chi(C) = |C| chi(C) / chi(1)
-    over the classes C: a common eigenline of the class sums, found by
-    splitting their eigenspaces one class sum at a time in the basis
-    D^-1/2 M_C D^1/2 where they are normal (_separate_characters), and
-    certified on the kept class sums (_certify).  class_sums lists the kept
-    classes, those whose class sums split an eigenspace, in the order taken."""
+    over the classes C.  The scalar matrices <z> of order h are central, so
+    chi(z g) = eps chi(g) with eps = chi(z) / chi(1) an h-th root of unity
+    (Schur), and the rows fall into h blocks, one per eps; the rows are
+    listed block by block, eps = e^(2 pi i t / h) for t = 0, ..., h - 1.
+    Within a block a row is fixed by its values at the heads of the z-orbits
+    of the classes, omega(z^i C) = eps^i omega(C), so each block is found
+    on its own by splitting eigenspaces of the class sums restricted to it
+    (_separate_characters) and certified on the kept class sums (_certify).
+    Each block is an invariant subspace of every class sum, so a row's
+    residual on its block, read at the orbit heads, is its full residual
+    once the row obeys omega(z C) = eps omega(C), which is checked too.
+    class_sums lists the kept classes, those whose class sums split an
+    eigenspace of some block, in the order taken."""
 
     central_characters: np.ndarray
     degrees: tuple[int, ...]
     class_sums: tuple[int, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class _ScalarOrbits:
+    """The orbits of the classes under C -> z C (`Group.scalar_shift`), z of
+    order h, numbered by their least class, the head c_o (the identity's
+    class 0 heads orbit 0).  Class c is z^offset[c] c_o, o = orbit_of[c];
+    lengths[o] = L_o divides h; rows[d, o] is the class of z^-d c_o for
+    d < h; phases[t, d] = eps_t^d with eps_t = e^(2 pi i t / h); blocks[t]
+    lists the orbits o with t L_o = 0 mod h, the coordinates of block t (a
+    row of block t vanishes on the other orbits, since eps_t^L_o != 1
+    there)."""
+
+    heads: np.ndarray
+    lengths: np.ndarray
+    orbit_of: np.ndarray
+    offset: np.ndarray
+    rows: np.ndarray
+    phases: np.ndarray
+    blocks: tuple[np.ndarray, ...]
+
+
+def _scalar_orbits(group: Group) -> _ScalarOrbits:
+    """The z-orbits of the classes.  The classes z^i of the scalar matrices
+    are distinct and each is its own class, so h is the length of the
+    identity's orbit."""
+    shift = group.scalar_shift
+    k = len(shift)
+    h, c = 1, int(shift[0])
+    while c != 0:
+        h, c = h + 1, int(shift[c])
+    # powers[d, c] is the class of z^d C
+    powers = [np.arange(k)]
+    for _ in range(h - 1):
+        powers.append(shift[powers[-1]])
+    powers = np.stack(powers)
+    head_of = powers.min(axis=0)
+    heads = np.flatnonzero(head_of == np.arange(k))
+    orbit_of = np.searchsorted(heads, head_of)
+    lengths = np.bincount(orbit_of)
+    steps = np.arange(h)
+    return _ScalarOrbits(
+        heads=heads,
+        lengths=lengths,
+        orbit_of=orbit_of,
+        offset=(powers[:, head_of] == np.arange(k)).argmax(axis=0),
+        rows=powers[-steps % h][:, heads],
+        phases=np.exp(2j * np.pi / h * (np.outer(steps, steps) % h)),
+        blocks=tuple(np.flatnonzero(t * lengths % h == 0) for t in range(h)),
+    )
+
+
+def _phase_sums(orbits: _ScalarOrbits, columns: np.ndarray, ts) -> np.ndarray:
+    """F_t[o, o'] = sum_{d<h} eps_t^d M[z^-d c_o, c_o'] for each t of ts, from
+    the columns M[:, c_o'] of a class sum at the orbit heads, with the
+    (h x h) phase matrix.  M commutes with the class sum of z, so
+    M[z C, z C'] = M[C, C'] and the heads' columns hold all of M."""
+    h, n = orbits.phases.shape[0], len(orbits.heads)
+    gathered = columns[orbits.rows].reshape(h, -1)
+    return (orbits.phases[ts] @ gathered).reshape(len(ts), n, n)
+
+
 def _class_sum_order(group: Group) -> list[int]:
     """The order in which class_algebra_data takes class sums: the classes
     other than the identity's (class 0), by (codimension of the
     representative, class size, class index), leaving out each class whose
-    inverse class is already listed after the first entry.
+    inverse class is already listed.
 
     omega_chi(C^-1) = conj omega_chi(C), so a space on which omega(C) is
-    constant has omega(C^-1) constant too.  Every class sum after the first
-    splits by Re(e^-i omega(C)), which is constant exactly where omega(C) is
-    (see _separate_characters), so the class sum of C^-1 would split
-    nothing.  The first splits by Re omega only, so its inverse stays
-    listed, and a class that is its own inverse is always listed."""
+    constant has omega(C^-1) constant too.  Every class sum splits by
+    Re(e^-i omega(C)), which is constant exactly where omega(C) is (see
+    _separate_characters), so the class sum of C^-1 would split nothing.  A
+    class that is its own inverse is always listed."""
     classes = group.conjugacy
     k = len(classes)
     inverse_class = classes.inverse.tolist()
     codims = group.type_codims[classes.types]
     order = np.lexsort((np.arange(k), np.array(classes.sizes), codims))
     listed: list[int] = []
-    rotated: set[int] = set()
+    seen: set[int] = set()
     for c in order.tolist():
-        if c == 0 or inverse_class[c] in rotated:
-            continue
-        if listed:
-            rotated.add(c)
-        listed.append(c)
+        if c != 0 and inverse_class[c] not in seen:
+            seen.add(c)
+            listed.append(c)
     return listed
 
 
@@ -397,148 +467,183 @@ def _eigenvalue_gap(values: np.ndarray) -> float:
     return float(gaps.min())
 
 
-def _real_product(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """matrix @ vectors, real times complex, as one real matrix product."""
-    vectors = np.ascontiguousarray(vectors, dtype=np.complex128)
-    return (matrix @ vectors.view(np.float64)).view(np.complex128)
-
-
-def _eigenvector_residual(matrices, used: list[int], omegas: np.ndarray) -> float:
-    """max over chi, i, l of |(M_i omega_chi)(l) - omega_chi(C_i) omega_chi(l)|
-    for the class-sum matrices M_i of the classes used[i], one at a time: how
-    far the rows are from eigenvectors of each M_i with the values they claim."""
-    columns = np.ascontiguousarray(omegas.T)
-    residuals = [
-        np.abs(_real_product(m, columns) - columns * omegas[:, c]).max()
-        for m, c in zip(matrices, used)
-    ]
-    return float(max(residuals, default=0.0))
-
-
-def _separate_characters(
-    group: Group,
-) -> tuple[np.ndarray, list[int], int, int, int, int, float]:
+def _separate_characters(group: Group) -> tuple[np.ndarray, list[int], list, dict]:
     """Central characters by eigenspace splitting (Dixon 1967, Schneider
-    1990), with the classes kept, the number of class sums taken, the number
-    of inverse classes left out of _class_sum_order, the number and widest
-    size of the restricted eigenproblems, and the residual of _certify.
+    1990), block by block of the scalar subgroup, with the classes kept,
+    their class sums at the orbit heads, and counts for the DEBUG record.
 
     Basis: S_C = D^-1/2 M_C D^1/2 with D = diag(|C|) satisfies
     S_C^T = S_{C^-1}, so every S_C is normal, and the central characters
-    span orthogonal common eigenlines D^-1/2 omega_chi.
+    span orthogonal common eigenlines D^-1/2 omega_chi.  S_C commutes with
+    the class sum of z, a permutation of the classes whose eps_t-eigenspace
+    has the orthonormal basis e_o = L_o^-1/2 sum_{i<L_o} eps_t^i [z^i c_o]
+    over the orbits o of block t.  On that invariant space S_C acts as
 
-    Splitting: the first class sum of _class_sum_order splits the whole
-    space into the eigenspaces of the symmetric S_C + S_C^T, whose
-    eigenvalues are 2 Re omega(C).  Each later one splits every space V
-    still wider than a line by the Hermitian A + A^H, A = e^-i V^H S_C V.
-    Its eigenvalues 2 Re(e^-i omega(C)) differ wherever the algebraic
-    numbers omega(C) differ, since tan 1 is transcendental.  Eigenvalues
-    within 1e-8 max(1, max |eigenvalue|) of each other stay together.  A
-    class sum is kept when it splits a space, and splitting ends when all k
-    spaces are lines.
+        B_t[o, o'] = sqrt(L_o L_o' |C_o'| / |C_o|) / h * F_t[o, o']
 
-    The open spaces are held as one (b, k, w) stack of orthonormal bases per
-    width w, so a class sum costs one real product and one batched eigh per
-    width.  eigh returns each space's eigenvalues ascending, so a space
-    splits wherever two neighbours differ by more than the width above.  The
-    spaces that do not split carry over as they are; only those that do are
-    rotated into their eigenvectors and cut apart."""
+    (_phase_sums), normal again, with eigenvectors omega(c_o) sqrt(L_o /
+    |C_o|) for the rows of block t.  So each block is split on its own, on
+    about k / h coordinates, and only the heads' columns of a class sum are
+    built (`Group.class_sum_matrix`).  The space is invariant, so the rows
+    found are eigenvectors of the whole of S_C, and _certify may check them
+    on the block alone.
+
+    Splitting: each class sum splits every space V still wider than a line
+    by the Hermitian A + A^H, A = e^-i V^H B_t V.  Its eigenvalues
+    2 Re(e^-i omega(C)) differ wherever the algebraic numbers omega(C)
+    differ, since tan 1 is transcendental.  Eigenvalues within
+    1e-8 max(1, max |eigenvalue|) of each other stay together.  A class sum
+    is kept when it splits a space of some block, and splitting ends when
+    every space is a line.
+
+    The open spaces of a block are held as one (b, k_t, w) stack of
+    orthonormal bases per width w, so a class sum costs one product and
+    one batched eigh per block and width.  eigh returns each space's
+    eigenvalues ascending, so a space splits wherever two neighbours differ
+    by more than the width above.  The spaces that do not split carry over
+    as they are; only those that do are rotated into their eigenvectors and
+    cut apart.  Each line is scaled to 1 at the identity's orbit and
+    spread over the classes by omega(z^i c_o) = eps_t^i omega(c_o)."""
     classes = group.conjugacy
-    k = len(classes)
-    root = np.sqrt(np.array(classes.sizes, dtype=np.float64))
+    orbits = _scalar_orbits(group)
+    h, lengths = len(orbits.phases), orbits.lengths
+    head_sizes = np.array(classes.sizes, dtype=np.float64)[orbits.heads]
+    scale = np.sqrt(np.outer(lengths / head_sizes, lengths * head_sizes)) / h
     order = _class_sum_order(group)
-    stacks = {k: np.eye(k)[None]} if k > 1 else {}
-    # the common eigenvectors found so far, one per column
-    lines, found = np.eye(k, dtype=np.complex128), 0 if k > 1 else 1
-    kept, matrices, taken, solves, widest = [], [], 0, 0, 0
-    while stacks:
+    # per block: the open spaces by width, and the common eigenvectors found
+    stacks = [
+        {len(b): np.eye(len(b), dtype=np.complex128)[None]} if len(b) > 1 else {}
+        for b in orbits.blocks
+    ]
+    lines = [
+        [] if len(b) > 1 else [np.ones(1, dtype=np.complex128)] for b in orbits.blocks
+    ]
+    kept, kept_columns, taken, solves, widest = [], [], 0, 0, 0
+    while any(stacks):
         if taken == len(order):
             raise NumericError(
                 f"could not separate the central characters of {group.params}: "
                 f"all {taken} class sums taken, a space of size "
-                f"{max(stacks)} still open"
+                f"{max(max(s) for s in stacks if s)} still open"
             )
-        matrix = group.class_sum_matrix(order[taken])
-        scaled = matrix * (root / root[:, None])
-        if not taken:
-            values, vectors = np.linalg.eigh(scaled + scaled.T)
-            solved = [(stacks[k], values[None], vectors[None])]
-        else:
-            solved = []
-            for w, bases in stacks.items():
-                flat = bases.transpose(1, 0, 2).reshape(k, -1)
-                image = _real_product(scaled, flat).reshape(k, -1, w).transpose(1, 0, 2)
+        columns = group.class_sum_matrix(order[taken], orbits.heads)
+        ts = [t for t in range(h) if stacks[t]]
+        solved = []
+        for t, summed in zip(ts, _phase_sums(orbits, columns, ts) * scale):
+            block = orbits.blocks[t]
+            matrix = summed[np.ix_(block, block)]
+            for w, bases in stacks[t].items():
+                flat = bases.transpose(1, 0, 2).reshape(len(block), -1)
+                image = (matrix @ flat).reshape(len(block), -1, w).transpose(1, 0, 2)
                 a = bases.conj().transpose(0, 2, 1) @ image
                 a *= np.exp(-1j)
-                solved.append((bases, *np.linalg.eigh(a + a.conj().transpose(0, 2, 1))))
+                a += a.conj().transpose(0, 2, 1)
+                solved.append((t, bases, *np.linalg.eigh(a)))
                 solves, widest = solves + len(bases), max(widest, w)
-        width = 1e-8 * max(1.0, max(np.abs(values).max() for _, values, _ in solved))
-        carried: dict[int, np.ndarray] = {}
-        pieces: dict[int, list[np.ndarray]] = {}
+        width = 1e-8 * max(1.0, max(np.abs(values).max() for *_, values, _ in solved))
+        carried: list[dict[int, np.ndarray]] = [{} for _ in range(h)]
+        pieces: list[dict[int, list[np.ndarray]]] = [{} for _ in range(h)]
         split = False
-        for bases, values, vectors in solved:
+        for t, bases, values, vectors in solved:
             w = bases.shape[2]
             cuts = np.diff(values, axis=1) > width
             splits = cuts.any(axis=1)
             if not splits.any():
-                carried[w] = bases
+                carried[t][w] = bases
                 continue
             if not splits.all():
-                carried[w] = bases[~splits]
+                carried[t][w] = bases[~splits]
             split = True
-            # the first class sum's basis is the identity
-            rotated = bases[splits] @ vectors[splits] if taken else vectors
-            for basis, at in zip(rotated, cuts[splits]):
+            for basis, at in zip(bases[splits] @ vectors[splits], cuts[splits]):
                 ends = [0, *(np.flatnonzero(at) + 1).tolist(), w]
                 for start, stop in zip(ends, ends[1:]):
                     if stop - start == 1:
-                        lines[:, found] = basis[:, start]
-                        found += 1
+                        lines[t].append(basis[:, start])
                     else:
-                        pieces.setdefault(stop - start, []).append(
+                        pieces[t].setdefault(stop - start, []).append(
                             basis[None, :, start:stop]
                         )
         if split:
             kept.append(order[taken])
-            matrices.append(matrix)
+            kept_columns.append(columns)
         taken += 1
-        stacks = carried
-        for w, stacked in pieces.items():
-            if w in carried:
-                stacked.append(carried[w])
-            stacks[w] = np.concatenate(stacked)
-    # each common eigenvector's entry at the identity's class, class 0
-    anchors = lines[0]
-    if np.abs(anchors).min() < 1e-12:
-        raise NumericError(
-            f"a common eigenvector of the class sums of {group.params} "
-            "vanishes at the identity class"
-        )
-    omegas = (lines * root[:, None] / anchors).T
-    dropped = k - 1 - len(order)
-    residual = _certify(group, omegas, kept, matrices)
-    return omegas, kept, taken, dropped, solves, widest, residual
+        for t in ts:
+            stacks[t] = carried[t]
+            for w, stacked in pieces[t].items():
+                if w in carried[t]:
+                    stacked.append(carried[t][w])
+                stacks[t][w] = np.concatenate(stacked)
+    rows = []
+    for t, block in enumerate(orbits.blocks):
+        vectors = np.stack(lines[t], axis=1)
+        # each common eigenvector's entry at the identity's orbit, orbit 0
+        anchors = vectors[0]
+        if np.abs(anchors).min() < 1e-12:
+            raise NumericError(
+                f"a common eigenvector of the class sums of {group.params} "
+                "vanishes at the identity class"
+            )
+        at_heads = np.zeros((len(block), len(orbits.heads)), dtype=np.complex128)
+        at_heads[:, block] = (
+            vectors * np.sqrt(h * head_sizes[block] / lengths[block])[:, None] / anchors
+        ).T
+        rows.append(at_heads[:, orbits.orbit_of] * orbits.phases[t, orbits.offset])
+    counts = {
+        "taken": taken, "solves": solves, "widest": widest, "blocks": h,
+        "widest_block": max(len(b) for b in orbits.blocks),
+        "dropped": len(classes) - 1 - len(order),
+    }
+    return np.concatenate(rows), kept, kept_columns, counts
 
 
-def _certify(group: Group, omegas: np.ndarray, kept: list[int], matrices) -> float:
+def _certify(group: Group, omegas: np.ndarray, kept: list[int], columns) -> float:
     """The eigenvector residual of the rows of omegas, after checking the
-    certificate that makes them the central characters.
+    certificate that makes them the central characters; columns holds the
+    class sums of the kept classes at the orbit heads.
 
-    Each row must be an eigenvector of each kept class sum, with eigenvalue
-    its own value at that class (_eigenvector_residual at most
-    1e-6 max(1, max |omega|^2)), and the rows' values on the kept classes
-    must be pairwise more than 1e-8 max(1, max |value|) apart
-    (_eigenvalue_gap).  A common eigenvector of the kept class sums lies in
-    the sum of the lines of the characters that share its values there, so
-    k rows with k distinct value vectors lie on the k lines, one each."""
-    residual = _eigenvector_residual(matrices, kept, omegas)
-    bound = 1e-6 * max(1.0, float(np.abs(omegas).max()) ** 2)
-    gap = _eigenvalue_gap(omegas[:, kept])
-    separation = 1e-8 * max(1.0, float(np.abs(omegas[:, kept]).max(initial=0.0)))
-    if not (residual <= bound and gap > separation):
+    Each row is put in the block t whose eps_t is nearest its value at the
+    class of z, and must then
+    * satisfy the shift relation omega(z C) = eps_t omega(C) on every class,
+      to within 1e-8 max(1, max |omega|): it is an eigenvector of the class
+      sum of z;
+    * be, at the heads of the orbits of its block, an eigenvector of each
+      kept class sum restricted to the block, N_t[o, o'] = L_o' / h
+      F_t[o, o'] (_phase_sums), with eigenvalue its own value at that
+      class, to within 1e-6 max(1, max |omega|^2).  N_t applied at the
+      heads is M_C applied to the whole row where the shift relation holds,
+      and M_C omega - omega(C) omega obeys the shift relation too, so this
+      block residual is the full residual;
+    * have values on the kept classes and the class of z that are pairwise
+      more than 1e-8 max(1, max |value|) apart (_eigenvalue_gap).
+    A common eigenvector of these class sums lies in the sum of the lines
+    of the characters that share its values there, so k rows with k
+    distinct value vectors lie on the k lines, one each."""
+    orbits = _scalar_orbits(group)
+    h = len(orbits.phases)
+    shift = group.scalar_shift
+    z = int(shift[0])
+    blocks = np.rint(np.angle(omegas[:, z]) * h / (2 * np.pi)).astype(np.int64) % h
+    eps = np.exp(2j * np.pi * blocks / h)
+    size = max(1.0, float(np.abs(omegas).max()))
+    drift = float(np.abs(omegas[:, shift] - eps[:, None] * omegas).max())
+    sums = [_phase_sums(orbits, m, range(h)) * (orbits.lengths / h) for m in columns]
+    residual = 0.0
+    for t in set(blocks.tolist()):
+        rows, block = blocks == t, orbits.blocks[t]
+        values = omegas[rows][:, orbits.heads[block]]
+        for c, summed in zip(kept, sums):
+            image = values @ summed[t][np.ix_(block, block)].T
+            own = omegas[rows, c][:, None]
+            residual = max(residual, float(np.abs(image - own * values).max()))
+    bound = 1e-6 * size**2
+    used = omegas[:, [*kept, z]]
+    gap = _eigenvalue_gap(used)
+    separation = 1e-8 * max(1.0, float(np.abs(used).max()))
+    if not (drift <= 1e-8 * size and residual <= bound and gap > separation):
         raise NumericError(
             f"central characters of {group.params} fail the certificate on "
-            f"{len(kept)} class sums: eigenvector residual {residual:.3e} "
+            f"{len(kept)} class sums: shift residual {drift:.3e} (bound "
+            f"{1e-8 * size:.3e}), eigenvector residual {residual:.3e} "
             f"(bound {bound:.3e}), smallest gap {gap:.3e} (bound {separation:.3e})"
         )
     return residual
@@ -594,25 +699,29 @@ def class_algebra_data(group: Group) -> ClassAlgebraData:
     """Central characters and their degrees, with no structure-constant
     tensor.
 
-    The characters come from splitting the eigenspaces of low-codimension
-    class sums one at a time, in the scaled basis D^-1/2 M_C D^1/2 where
-    every class sum is normal (_separate_characters).  They are certified as
-    eigenvectors of every kept class sum with pairwise distinct values there
-    (_certify), and character_degrees checks their degrees and orthogonality.
-    One DEBUG record reports the class sums taken and kept, the inverse
-    classes left out of the order, the restricted eigenproblems, the
-    eigenvector residual and the orthogonality error."""
-    omegas, kept, taken, dropped, solves, widest, residual = _separate_characters(group)
+    The characters come block by block of the scalar subgroup, from
+    splitting the eigenspaces of low-codimension class sums one at a time,
+    in the scaled basis D^-1/2 M_C D^1/2 where every class sum is normal
+    (_separate_characters).  They are certified as eigenvectors of the class
+    sum of z and of every kept class sum, with pairwise distinct values
+    there (_certify), and character_degrees checks their degrees and
+    orthogonality.  One DEBUG record reports the blocks (h and the widest),
+    the class sums taken and kept, the inverse classes left out of the
+    order, the restricted eigenproblems, the eigenvector residual and the
+    orthogonality error."""
+    omegas, kept, columns, counts = _separate_characters(group)
+    residual = _certify(group, omegas, kept, columns)
     degrees, orthogonality = character_degrees(group, omegas)
     sizes = group.conjugacy.sizes
     log.debug(
-        "class algebra of %s: |G| = %d, k = %d, %d class sums taken, %d kept "
-        "(%d elements), %d inverse classes dropped, %d restricted "
-        "eigenproblems (widest %d), eigenvector residual %.3e, orthogonality "
-        "error %.3e",
-        group.params, group.order, len(degrees), taken, len(kept),
-        sum(sizes[c] for c in kept), dropped, solves, widest, residual,
-        orthogonality,
+        "class algebra of %s: |G| = %d, k = %d, h = %d blocks (widest %d), "
+        "%d class sums taken, %d kept (%d elements), %d inverse classes "
+        "dropped, %d restricted eigenproblems (widest %d), eigenvector "
+        "residual %.3e, orthogonality error %.3e",
+        group.params, group.order, len(degrees), counts["blocks"],
+        counts["widest_block"], counts["taken"], len(kept),
+        sum(sizes[c] for c in kept), counts["dropped"], counts["solves"],
+        counts["widest"], residual, orthogonality,
     )
     return ClassAlgebraData(
         central_characters=omegas, degrees=degrees, class_sums=tuple(kept)

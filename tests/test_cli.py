@@ -66,6 +66,34 @@ def test_only_the_verify_command_imports_verify():
     assert "dihedral" in done.stderr and "all" in done.stderr
 
 
+def test_no_request_imports_numpy_ma_or_fft():
+    # the first plain np.unique (no return flags) in a process imports
+    # numpy.ma, about 15 ms; no route needs it, nor numpy.fft
+    src = str(Path(reflectra.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    script = """
+import contextlib, io, sys
+from reflectra.cli import main
+for args in (
+    "spectrum 3 1 2 --kind adjacency --method numeric",
+    "spectrum 4 2 3 --kind distance --method class-algebra",
+    "spectrum 2 1 4 --kind codimension --method combinatorial",
+    "group 3 3 3",
+    "classes 4 2 2",
+    "lengths 2 2 3 --format csv",
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(args.split(), standalone_mode=False)
+print(sorted(m for m in ("numpy.ma", "numpy.fft") if m in sys.modules))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 SPECTRUM_KEYS = {
     "schema", "params", "kind", "method", "entries", "max_residual", "integral",
 }

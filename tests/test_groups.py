@@ -778,3 +778,40 @@ class TestGenerators:
         group = Group(GroupParams(6, 2, 3))
         for g in group.generators():
             assert group.contains(g)
+
+
+@pytest.mark.parametrize("params", desk_scale_params(), ids=str)
+def test_scalar_shift_is_the_class_of_z_times_each_representative(params):
+    # z = zeta^c0 I, c0 = p / gcd(n, p), generates the scalar matrices of
+    # the group and has order h = r gcd(n, p) / p
+    r, p, n = params.r, params.p, params.n
+    group = Group(params)
+    z = GroupElement(r, (p // gcd(n, p) % r,) * n, tuple(range(n)))
+    assert group.contains(z)
+    assert element_order(z) == r * gcd(n, p) // p
+    scalars = [c * p // gcd(n, p) % r for c in range(r)]
+    assert all(
+        group.contains(GroupElement(r, (c,) * n, tuple(range(n)))) == (c in scalars)
+        for c in range(r)
+    )
+    classes = group.conjugacy
+    expected = [
+        int(classes.class_of[group.index_of(z * group.element(rep))])
+        for rep in classes.representatives
+    ]
+    assert group.scalar_shift.tolist() == expected
+    assert not group.scalar_shift.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "r,p,n", [(3, 1, 2), (4, 2, 2), (2, 2, 3), (3, 3, 3), (6, 2, 3)]
+)
+def test_class_sum_columns_are_columns_of_the_whole_matrix(r, p, n):
+    group = Group(GroupParams(r, p, n))
+    k = len(group.conjugacy)
+    chosen = [np.arange(k), np.arange(0, k, 2), np.array([k - 1, 0]), np.arange(0)]
+    for c in range(k):
+        whole = group.class_sum_matrix(c)
+        assert whole.shape == (k, k) and whole.dtype == np.float64
+        for columns in chosen:
+            assert np.array_equal(group.class_sum_matrix(c, columns), whole[:, columns])

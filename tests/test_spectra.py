@@ -8,6 +8,7 @@ characters, and the trace and Frobenius moment identities for whole spectra.
 
 import logging
 import re
+from math import gcd
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from reflectra.errors import (
     SizeLimitError,
 )
 from reflectra.groups import Group, GroupElement, GroupParams, bfs_word_lengths
-from reflectra.partitions import codim_spectrum_combinatorial
+from reflectra.partitions import codim_spectrum_combinatorial, partition_counts
 from reflectra.reflections import codim, reflections
 from reflectra.spectra import (
     KINDS,
@@ -29,7 +30,7 @@ from reflectra.spectra import (
     _certify,
     _cluster,
     _eigenvalue_gap,
-    _eigenvector_residual,
+    _scalar_orbits,
     _separate_characters,
     _round_spectrum,
     adjacency_function,
@@ -433,34 +434,80 @@ class TestWeightedRounding:
 CHECKED_GROUPS = [(3, 3, 3), (4, 2, 3), (6, 1, 3)]
 
 
+def head_columns(group, classes):
+    """The class sums of the given classes at the heads of the z-orbits,
+    the columns that _certify reads."""
+    heads = _scalar_orbits(group).heads
+    return [group.class_sum_matrix(c, heads) for c in classes]
+
+
+def blocks_of_rows(group, omegas):
+    """The block t of each row: the eps_t = e^(2 pi i t / h) nearest the
+    row's value at the class of z."""
+    h = len(_scalar_orbits(group).phases)
+    angles = np.angle(omegas[:, group.scalar_shift[0]])
+    return np.rint(angles * h / (2 * np.pi)).astype(np.int64) % h
+
+
+def certificate_figures(error):
+    """(value, bound) of the shift residual, the eigenvector residual and
+    the smallest gap in a certificate failure."""
+    number = r"(\S+) \(bound (\S+)\)"
+    message = str(error.value)
+    return {
+        name: tuple(float(x) for x in re.search(f"{name} {number}", message).groups())
+        for name in ("shift residual", "eigenvector residual", "smallest gap")
+    }
+
+
 class TestCharacterChecks:
     @pytest.mark.parametrize("r,p,n", CHECKED_GROUPS)
-    def test_one_perturbed_entry_fails_the_eigenvector_check(self, r, p, n):
+    def test_every_perturbed_entry_fails_the_certificate(self, r, p, n):
+        # +1e-3 on one entry of a middle row breaks the shift relation
+        # unless the entry is a head of the row's block fixed by z; there
+        # only the block residual can see it
         group = Group(GroupParams(r, p, n))
         data = class_algebra_data(group)
-        omegas, used = data.central_characters, list(data.class_sums)
-        matrices = np.stack([group.class_sum_matrix(c) for c in used])
-        threshold = 1e-6 * max(1.0, float(np.abs(omegas).max()) ** 2)
-        assert _eigenvector_residual(matrices, used, omegas) <= threshold
+        omegas, kept = data.central_characters, list(data.class_sums)
+        columns = head_columns(group, kept)
+        _certify(group, omegas, kept, columns)
+        orbits = _scalar_orbits(group)
         row = omegas.shape[0] // 2
+        block = orbits.blocks[blocks_of_rows(group, omegas)[row]]
+        fixed = set(orbits.heads[block[orbits.lengths[block] == 1]].tolist())
         for column in range(omegas.shape[1]):
             perturbed = omegas.copy()
             perturbed[row, column] += 1e-3
-            assert _eigenvector_residual(matrices, used, perturbed) > threshold
+            with pytest.raises(NumericError) as caught:
+                _certify(group, perturbed, kept, columns)
+            failed = "eigenvector residual" if column in fixed else "shift residual"
+            value, bound = certificate_figures(caught)[failed]
+            assert value > bound
 
     @pytest.mark.parametrize("r,p,n", CHECKED_GROUPS)
     def test_one_perturbed_entry_fails_the_certificate(self, r, p, n):
         group = Group(GroupParams(r, p, n))
         data = class_algebra_data(group)
         kept = list(data.class_sums)
-        matrices = [group.class_sum_matrix(c) for c in kept]
-        perturbed = data.central_characters.copy()
-        perturbed[len(perturbed) // 2, -1] += 1e-3
+        columns = head_columns(group, kept)
+        omegas = data.central_characters
+        row = len(omegas) // 2
+        perturbed = omegas.copy()
+        perturbed[row, -1] += 1e-3
+        with pytest.raises(NumericError):
+            _certify(group, perturbed, kept, columns)
+        # +1e-3 eps^i on each class z^i of the identity's orbit keeps the
+        # shift relation, so the block residual alone must see it
+        t = blocks_of_rows(group, omegas)[row]
+        orbits = _scalar_orbits(group)
+        on_orbit = orbits.orbit_of == 0
+        perturbed = omegas.copy()
+        perturbed[row, on_orbit] += 1e-3 * orbits.phases[t, orbits.offset[on_orbit]]
         with pytest.raises(NumericError) as caught:
-            _certify(group, perturbed, kept, matrices)
-        pattern = r"eigenvector residual (\S+) \(bound (\S+)\)"
-        found = re.search(pattern, str(caught.value))
-        assert float(found[1]) > float(found[2])
+            _certify(group, perturbed, kept, columns)
+        figures = certificate_figures(caught)
+        assert figures["shift residual"][0] <= figures["shift residual"][1]
+        assert figures["eigenvector residual"][0] > figures["eigenvector residual"][1]
 
     @pytest.mark.parametrize("r,p,n", CHECKED_GROUPS)
     @pytest.mark.parametrize("factor", [2.0, 1.001, 1.0 + 1e-5])
@@ -526,23 +573,25 @@ class TestCharacterChecks:
 
 class TestSeparation:
     def test_all_pairs_gap_sees_repeats_that_neighbours_miss(self):
-        # On G(8,4,2) four characters vanish on the first three class sums and
-        # take +-i, each twice, on the fourth.  The first split (by real
-        # parts) keeps them together, only the rotated Hermitian split of a
-        # later class sum parts the conjugates, and no kept class sum alone
-        # separates every row: only the rows' joint values do.
+        # On G(8,4,2) (h = 4) four characters vanish on the first three kept
+        # class sums and take +-1.414i, each twice, on the fourth.  The
+        # characters of a repeated pair lie in the blocks of i and -i, so
+        # no kept class sum, nor all of them, separates every row: only
+        # their joint values with the class of z do.
         group = Group(GroupParams(8, 4, 2))
         data = class_algebra_data(group)
         omegas, kept = data.central_characters, list(data.class_sums)
-        order = _class_sum_order(group)
-        pure = np.flatnonzero(np.abs(omegas[:, order[3]].imag) > 0.5)
-        np.testing.assert_allclose(omegas[pure][:, order[:3]], 0, atol=1e-12)
-        values = omegas[pure, order[3]]
-        assert sorted(np.round(values.imag).tolist()) == [-1, -1, 1, 1]
+        z = int(group.scalar_shift[0])
+        pure = np.flatnonzero(np.abs(omegas[:, kept[3]].imag) > 0.5)
+        np.testing.assert_allclose(omegas[pure][:, kept[:3]], 0, atol=1e-12)
+        values = omegas[pure, kept[3]]
+        imaginary = sorted(np.round(values.imag, 3).tolist())
+        assert imaginary == [-1.414, -1.414, 1.414, 1.414]
+        assert sorted(np.round(omegas[pure, z].imag).tolist()) == [-1, -1, 1, 1]
         assert _eigenvalue_gap(values) < 1e-8
-        assert order[3] in kept
         assert all(_eigenvalue_gap(omegas[:, c]) < 1e-8 for c in kept)
-        assert _eigenvalue_gap(omegas[:, kept]) > 1.0
+        assert _eigenvalue_gap(omegas[:, kept]) < 1e-8
+        assert _eigenvalue_gap(omegas[:, [*kept, z]]) > 1.0
         assert_matches_the_tensor_route(group, data)
         # roundoff in a zero real part can sort the repeats of a value apart,
         # so the gap is taken over all pairs, not between sorted neighbours
@@ -569,43 +618,48 @@ class TestSeparation:
         group = Group(GroupParams(r, p, n))
         data = class_algebra_data(group)
         kept = list(data.class_sums)
-        matrices = [group.class_sum_matrix(c) for c in kept]
+        columns = head_columns(group, kept)
         omegas = data.central_characters
-        _certify(group, omegas, kept, matrices)
+        _certify(group, omegas, kept, columns)
         duplicated = omegas.copy()
         duplicated[1] = duplicated[0]
         with pytest.raises(NumericError, match="smallest gap 0.000e"):
-            _certify(group, duplicated, kept, matrices)
+            _certify(group, duplicated, kept, columns)
 
     @pytest.mark.parametrize("r,p,n", [(8, 4, 2), (6, 2, 4)])
     def test_every_kept_class_sum_splits_a_space(self, r, p, n):
-        # the first class sum splits by Re omega, every later one by
-        # Re(e^-i omega): the characters fall into more groups of equal split
-        # values with each kept class sum, and into k groups on all of them
+        # every class sum splits the spaces of each block by Re(e^-i omega):
+        # the characters, which start in their h blocks, fall into more
+        # groups of equal block and split values with each kept class sum,
+        # and into k groups on all of them
         group = Group(GroupParams(r, p, n))
         data = class_algebra_data(group)
         omegas, kept = data.central_characters, list(data.class_sums)
-        assert kept[0] == _class_sum_order(group)[0]
+        blocks = blocks_of_rows(group, omegas)
         split = (np.exp(-1j) * omegas[:, kept]).real
-        split[:, 0] = omegas[:, kept[0]].real
 
         def groups(count):
-            return len({tuple(row) for row in np.round(split[:, :count], 6).tolist()})
+            rows = np.round(split[:, :count], 6).tolist()
+            return len({(t, *row) for t, row in zip(blocks.tolist(), rows)})
 
         counts = [groups(count) for count in range(len(kept) + 1)]
         assert counts == sorted(set(counts))
+        assert counts[0] == len(_scalar_orbits(group).phases)
         assert counts[-1] == len(omegas)
 
     def test_unseparated_characters_name_group_classes_and_gap(self, monkeypatch):
-        # class sums that split nothing leave a space open until the class
-        # order runs out; the first one may split one line off
+        # class sums that split nothing leave every block open until the
+        # class order runs out; the first one may split the identity's
+        # orbit off each block
         group = Group(GroupParams(3, 1, 3))
         k = len(group.conjugacy)
         order = _class_sum_order(group)
         first = order[0]
-        for split_first, open_size in ((False, k), (True, k - 1)):
-            def class_sum(group, c, split=split_first):
-                return np.diag(np.eye(k)[0]) if split and c == first else np.eye(k)
+        widest = max(len(block) for block in _scalar_orbits(group).blocks)
+        for split_first, open_size in ((False, widest), (True, widest - 1)):
+            def class_sum(group, c, columns=None, split=split_first):
+                matrix = np.diag(np.eye(k)[0]) if split and c == first else np.eye(k)
+                return matrix if columns is None else matrix[:, columns]
 
             monkeypatch.setattr(Group, "class_sum_matrix", class_sum)
             with pytest.raises(NumericError) as caught:
@@ -617,7 +671,7 @@ class TestSeparation:
 
     def test_class_order_is_codimension_then_size(self):
         # listed by (codimension, size, index); a class is left out exactly
-        # when its inverse class is listed before it, other than first
+        # when its inverse class is listed before it
         group = Group(GroupParams(4, 2, 3))
         classes = group.conjugacy
         order = _class_sum_order(group)
@@ -633,10 +687,10 @@ class TestSeparation:
             if c == identity_class:
                 continue
             inverse = inverse_class(group, c)
-            listed_before = inverse in order[1:] and keys[inverse] < keys[c]
+            listed_before = inverse in order and keys[inverse] < keys[c]
             assert (c in dropped) == listed_before
-            if c in order and inverse in order and inverse != c:
-                assert order[0] in (c, inverse)
+            if c in order and inverse != c:
+                assert inverse not in order
 
 
 def inverse_class(group, c):
@@ -650,7 +704,7 @@ def inverse_class(group, c):
 @pytest.mark.parametrize("params", desk_scale_params(), ids=str)
 def test_dropped_classes_are_inverses_with_conjugate_characters(params):
     # omega(C^-1) = conj omega(C): a dropped class's column is the conjugate
-    # of the column of its inverse class, which is listed after the first
+    # of the column of its inverse class, which is listed
     group = Group(params)
     classes = group.conjugacy
     order = _class_sum_order(group)
@@ -659,10 +713,50 @@ def test_dropped_classes_are_inverses_with_conjugate_characters(params):
     identity_class = int(classes.class_of[group.identity_index])
     for c in set(range(len(classes))) - set(order) - {identity_class}:
         inverse = inverse_class(group, c)
-        assert inverse in order[1:]
+        assert inverse in order
         np.testing.assert_allclose(
             omegas[:, c], omegas[:, inverse].conj(), rtol=0, atol=1e-9 * scale
         )
+
+
+def multipartition_counts_by_weight(r, n):
+    """For each t mod r, the number of r-tuples of partitions lambda of
+    total size n with sum_j j |lambda^(j)| = t (mod r)."""
+    counts = partition_counts(n)
+    # states[size][weight mod r]: tuples filled so far
+    states = [[1] + [0] * (r - 1)] + [[0] * r for _ in range(n)]
+    for j in range(r):
+        grown = [[0] * r for _ in range(n + 1)]
+        for size in range(n + 1):
+            for weight in range(r):
+                if states[size][weight]:
+                    for m in range(n - size + 1):
+                        grown[size + m][(weight + j * m) % r] += (
+                            states[size][weight] * counts[m]
+                        )
+        states = grown
+    return states[n]
+
+
+@pytest.mark.parametrize("params", desk_scale_params(), ids=str)
+def test_blocks_share_the_group_equally(params):
+    # chi(z g) = eps_t chi(g) on block t, and the characters of block t
+    # restrict to <z> as chi(1) times the linear character z -> eps_t, so
+    # sum chi(1)^2 over the block is |G| / h.  For p = 1, z = zeta I acts on
+    # the character of lambda by zeta^(sum_j j |lambda^(j)|)
+    group = Group(params)
+    data = class_algebra_data(group)
+    orbits = _scalar_orbits(group)
+    h = len(orbits.phases)
+    assert h == params.r * gcd(params.n, params.p) // params.p
+    blocks = blocks_of_rows(group, data.central_characters)
+    squares = np.array(data.degrees) ** 2
+    sizes = np.bincount(blocks, minlength=h)
+    assert sizes.tolist() == [len(block) for block in orbits.blocks]
+    for t in range(h):
+        assert int(squares[blocks == t].sum()) * h == group.order
+    if params.p == 1:
+        assert sizes.tolist() == multipartition_counts_by_weight(params.r, params.n)
 
 
 @pytest.mark.parametrize("r,p,n", [(3, 1, 2), (4, 2, 2), (2, 2, 3), (3, 3, 3)])
@@ -729,7 +823,13 @@ def test_class_algebra_data_logs_one_debug_record(caplog):
     taken = order.index(used[-1]) + 1
     dropped = k - 1 - len(order)
     assert dropped > 0
-    assert message.startswith(f"class algebra of G(3,1,3): |G| = 162, k = {k}, ")
+    # z = zeta I has order 3; the blocks hold 10, 6 and 6 characters
+    widest = max(len(block) for block in _scalar_orbits(group).blocks)
+    assert widest == 10
+    assert message.startswith(
+        f"class algebra of G(3,1,3): |G| = 162, k = {k}, h = 3 blocks "
+        f"(widest {widest}), "
+    )
     kept = (
         f"{taken} class sums taken, {len(used)} kept ({elements} elements), "
         f"{dropped} inverse classes dropped, "
@@ -945,6 +1045,15 @@ def test_class_algebra_spectra_read_no_per_element_arrays(params):
         assert name not in vars(group)
 
 
+def test_numeric_spectra_never_build_the_scalar_shift():
+    group = Group(GroupParams(4, 2, 3))
+    for kind in KINDS:
+        spectrum_numeric(build_matrix(group, class_function(group, kind)))
+    assert "scalar_shift" not in vars(group)
+    class_algebra_data(group)
+    assert "scalar_shift" in vars(group)
+
+
 @pytest.mark.parametrize("params", desk_scale_params(), ids=str)
 def test_group_codims_match_codim(params):
     group = Group(params)
@@ -956,7 +1065,7 @@ def test_group_codims_match_codim(params):
 @pytest.mark.parametrize(
     "params, classes, listed",
     [
-        (GroupParams(5, 1, 4), 190, 102),
+        (GroupParams(5, 1, 4), 190, 101),
         (GroupParams(2, 1, 6), 65, None),
         (GroupParams(3, 1, 5), 108, None),
         (GroupParams(2, 1, 7), 110, None),
@@ -965,7 +1074,7 @@ def test_group_codims_match_codim(params):
 )
 def test_class_algebra_matches_the_fold_at_190_classes(params, classes, listed):
     # the class-algebra route and the partition-tuple fold agree; k is the
-    # number of r-multipartitions of n.  G(5,1,4): k = 190, and 87 classes
+    # number of r-multipartitions of n.  G(5,1,4): k = 190, and 88 classes
     # are left out of the order as inverses.  Reflection length equals
     # codimension on G(r, 1, n) (Shi)
     group = Group(params, max_order=params.order)
