@@ -41,8 +41,10 @@ REPEATS = 7
 TIMING = """
 import json, sys, time
 from reflectra.groups import Group, GroupParams
+from reflectra import spectra
 from reflectra.spectra import build_matrix, codimension_function
 groups, repeats, cap = json.loads(sys.argv[1])
+spectra.DEFAULT_MATRIX_CAP = cap
 best = {}
 for r, p, n in groups:
     group = Group(GroupParams(r, p, n), max_order=cap)
@@ -51,7 +53,7 @@ for r, p, n in groups:
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        build_matrix(group, f, max_size=cap)
+        build_matrix(group, f)
         times.append(time.perf_counter() - start)
     best[str(group.params)] = [group.order, min(times) * 1e3]
 print(json.dumps(best))
@@ -60,13 +62,15 @@ print(json.dumps(best))
 PEAK_RSS = """
 import json, resource, sys
 from reflectra.groups import Group, GroupParams
+from reflectra import spectra
 from reflectra.spectra import build_matrix, codimension_function
 (r, p, n), cap = json.loads(sys.argv[1])
+spectra.DEFAULT_MATRIX_CAP = cap
 group = Group(GroupParams(r, p, n), max_order=cap)
 f = codimension_function(group)
 group.inverse_indices
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-build_matrix(group, f, max_size=cap)
+build_matrix(group, f)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps([before, after]))
 """

@@ -45,6 +45,7 @@ from .reflections import reflections as reflection_indices
 from .spectra import (
     KINDS,
     Spectrum,
+    _check_matrix_cap,
     adjacency_matrix,
     build_matrix,
     class_function,
@@ -370,6 +371,7 @@ def matrix_command(
         raise click.UsageError(
             "codimension matrices take no connection set"
         )
+    _check_matrix_cap(params.order)
     group = Group(params)
     matrix, used_connection = _build_group_matrix(group, kind, connection)
     if fmt == "json":
@@ -438,6 +440,7 @@ def spectrum_command(
         group = Group(params)
         spectrum = spectrum_class_algebra(group, class_function(group, kind), tolerance)
     else:
+        _check_matrix_cap(params.order)
         group = Group(params)
         matrix, used_connection = _build_group_matrix(group, kind, connection)
         spectrum = spectrum_numeric(matrix, tolerance)

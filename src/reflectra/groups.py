@@ -322,14 +322,13 @@ class ConjugacyClasses:
 
     Classes are numbered by their least member index (`class_of` labels each
     element); that member, the lexicographically least element of the class,
-    is the representative.  The identity has index 0, so its class is
-    class 0.  `types` holds each class's row in the group's cycle-type table
-    and `inverse` its inverse class, both k long.  `_members` lists each
-    class's members in index order; only `Group.class_sum_matrix` reads it.
+    found by the numbering, is the representative.  The identity has index
+    0, so its class is class 0.  `types` holds each class's row in the
+    group's cycle-type table and `inverse` its inverse class, both k long.
+    There are no member lists: C's members are where `class_of` is C.
     """
 
     class_of: np.ndarray
-    _members: tuple[tuple[int, ...], ...]
     representatives: tuple[int, ...]
     sizes: tuple[int, ...]
     types: np.ndarray
@@ -349,17 +348,17 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 def _by_least_member(
     labels: np.ndarray, members: np.ndarray, count: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Renumbering of the labels 0, ..., count - 1 in order of least member,
     from the labels of some members that include the least one of each label
-    met: the new number of each label (-1 if never met) and the met labels
-    in their new order."""
+    met: the new number of each label (-1 if never met), the met labels in
+    their new order and their least members."""
     least = np.full(count, _NO_MEMBER)
     np.minimum.at(least, labels, members)
     ordered = np.argsort(least)[: np.count_nonzero(least < _NO_MEMBER)]
     number = np.full(count, -1, dtype=np.int64)
     number[ordered] = np.arange(len(ordered))
-    return number, ordered
+    return number, ordered, least[ordered]
 
 
 @dataclass(frozen=True)
@@ -423,11 +422,12 @@ class Group:
     decoded and keyed once, and each element's type, kept |G| long, is a
     gather through its entry.  `conjugacy` holds the classes
     (cycle type, L mod d), numbered by least member from one row per size
-    sequence, with the k-long record the spectrum routes read, and
-    `class_sum_matrix` multiplies out one class sum on it, at every class
-    or at chosen columns only.  `scalar_shift`, built lazily and read only
-    by the class-algebra route, maps each class C to z C for the generator
-    z of the scalar matrices (module docstring).  `codims`
+    sequence, which gives the representatives, with the k-long record the
+    spectrum routes read and no member lists; `class_sum_matrix` scans the
+    labels for one class's members and multiplies out its class sum, at
+    every class or at chosen columns only.  `scalar_shift`, built lazily
+    and read only by the class-algebra route, maps each class C to z C for
+    the generator z of the scalar matrices (module docstring).  `codims`
     and `reflection_lengths` are read-only gathers through the types, built
     when an element-level caller asks.  `element_texts` formats each
     permutation and exponent row once, and `rational` raises the k class
@@ -694,24 +694,25 @@ class Group:
 
     @cached_property
     def _cycle_data(self) -> tuple[np.ndarray, ...]:
-        """(type_of, codes, codims, splits, weights, firsts) from one cycle
-        walk.  The table entries are keyed by their sorted codes read as
-        base-nr digits (below (nr)^n, inside the int64 bound checked at
+        """(type_of, codes, codims, splits, weights, firsts, reps) from one
+        cycle walk.  The table entries are keyed by their sorted codes read
+        as base-nr digits (below (nr)^n, inside the int64 bound checked at
         construction), and one `np.unique` over the table, not over the
         group, gives the distinct types.  The types met in G (for p > 1,
         entries whose sums add up to a non-multiple of p are met by no
         element) are numbered by least member, read off the rows of
         `firsts`: `codes` holds each type's sorted codes, `codims` its
-        codimension (read-only) and `splits` its number d of G(r, p, n)
-        classes.  Every element's type, `type_of`, is then a gather through
-        its entry, and the entries are dropped."""
+        codimension (read-only), `splits` its number d of G(r, p, n)
+        classes and `reps` its least member.  Every element's type,
+        `type_of`, is then a gather through its entry, and the entries are
+        dropped."""
         start = time.perf_counter()
         index, firsts, weights, codes, entry_codims = self._cycle_walk()
         n, r, p = self.params.n, self.params.r, self.params.p
         keys = np.ravel_multi_index(tuple(codes.T), (n * r,) * n)
         _, first, entry_type = np.unique(keys, return_index=True, return_inverse=True)
         m = len(self._exp_block)
-        number, types = _by_least_member(
+        number, types, reps = _by_least_member(
             entry_type[index[firsts]], firsts[:, None] * m + np.arange(m), len(first)
         )
         codes = codes[first[types]]
@@ -725,7 +726,7 @@ class Group:
             self.params, self.order, len(firsts), len(keys), len(types),
             time.perf_counter() - start,
         )
-        return type_of, codes, codims, splits, weights, firsts
+        return type_of, codes, codims, splits, weights, firsts, reps
 
     @property
     def type_codims(self) -> np.ndarray:
@@ -778,10 +779,10 @@ class Group:
         """The classes (cycle type, L mod d) of the module docstring, in
         order of least member: the types themselves unless one splits (never
         for p = 1), else L is one product of the weights with the exponent
-        block and the least members are read off the rows of `firsts`.  The
-        members of every class come from one stable sort of the labels, and
-        the inverse classes from the inverses of the k representatives."""
-        type_of, _, _, splits, weights, firsts = self._cycle_data
+        block and the classes are renumbered from the rows of `firsts`.
+        Either numbering yields the least members, the representatives, and
+        the inverse classes come from their k inverses."""
+        type_of, _, _, splits, weights, firsts, reps = self._cycle_data
         class_of = type_of
         if splits.max() > 1:
             m = len(self._exp_block)
@@ -790,25 +791,13 @@ class Group:
             labels = weights @ self._exp_block.T
             labels %= splits[types]
             labels += starts[types]
-            number, _ = _by_least_member(
+            number, _, reps = _by_least_member(
                 labels[firsts], firsts[:, None] * m + np.arange(m), splits.sum()
             )
             class_of = number[labels].reshape(-1)
-            del labels
-        counts = np.bincount(class_of)
-        # a stable sort of labels in the smallest unsigned type is a radix
-        # sort; the order, narrowed likewise, is read class by class
-        order = np.argsort(
-            class_of.astype(np.min_scalar_type(len(counts) - 1)), kind="stable"
-        ).astype(np.min_scalar_type(self.order - 1))
-        ends = np.cumsum(counts).tolist()
-        members = tuple(
-            tuple(order[a:b].tolist()) for a, b in zip([0] + ends[:-1], ends)
-        )
-        reps = np.array([m[0] for m in members], dtype=np.int64)
         return ConjugacyClasses(
-            class_of=class_of, _members=members,
-            representatives=tuple(reps.tolist()), sizes=tuple(counts.tolist()),
+            class_of=class_of, representatives=tuple(reps.tolist()),
+            sizes=tuple(np.bincount(class_of).tolist()),
             types=type_of[reps], inverse=class_of[self.inverse_of(reps)],
         )
 
@@ -833,7 +822,8 @@ class Group:
         `spectra.class_structure_constants`; each central character is a
         right eigenvector of it, with eigenvalue omega_chi(C_c).  The
         inverses u^-1 of the members of C_c are the members of the inverse
-        class, so those are multiplied as they are, |C_c| per column.
+        class, read as the indices where `class_of` holds that class (in
+        index order), so those are multiplied as they are, |C_c| per column.
 
         A product (a | s) (b | t) = (a + b o s^-1 | s t): its permutation
         is ranked once per distinct pair (s, t), and its exponent row is
@@ -842,7 +832,7 @@ class Group:
         reps = np.array(classes.representatives)
         if columns is not None:
             reps = reps[columns]
-        members = np.array(classes._members[classes.inverse[c]])
+        members = np.flatnonzero(classes.class_of == classes.inverse[c])
         m = len(self._exp_block)
         perms, perm_of = np.unique(members // m, return_inverse=True)
         rep_perms, rep_perm_of = np.unique(reps // m, return_inverse=True)

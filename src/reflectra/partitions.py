@@ -38,6 +38,7 @@ from typing import NamedTuple
 from .errors import ParameterError, SizeLimitError
 
 DEFAULT_TUPLE_CAP = 10**6
+DEFAULT_FOLD_CAP = 10**7
 
 Partition = tuple[int, ...]
 PartitionTuple = tuple[Partition, ...]
@@ -144,7 +145,8 @@ def _compositions(n: int, slots: int):
             yield (first,) + rest
 
 
-def count_partition_tuples(r: int, n: int) -> int:
+def _tuple_counts(r: int, n: int):
+    """Per s = 1, ..., r, the number of s-tuples of partitions of each total."""
     if r < 1 or n < 0:
         raise ParameterError(f"need r >= 1 and n >= 0, got r={r}, n={n}")
     counts = partition_counts(n)
@@ -154,23 +156,24 @@ def count_partition_tuples(r: int, n: int) -> int:
             sum(counts[k] * vec[total - k] for k in range(total + 1))
             for total in range(n + 1)
         ]
-    return vec[n]
+        yield vec
 
 
-def _check_tuple_cap(r: int, n: int) -> None:
-    total = count_partition_tuples(r, n)
-    if total > DEFAULT_TUPLE_CAP:
-        raise SizeLimitError(
-            f"{total} partition tuples for r={r}, n={n} exceed the cap "
-            f"{DEFAULT_TUPLE_CAP}"
-        )
+def count_partition_tuples(r: int, n: int) -> int:
+    *_, last = _tuple_counts(r, n)
+    return last[n]
 
 
 def enumerate_partition_tuples(r: int, n: int) -> tuple[PartitionTuple, ...]:
     """All r-tuples of partitions with total size n, deterministic order:
     compositions with earlier slots as large as possible, then each slot in
     partitions_of order.  The trivial tuple ((n), (), ..., ()) comes first."""
-    _check_tuple_cap(r, n)
+    total = count_partition_tuples(r, n)
+    if total > DEFAULT_TUPLE_CAP:
+        raise SizeLimitError(
+            f"{total} partition tuples for r={r}, n={n} exceed the cap "
+            f"{DEFAULT_TUPLE_CAP}"
+        )
     out = []
     for comp in _compositions(n, r):
         out.extend(itertools.product(*(partitions_of(k) for k in comp)))
@@ -264,9 +267,21 @@ def codim_spectrum_combinatorial(r: int, n: int) -> tuple[SpectrumEntry, ...]:
     """Aggregated codimension spectrum of G(r, 1, n), eigenvalues descending,
     by the slot fold of the module docstring.
 
-    The tuple cap applies as in enumerate_partition_tuples, although no tuple
-    is listed.  Squared dimensions must add up to the group order r^n * n!."""
-    _check_tuple_cap(r, n)
+    No tuple is listed, so the fold's steps are capped before any partition
+    is: the boxes its table walks, plus a pairing of each state carried
+    into a slot with each partition that fits.  A state after s slots is
+    reached by some s-tuple, so a slot's pairings are at most the
+    (s + 1)-tuples of total at most n (of total n in the last slot).
+    Squared dimensions must add up to the group order r^n * n!."""
+    counts = partition_counts(n)
+    steps = sum(k * counts[k] for k in (range(n + 1) if r > 1 else (n,)))
+    *earlier, last = _tuple_counts(r, n)
+    steps += sum(map(sum, earlier)) + last[n]
+    if steps > DEFAULT_FOLD_CAP:
+        raise SizeLimitError(
+            f"the partition-tuple fold for r={r}, n={n} takes up to {steps} "
+            f"steps, above the cap {DEFAULT_FOLD_CAP}"
+        )
     # choices[kind][k]: (pair, f^2) of each partition of k in that slot kind
     choices: list[dict[int, list]] = [{}, {}]
     for p, row in _partition_table(r, n).items():

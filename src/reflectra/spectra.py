@@ -168,22 +168,18 @@ class GroupMatrix:
         return self.entries.shape[0]
 
 
-def _check_matrix_cap(group: Group, explicit: int | None) -> None:
-    """Reject a cap below 1 and a group above the cap; every matrix builder
-    calls this before it computes or allocates anything."""
-    cap = DEFAULT_MATRIX_CAP if explicit is None else explicit
-    if cap < 1:
-        raise ParameterError(f"the dense matrix cap must be at least 1, got {cap}")
-    if group.order > cap:
+def _check_matrix_cap(order: int) -> None:
+    """Reject a group order above the dense matrix cap; every matrix builder
+    calls this before it computes or allocates anything, and the CLI before
+    it builds the group."""
+    if order > DEFAULT_MATRIX_CAP:
         raise SizeLimitError(
-            f"|{group.params}| = {group.order} exceeds the dense matrix cap {cap}; "
+            f"order {order} exceeds the dense matrix cap {DEFAULT_MATRIX_CAP}; "
             "use the class-algebra or combinatorial route instead"
         )
 
 
-def matrix_from_element_values(
-    group: Group, values, kind: str, max_size: int | None = None
-) -> GroupMatrix:
+def matrix_from_element_values(group: Group, values, kind: str) -> GroupMatrix:
     """Group matrix for a per-element function (not necessarily a class
     function); values[k] is f of the k-th element.
 
@@ -192,7 +188,7 @@ def matrix_from_element_values(
     and the chunk's entries are values read at those indices.  A chunk
     holds at most max(_CHUNK_ENTRIES, |G|) entries, so no temporary grows
     with |G|^2."""
-    _check_matrix_cap(group, max_size)
+    _check_matrix_cap(group.order)
     values = np.asarray(values, dtype=np.int64)
     entries = np.empty((group.order, group.order), dtype=np.int64)
     for rows, table in group.quotient_row_chunks(_CHUNK_ENTRIES):
@@ -200,19 +196,15 @@ def matrix_from_element_values(
     return GroupMatrix(kind=kind, params=group.params, entries=entries)
 
 
-def build_matrix(
-    group: Group, f: ClassFunction, max_size: int | None = None
-) -> GroupMatrix:
-    _check_matrix_cap(group, max_size)
-    return matrix_from_element_values(group, f.element_values(group), f.kind, max_size)
+def build_matrix(group: Group, f: ClassFunction) -> GroupMatrix:
+    _check_matrix_cap(group.order)
+    return matrix_from_element_values(group, f.element_values(group), f.kind)
 
 
-def distance_matrix_bfs(
-    group: Group, connection: ConnectionSet, max_size: int | None = None
-) -> GroupMatrix:
+def distance_matrix_bfs(group: Group, connection: ConnectionSet) -> GroupMatrix:
     """Shortest-path distance matrix of the Cayley graph on the connection
     set; the set must generate the group."""
-    _check_matrix_cap(group, max_size)
+    _check_matrix_cap(group.order)
     lengths = bfs_word_lengths(group, connection.indices)
     if (lengths < 0).any():
         missing = int((lengths < 0).sum())
@@ -220,16 +212,14 @@ def distance_matrix_bfs(
             f"connection set {connection.name!r} does not generate "
             f"{group.params}: {missing} unreachable elements"
         )
-    return matrix_from_element_values(group, lengths, "distance", max_size)
+    return matrix_from_element_values(group, lengths, "distance")
 
 
-def adjacency_matrix(
-    group: Group, connection: ConnectionSet, max_size: int | None = None
-) -> GroupMatrix:
-    _check_matrix_cap(group, max_size)
+def adjacency_matrix(group: Group, connection: ConnectionSet) -> GroupMatrix:
+    _check_matrix_cap(group.order)
     flags = np.zeros(group.order, dtype=np.int64)
     flags[np.array(connection.indices, dtype=np.int64)] = 1
-    return matrix_from_element_values(group, flags, "adjacency", max_size)
+    return matrix_from_element_values(group, flags, "adjacency")
 
 
 def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:

@@ -159,15 +159,34 @@ def test_spectrum_usage_errors_exit_2(extra):
     assert result.stdout_bytes == b""
 
 
-def test_combinatorial_tuple_cap_exceeded_exits_1():
-    # G(2,1,40) has 9,035,539 partition tuples, above the default cap
+def test_combinatorial_fold_cap_exceeded_exits_1():
+    # the fold for G(1,1,60) takes up to 58,954,487 steps, above the default
+    # cap, though its 966,467 partition tuples are below the tuple cap
     result = CliRunner().invoke(main, [
-        "spectrum", "2", "1", "40", "--kind", "codimension",
+        "spectrum", "1", "1", "60", "--kind", "codimension",
         "--method", "combinatorial",
     ])
     assert result.exit_code == 1
-    assert "9035539 partition tuples" in result.stderr
+    assert "up to 58954487 steps" in result.stderr
     assert result.stdout_bytes == b""
+
+
+@pytest.mark.parametrize(
+    "args", [["spectrum", "2", "1", "8", "--kind", "distance"],
+             ["matrix", "2", "1", "7", "--kind", "codimension"]],
+    ids=["spectrum", "matrix"],
+)
+def test_dense_cap_checked_before_the_group_is_built(args, monkeypatch):
+    # with the enumeration cap raised, a request over the dense matrix cap
+    # fails on the order alone, before any element is listed
+    def no_group(*args, **kwargs):
+        raise AssertionError("the group was built before the dense cap check")
+
+    monkeypatch.setattr(cli, "Group", no_group)
+    result = CliRunner().invoke(main, args, env={"REFLECTRA_MAX_ORDER": "100000000"})
+    assert result.exit_code == 1
+    assert result.stdout_bytes == b""
+    assert "exceeds the dense matrix cap 1200" in result.stderr
 
 
 @pytest.mark.parametrize(

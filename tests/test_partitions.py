@@ -46,6 +46,29 @@ SMALL_RANKS = [
 ]
 
 
+def fold_steps(r: int, n: int) -> int:
+    """The boxes of the fold's partition table plus the pairings of its
+    states with the partitions of each slot, counted by rerunning the fold
+    on sets of states."""
+    table = _partition_table(r, n)
+    choices: list[dict[int, list]] = [{}, {}]
+    for p, row in table.items():
+        for kind, pair in enumerate(row.pairs):
+            choices[kind].setdefault(sum(p), []).append(pair)
+    steps = sum(sum(p) for p in table)
+    states = {(0, 1, 0)}
+    for slot in range(r):
+        last = slot == r - 1
+        folded = set()
+        for size, value, derivative in states:
+            for k in (n - size,) if last else range(n - size + 1):
+                for v, d in choices[min(slot, 1)][k]:
+                    steps += 1
+                    folded.add((size + k, value * v, derivative * v + value * d))
+        states = folded
+    return steps
+
+
 def brute_standard_tableaux(shape) -> int:
     """Count fillings of the diagram with 1..n increasing along rows and
     columns, by placing labels in order."""
@@ -302,20 +325,58 @@ class TestCodimSpectrum:
             raise AssertionError("partition table built before the cap check")
 
         monkeypatch.setattr(partitions_module, "partitions_of", unreachable)
-        for fn in (
-            codim_spectrum_combinatorial, codim_spectrum_entries,
-            enumerate_partition_tuples,
-        ):
+        for fn in (codim_spectrum_entries, enumerate_partition_tuples):
             with pytest.raises(SizeLimitError, match="9035539 partition tuples"):
                 fn(2, 40)
+        # the fold lists no tuple: it is capped by its steps.  G(1,1,60) has
+        # 966,467 tuples but walks the 60 boxes of each
+        with pytest.raises(SizeLimitError, match="up to 58954487 steps"):
+            codim_spectrum_combinatorial(1, 60)
+        with pytest.raises(SizeLimitError, match="up to 16899847 steps"):
+            codim_spectrum_combinatorial(2, 40)
 
     def test_cap_at_the_tuple_count_passes(self, monkeypatch):
         total = count_partition_tuples(3, 4)
         monkeypatch.setattr(partitions_module, "DEFAULT_TUPLE_CAP", total)
-        assert codim_spectrum_combinatorial(3, 4)
+        assert enumerate_partition_tuples(3, 4)
         monkeypatch.setattr(partitions_module, "DEFAULT_TUPLE_CAP", total - 1)
         with pytest.raises(SizeLimitError):
+            enumerate_partition_tuples(3, 4)
+
+    def test_fold_cap_at_the_step_bound_passes(self, monkeypatch):
+        # G(3,1,4): 34 table boxes, 1 + 10 + 39 pairings over the first two
+        # slots (the 1- and 2-tuples of total at most 4), 51 in the last
+        monkeypatch.setattr(partitions_module, "DEFAULT_FOLD_CAP", 135)
+        assert codim_spectrum_combinatorial(3, 4)
+        monkeypatch.setattr(partitions_module, "DEFAULT_FOLD_CAP", 134)
+        with pytest.raises(SizeLimitError, match="up to 135 steps"):
             codim_spectrum_combinatorial(3, 4)
+
+    @pytest.mark.parametrize("r,n", [(1, 12), (2, 9), (3, 6), (5, 4)])
+    def test_fold_cap_bounds_the_fold_steps(self, r, n, monkeypatch):
+        # the bound is never below the steps the fold really takes
+        monkeypatch.setattr(
+            partitions_module, "DEFAULT_FOLD_CAP", fold_steps(r, n) - 1
+        )
+        with pytest.raises(SizeLimitError):
+            codim_spectrum_combinatorial(r, n)
+
+    @pytest.mark.parametrize(
+        "r,n", [(4, 10), (6, 8), (8, 7), (2, 16), (3, 12), (2, 30), (2, 36)]
+    )
+    def test_fold_cap_admits_the_fast_folds(self, r, n, monkeypatch):
+        # the benchmark's exact spectra, and G(2,1,30) and G(2,1,36), whose
+        # folds take about 1 s and 3 s: the fold gets past its cap and on
+        # to its partition table
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args):
+            raise Admitted
+
+        monkeypatch.setattr(partitions_module, "_partition_table", admitted)
+        with pytest.raises(Admitted):
+            codim_spectrum_combinatorial(r, n)
 
 
 class TestTupleText:

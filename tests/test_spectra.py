@@ -6,6 +6,7 @@ full structure-constant tensor for the class-sum matrices and central
 characters, and the trace and Frobenius moment identities for whole spectra.
 """
 
+import dataclasses
 import logging
 import re
 from math import gcd
@@ -162,17 +163,17 @@ class TestConnectionSets:
             assert int(group.inverse_indices[i]) in conn.indices
 
 
-def _matrix_builders(group: Group, cap: int) -> dict:
-    """Each dense matrix builder on the group, called with the given cap."""
+def _matrix_builders(group: Group) -> dict:
+    """Each dense matrix builder on the group."""
     f = codimension_function(group)
     conn = all_reflections_connection(group)
     return {
-        "build": lambda: build_matrix(group, f, max_size=cap),
+        "build": lambda: build_matrix(group, f),
         "values": lambda: matrix_from_element_values(
-            group, group.codims, "codimension", max_size=cap
+            group, group.codims, "codimension"
         ),
-        "adjacency": lambda: adjacency_matrix(group, conn, max_size=cap),
-        "distance": lambda: distance_matrix_bfs(group, conn, max_size=cap),
+        "adjacency": lambda: adjacency_matrix(group, conn),
+        "distance": lambda: distance_matrix_bfs(group, conn),
     }
 
 
@@ -207,25 +208,12 @@ class TestMatrices:
                 product = x * y.inverse()
                 assert matrix.entries[i, j] == values[group.index_of(product)]
 
-    def test_matrix_cap(self):
+    def test_matrix_cap(self, monkeypatch):
         group = Group(GroupParams(3, 1, 2))
+        monkeypatch.setattr(spectra, "DEFAULT_MATRIX_CAP", 10)
         with pytest.raises(SizeLimitError) as excinfo:
-            build_matrix(group, codimension_function(group), max_size=10)
+            build_matrix(group, codimension_function(group))
         assert "class-algebra" in str(excinfo.value)
-
-    @pytest.mark.parametrize("cap", [0, -1])
-    @pytest.mark.parametrize(
-        "builder", ["build", "values", "adjacency", "distance"]
-    )
-    def test_cap_below_one_rejected_before_any_work(self, builder, cap, monkeypatch):
-        def no_work(*args):
-            raise AssertionError("work started before the cap was checked")
-
-        monkeypatch.setattr(spectra, "bfs_word_lengths", no_work)
-        monkeypatch.setattr(spectra, "class_structure_constants", no_work)
-        monkeypatch.setattr(Group, "quotient_row_chunks", no_work)
-        with pytest.raises(ParameterError, match="at least 1"):
-            _matrix_builders(Group(GroupParams(3, 1, 2)), cap)[builder]()
 
     @pytest.mark.parametrize(
         "builder", ["build", "values", "adjacency", "distance"]
@@ -235,7 +223,8 @@ class TestMatrices:
             raise AssertionError("a table was built before the cap was checked")
 
         group = Group(GroupParams(3, 1, 2))
-        calls = _matrix_builders(group, group.order - 1)
+        calls = _matrix_builders(group)
+        monkeypatch.setattr(spectra, "DEFAULT_MATRIX_CAP", group.order - 1)
         monkeypatch.setattr(spectra, "bfs_word_lengths", no_work)
         monkeypatch.setattr(spectra, "class_structure_constants", no_work)
         monkeypatch.setattr(Group, "quotient_row_chunks", no_work)
@@ -1043,6 +1032,14 @@ def test_class_algebra_spectra_read_no_per_element_arrays(params):
         assert spectrum.total_multiplicity() == group.order
     for name in ("inverse_indices", "codims", "reflection_lengths"):
         assert name not in vars(group)
+    # and the class record keeps no member lists: only the labels are |G| long
+    classes = group.conjugacy
+    for field in dataclasses.fields(classes):
+        # a tuple of tuples holds the entries of its rows
+        value = getattr(classes, field.name)
+        held = sum(len(x) if isinstance(x, tuple) else 1 for x in value)
+        if field.name != "class_of":
+            assert held <= len(classes), field.name
 
 
 def test_numeric_spectra_never_build_the_scalar_shift():
