@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from functools import wraps
+from itertools import chain, repeat
 from pathlib import Path
 
 import click
@@ -178,8 +179,11 @@ def group_command(r: int, p: int, n: int, fmt: str) -> None:
     group = Group(params)
     degrees = degree_data(params)
     generators = [format_element(g) for g in group.generators()]
-    refl_count = len(reflection_indices(group))
-    class_count = len(group.conjugacy)
+    classes = group.conjugacy
+    # the reflections fill the classes of codimension 1
+    codims = group.type_codims[classes.types].tolist()
+    refl_count = sum(size for size, c in zip(classes.sizes, codims) if c == 1)
+    class_count = len(classes)
     rational_count = len(group.rational)
     if fmt == "json":
         payload = {
@@ -220,16 +224,15 @@ def classes_command(r: int, p: int, n: int, fmt: str) -> None:
     params = _make_params(r, p, n)
     group = Group(params)
     classes = group.conjugacy
-    rational_of = group.rational.class_to_rational
+    rational = group.rational
     rows = []
     for index, rep in enumerate(classes.representatives):
-        element = group.element(rep)
         rows.append({
             "index": index,
             "size": classes.sizes[index],
-            "order": element_order(element),
-            "rational": int(rational_of[index]),
-            "representative": format_element(element),
+            "order": rational.orders[index],
+            "rational": rational.class_to_rational[index],
+            "representative": format_element(group.element(rep)),
         })
     if fmt == "json":
         payload = {
@@ -296,10 +299,14 @@ def lengths_command(r: int, p: int, n: int, fmt: str, output: str | None) -> Non
     """Reflection length and codimension of every element."""
     params = _make_params(r, p, n)
     group = Group(params)
+    if fmt == "csv":
+        _emit(_lengths_csv(group), output)
+        return
     table = reflection_length_table(group)
+    exp_texts, perm_texts = group.text_blocks()
+    texts = (e + s for s in perm_texts for e in exp_texts)
     rows = list(zip(
-        range(group.order), group.element_texts(),
-        table.lengths.tolist(), table.codims.tolist(),
+        range(group.order), texts, table.lengths.tolist(), table.codims.tolist()
     ))
     if fmt == "json":
         payload = {
@@ -314,18 +321,6 @@ def lengths_command(r: int, p: int, n: int, fmt: str, output: str | None) -> Non
         }
         _emit(_json_text(payload), output)
         return
-    header = ["index", "element", "reflection_length", "codimension"]
-    if fmt == "csv":
-        # as csv.writer would write it: an element's text holds a comma, and
-        # is quoted, exactly when n > 1
-        quote = '"' if n > 1 else ""
-        lines = [",".join(header) + "\n"]
-        lines += [
-            f"{i},{quote}{text}{quote},{length},{codim}\n"
-            for i, text, length, codim in rows
-        ]
-        _emit("".join(lines), output)
-        return
     text_rows = [
         [str(i), str(length), str(codim), text] for i, text, length, codim in rows
     ]
@@ -333,6 +328,24 @@ def lengths_command(r: int, p: int, n: int, fmt: str, output: str | None) -> Non
         text_rows, ["index", "reflection_length", "codimension", "element"]
     )
     _emit(table_text, output)
+
+
+def _lengths_csv(group: Group) -> str:
+    """The table as csv.writer writes it, in one %-format: element q * m + e
+    is exponent row e's text, written into a template block of m rows, then
+    permutation q's, and its type's length and codimension.  An element's
+    text holds a comma, and is quoted, exactly when n > 1."""
+    quote = '"' if group.params.n > 1 else ""
+    exp_texts, perm_texts = group.text_blocks()
+    types = zip(group.type_lengths.tolist(), group.type_codims.tolist())
+    suffixes = [f"{quote},{length},{codim}\n" for length, codim in types]
+    block = "".join(f"%d,{quote}{text}%s%s" for text in exp_texts)
+    perms = chain.from_iterable(repeat(text, len(exp_texts)) for text in perm_texts)
+    ends = map(suffixes.__getitem__, group.type_of.tolist())
+    rows = zip(range(group.order), perms, ends)
+    # the header goes into the template, so the table is built once
+    template = "index,element,reflection_length,codimension\n" + block * len(perm_texts)
+    return template % tuple(chain.from_iterable(rows))
 
 
 def _build_group_matrix(group: Group, kind: str, connection: str | None):

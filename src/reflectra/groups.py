@@ -364,10 +364,12 @@ def _by_least_member(
 @dataclass(frozen=True)
 class RationalClasses:
     """Partition of ordinary classes: two classes fall together when one
-    contains a power g^d, gcd(d, order(g)) = 1, of the other's elements."""
+    contains a power g^d, gcd(d, order(g)) = 1, of the other's elements.
+    `orders` holds the element order of each of the k classes."""
 
     groups: tuple[tuple[int, ...], ...]
     class_to_rational: tuple[int, ...]
+    orders: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.groups)
@@ -429,9 +431,9 @@ class Group:
     and read only by the class-algebra route, maps each class C to z C for
     the generator z of the scalar matrices (module docstring).  `codims`
     and `reflection_lengths` are read-only gathers through the types, built
-    when an element-level caller asks.  `element_texts` formats each
-    permutation and exponent row once, and `rational` raises the k class
-    representatives to their powers together.
+    when an element-level caller asks.  `text_blocks` formats each
+    permutation and exponent row once, and `rational` ranks one table of
+    the powers of the k class representatives.
     """
 
     def __init__(self, params: GroupParams, max_order: int | None = None):
@@ -504,15 +506,14 @@ class Group:
         """Every element in enumeration order, built on first use."""
         return tuple(self.element(i) for i in range(self.order))
 
-    def element_texts(self) -> list[str]:
-        """`format_element` of every element, in enumeration order: each
-        exponent row and each permutation is formatted once, and element
-        q * m + e joins exponent row e to permutation q."""
+    def text_blocks(self) -> tuple[list[str], list[str]]:
+        """The texts of the exponent rows, each ending in "|", and of the
+        permutations: element q * m + e's text joins row e to permutation q."""
         exp_texts = [",".join(map(str, row)) + "|" for row in self._exp_block.tolist()]
         perm_texts = [
             " ".join(str(i + 1) for i in row) for row in self._perm_block.tolist()
         ]
-        return [e + s for s in perm_texts for e in exp_texts]
+        return exp_texts, perm_texts
 
     def index_of(self, x: GroupElement) -> int:
         r, n, p = self.params.r, self.params.n, self.params.p
@@ -719,7 +720,7 @@ class Group:
         codims = _frozen(entry_codims[first[types]])
         sizes_and_sums = np.concatenate([codes // r + 1, codes % r], axis=1)
         splits = np.gcd(p, np.gcd.reduce(sizes_and_sums, axis=1))
-        type_of = number[entry_type][index].reshape(-1)
+        type_of = _frozen(number[entry_type][index].reshape(-1))
         log.debug(
             "cycle-type table of %s: |G| = %d, %d size sequences, %d table "
             "entries, %d cycle types, %.4fs",
@@ -727,6 +728,11 @@ class Group:
             time.perf_counter() - start,
         )
         return type_of, codes, codims, splits, weights, firsts, reps
+
+    @property
+    def type_of(self) -> np.ndarray:
+        """Read-only cycle type of every element, a row of the type table."""
+        return self._cycle_data[0]
 
     @property
     def type_codims(self) -> np.ndarray:
@@ -848,34 +854,39 @@ class Group:
 
     @cached_property
     def rational(self) -> RationalClasses:
-        """Coprime powers g^d of g have g as a coprime power again, so the
-        classes of the coprime powers of a representative form its whole
-        rational class; scanning classes in order numbers the rational
-        classes by least member.  The powers of all k representatives are
-        taken together, one index product per exponent d, until each has
-        reached the identity; that d is its order."""
+        """Coprime powers of g have g as a coprime power again, so the
+        classes of the coprime powers of a class form its rational class,
+        which is numbered by least member through its least such class.  A
+        cycle of length l and exponent sum c powers to zeta^c I after l
+        steps, so a class's order is the lcm of l r / gcd(c, r) over the
+        cycles of its type.  For d up to the largest order,
+        g^d = (a + A o s^-1 | s^d) for g = (a | s) and g^(d-1) = (A | s^(d-1))
+        is two gathers over all k representatives at once, and the whole
+        table is ranked in one call."""
         classes = self.conjugacy
-        reps = np.array(classes.representatives, dtype=np.int64)
-        orders = np.zeros(len(reps), dtype=np.int64)
-        current, powers = reps, []
-        while not orders.all():
-            powers.append(classes.class_of[current])
-            orders[(orders == 0) & (current == self.identity_index)] = len(powers)
-            current = self.product_indices(current, reps)
-        # power_class[c][d - 1] is the class of the d-th power of class c
-        power_class = np.stack(powers, axis=1).tolist()
-        class_to_rational = [-1] * len(classes)
-        groups = []
-        for c, o in enumerate(orders.tolist()):
-            if class_to_rational[c] >= 0:
-                continue
-            coprime = (d for d in range(1, o + 1) if gcd(d, o) == 1)
-            grp = sorted({power_class[c][d - 1] for d in coprime})
-            for j in grp:
-                class_to_rational[j] = len(groups)
-            groups.append(tuple(grp))
+        n, r, m, k = self.params.n, self.params.r, len(self._exp_block), len(classes)
+        codes = self._cycle_data[1][classes.types]
+        orders = np.lcm.reduce((codes // r + 1) * (r // np.gcd(codes % r, r)), axis=1)
+        q, e = np.divmod(np.array(classes.representatives, dtype=np.int64), m)
+        perms = np.empty((orders.max(), k, n), dtype=np.int64)
+        exps = np.empty_like(perms)
+        perms[0], exps[0] = self._perm_block[q], self._exp_block[e]
+        # the flat positions of s(j) and of s^-1(j) in row i of a power
+        ahead = perms[0] + np.arange(k)[:, None] * n
+        back = self._inv_block[q] + np.arange(k)[:, None] * n
+        for d in range(1, len(perms)):
+            perms[d] = perms[d - 1].take(ahead)
+            exps[d] = exps[0] + exps[d - 1].take(back)
+        # power_class[d - 1, c] is the class of the d-th power of class c
+        power_class = classes.class_of[self._perm_rank(perms) * m + self._exp_rank(exps)]
+        d = np.arange(1, len(perms) + 1)[:, None]
+        coprime = np.where((np.gcd(d, orders) == 1) & (d <= orders), power_class, k)
+        labels = np.unique(coprime.min(axis=0), return_inverse=True)[1]
+        members = np.argsort(labels, kind="stable").tolist()
+        ends = np.bincount(labels).cumsum().tolist()
         return RationalClasses(
-            groups=tuple(groups), class_to_rational=tuple(class_to_rational)
+            groups=tuple(tuple(members[a:b]) for a, b in zip([0, *ends], ends)),
+            class_to_rational=tuple(labels.tolist()), orders=tuple(orders.tolist()),
         )
 
     def generators(self) -> tuple[GroupElement, ...]:

@@ -586,16 +586,19 @@ def _separate_characters(group: Group) -> tuple[np.ndarray, list[int], list, dic
     return np.concatenate(rows), kept, kept_columns, counts
 
 
-def _certify(group: Group, omegas: np.ndarray, kept: list[int], columns) -> float:
-    """The eigenvector residual of the rows of omegas, after checking the
-    certificate that makes them the central characters; columns holds the
-    class sums of the kept classes at the orbit heads.
+def _certify(
+    group: Group, omegas: np.ndarray, kept: list[int], columns
+) -> tuple[float, np.ndarray]:
+    """The eigenvector residual of the rows of omegas and the block of each
+    row, after checking the certificate that makes them the central
+    characters; columns holds the class sums of the kept classes at the
+    orbit heads.
 
     Each row is put in the block t whose eps_t is nearest its value at the
     class of z, and must then
     * satisfy the shift relation omega(z C) = eps_t omega(C) on every class,
       to within 1e-8 max(1, max |omega|): it is an eigenvector of the class
-      sum of z;
+      sum of z with eigenvalue eps_t;
     * be, at the heads of the orbits of its block, an eigenvector of each
       kept class sum restricted to the block, N_t[o, o'] = L_o' / h
       F_t[o, o'] (_phase_sums), with eigenvalue its own value at that
@@ -607,7 +610,9 @@ def _certify(group: Group, omegas: np.ndarray, kept: list[int], columns) -> floa
       more than 1e-8 max(1, max |value|) apart (_eigenvalue_gap).
     A common eigenvector of these class sums lies in the sum of the lines
     of the characters that share its values there, so k rows with k
-    distinct value vectors lie on the k lines, one each."""
+    distinct value vectors lie on the k lines, one each.  Rows of different
+    blocks differ by at least |1 - e^(2 pi i / h)| at z, so the gap is
+    taken within each block."""
     orbits = _scalar_orbits(group)
     h = len(orbits.phases)
     shift = group.scalar_shift
@@ -627,7 +632,7 @@ def _certify(group: Group, omegas: np.ndarray, kept: list[int], columns) -> floa
             residual = max(residual, float(np.abs(image - own * values).max()))
     bound = 1e-6 * size**2
     used = omegas[:, [*kept, z]]
-    gap = _eigenvalue_gap(used)
+    gap = min(_eigenvalue_gap(used[blocks == t]) for t in set(blocks.tolist()))
     separation = 1e-8 * max(1.0, float(np.abs(used).max()))
     if not (drift <= 1e-8 * size and residual <= bound and gap > separation):
         raise NumericError(
@@ -636,11 +641,11 @@ def _certify(group: Group, omegas: np.ndarray, kept: list[int], columns) -> floa
             f"{1e-8 * size:.3e}), eigenvector residual {residual:.3e} "
             f"(bound {bound:.3e}), smallest gap {gap:.3e} (bound {separation:.3e})"
         )
-    return residual
+    return residual, blocks
 
 
 def character_degrees(
-    group: Group, omegas: np.ndarray
+    group: Group, omegas: np.ndarray, blocks: np.ndarray | None = None
 ) -> tuple[tuple[int, ...], float]:
     """Degrees chi(1) from the central characters, and the orthogonality
     error of the characters they give.
@@ -650,7 +655,10 @@ def character_degrees(
     |G|.  With chi(C) = chi(1) omega(C) / |C|, the Gram matrix
     sum_C |C| chi(C) conj(psi(C)) must be |G| times the identity; the error
     is its largest entrywise distance from that, relative to |G|, and must
-    be at most 1e-6."""
+    be at most 1e-6.  Given the row blocks that _certify returns, only
+    entries within a block are taken: across blocks t != s the shift
+    relation chi(z g) = eps_t chi(g), checked there, makes the sum over G
+    eps_t conj(eps_s) times itself, hence 0."""
     classes = group.conjugacy
     sizes = np.array(classes.sizes, dtype=np.float64)
     norms = np.real(np.sum(omegas * omegas[:, classes.inverse] / sizes, axis=1))
@@ -676,8 +684,12 @@ def character_degrees(
             f"expected {group.order}"
         )
     characters = omegas * (np.array(degrees, dtype=np.float64)[:, None] / sizes)
-    gram = (characters * sizes) @ characters.conj().T
-    error = float(np.abs(gram / group.order - np.eye(len(degrees))).max())
+    blocks = np.zeros(len(omegas)) if blocks is None else blocks
+    error = 0.0
+    for t in set(blocks.tolist()):
+        rows = characters[blocks == t]
+        gram = (rows * sizes) @ rows.conj().T / group.order
+        error = max(error, float(np.abs(gram - np.eye(len(rows))).max()))
     if error > 1e-6:
         raise NumericError(
             f"characters of {group.params} fail orthogonality by {error:.3e}"
@@ -700,8 +712,8 @@ def class_algebra_data(group: Group) -> ClassAlgebraData:
     order, the restricted eigenproblems, the eigenvector residual and the
     orthogonality error."""
     omegas, kept, columns, counts = _separate_characters(group)
-    residual = _certify(group, omegas, kept, columns)
-    degrees, orthogonality = character_degrees(group, omegas)
+    residual, blocks = _certify(group, omegas, kept, columns)
+    degrees, orthogonality = character_degrees(group, omegas, blocks)
     sizes = group.conjugacy.sizes
     log.debug(
         "class algebra of %s: |G| = %d, k = %d, h = %d blocks (widest %d), "

@@ -9,12 +9,22 @@ import numpy as np
 from reflectra.errors import NumericError, ParameterError
 from reflectra.groups import (
     GroupElement,
+    GroupParams,
     RationalClasses,
     element_order,
     element_power,
     format_element,
 )
 from reflectra.spectra import ClassFunction
+from reflectra.verify import desk_scale_params
+
+# the factored per-element passes against their oracles: every desk-scale
+# group, larger ones with many permutations or many exponent rows, and n = 1
+ORACLE_GROUPS = tuple(dict.fromkeys(desk_scale_params() + tuple(
+    GroupParams(*t)
+    for t in [(2, 1, 6), (2, 2, 6), (3, 1, 5), (6, 2, 4), (1, 1, 1), (5, 1, 1),
+              (3, 3, 1)]
+)))
 
 
 def monomial_matrix(x: GroupElement) -> np.ndarray:
@@ -211,22 +221,25 @@ def element_texts(group) -> list[str]:
 def power_scan_rational(group) -> RationalClasses:
     """Rational classes by scanning the classes in order: the classes of the
     coprime powers of each unassigned representative, found one
-    `element_power` and `index_of` at a time, form a new rational class."""
+    `element_power` and `index_of` at a time, form a new rational class; the
+    orders are `element_order` of the representatives."""
     classes = group.conjugacy
     class_to_rational = [-1] * len(classes)
     found = []
+    orders = tuple(element_order(group.element(rep)) for rep in classes.representatives)
     for c, rep in enumerate(classes.representatives):
         if class_to_rational[c] >= 0:
             continue
         g = group.element(rep)
-        o = element_order(g)
+        o = orders[c]
         powers = (element_power(g, d) for d in range(1, o + 1) if gcd(d, o) == 1)
         grp = sorted({int(classes.class_of[group.index_of(x)]) for x in powers})
         for j in grp:
             class_to_rational[j] = len(found)
         found.append(tuple(grp))
     return RationalClasses(
-        groups=tuple(found), class_to_rational=tuple(class_to_rational)
+        groups=tuple(found), class_to_rational=tuple(class_to_rational),
+        orders=orders,
     )
 
 

@@ -13,12 +13,12 @@ from click.testing import CliRunner
 import reflectra
 from reflectra import cli, spectra
 from reflectra.cli import main
-from reflectra.groups import Group, format_element
-from reflectra.reflections import reflection_length_table
+from reflectra.groups import Group, GroupParams, element_order, format_element
+from reflectra.reflections import reflection_length_table, reflections
 from reflectra.spectra import all_reflections_connection, distance_matrix_bfs
 from reflectra.verify import desk_scale_params
 
-from oracles import csv_by_writer
+from oracles import ORACLE_GROUPS, csv_by_writer
 
 
 def test_spectrum_json_is_byte_identical_on_repeat():
@@ -231,10 +231,17 @@ def test_verify_json_is_byte_identical_on_repeat():
     assert all("runtime" not in check for check in payload["checks"])
 
 
-@pytest.mark.parametrize("params", desk_scale_params(), ids=str)
-def test_lengths_rows_match_element_reference(params):
-    # the CSV is what csv.writer writes, on n = 1 (no comma, no quotes) too
-    group = Group(params)
+@pytest.mark.parametrize(
+    "params,max_order",
+    [(params, None) for params in desk_scale_params()]
+    + [(GroupParams(11, 1, 2), None), (GroupParams(12, 2, 2), None),
+       (GroupParams(2, 2, 6), 50000)],
+    ids=str,
+)
+def test_lengths_rows_match_element_reference(params, max_order):
+    # the CSV is what csv.writer writes, on n = 1 (no comma, no quotes) and
+    # on two-digit exponents too; the text is a left-aligned table
+    group = Group(params, max_order=max_order)
     table = reflection_length_table(group)
     rows = [
         [i, format_element(group.elements[i]), int(table.lengths[i]),
@@ -248,15 +255,48 @@ def test_lengths_rows_match_element_reference(params):
         "total_reflection_length": int(table.lengths.sum()),
         "elements": [dict(zip(header, row)) for row in rows],
     }
+    cells = [["index", "reflection_length", "codimension", "element"]] + [
+        [str(i), str(length), str(codim), text] for i, text, length, codim in rows
+    ]
+    widths = [max(len(row[col]) for row in cells) for col in range(4)]
+    lines = [
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+        for row in cells
+    ]
     expected = {
         "csv": csv_by_writer(rows, header),
         "json": json.dumps(payload, indent=2) + "\n",
+        "text": "\n".join(lines) + "\n",
     }
     args = ["lengths", str(params.r), str(params.p), str(params.n)]
+    env = {} if max_order is None else {"REFLECTRA_MAX_ORDER": str(max_order)}
     for fmt, text in expected.items():
-        result = CliRunner().invoke(main, args + ["--format", fmt])
+        result = CliRunner().invoke(main, args + ["--format", fmt], env=env)
         assert result.exit_code == 0, result.output
         assert result.stdout_bytes == text.encode()
+
+
+@pytest.mark.parametrize("params", ORACLE_GROUPS, ids=str)
+def test_classes_orders_are_the_element_orders(params):
+    group = Group(params, max_order=50000)
+    args = ["classes", str(params.r), str(params.p), str(params.n), "--format", "json"]
+    result = CliRunner().invoke(main, args, env={"REFLECTRA_MAX_ORDER": "50000"})
+    assert result.exit_code == 0, result.output
+    rows = json.loads(result.stdout_bytes)["classes"]
+    expected = [
+        element_order(group.element(rep)) for rep in group.conjugacy.representatives
+    ]
+    assert [row["order"] for row in rows] == expected
+    assert list(group.rational.orders) == expected
+
+
+@pytest.mark.parametrize("params", desk_scale_params(), ids=str)
+def test_group_counts_the_reflections(params):
+    args = ["group", str(params.r), str(params.p), str(params.n), "--format", "json"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    count = json.loads(result.stdout_bytes)["reflections"]
+    assert count == len(reflections(Group(params)))
 
 
 @pytest.mark.parametrize(

@@ -35,6 +35,7 @@ from reflectra.groups import (
 from reflectra.verify import desk_scale_params
 
 from oracles import (
+    ORACLE_GROUPS,
     FlatIndexMaps,
     class_members,
     conjugation_indices,
@@ -46,14 +47,6 @@ from oracles import (
     power_scan_rational,
     right_mult_indices,
 )
-
-# the factored per-element passes against their oracles: every desk-scale
-# group, larger ones with many permutations or many exponent rows, and n = 1
-ORACLE_GROUPS = tuple(dict.fromkeys(desk_scale_params() + tuple(
-    GroupParams(*t)
-    for t in [(2, 1, 6), (2, 2, 6), (3, 1, 5), (6, 2, 4), (1, 1, 1), (5, 1, 1),
-              (3, 3, 1)]
-)))
 
 
 def elements_strategy(max_r: int = 6, max_n: int = 4):
@@ -664,7 +657,8 @@ class TestFactoredPerElementData:
     @pytest.mark.parametrize("params", ORACLE_GROUPS, ids=str)
     def test_element_texts_match_format_element(self, params):
         group = Group(params, max_order=50000)
-        assert group.element_texts() == element_texts(group)
+        exp_texts, perm_texts = group.text_blocks()
+        assert [e + s for s in perm_texts for e in exp_texts] == element_texts(group)
 
     @pytest.mark.parametrize("params", ORACLE_GROUPS, ids=str)
     def test_rational_matches_power_scan(self, params):
@@ -672,6 +666,7 @@ class TestFactoredPerElementData:
         expected = power_scan_rational(group)
         assert group.rational.groups == expected.groups
         assert group.rational.class_to_rational == expected.class_to_rational
+        assert group.rational.orders == expected.orders
 
     @pytest.mark.parametrize(
         "params", [GroupParams(2, 2, 6), GroupParams(3, 1, 5)], ids=str
@@ -683,7 +678,8 @@ class TestFactoredPerElementData:
         group = Group(params, max_order=50000)
         monkeypatch.setattr(GroupElement, "__init__", no_elements)
         monkeypatch.setattr(Group, "element", no_elements)
-        assert len(group.element_texts()) == group.order
+        exp_texts, perm_texts = group.text_blocks()
+        assert len(exp_texts) * len(perm_texts) == group.order
         assert len(group.conjugacy) > 0
         assert len(group.rational) > 0
         assert group.codims.size == group.order

@@ -558,6 +558,22 @@ class TestCharacterChecks:
         repeated[second] = repeated[first]
         with pytest.raises(NumericError, match="orthogonality"):
             character_degrees(group, repeated)
+        # the copy falls in the block of the row it copies
+        with pytest.raises(NumericError, match="orthogonality"):
+            character_degrees(group, repeated, blocks_of_rows(group, repeated))
+
+    @pytest.mark.parametrize("r,p,n", [*CHECKED_GROUPS, (8, 4, 2), (6, 2, 4)])
+    def test_gram_entries_across_blocks_vanish(self, r, p, n):
+        # the entries left out by the blockwise check are those the shift
+        # relation makes 0, so it finds the error of the whole Gram matrix
+        group = Group(GroupParams(r, p, n))
+        omegas = class_algebra_data(group).central_characters
+        blocks = blocks_of_rows(group, omegas)
+        assert len(set(blocks.tolist())) > 1
+        degrees, whole = character_degrees(group, omegas)
+        blockwise_degrees, blockwise = character_degrees(group, omegas, blocks)
+        assert blockwise_degrees == degrees
+        assert blockwise == pytest.approx(whole, abs=1e-12)
 
 
 class TestSeparation:
@@ -601,9 +617,11 @@ class TestSeparation:
         assert _eigenvalue_gap(rows[:1]) == float("inf")
 
     @pytest.mark.parametrize("r,p,n", [(8, 4, 2), (4, 2, 3), (6, 1, 3)])
-    def test_a_duplicated_row_fails_joint_separation(self, r, p, n):
+    @pytest.mark.parametrize("source,target", [(0, 1), (-1, -2)])
+    def test_a_duplicated_row_fails_joint_separation(self, r, p, n, source, target):
         # the copy is still an eigenvector of every kept class sum, so only
-        # the joint separation of the rows can notice it
+        # the joint separation of the rows can notice it; it falls in the
+        # block of the row it copies, the first block or the last
         group = Group(GroupParams(r, p, n))
         data = class_algebra_data(group)
         kept = list(data.class_sums)
@@ -611,7 +629,7 @@ class TestSeparation:
         omegas = data.central_characters
         _certify(group, omegas, kept, columns)
         duplicated = omegas.copy()
-        duplicated[1] = duplicated[0]
+        duplicated[target] = duplicated[source]
         with pytest.raises(NumericError, match="smallest gap 0.000e"):
             _certify(group, duplicated, kept, columns)
 
