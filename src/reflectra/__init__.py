@@ -1,140 +1,3 @@
 """Monomial reflection groups G(r, p, n) and the integral spectra of their
 reflection Cayley graphs, computed by independent numeric, class-algebra,
 and combinatorial routes."""
-
-from .errors import (
-    ConnectivityError,
-    ConsistencyError,
-    NumericError,
-    ParameterError,
-    ReflectraError,
-    SizeLimitError,
-)
-from .groups import (
-    Group,
-    GroupElement,
-    GroupParams,
-    cycle_type,
-    element_order,
-    element_power,
-    find_galois_exponent,
-    format_element,
-    galois_apply,
-    identity_element,
-    is_real,
-    multiply,
-    parse_element,
-    standard_generators,
-)
-from .partitions import (
-    character_dimension,
-    closed_form_reference,
-    codim_spectrum_combinatorial,
-    codim_spectrum_entries,
-    contents,
-    enumerate_partition_tuples,
-    format_partition_tuple,
-    hook_lengths,
-    parse_partition_tuple,
-    partitions_of,
-    poincare_star_roots,
-    xi_from_roots,
-)
-# not the function `reflections`: its name would hide the submodule
-from .reflections import (
-    bfs_word_lengths,
-    codim,
-    degree_data,
-    eta1_closed_form,
-    reflection_length_table,
-    sum_reflection_lengths,
-    xi1_closed_form,
-)
-from .spectra import (
-    ClassFunction,
-    ConnectionSet,
-    GroupMatrix,
-    Spectrum,
-    adjacency_function,
-    adjacency_matrix,
-    all_reflections_connection,
-    bipartite_check,
-    build_matrix,
-    class_algebra_data,
-    class_function,
-    codimension_function,
-    connection_set,
-    distance_function,
-    distance_matrix_bfs,
-    jacobi_eigenvalues,
-    matrix_from_element_values,
-    spectral_radius_check,
-    spectrum_class_algebra,
-    spectrum_numeric,
-    standard_connection,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ConnectivityError",
-    "ConsistencyError",
-    "NumericError",
-    "ParameterError",
-    "ReflectraError",
-    "SizeLimitError",
-    "Group",
-    "GroupElement",
-    "GroupParams",
-    "cycle_type",
-    "element_order",
-    "element_power",
-    "find_galois_exponent",
-    "format_element",
-    "galois_apply",
-    "identity_element",
-    "is_real",
-    "multiply",
-    "parse_element",
-    "standard_generators",
-    "character_dimension",
-    "closed_form_reference",
-    "codim_spectrum_combinatorial",
-    "codim_spectrum_entries",
-    "contents",
-    "enumerate_partition_tuples",
-    "format_partition_tuple",
-    "hook_lengths",
-    "parse_partition_tuple",
-    "partitions_of",
-    "poincare_star_roots",
-    "xi_from_roots",
-    "bfs_word_lengths",
-    "codim",
-    "degree_data",
-    "eta1_closed_form",
-    "reflection_length_table",
-    "sum_reflection_lengths",
-    "xi1_closed_form",
-    "ClassFunction",
-    "ConnectionSet",
-    "GroupMatrix",
-    "Spectrum",
-    "adjacency_function",
-    "adjacency_matrix",
-    "all_reflections_connection",
-    "bipartite_check",
-    "build_matrix",
-    "class_algebra_data",
-    "class_function",
-    "codimension_function",
-    "connection_set",
-    "distance_function",
-    "distance_matrix_bfs",
-    "jacobi_eigenvalues",
-    "matrix_from_element_values",
-    "spectral_radius_check",
-    "spectrum_class_algebra",
-    "spectrum_numeric",
-    "standard_connection",
-]

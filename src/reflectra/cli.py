@@ -32,6 +32,7 @@ from .groups import (
     element_order,
     format_element,
     is_real,
+    standard_generators,
 )
 from .partitions import (
     character_dimension,
@@ -44,6 +45,7 @@ from .partitions import (
 from .reflections import degree_data, reflection_length_table
 from .reflections import reflections as reflection_indices
 from .spectra import (
+    ELEMENT_ORDER_REFERENCE,
     KINDS,
     Spectrum,
     _check_matrix_cap,
@@ -178,7 +180,7 @@ def group_command(r: int, p: int, n: int, fmt: str) -> None:
     params = _make_params(r, p, n)
     group = Group(params)
     degrees = degree_data(params)
-    generators = [format_element(g) for g in group.generators()]
+    generators = [format_element(g) for g in standard_generators(params)]
     classes = group.conjugacy
     # the reflections fill the classes of codimension 1
     codims = group.type_codims[classes.types].tolist()
@@ -393,7 +395,7 @@ def matrix_command(
             "params": [r, p, n],
             "kind": kind,
             "order": matrix.order,
-            "element_order_reference": matrix.element_order_reference,
+            "element_order_reference": ELEMENT_ORDER_REFERENCE,
             "entries": matrix.entries.tolist(),
         }
         if used_connection is not None:

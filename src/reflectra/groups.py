@@ -889,9 +889,6 @@ class Group:
             class_to_rational=tuple(labels.tolist()), orders=tuple(orders.tolist()),
         )
 
-    def generators(self) -> tuple[GroupElement, ...]:
-        return standard_generators(self.params)
-
 
 def bfs_word_lengths(group: Group, generator_indices) -> np.ndarray:
     """Word length of every element over the given generators, by BFS from

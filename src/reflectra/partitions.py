@@ -251,8 +251,8 @@ def _partition_table(r: int, n: int) -> dict[Partition, _PartitionFactors]:
 def codim_spectrum_entries(r: int, n: int) -> tuple[SpectrumEntry, ...]:
     """One (eigenvalue, squared dimension, tuple) entry per partition tuple,
     in enumerate_partition_tuples order, from each tuple's own roots and
-    hook lengths: the path of the `poincare` command, which shares no
-    partition table with the fold."""
+    hook lengths: the per-tuple reference the tests compare the fold with,
+    sharing no partition table with it."""
     return tuple(
         SpectrumEntry(
             xi_from_roots(poincare_star_roots(tpl, r)),

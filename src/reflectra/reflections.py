@@ -45,17 +45,10 @@ class LengthTable:
     lengths: np.ndarray
     codims: np.ndarray
 
-    def total_length(self) -> int:
-        return int(self.lengths.sum())
-
 
 def reflection_length_table(group: Group) -> LengthTable:
     """The group's reflection lengths and codimensions, side by side."""
     return LengthTable(lengths=group.reflection_lengths, codims=group.codims)
-
-
-def sum_reflection_lengths(group: Group) -> int:
-    return reflection_length_table(group).total_length()
 
 
 def all_reflections_order_two(group: Group) -> bool:

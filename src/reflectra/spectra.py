@@ -50,7 +50,7 @@ from .errors import (
     ParameterError,
     SizeLimitError,
 )
-from .groups import Group, GroupParams, bfs_word_lengths
+from .groups import Group, GroupParams, bfs_word_lengths, standard_generators
 from .reflections import all_reflections_order_two, reflections
 
 log = logging.getLogger(__name__)
@@ -65,6 +65,7 @@ DEFAULT_MATRIX_CAP = 1200
 # slower.  Matrices of order 32 to 72 are one chunk at every size tried.
 _CHUNK_ENTRIES = 1 << 16
 ELEMENT_ORDER_REFERENCE = "lex(perm,exponents)"
+_CLUSTER_WIDTH = 1e-6
 
 @dataclass(frozen=True)
 class ClassFunction:
@@ -149,7 +150,7 @@ def all_reflections_connection(group: Group) -> ConnectionSet:
 
 def standard_connection(group: Group) -> ConnectionSet:
     """Standard generating set together with its inverses."""
-    gens = [group.index_of(g) for g in group.generators()]
+    gens = [group.index_of(g) for g in standard_generators(group.params)]
     gens += [int(group.inverse_indices[i]) for i in gens]
     return connection_set(group, gens, "standard")
 
@@ -161,7 +162,6 @@ class GroupMatrix:
     kind: str
     params: GroupParams
     entries: np.ndarray
-    element_order_reference: str = ELEMENT_ORDER_REFERENCE
 
     @property
     def order(self) -> int:
@@ -264,11 +264,11 @@ class Spectrum:
         return sum(m for _, m in self.entries)
 
 
-def _cluster(values: np.ndarray, width: float = 1e-6) -> list[list[int]]:
+def _cluster(values: np.ndarray) -> list[list[int]]:
     """Indices of values, ascending by value, split wherever neighbours
-    differ by more than width."""
+    differ by more than _CLUSTER_WIDTH."""
     order = np.argsort(values, kind="stable")
-    breaks = np.flatnonzero(np.diff(values[order]) > width) + 1
+    breaks = np.flatnonzero(np.diff(values[order]) > _CLUSTER_WIDTH) + 1
     return [cluster.tolist() for cluster in np.split(order, breaks) if cluster.size]
 
 

@@ -17,10 +17,10 @@ criterion, check[, condition on the group]); for each group in turn, every
 row whose condition holds gives one check named prefix-G(r,p,n), which calls
 check(group).  Every comparison of two spectra goes through `_agree`.  Each
 check also carries the criterion number of the fact it tests.  All orderings
-are deterministic.  Groups, numeric spectra and BFS reference lengths are
-cached per process; each group caches its classes and its per-type
-codimensions and reflection lengths, and the per-element arrays gathered
-from them on first use.
+are deterministic.  Groups, numeric spectra, class-algebra data and BFS
+reference lengths are cached per process; each group caches its classes
+and its per-type codimensions and reflection lengths, and the per-element
+arrays gathered from them on first use.
 """
 
 from __future__ import annotations
@@ -120,17 +120,13 @@ class VerificationReport:
         }
 
 
-def desk_scale_params(
-    max_order: int = DESK_MAX_ORDER,
-    max_r: int = DESK_MAX_R,
-    max_n: int = DESK_MAX_N,
-) -> tuple[GroupParams, ...]:
-    """Every G(r, p, n) on the r <= max_r, n <= max_n grid whose order fits,
-    smallest order first."""
+def desk_scale_params(max_order: int = DESK_MAX_ORDER) -> tuple[GroupParams, ...]:
+    """Every G(r, p, n) on the r <= DESK_MAX_R, n <= DESK_MAX_N grid whose
+    order fits, smallest order first."""
     found = []
-    for r in range(1, max_r + 1):
+    for r in range(1, DESK_MAX_R + 1):
         for p in (d for d in range(1, r + 1) if r % d == 0):
-            for n in range(1, max_n + 1):
+            for n in range(1, DESK_MAX_N + 1):
                 params = GroupParams(r, p, n)
                 if params.order <= max_order:
                     found.append(params)

@@ -14,6 +14,7 @@ from reflectra.groups import (
     element_order,
     element_power,
     format_element,
+    standard_generators,
 )
 from reflectra.spectra import ClassFunction
 from reflectra.verify import desk_scale_params
@@ -67,7 +68,8 @@ def conjugation_orbits(group) -> list[list[int]]:
     a breadth-first search over conjugation by the generators from every
     element not yet assigned."""
     conj_maps = [
-        conjugation_indices(group, group.index_of(g)) for g in group.generators()
+        conjugation_indices(group, group.index_of(g))
+        for g in standard_generators(group.params)
     ]
     assigned = np.zeros(group.order, dtype=bool)
     orbits = []

@@ -66,6 +66,24 @@ def test_only_the_verify_command_imports_verify():
     assert "dihedral" in done.stderr and "all" in done.stderr
 
 
+def test_package_root_loads_no_submodule():
+    # callers import the submodules; the root re-exports nothing
+    src = str(Path(reflectra.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    script = (
+        "import sys, reflectra\n"
+        "print(sorted(m for m in sys.modules if m.startswith('reflectra.')))\n"
+        "print(sorted(k for k in vars(reflectra)"
+        " if not (k.startswith('__') and k.endswith('__'))))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n[]\n"
+
+
 def test_no_request_imports_numpy_ma_or_fft():
     # the first plain np.unique (no return flags) in a process imports
     # numpy.ma, about 15 ms; no route needs it, nor numpy.fft
@@ -336,6 +354,21 @@ def test_distance_matrix_matches_bfs_over_reflections(params):
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
     assert result.stdout_bytes == expected.encode()
+
+
+def test_matrix_json_names_its_element_order():
+    args = ["matrix", "3", "1", "2", "--kind", "codimension", "--format", "json"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.stdout_bytes)
+    assert list(payload) == [
+        "schema", "params", "kind", "order", "element_order_reference", "entries"
+    ]
+    assert payload["element_order_reference"] == "lex(perm,exponents)"
+    # the identity is element 0, so column 0 is each element's codimension
+    # in the order the reference names
+    codims = Group(GroupParams(3, 1, 2)).codims.tolist()
+    assert [row[0] for row in payload["entries"]] == codims
 
 
 @pytest.mark.parametrize("method", ["class-algebra", "numeric"])

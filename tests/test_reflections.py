@@ -24,7 +24,6 @@ from reflectra.reflections import (
     eta1_closed_form,
     reflection_length_table,
     reflections,
-    sum_reflection_lengths,
     xi1_closed_form,
 )
 from reflectra.spectra import bipartite_check, distance_function
@@ -110,10 +109,10 @@ class TestReflectionSet:
 
 class TestWordLengths:
     def test_symmetric_group_total(self):
-        assert sum_reflection_lengths(Group(GroupParams(1, 1, 3))) == 7
+        assert Group(GroupParams(1, 1, 3)).reflection_lengths.sum() == 7
 
     def test_hyperoctahedral_total(self):
-        assert sum_reflection_lengths(Group(GroupParams(2, 1, 2))) == 10
+        assert Group(GroupParams(2, 1, 2)).reflection_lengths.sum() == 10
 
     def test_length_equals_codim_for_p1(self):
         table = reflection_length_table(Group(GroupParams(3, 1, 2)))
@@ -196,11 +195,10 @@ class TestWordLengths:
         [
             lambda g: g.reflection_lengths,
             reflection_length_table,
-            sum_reflection_lengths,
             distance_function,
             bipartite_check,
         ],
-        ids=["property", "table", "sum", "distance", "bipartite"],
+        ids=["property", "table", "distance", "bipartite"],
     )
     def test_unreachable_element_is_inconsistent(self, caller, monkeypatch):
         formula = groups.cycle_type_length
