@@ -9,10 +9,13 @@ imported from PATH/src.  The requests are:
 * every request of the benchmark workloads (perfbench/workloads.py of this
   checkout, imported read-only), each with its workload's environment;
 * `verify all`, in text and in json;
-* on every desk-scale group of order at most 200: `group`, `classes`,
-  `lengths --format csv`, `matrix --format json` for the three kinds, and
-  `spectrum --format json` for the three kinds by the numeric and the
-  class-algebra routes.
+* `poincare` on a few partition tuples, in text and in json;
+* on every desk-scale group of order at most 200: `group`, `classes` and
+  `reflections` in text and in json, `lengths` in text, csv and json,
+  `matrix` in text, csv and json for the three kinds, `spectrum --format
+  json` for the three kinds by the numeric and the class-algebra routes,
+  and the numeric adjacency and distance spectra on the standard
+  connection set.
 
 Each tree answers all of them in one fresh interpreter (benchtrees.run_in)
 through click's test runner, which keeps stdout apart from stderr; a
@@ -65,20 +68,37 @@ def requests() -> list[tuple[list[str], dict[str, str]]]:
         for request in workload.requests
     ]
     found += [(["verify", "all", "--format", fmt], {}) for fmt in ("text", "json")]
+    found += [
+        (["poincare", text, "--format", fmt], {})
+        for text in ("1", "2||1,1", "3,1", "1|1", "2,1|1|", "|3|", "4,2,1")
+        for fmt in ("text", "json")
+    ]
     for params in desk_scale_params(max_order=200):
         group = [str(params.r), str(params.p), str(params.n)]
         found += [
-            (["group", *group], {}),
-            (["classes", *group], {}),
-            (["lengths", *group, "--format", "csv"], {}),
+            ([command, *group, "--format", fmt], {})
+            for command in ("group", "classes", "reflections")
+            for fmt in ("text", "json")
+        ]
+        found += [
+            (["lengths", *group, "--format", fmt], {})
+            for fmt in ("text", "csv", "json")
         ]
         for kind in KINDS:
-            found.append((["matrix", *group, "--kind", kind, "--format", "json"], {}))
+            found += [
+                (["matrix", *group, "--kind", kind, "--format", fmt], {})
+                for fmt in ("text", "csv", "json")
+            ]
             found += [
                 (["spectrum", *group, "--kind", kind, "--method", method,
                   "--format", "json"], {})
                 for method in ("numeric", "class-algebra")
             ]
+        found += [
+            (["spectrum", *group, "--kind", kind, "--connection-set", "standard",
+              "--format", "json"], {})
+            for kind in ("adjacency", "distance")
+        ]
     return found
 
 

@@ -42,7 +42,7 @@ from .partitions import (
     poincare_star_roots,
     xi_from_roots,
 )
-from .reflections import degree_data, reflection_length_table
+from .reflections import degree_data
 from .reflections import reflections as reflection_indices
 from .spectra import (
     ELEMENT_ORDER_REFERENCE,
@@ -98,7 +98,10 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         click.echo(text, nl=False)
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        try:
+            Path(output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise click.FileError(output, hint=exc.strerror or str(exc)) from None
 
 
 def _json_text(payload: dict) -> str:
@@ -180,6 +183,7 @@ def group_command(r: int, p: int, n: int, fmt: str) -> None:
     params = _make_params(r, p, n)
     group = Group(params)
     degrees = degree_data(params)
+    exponents = [d - 1 for d in degrees]
     generators = [format_element(g) for g in standard_generators(params)]
     classes = group.conjugacy
     # the reflections fill the classes of codimension 1
@@ -193,8 +197,8 @@ def group_command(r: int, p: int, n: int, fmt: str) -> None:
             "params": [r, p, n],
             "name": str(params),
             "order": group.order,
-            "degrees": list(degrees.degrees),
-            "exponents": list(degrees.exponents),
+            "degrees": list(degrees),
+            "exponents": exponents,
             "reflections": refl_count,
             "classes": class_count,
             "rational_classes": rational_count,
@@ -205,8 +209,8 @@ def group_command(r: int, p: int, n: int, fmt: str) -> None:
         return
     lines = [
         f"{params}: order {group.order}",
-        "degrees " + ", ".join(str(d) for d in degrees.degrees)
-        + "; exponents " + ", ".join(str(m) for m in degrees.exponents),
+        "degrees " + ", ".join(str(d) for d in degrees)
+        + "; exponents " + ", ".join(str(m) for m in exponents),
         f"{refl_count} reflections, {class_count} conjugacy classes, "
         f"{rational_count} rational classes",
         f"real: {'yes' if is_real(params) else 'no'}",
@@ -300,54 +304,57 @@ def reflections_command(r: int, p: int, n: int, fmt: str) -> None:
 def lengths_command(r: int, p: int, n: int, fmt: str, output: str | None) -> None:
     """Reflection length and codimension of every element."""
     params = _make_params(r, p, n)
-    group = Group(params)
-    if fmt == "csv":
-        _emit(_lengths_csv(group), output)
-        return
-    table = reflection_length_table(group)
+    _emit(_lengths_table(Group(params), fmt), output)
+
+
+def _lengths_table(group: Group, fmt: str) -> str:
+    """The table in fmt, as csv.writer, _json_text or _table writes it, in
+    one %-format.  The template repeats one block of m rows, one per
+    exponent row e, once per permutation; row q * m + e takes its index
+    (%d), permutation q's text and its type's piece, the length and
+    codimension, which the text table writes before the element's text and
+    the others after it."""
     exp_texts, perm_texts = group.text_blocks()
-    texts = (e + s for s in perm_texts for e in exp_texts)
-    rows = list(zip(
-        range(group.order), texts, table.lengths.tolist(), table.codims.tolist()
-    ))
-    if fmt == "json":
+    bottom = ""
+    if fmt == "csv":
+        # an element's text holds a comma, and is quoted, exactly when n > 1
+        quote = '"' if group.params.n > 1 else ""
+        top = "index,element,reflection_length,codimension\n"
+        before, after, row = f"%d,{quote}", "%s%s", f"{quote},{{}},{{}}\n"
+    elif fmt == "json":
+        # element texts hold only digits, ",", "|" and spaces, which JSON
+        # strings take unescaped
+        params = group.params
         payload = {
             "schema": 1,
-            "params": [r, p, n],
-            "total_reflection_length": int(table.lengths.sum()),
-            "elements": [
-                {"index": i, "element": text, "reflection_length": length,
-                 "codimension": codim}
-                for i, text, length, codim in rows
-            ],
+            "params": [params.r, params.p, params.n],
+            "total_reflection_length": int(group.reflection_lengths.sum()),
+            "elements": ["@"],
         }
-        _emit(_json_text(payload), output)
-        return
-    text_rows = [
-        [str(i), str(length), str(codim), text] for i, text, length, codim in rows
-    ]
-    table_text = _table(
-        text_rows, ["index", "reflection_length", "codimension", "element"]
-    )
-    _emit(table_text, output)
-
-
-def _lengths_csv(group: Group) -> str:
-    """The table as csv.writer writes it, in one %-format: element q * m + e
-    is exponent row e's text, written into a template block of m rows, then
-    permutation q's, and its type's length and codimension.  An element's
-    text holds a comma, and is quoted, exactly when n > 1."""
-    quote = '"' if group.params.n > 1 else ""
-    exp_texts, perm_texts = group.text_blocks()
+        top, bottom = _json_text(payload).split('    "@"\n')
+        before, after = '    {\n      "index": %d,\n      "element": "', "%s%s"
+        row = '",\n      "reflection_length": {},\n      "codimension": {}\n    }},\n'
+    else:
+        # _table's columns: lengths (at most n + 1, n <= 15 for the cycle
+        # walk) and codimensions are narrower than their headers, and an
+        # element's text, last, ends in a digit, so rstrip cuts no padding
+        width = max(len("index"), len(str(group.order - 1)))
+        top = f"{'index':<{width}}  reflection_length  codimension  element\n"
+        before, after, row = f"%-{width}d  %s", "%s\n", "{:<17}  {:<11}  "
     types = zip(group.type_lengths.tolist(), group.type_codims.tolist())
-    suffixes = [f"{quote},{length},{codim}\n" for length, codim in types]
-    block = "".join(f"%d,{quote}{text}%s%s" for text in exp_texts)
+    pieces = [row.format(length, codim) for length, codim in types]
     perms = chain.from_iterable(repeat(text, len(exp_texts)) for text in perm_texts)
-    ends = map(suffixes.__getitem__, group.type_of.tolist())
-    rows = zip(range(group.order), perms, ends)
-    # the header goes into the template, so the table is built once
-    template = "index,element,reflection_length,codimension\n" + block * len(perm_texts)
-    return template % tuple(chain.from_iterable(rows))
+    ends = map(pieces.__getitem__, group.type_of.tolist())
+    rows = zip(range(group.order), *((ends, perms) if fmt == "text" else (perms, ends)))
+    block = "".join(before + text + after for text in exp_texts)
+    # the top goes into the template, so the table is built once
+    template = top + block * len(perm_texts) + bottom
+    table = template % tuple(chain.from_iterable(rows))
+    if fmt == "json":
+        # the last element takes no comma, and the bottom holds none
+        head, _, tail = table.rpartition(",")
+        return head + tail
+    return table
 
 
 def _build_group_matrix(group: Group, kind: str, connection: str | None):
@@ -394,18 +401,18 @@ def matrix_command(
             "schema": 1,
             "params": [r, p, n],
             "kind": kind,
-            "order": matrix.order,
+            "order": group.order,
             "element_order_reference": ELEMENT_ORDER_REFERENCE,
-            "entries": matrix.entries.tolist(),
+            "entries": matrix.tolist(),
         }
         if used_connection is not None:
             payload["connection_set"] = used_connection
         _emit(_json_text(payload), output)
         return
     if fmt == "csv":
-        _emit(_csv_text(matrix.entries.tolist()), output)
+        _emit(_csv_text(matrix.tolist()), output)
         return
-    lines = [" ".join(str(v) for v in row) for row in matrix.entries.tolist()]
+    lines = [" ".join(str(v) for v in row) for row in matrix.tolist()]
     _emit("\n".join(lines) + "\n", output)
 
 
@@ -482,6 +489,10 @@ def poincare_command(tuple_text: str, fmt: str) -> None:
         raise click.UsageError(str(exc)) from None
     r = len(tpl)
     n = sum(sum(component) for component in tpl)
+    if n == 0:
+        raise click.UsageError(
+            f"the tuple {tuple_text!r} has total size 0; n must be positive"
+        )
     roots = poincare_star_roots(tpl, r)
     xi = xi_from_roots(roots)
     dimension = character_dimension(tpl)

@@ -123,11 +123,6 @@ class GroupElement:
     def n(self) -> int:
         return len(self.perm)
 
-    def is_identity(self) -> bool:
-        return all(a == 0 for a in self.exponents) and all(
-            self.perm[i] == i for i in range(len(self.perm))
-        )
-
     def __mul__(self, other: GroupElement) -> GroupElement:
         return multiply(self, other)
 
@@ -248,20 +243,6 @@ def format_element(x: GroupElement) -> str:
     return ",".join(map(str, x.exponents)) + "|" + " ".join(str(i + 1) for i in x.perm)
 
 
-def parse_element(text: str, r: int) -> GroupElement:
-    """Inverse of format_element; r fixes the exponent modulus."""
-    parts = text.strip().split("|")
-    if len(parts) != 2:
-        raise ParameterError(f"element text needs one '|' separator: {text!r}")
-    try:
-        exps = tuple(int(tok) for tok in parts[0].split(","))
-        images = tuple(int(tok) for tok in parts[1].split())
-    except ValueError as exc:
-        raise ParameterError(f"malformed element text {text!r}") from exc
-    perm = tuple(i - 1 for i in images)
-    return GroupElement(r, exps, perm)
-
-
 def galois_apply(x: GroupElement, e: int) -> GroupElement:
     """Multiply every exponent by e; e must be invertible mod r."""
     if gcd(e, x.r) != 1:
@@ -365,14 +346,15 @@ def _by_least_member(
 class RationalClasses:
     """Partition of ordinary classes: two classes fall together when one
     contains a power g^d, gcd(d, order(g)) = 1, of the other's elements.
-    `orders` holds the element order of each of the k classes."""
+    `class_to_rational` labels each of the k classes with its rational
+    class, `orders` holds the element order of each; the length is the
+    number of distinct labels."""
 
-    groups: tuple[tuple[int, ...], ...]
     class_to_rational: tuple[int, ...]
     orders: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.groups)
+        return len(set(self.class_to_rational))
 
 
 def _enumeration_cap(explicit: int | None) -> int:
@@ -426,14 +408,14 @@ class Group:
     (cycle type, L mod d), numbered by least member from one row per size
     sequence, which gives the representatives, with the k-long record the
     spectrum routes read and no member lists; `class_sum_matrix` scans the
-    labels for one class's members and multiplies out its class sum, at
-    every class or at chosen columns only.  `scalar_shift`, built lazily
-    and read only by the class-algebra route, maps each class C to z C for
-    the generator z of the scalar matrices (module docstring).  `codims`
-    and `reflection_lengths` are read-only gathers through the types, built
+    labels for one class's members and multiplies out its class sum at
+    chosen columns.  `scalar_shift`, built lazily and read only by the
+    class-algebra route, maps each class C to z C for the generator z of
+    the scalar matrices (module docstring).  `codims` and
+    `reflection_lengths` are read-only gathers through the types, built
     when an element-level caller asks.  `text_blocks` formats each
     permutation and exponent row once, and `rational` ranks one table of
-    the powers of the k class representatives.
+    the powers of the k class representatives and labels each class.
     """
 
     def __init__(self, params: GroupParams, max_order: int | None = None):
@@ -483,9 +465,6 @@ class Group:
         is fixed mod p, so they are consecutive values apart by p."""
         return (exps % self.params.r) @ self._exp_weights // self.params.p
 
-    def __len__(self) -> int:
-        return self.order
-
     @property
     def identity_index(self) -> int:
         return 0
@@ -524,13 +503,6 @@ class Group:
         q = self._perm_rank(np.array(x.perm, dtype=np.int64))
         e = self._exp_rank(np.array(x.exponents, dtype=np.int64))
         return int(q * len(self._exp_block) + e)
-
-    def contains(self, x: GroupElement) -> bool:
-        try:
-            self.index_of(x)
-        except ParameterError:
-            return False
-        return True
 
     def _inverse_ranks(self, q, e) -> np.ndarray:
         """Index of the inverse of (exponent row e | permutation q), over q
@@ -821,23 +793,21 @@ class Group:
         reps = np.array(classes.representatives)
         return _frozen(classes.class_of[self.product_indices(z, reps)])
 
-    def class_sum_matrix(self, c: int, columns=None) -> np.ndarray:
+    def class_sum_matrix(self, c: int, columns) -> np.ndarray:
         """M[l, j] = #{u in C_c : u^-1 rep_j in C_l}, as float64, over the
-        classes j of columns (every class by default) as columns.  Over all
-        columns this is the slice a[c] of
-        `spectra.class_structure_constants`; each central character is a
-        right eigenvector of it, with eigenvalue omega_chi(C_c).  The
-        inverses u^-1 of the members of C_c are the members of the inverse
-        class, read as the indices where `class_of` holds that class (in
-        index order), so those are multiplied as they are, |C_c| per column.
+        classes j of columns as columns.  Over all k columns this is the
+        slice a[c] of `spectra.class_structure_constants`; each central
+        character is a right eigenvector of it, with eigenvalue
+        omega_chi(C_c).  The inverses u^-1 of the members of C_c are the
+        members of the inverse class, read as the indices where `class_of`
+        holds that class (in index order), so those are multiplied as they
+        are, |C_c| per column.
 
         A product (a | s) (b | t) = (a + b o s^-1 | s t): its permutation
         is ranked once per distinct pair (s, t), and its exponent row is
         b o s^-1, gathered once per distinct s and column, plus a."""
         classes = self.conjugacy
-        reps = np.array(classes.representatives)
-        if columns is not None:
-            reps = reps[columns]
+        reps = np.array(classes.representatives)[columns]
         members = np.flatnonzero(classes.class_of == classes.inverse[c])
         m = len(self._exp_block)
         perms, perm_of = np.unique(members // m, return_inverse=True)
@@ -882,11 +852,8 @@ class Group:
         d = np.arange(1, len(perms) + 1)[:, None]
         coprime = np.where((np.gcd(d, orders) == 1) & (d <= orders), power_class, k)
         labels = np.unique(coprime.min(axis=0), return_inverse=True)[1]
-        members = np.argsort(labels, kind="stable").tolist()
-        ends = np.bincount(labels).cumsum().tolist()
         return RationalClasses(
-            groups=tuple(tuple(members[a:b]) for a, b in zip([0, *ends], ends)),
-            class_to_rational=tuple(labels.tolist()), orders=tuple(orders.tolist()),
+            class_to_rational=tuple(labels.tolist()), orders=tuple(orders.tolist())
         )
 
 

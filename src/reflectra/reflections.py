@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ConsistencyError
 # bfs_word_lengths lives in groups; the benchmark tracer looks it up here
 from .groups import Group, GroupElement, GroupParams, bfs_word_lengths, cycle_type
+from .partitions import xi_from_roots
 
 
 def codim(x: GroupElement) -> int:
@@ -57,36 +58,21 @@ def all_reflections_order_two(group: Group) -> bool:
     return bool((group.inverse_indices[refl] == refl).all())
 
 
-@dataclass(frozen=True)
-class DegreeData:
-    """Invariant degrees r, 2r, ..., (n-1)r, nr/p and exponents d_i - 1."""
-
-    params: GroupParams
-    degrees: tuple[int, ...]
-    exponents: tuple[int, ...]
-
-
-def degree_data(params: GroupParams) -> DegreeData:
+def degree_data(params: GroupParams) -> tuple[int, ...]:
+    """Invariant degrees r, 2r, ..., (n-1)r, nr/p; the exponents are d - 1."""
     r, p, n = params.r, params.p, params.n
     degrees = tuple(r * i for i in range(1, n)) + (n * r // p,)
     if prod(degrees) != params.order:
         raise ConsistencyError(
             f"degree product {prod(degrees)} differs from |{params}| = {params.order}"
         )
-    return DegreeData(
-        params=params,
-        degrees=degrees,
-        exponents=tuple(d - 1 for d in degrees),
-    )
+    return degrees
 
 
 def xi1_closed_form(params: GroupParams) -> int:
     """Derivative at t = 1 of the product (1 + m_1 t)...(1 + m_n t) over the
-    exponents m_i; equals the sum of codim(w) over the group."""
-    running, derivative = 1, 0
-    for m in degree_data(params).exponents:
-        running, derivative = running * (1 + m), derivative * (1 + m) + m * running
-    return derivative
+    exponents m_i = d_i - 1; equals the sum of codim(w) over the group."""
+    return xi_from_roots(tuple(d - 1 for d in degree_data(params)))
 
 
 def eta1_closed_form(params: GroupParams) -> int:
@@ -94,8 +80,4 @@ def eta1_closed_form(params: GroupParams) -> int:
     matches the total reflection length for real groups and for every
     G(r, 1, n), where Shi's formula (groups module docstring) reduces to
     codim(w)."""
-    data = degree_data(params)
-    total = sum(
-        (d - 1) * (params.order // d) for d in data.degrees
-    )
-    return total
+    return sum((d - 1) * (params.order // d) for d in degree_data(params))

@@ -8,9 +8,10 @@ irreducible character chi contributes the eigenvalue
 
 with multiplicity chi(1)^2.  Three independent routes are implemented:
 
-* numeric: build the dense matrix, a chunk of rows at a time from the
-  group's block rank tables (matrix_from_element_values), and take its
-  eigenvalues with LAPACK (numpy's eigvalsh);
+* numeric: build the dense matrix, an int64 (|G|, |G|) array, a chunk of
+  rows at a time from the group's block rank tables
+  (matrix_from_element_values), and take its eigenvalues with LAPACK
+  (numpy's eigvalsh);
 * class-algebra: the scalar matrices <z>, of order h, are central, so the
   characters fall into h blocks by their value at z, and the class algebra
   into h invariant blocks of about k / h coordinates, one per z-orbit of
@@ -50,7 +51,7 @@ from .errors import (
     ParameterError,
     SizeLimitError,
 )
-from .groups import Group, GroupParams, bfs_word_lengths, standard_generators
+from .groups import Group, bfs_word_lengths, standard_generators
 from .reflections import all_reflections_order_two, reflections
 
 log = logging.getLogger(__name__)
@@ -128,9 +129,6 @@ class ConnectionSet:
     name: str
     indices: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.indices)
-
 
 def connection_set(group: Group, indices, name: str) -> ConnectionSet:
     indices = tuple(sorted(set(int(i) for i in indices)))
@@ -155,19 +153,6 @@ def standard_connection(group: Group) -> ConnectionSet:
     return connection_set(group, gens, "standard")
 
 
-@dataclass(frozen=True, eq=False)
-class GroupMatrix:
-    """Dense integer matrix M[i, j] = f(x_i * x_j^{-1}) over one enumeration."""
-
-    kind: str
-    params: GroupParams
-    entries: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
-
-
 def _check_matrix_cap(order: int) -> None:
     """Reject a group order above the dense matrix cap; every matrix builder
     calls this before it computes or allocates anything, and the CLI before
@@ -179,9 +164,10 @@ def _check_matrix_cap(order: int) -> None:
         )
 
 
-def matrix_from_element_values(group: Group, values, kind: str) -> GroupMatrix:
-    """Group matrix for a per-element function (not necessarily a class
-    function); values[k] is f of the k-th element.
+def matrix_from_element_values(group: Group, values) -> np.ndarray:
+    """Group matrix M[i, j] = f(x_i * x_j^{-1}), an int64 (|G|, |G|) array
+    over the group's enumeration, for a per-element function (not
+    necessarily a class function); values[k] is f of the k-th element.
 
     The rows are built a chunk at a time: Group.quotient_row_chunks gives
     the index of x_i * x_j^{-1} for a chunk of rows against every column,
@@ -193,15 +179,15 @@ def matrix_from_element_values(group: Group, values, kind: str) -> GroupMatrix:
     entries = np.empty((group.order, group.order), dtype=np.int64)
     for rows, table in group.quotient_row_chunks(_CHUNK_ENTRIES):
         entries[rows] = values[table]
-    return GroupMatrix(kind=kind, params=group.params, entries=entries)
+    return entries
 
 
-def build_matrix(group: Group, f: ClassFunction) -> GroupMatrix:
+def build_matrix(group: Group, f: ClassFunction) -> np.ndarray:
     _check_matrix_cap(group.order)
-    return matrix_from_element_values(group, f.element_values(group), f.kind)
+    return matrix_from_element_values(group, f.element_values(group))
 
 
-def distance_matrix_bfs(group: Group, connection: ConnectionSet) -> GroupMatrix:
+def distance_matrix_bfs(group: Group, connection: ConnectionSet) -> np.ndarray:
     """Shortest-path distance matrix of the Cayley graph on the connection
     set; the set must generate the group."""
     _check_matrix_cap(group.order)
@@ -212,14 +198,14 @@ def distance_matrix_bfs(group: Group, connection: ConnectionSet) -> GroupMatrix:
             f"connection set {connection.name!r} does not generate "
             f"{group.params}: {missing} unreachable elements"
         )
-    return matrix_from_element_values(group, lengths, "distance")
+    return matrix_from_element_values(group, lengths)
 
 
-def adjacency_matrix(group: Group, connection: ConnectionSet) -> GroupMatrix:
+def adjacency_matrix(group: Group, connection: ConnectionSet) -> np.ndarray:
     _check_matrix_cap(group.order)
     flags = np.zeros(group.order, dtype=np.int64)
     flags[np.array(connection.indices, dtype=np.int64)] = 1
-    return matrix_from_element_values(group, flags, "adjacency")
+    return matrix_from_element_values(group, flags)
 
 
 def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
@@ -259,9 +245,6 @@ class Spectrum:
 
     def as_dict(self) -> dict:
         return {e: m for e, m in self.entries}
-
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.entries)
 
 
 def _cluster(values: np.ndarray) -> list[list[int]]:
@@ -308,14 +291,13 @@ def _check_tolerance(tolerance: float) -> None:
         )
 
 
-def spectrum_numeric(matrix: GroupMatrix, tolerance: float = 1e-8) -> Spectrum:
+def spectrum_numeric(matrix: np.ndarray, tolerance: float = 1e-8) -> Spectrum:
     """Cluster and round the LAPACK eigenvalues of a symmetric group matrix;
     the tolerance is absolute."""
     _check_tolerance(tolerance)
-    entries = matrix.entries
-    if not np.array_equal(entries, entries.T):
-        raise ParameterError(f"{matrix.kind} matrix is not symmetric")
-    raw = jacobi_eigenvalues(entries)
+    if not np.array_equal(matrix, matrix.T):
+        raise ParameterError("matrix is not symmetric")
+    raw = jacobi_eigenvalues(matrix)
     return _round_spectrum(raw, [1] * raw.size, tolerance, "numeric")
 
 

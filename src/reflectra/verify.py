@@ -109,9 +109,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(result.passed for result in self.results)
 
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(result for result in self.results if not result.passed)
-
     def as_dict(self) -> dict:
         return {
             "suite": self.suite,
@@ -411,7 +408,7 @@ def _rational_constancy(params: GroupParams) -> CheckOutcome:
     bad = int((np.bincount(triples[0]) > 1).sum())
     ok = bad == 0
     detail = (
-        f"{len(group.rational.groups)} rational classes, "
+        f"{len(group.rational)} rational classes, "
         f"{bad} with non-constant length or codimension"
     )
     return ok, detail, None

@@ -239,10 +239,7 @@ def power_scan_rational(group) -> RationalClasses:
         for j in grp:
             class_to_rational[j] = len(found)
         found.append(tuple(grp))
-    return RationalClasses(
-        groups=tuple(found), class_to_rational=tuple(class_to_rational),
-        orders=orders,
-    )
+    return RationalClasses(class_to_rational=tuple(class_to_rational), orders=orders)
 
 
 def matrix_by_columns(group, values) -> np.ndarray:

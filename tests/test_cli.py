@@ -14,7 +14,7 @@ import reflectra
 from reflectra import cli, spectra
 from reflectra.cli import main
 from reflectra.groups import Group, GroupParams, element_order, format_element
-from reflectra.reflections import reflection_length_table, reflections
+from reflectra.reflections import reflections
 from reflectra.spectra import all_reflections_connection, distance_matrix_bfs
 from reflectra.verify import desk_scale_params
 
@@ -252,25 +252,28 @@ def test_verify_json_is_byte_identical_on_repeat():
 @pytest.mark.parametrize(
     "params,max_order",
     [(params, None) for params in desk_scale_params()]
-    + [(GroupParams(11, 1, 2), None), (GroupParams(12, 2, 2), None),
+    + [(GroupParams(12, 1, 1), None), (GroupParams(12, 3, 1), None),
+       (GroupParams(11, 1, 2), None), (GroupParams(12, 2, 2), None),
        (GroupParams(2, 2, 6), 50000)],
     ids=str,
 )
 def test_lengths_rows_match_element_reference(params, max_order):
-    # the CSV is what csv.writer writes, on n = 1 (no comma, no quotes) and
-    # on two-digit exponents too; the text is a left-aligned table
+    # every format is built per element from format_element and the
+    # group's per-element lengths and codimensions, on n = 1 (no comma, no
+    # quotes), on two-digit exponents and on p > 1: the CSV is what
+    # csv.writer writes, the JSON what json.dumps writes and reads back,
+    # and the text a left-aligned table, as cli._table writes it
     group = Group(params, max_order=max_order)
-    table = reflection_length_table(group)
+    lengths, codims = group.reflection_lengths.tolist(), group.codims.tolist()
     rows = [
-        [i, format_element(group.elements[i]), int(table.lengths[i]),
-         int(table.codims[i])]
+        [i, format_element(group.elements[i]), lengths[i], codims[i]]
         for i in range(group.order)
     ]
     header = ["index", "element", "reflection_length", "codimension"]
     payload = {
         "schema": 1,
         "params": [params.r, params.p, params.n],
-        "total_reflection_length": int(table.lengths.sum()),
+        "total_reflection_length": sum(lengths),
         "elements": [dict(zip(header, row)) for row in rows],
     }
     cells = [["index", "reflection_length", "codimension", "element"]] + [
@@ -286,12 +289,48 @@ def test_lengths_rows_match_element_reference(params, max_order):
         "json": json.dumps(payload, indent=2) + "\n",
         "text": "\n".join(lines) + "\n",
     }
+    assert expected["text"] == cli._table(cells[1:], cells[0])
     args = ["lengths", str(params.r), str(params.p), str(params.n)]
     env = {} if max_order is None else {"REFLECTRA_MAX_ORDER": str(max_order)}
     for fmt, text in expected.items():
         result = CliRunner().invoke(main, args + ["--format", fmt], env=env)
         assert result.exit_code == 0, result.output
         assert result.stdout_bytes == text.encode()
+        if fmt == "json":
+            assert json.loads(result.stdout_bytes) == payload
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["lengths", "2", "1", "2", "--format", "csv"],
+     ["matrix", "2", "1", "2", "--kind", "distance"],
+     ["spectrum", "2", "1", "2", "--kind", "adjacency"]],
+    ids=["lengths", "matrix", "spectrum"],
+)
+@pytest.mark.parametrize("where", ["missing-directory", "below-a-file"])
+def test_unwritable_output_is_one_error_line(args, where, tmp_path):
+    # an output path that cannot be opened is reported in one line, exit 1,
+    # not as an OSError traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    parent = tmp_path / "missing" if where == "missing-directory" else blocker
+    target = str(parent / "out.txt")
+    result = CliRunner().invoke(main, [*args, "-o", target])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout_bytes == b""
+    assert result.stderr.startswith(f"Error: Could not open file {target!r}: ")
+    assert result.stderr.count("\n") == 1
+    assert not Path(target).exists()
+
+
+@pytest.mark.parametrize("text", ["", "|", "||"], ids=["empty", "r=2", "r=3"])
+def test_poincare_rejects_total_size_zero(text):
+    # n = 0 is refused with exit 2, as by every command that takes R P N
+    result = CliRunner().invoke(main, ["poincare", text])
+    assert result.exit_code == 2, result.output
+    assert result.stdout_bytes == b""
+    assert "has total size 0" in result.stderr
 
 
 @pytest.mark.parametrize("params", ORACLE_GROUPS, ids=str)
@@ -313,8 +352,11 @@ def test_group_counts_the_reflections(params):
     args = ["group", str(params.r), str(params.p), str(params.n), "--format", "json"]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
-    count = json.loads(result.stdout_bytes)["reflections"]
-    assert count == len(reflections(Group(params)))
+    payload = json.loads(result.stdout_bytes)
+    assert payload["reflections"] == len(reflections(Group(params)))
+    # the exponents d - 1 of a reflection group sum to its reflection count
+    assert payload["exponents"] == [d - 1 for d in payload["degrees"]]
+    assert sum(payload["exponents"]) == payload["reflections"]
 
 
 @pytest.mark.parametrize(
@@ -348,7 +390,7 @@ def test_distance_matrix_runs_a_bfs_only_off_the_reflections(args, calls, monkey
 @pytest.mark.parametrize("params", desk_scale_params(max_order=200), ids=str)
 def test_distance_matrix_matches_bfs_over_reflections(params):
     group = Group(params)
-    entries = distance_matrix_bfs(group, all_reflections_connection(group)).entries
+    entries = distance_matrix_bfs(group, all_reflections_connection(group))
     expected = "".join(" ".join(map(str, row)) + "\n" for row in entries.tolist())
     args = ["matrix", str(params.r), str(params.p), str(params.n), "--kind", "distance"]
     result = CliRunner().invoke(main, args)

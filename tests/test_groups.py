@@ -29,7 +29,6 @@ from reflectra.groups import (
     galois_apply,
     identity_element,
     multiply,
-    parse_element,
     standard_generators,
 )
 from reflectra.verify import desk_scale_params
@@ -119,8 +118,9 @@ class TestElementAlgebra:
 
     @given(elements_strategy())
     def test_inverse(self, x):
-        assert multiply(x, x.inverse()).is_identity()
-        assert multiply(x.inverse(), x).is_identity()
+        e = identity_element(x.r, x.n)
+        assert multiply(x, x.inverse()) == e
+        assert multiply(x.inverse(), x) == e
 
     @given(elements_strategy())
     def test_identity_is_neutral(self, x):
@@ -132,11 +132,12 @@ class TestElementAlgebra:
     def test_order_by_repeated_multiplication(self, x):
         order = element_order(x)
         assert order >= 1
+        e = identity_element(x.r, x.n)
         power = x
         for step in range(1, order):
-            assert not power.is_identity()
+            assert power != e
             power = multiply(power, x)
-        assert power.is_identity()
+        assert power == e
 
     @given(elements_strategy())
     def test_power_against_naive_product(self, x):
@@ -151,14 +152,9 @@ class TestElementAlgebra:
         with pytest.raises(ParameterError):
             multiply(x, y)
 
-    @given(elements_strategy())
-    def test_text_roundtrip(self, x):
-        assert parse_element(format_element(x), x.r) == x
-
     def test_format_example(self):
         x = GroupElement(r=3, exponents=(1, 0), perm=(1, 0))
         assert format_element(x) == "1,0|2 1"
-        assert parse_element("1,0|2 1", 3) == x
 
 
 class TestCycleType:
@@ -236,19 +232,17 @@ class TestEnumeration:
     def test_foreign_element_rejected(self):
         group = Group(GroupParams(4, 2, 2))
         outside = GroupElement(r=4, exponents=(1, 0), perm=(0, 1))
-        assert not group.contains(outside)
         with pytest.raises(ParameterError):
             group.index_of(outside)
 
-    def test_contains_agrees_with_index_of(self):
+    def test_wrong_r_or_n_rejected(self):
         group = Group(GroupParams(4, 2, 2))
         wrong_r = GroupElement(r=8, exponents=(1, 1), perm=(0, 1))
         wrong_n = GroupElement(r=4, exponents=(0, 0, 0), perm=(0, 1, 2))
         for outside in (wrong_r, wrong_n):
-            assert not group.contains(outside)
             with pytest.raises(ParameterError):
                 group.index_of(outside)
-        assert all(group.contains(x) for x in group.elements)
+        assert [group.index_of(x) for x in group.elements] == list(range(group.order))
 
     def test_size_cap(self):
         with pytest.raises(SizeLimitError) as excinfo:
@@ -411,14 +405,15 @@ class TestRankArithmetic:
     @pytest.mark.parametrize(
         "params", [q for q in desk_scale_params() if q.p > 1], ids=str
     )
-    def test_contains_iff_exponent_sum_divisible_by_p(self, params):
+    def test_member_iff_exponent_sum_divisible_by_p(self, params):
         group = Group(params)
         inside = []
         for x in Group(GroupParams(params.r, 1, params.n)).elements:
-            contained = group.contains(x)
-            assert contained == (sum(x.exponents) % params.p == 0)
-            if contained:
+            if sum(x.exponents) % params.p == 0:
                 inside.append(group.index_of(x))
+            else:
+                with pytest.raises(ParameterError, match="is not in"):
+                    group.index_of(x)
         # G(r, p, n) keeps the lex order of G(r, 1, n)
         assert inside == list(range(group.order))
 
@@ -476,7 +471,9 @@ class TestConjugacy:
     def test_identity_is_class_zero(self, params):
         # the class-algebra route and verify take the identity's class as 0
         group = Group(params, max_order=50000)
-        assert group.element(group.identity_index).is_identity()
+        assert group.element(group.identity_index) == identity_element(
+            params.r, params.n
+        )
         assert group.conjugacy.class_of[group.identity_index] == 0
 
     @pytest.mark.parametrize(
@@ -664,7 +661,6 @@ class TestFactoredPerElementData:
     def test_rational_matches_power_scan(self, params):
         group = Group(params, max_order=50000)
         expected = power_scan_rational(group)
-        assert group.rational.groups == expected.groups
         assert group.rational.class_to_rational == expected.class_to_rational
         assert group.rational.orders == expected.orders
 
@@ -689,8 +685,9 @@ class TestFactoredPerElementData:
 class TestRationalClasses:
     def test_symmetric_group_rational_equals_ordinary(self):
         group = Group(GroupParams(1, 1, 4))
-        assert len(group.rational) == len(group.conjugacy)
-        assert all(len(grp) == 1 for grp in group.rational.groups)
+        k = len(group.conjugacy)
+        assert len(group.rational) == k
+        assert group.rational.class_to_rational == tuple(range(k))
 
     def test_cyclic_four(self):
         group = Group(GroupParams(4, 1, 1))
@@ -713,8 +710,9 @@ class TestRationalClasses:
 
     def test_partition_structure(self):
         group = Group(GroupParams(6, 1, 1))
-        flattened = [c for grp in group.rational.groups for c in grp]
-        assert sorted(flattened) == list(range(len(group.conjugacy)))
+        labels = group.rational.class_to_rational
+        assert len(labels) == len(group.conjugacy)
+        assert sorted(set(labels)) == list(range(len(group.rational)))
 
 
 class TestGalois:
@@ -773,7 +771,7 @@ class TestGenerators:
         params = GroupParams(6, 2, 3)
         group = Group(params)
         for g in standard_generators(params):
-            assert group.contains(g)
+            assert group.element(group.index_of(g)) == g
 
 
 @pytest.mark.parametrize("params", desk_scale_params(), ids=str)
@@ -783,13 +781,16 @@ def test_scalar_shift_is_the_class_of_z_times_each_representative(params):
     r, p, n = params.r, params.p, params.n
     group = Group(params)
     z = GroupElement(r, (p // gcd(n, p) % r,) * n, tuple(range(n)))
-    assert group.contains(z)
+    assert group.element(group.index_of(z)) == z
     assert element_order(z) == r * gcd(n, p) // p
     scalars = [c * p // gcd(n, p) % r for c in range(r)]
-    assert all(
-        group.contains(GroupElement(r, (c,) * n, tuple(range(n)))) == (c in scalars)
-        for c in range(r)
-    )
+    for c in range(r):
+        scalar = GroupElement(r, (c,) * n, tuple(range(n)))
+        if c in scalars:
+            assert group.element(group.index_of(scalar)) == scalar
+        else:
+            with pytest.raises(ParameterError, match="is not in"):
+                group.index_of(scalar)
     classes = group.conjugacy
     expected = [
         int(classes.class_of[group.index_of(z * group.element(rep))])
@@ -807,7 +808,7 @@ def test_class_sum_columns_are_columns_of_the_whole_matrix(r, p, n):
     k = len(group.conjugacy)
     chosen = [np.arange(k), np.arange(0, k, 2), np.array([k - 1, 0]), np.arange(0)]
     for c in range(k):
-        whole = group.class_sum_matrix(c)
+        whole = group.class_sum_matrix(c, np.arange(k))
         assert whole.shape == (k, k) and whole.dtype == np.float64
         for columns in chosen:
             assert np.array_equal(group.class_sum_matrix(c, columns), whole[:, columns])

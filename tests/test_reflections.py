@@ -81,7 +81,7 @@ class TestReflectionSet:
         for t in refl:
             x = group.elements[t]
             assert codim(x) == 1
-            assert multiply(x, x).is_identity()
+            assert multiply(x, x) == group.element(group.identity_index)
 
     def test_order_two_flags(self):
         assert all_reflections_order_two(Group(GroupParams(4, 2, 2)))
@@ -91,8 +91,9 @@ class TestReflectionSet:
     @pytest.mark.parametrize("params", desk_scale_params(), ids=str)
     def test_order_two_flag_matches_products(self, params):
         group = Group(params)
+        identity = group.element(group.identity_index)
         expected = all(
-            multiply(group.element(t), group.element(t)).is_identity()
+            multiply(group.element(t), group.element(t)) == identity
             for t in reflections(group)
         )
         assert all_reflections_order_two(group) == expected
@@ -242,27 +243,23 @@ class TestWordLengths:
 class TestDegrees:
     @pytest.mark.parametrize("params", desk_scale_params(max_order=200))
     def test_product_is_group_order(self, params):
-        data = degree_data(params)
         product = 1
-        for d in data.degrees:
+        for d in degree_data(params):
             product *= d
         assert product == params.order
 
     def test_g422_degrees(self):
-        data = degree_data(GroupParams(4, 2, 2))
-        assert data.degrees == (4, 4)
-        assert data.exponents == (3, 3)
+        assert degree_data(GroupParams(4, 2, 2)) == (4, 4)
 
     def test_g313_degrees(self):
-        data = degree_data(GroupParams(3, 1, 3))
-        assert data.degrees == (3, 6, 9)
+        assert degree_data(GroupParams(3, 1, 3)) == (3, 6, 9)
 
     @pytest.mark.parametrize("params", desk_scale_params(max_order=200))
     def test_codim_generating_function(self, params):
         group = Group(params)
         counts = Counter(codim(x) for x in group.elements)
         coefficients = [1]
-        for m in degree_data(params).exponents:
+        for m in (d - 1 for d in degree_data(params)):
             coefficients = [
                 c + m * (coefficients[k - 1] if k else 0)
                 for k, c in enumerate(coefficients)

@@ -169,9 +169,7 @@ def _matrix_builders(group: Group) -> dict:
     conn = all_reflections_connection(group)
     return {
         "build": lambda: build_matrix(group, f),
-        "values": lambda: matrix_from_element_values(
-            group, group.codims, "codimension"
-        ),
+        "values": lambda: matrix_from_element_values(group, group.codims),
         "adjacency": lambda: adjacency_matrix(group, conn),
         "distance": lambda: distance_matrix_bfs(group, conn),
     }
@@ -183,9 +181,8 @@ class TestMatrices:
         conn = connection_set(group, range(1, 5), "complete")
         adjacency = adjacency_matrix(group, conn)
         expected = np.ones((5, 5), dtype=np.int64) - np.eye(5, dtype=np.int64)
-        assert np.array_equal(adjacency.entries, expected)
-        distance = distance_matrix_bfs(group, conn)
-        assert np.array_equal(distance.entries, expected)
+        assert np.array_equal(adjacency, expected)
+        assert np.array_equal(distance_matrix_bfs(group, conn), expected)
         spectrum = spectrum_numeric(adjacency)
         assert spectrum.entries == ((4, 1), (-1, 4))
 
@@ -194,7 +191,7 @@ class TestMatrices:
         group = Group(GroupParams(r, p, n))
         via_bfs = distance_matrix_bfs(group, all_reflections_connection(group))
         via_class_function = build_matrix(group, distance_function(group))
-        assert np.array_equal(via_bfs.entries, via_class_function.entries)
+        assert np.array_equal(via_bfs, via_class_function)
 
     def test_group_matrix_row_column_structure(self):
         group = Group(GroupParams(3, 1, 2))
@@ -206,7 +203,7 @@ class TestMatrices:
                 x = group.elements[i]
                 y = group.elements[j]
                 product = x * y.inverse()
-                assert matrix.entries[i, j] == values[group.index_of(product)]
+                assert matrix[i, j] == values[group.index_of(product)]
 
     def test_matrix_cap(self, monkeypatch):
         group = Group(GroupParams(3, 1, 2))
@@ -255,18 +252,18 @@ class TestBlockBuild:
         for kind in KINDS:
             f = class_function(group, kind)
             expected = matrix_by_columns(group, f.element_values(group))
-            assert np.array_equal(build_matrix(group, f).entries, expected), kind
+            assert np.array_equal(build_matrix(group, f), expected), kind
         values = np.arange(group.order)
-        built = matrix_from_element_values(group, values, "index")
-        assert built.entries.dtype == np.int64
-        assert np.array_equal(built.entries, matrix_by_columns(group, values))
+        built = matrix_from_element_values(group, values)
+        assert built.dtype == np.int64
+        assert np.array_equal(built, matrix_by_columns(group, values))
 
     @pytest.mark.parametrize("params", BLOCK_GROUPS, ids=str)
     def test_standard_set_distance_matches_the_column_build(self, params):
         group = Group(params)
         conn = standard_connection(group)
         lengths = bfs_word_lengths(group, conn.indices)
-        built = distance_matrix_bfs(group, conn).entries
+        built = distance_matrix_bfs(group, conn)
         assert np.array_equal(built, matrix_by_columns(group, lengths))
 
     @pytest.mark.parametrize(
@@ -292,7 +289,7 @@ class TestBlockBuild:
 
         monkeypatch.setattr(Group, "quotient_row_chunks", recording)
         values = np.arange(group.order)
-        built = matrix_from_element_values(group, values, "index").entries
+        built = matrix_from_element_values(group, values)
         assert np.array_equal(built, matrix_by_columns(group, values))
         starts, stops = zip(*seen)
         assert starts == (0,) + stops[:-1] and stops[-1] == group.order
@@ -307,13 +304,13 @@ class TestSpectrumNumeric:
         assert spectrum.integral
         assert spectrum.raw is None
         assert spectrum.max_residual < 1e-8
-        assert spectrum.total_multiplicity() == group.order
+        assert sum(m for _, m in spectrum.entries) == group.order
 
     def test_rejects_asymmetric(self):
         group = Group(GroupParams(3, 1, 2))
         values = np.arange(group.order, dtype=np.int64)
-        matrix = matrix_from_element_values(group, values, "index")
-        with pytest.raises(ParameterError):
+        matrix = matrix_from_element_values(group, values)
+        with pytest.raises(ParameterError, match="not symmetric"):
             spectrum_numeric(matrix)
 
     def test_rejects_bad_tolerance(self):
@@ -340,7 +337,7 @@ class TestSpectrumNumeric:
         assert not spectrum.integral
         assert spectrum.raw is not None
         assert len(spectrum.raw) == group.order
-        assert spectrum.total_multiplicity() == group.order
+        assert sum(m for _, m in spectrum.entries) == group.order
         assert any(abs(x - round(x)) > 1e-3 for x in spectrum.raw)
 
     def test_cluster_widths(self):
@@ -406,7 +403,7 @@ class TestWeightedRounding:
         )
         weights = [d * d for d in data.degrees]
         got = self._compare(thetas.real, weights, 1e-8 * np.abs(thetas).max())
-        assert got.integral and got.total_multiplicity() == group.order
+        assert got.integral and sum(m for _, m in got.entries) == group.order
 
     def test_non_integral_values(self):
         rng = np.random.default_rng(7)
@@ -664,9 +661,9 @@ class TestSeparation:
         first = order[0]
         widest = max(len(block) for block in _scalar_orbits(group).blocks)
         for split_first, open_size in ((False, widest), (True, widest - 1)):
-            def class_sum(group, c, columns=None, split=split_first):
+            def class_sum(group, c, columns, split=split_first):
                 matrix = np.diag(np.eye(k)[0]) if split and c == first else np.eye(k)
-                return matrix if columns is None else matrix[:, columns]
+                return matrix[:, columns]
 
             monkeypatch.setattr(Group, "class_sum_matrix", class_sum)
             with pytest.raises(NumericError) as caught:
@@ -771,7 +768,7 @@ def test_class_sum_matrices_are_tensor_slices(r, p, n):
     group = Group(GroupParams(r, p, n))
     a = class_structure_constants(group)
     for c in range(len(a)):
-        assert np.array_equal(group.class_sum_matrix(c), a[c])
+        assert np.array_equal(group.class_sum_matrix(c, np.arange(len(a))), a[c])
 
 
 def assert_matches_the_tensor_route(group, data):
@@ -811,7 +808,7 @@ def test_spectrum_route_never_builds_the_tensor(r, p, n, monkeypatch):
     for kind in ("adjacency", "distance", "codimension"):
         spectrum = spectrum_class_algebra(group, class_function(group, kind))
         assert spectrum.integral
-        assert spectrum.total_multiplicity() == group.order
+        assert sum(m for _, m in spectrum.entries) == group.order
 
 
 def test_class_algebra_data_logs_one_debug_record(caplog):
@@ -925,7 +922,7 @@ class TestClassAlgebraRoute:
         monkeypatch.undo()
         pair = ClassFunction("two-classes", symmetric)
         spectrum = spectrum_class_algebra(group, pair)
-        assert spectrum.integral and spectrum.total_multiplicity() == group.order
+        assert spectrum.integral and sum(m for _, m in spectrum.entries) == group.order
 
     @pytest.mark.parametrize("tolerance", [1e-16, 1e-300])
     def test_tiny_tolerance_rounds_instead_of_failing(self, tolerance):
@@ -935,7 +932,7 @@ class TestClassAlgebraRoute:
         spectrum = spectrum_class_algebra(group, adjacency_function(group), tolerance)
         scale = len(reflections(group))  # the largest eigenvalue
         assert spectrum.integral == (spectrum.max_residual <= tolerance * scale)
-        assert spectrum.total_multiplicity() == group.order
+        assert sum(m for _, m in spectrum.entries) == group.order
 
     def test_pinned_codimension_g213(self):
         group = Group(GroupParams(2, 1, 3))
@@ -1025,7 +1022,7 @@ class TestBipartite:
         assert len(refl) == 9
         for t in refl:
             x = group.elements[t]
-            assert (x * x).is_identity()
+            assert x * x == group.element(group.identity_index)
         assert bipartite_check(group)
 
     def test_spectrum_symmetry_matches(self):
@@ -1047,7 +1044,7 @@ def test_class_algebra_spectra_read_no_per_element_arrays(params):
     for kind in KINDS:
         spectrum = spectrum_class_algebra(group, class_function(group, kind), data=data)
         assert spectrum.integral
-        assert spectrum.total_multiplicity() == group.order
+        assert sum(m for _, m in spectrum.entries) == group.order
     for name in ("inverse_indices", "codims", "reflection_lengths"):
         assert name not in vars(group)
     # and the class record keeps no member lists: only the labels are |G| long
