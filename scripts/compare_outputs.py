@@ -10,6 +10,8 @@ imported from PATH/src.  The requests are:
   checkout, imported read-only), each with its workload's environment;
 * `verify all`, in text and in json;
 * `poincare` on a few partition tuples, in text and in json;
+* the combinatorial codimension spectrum past the benchmark's folds, in
+  text and in json, and two folds its step cap refuses;
 * on every desk-scale group of order at most 200: `group`, `classes` and
   `reflections` in text and in json, `lengths` in text, csv and json,
   `matrix` in text, csv and json for the three kinds, `spectrum --format
@@ -19,8 +21,9 @@ imported from PATH/src.  The requests are:
 
 Each tree answers all of them in one fresh interpreter (benchtrees.run_in)
 through click's test runner, which keeps stdout apart from stderr; a
-request's answer is its exit code, the SHA-256 of its stdout and the type of
-an uncaught exception, if any.  The script prints each request whose answers
+request's answer is its exit code, the SHA-256 of its stdout and of its
+stderr (where error messages go) and the type of an uncaught exception, if
+any.  The script prints each request whose answers
 differ, then a count, and exits with status 1 when any differ.
 """
 
@@ -53,11 +56,18 @@ for args, env in json.loads(sys.argv[1]):
     answers.append([
         result.exit_code,
         hashlib.sha256(result.stdout_bytes).hexdigest(),
+        hashlib.sha256(result.stderr_bytes).hexdigest(),
         None if error is None or isinstance(error, SystemExit)
         else type(error).__name__,
     ])
 print(json.dumps(answers))
 """
+
+
+def fold(r: int, n: int, *extra: str) -> list[str]:
+    """The combinatorial codimension spectrum request of G(r, 1, n)."""
+    return ["spectrum", str(r), "1", str(n), "--kind", "codimension",
+            "--method", "combinatorial", *extra]
 
 
 def requests() -> list[tuple[list[str], dict[str, str]]]:
@@ -73,6 +83,12 @@ def requests() -> list[tuple[list[str], dict[str, str]]]:
         for text in ("1", "2||1,1", "3,1", "1|1", "2,1|1|", "|3|", "4,2,1")
         for fmt in ("text", "json")
     ]
+    found += [
+        (fold(r, n, "--format", fmt), {})
+        for r, n in ((2, 20), (2, 30), (3, 14), (5, 8), (1, 30))
+        for fmt in ("text", "json")
+    ]
+    found += [(fold(r, n), {}) for r, n in ((1, 60), (2, 40))]
     for params in desk_scale_params(max_order=200):
         group = [str(params.r), str(params.p), str(params.n)]
         found += [

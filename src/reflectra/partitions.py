@@ -19,23 +19,32 @@ from the components' pairs by the product rule
 n! / (|lambda(0)|! ... |lambda(r-1)|!) times the product of the standard
 tableau counts f of the components.  So codim_spectrum_combinatorial never
 lists tuples: it folds over the r slots, carrying weighted states
-(size s so far, V, D) from (0, 1, 0) with weight 1.  Putting a partition of
-size k with pair (v, d) into the next slot moves (s, V, D) to
-(s + k, V v, D v + V d) and multiplies the weight by C(s + k, k)^2 f^2; the
+(size s so far, V, D) from (0, 1, 0) with weight 1.  Partitions of the same
+size and slot kind (slot 0, or any later slot) that share a pair (v, d) are
+merged first, with weight the sum of their f^2.  Putting such a group of
+size k into the next slot moves (s, V, D) to (s + k, V v, D v + V d) and
+multiplies the weight by C(s + k, k)^2 times the group's weight; the
 binomials over the slots multiply to the multinomial, so after the last slot
 each state's weight is the exact sum of the squared dimensions of the tuples
 that reach it, and D is their eigenvalue.  Tuples that reach the same state
-are merged on the way.
+are merged on the way.  The counts f come from the branching rule, level by
+level up Young's lattice (Stanley, Enumerative Combinatorics 2, 7.11-7.13):
+the f of a partition is the sum of the f of the partitions one box smaller,
+and the f^2 of the partitions of k sum to k!.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
+import time
 from functools import lru_cache
 from math import comb, factorial
 from typing import NamedTuple
 
 from .errors import ParameterError, SizeLimitError
+
+log = logging.getLogger(__name__)
 
 DEFAULT_TUPLE_CAP = 10**6
 DEFAULT_FOLD_CAP = 10**7
@@ -93,10 +102,6 @@ def conjugate_partition(p: Partition) -> Partition:
     """Column lengths: columns p[i+1] .. p[i]-1 have length i + 1, so the
     rows, read bottom up, fill the columns left to right."""
     validate_partition(p)
-    return _conjugate(p)
-
-
-def _conjugate(p: Partition) -> Partition:
     conj: list[int] = []
     for i in range(len(p) - 1, -1, -1):
         conj.extend([i + 1] * (p[i] - len(conj)))
@@ -119,21 +124,16 @@ def hook_product(p: Partition) -> int:
     return product
 
 
-def _dimension(n_factorial: int, hook_products, tpl: PartitionTuple) -> int:
-    denom = 1
-    for h in hook_products:
-        denom *= h
-    dim, rem = divmod(n_factorial, denom)
-    if rem:
-        n = sum(sum(p) for p in tpl)
-        raise ParameterError(f"hook product does not divide {n}! for {tpl}")
-    return dim
-
-
 def character_dimension(tpl: PartitionTuple) -> int:
     """n! over the product of all hook lengths across the tuple's components."""
     n = sum(sum(p) for p in tpl)
-    return _dimension(factorial(n), (hook_product(p) for p in tpl), tpl)
+    denom = 1
+    for p in tpl:
+        denom *= hook_product(p)
+    dim, rem = divmod(factorial(n), denom)
+    if rem:
+        raise ParameterError(f"hook product does not divide {n}! for {tpl}")
+    return dim
 
 
 def _compositions(n: int, slots: int):
@@ -212,40 +212,82 @@ def xi_from_roots(roots: tuple[int, ...]) -> int:
     return _product((1 + alpha, alpha) for alpha in roots)[1]
 
 
-class _PartitionFactors(NamedTuple):
-    """One partition's share of the tuple formulas at a fixed r."""
+def _grow(level: dict[int, int]) -> tuple[dict[int, int], int]:
+    """The next level of Young's lattice, each partition with its number f of
+    standard tableaux by the branching rule, and the cells visited, one per
+    box added.  A partition is keyed by its outline in an n x n box, read
+    from bottom left to top right, first step highest: bit 1 east, 0 north.
+    Each 0 closes a row as long as the 1s before it; the empty partition is
+    (1 << n) - 1.  A box fits at each 01, and adding the 1's bit turns it
+    into 10."""
+    above: dict[int, int] = {}
+    cells = 0
+    for word, f in level.items():
+        corners = word & ~(word >> 1)
+        while corners:
+            corner = corners & -corners
+            grown = word + corner
+            above[grown] = above.get(grown, 0) + f
+            corners ^= corner
+            cells += 1
+    return above, cells
 
-    # (value, derivative) of the product over its boxes, per slot kind: slot
-    # 0 (roots r - 1 + r*c), then, when r > 1, any later slot (-1 + r*c).
-    pairs: tuple[ValueDerivative, ...]
-    tableaux: int
 
-
-def _partition_table(r: int, n: int) -> dict[Partition, _PartitionFactors]:
-    """Factors of every partition that can be a component of an r-tuple of
-    total size n, keyed by partition; with one slot only partitions of n.
-
-    The partitions come from partitions_of, so they are not validated again,
-    and one walk over each one's boxes gives its contents and hook lengths."""
+def _pair_table(r: int, n: int) -> tuple[list[list[list]], int, int]:
+    """table[kind][k]: the distinct pairs (v, d) of the partitions of k in
+    slot kind 0 (roots r - 1 + r*c) and, when r > 1, kind 1 (later slots,
+    roots -1 + r*c), each with the sum of f^2 over the partitions giving it;
+    with one slot only k = n.  Also the lattice cells visited and the
+    partitions on the recorded levels, whose f^2 must sum to k!.  A pair is
+    the product-rule fold of per-row prefix pairs, top row first, and stops
+    at (0, 0), which every further factor keeps."""
     shifts = (r - 1, -1) if r > 1 else (r - 1,)
-    table = {}
-    for k in range(n + 1) if r > 1 else (n,):
-        k_factorial = factorial(k)
-        for p in partitions_of(k):
-            conj = _conjugate(p)
-            rcs, hooks = [], 1
-            for row, size in enumerate(p):
-                for col in range(size):
-                    rcs.append(r * (col - row))
-                    hooks *= size - col + conj[col] - row - 1
-            table[p] = _PartitionFactors(
-                pairs=tuple(
-                    _product((1 + shift + rc, shift + rc) for rc in rcs)
-                    for shift in shifts
-                ),
-                tableaux=_dimension(k_factorial, (hooks,), (p,)),
+    # segments[kind][row][s]: the pair of the first s boxes of that row; a
+    # partition of at most n boxes has rows of at most n // (row + 1)
+    segments = []
+    for shift in shifts:
+        rows = []
+        for row in range(n):
+            boxes = [
+                (1 + shift + r * (col - row), shift + r * (col - row))
+                for col in range(n // (row + 1))
+            ]
+            rows.append([_product(boxes[:s]) for s in range(len(boxes) + 1)])
+        segments.append(rows)
+    table: list[list[list]] = [[[] for _ in range(n + 1)] for _ in shifts]
+    level, cells, listed = {(1 << n) - 1: 1}, 0, 0
+    for k in range(n + 1):
+        if k:
+            level, visited = _grow(level)
+            cells += visited
+        if r == 1 and k < n:
+            continue
+        squared = [(word, f * f) for word, f in level.items()]
+        total = sum(square for _, square in squared)
+        if total != factorial(k):
+            raise ParameterError(
+                f"squared tableau counts of the partitions of {k} sum to "
+                f"{total}, expected {k}! = {factorial(k)}"
             )
-    return table
+        listed += len(squared)
+        for kind, rows in enumerate(segments):
+            groups: dict[ValueDerivative, int] = {}
+            for word, square in squared:
+                value, derivative, norths = 1, 0, ~word
+                for segment in rows:
+                    north = norths & -norths  # the lowest 0 closes the next row
+                    part = n - (word & (north - 1)).bit_count()
+                    if not part:
+                        break
+                    v, d = segment[part]
+                    value, derivative = value * v, derivative * v + value * d
+                    if not value and not derivative:
+                        break
+                    norths ^= north
+                key = (value, derivative)
+                groups[key] = groups.get(key, 0) + square
+            table[kind][k] = list(groups.items())
+    return table, cells, listed
 
 
 def codim_spectrum_entries(r: int, n: int) -> tuple[SpectrumEntry, ...]:
@@ -268,11 +310,15 @@ def codim_spectrum_combinatorial(r: int, n: int) -> tuple[SpectrumEntry, ...]:
     by the slot fold of the module docstring.
 
     No tuple is listed, so the fold's steps are capped before any partition
-    is: the boxes its table walks, plus a pairing of each state carried
-    into a slot with each partition that fits.  A state after s slots is
-    reached by some s-tuple, so a slot's pairings are at most the
+    is.  The table visits sum_{j<k} p(j) lattice cells into level k, at most
+    k p(k), and sum_{m=1..n} m p(n - m) up to level n, at most n p(n), both
+    by Euler's n p(n) = sum_{m=1..n} sigma(m) p(n - m).  A slot pairs each
+    state carried into it with each distinct pair of the sizes that fit.  A
+    state after s slots is reached by some s-tuple and distinct pairs are
+    at most the partitions, so a slot's pairings are at most the
     (s + 1)-tuples of total at most n (of total n in the last slot).
     Squared dimensions must add up to the group order r^n * n!."""
+    start = time.perf_counter()
     counts = partition_counts(n)
     steps = sum(k * counts[k] for k in (range(n + 1) if r > 1 else (n,)))
     *earlier, last = _tuple_counts(r, n)
@@ -282,25 +328,28 @@ def codim_spectrum_combinatorial(r: int, n: int) -> tuple[SpectrumEntry, ...]:
             f"the partition-tuple fold for r={r}, n={n} takes up to {steps} "
             f"steps, above the cap {DEFAULT_FOLD_CAP}"
         )
-    # choices[kind][k]: (pair, f^2) of each partition of k in that slot kind
-    choices: list[dict[int, list]] = [{}, {}]
-    for p, row in _partition_table(r, n).items():
-        for kind, pair in enumerate(row.pairs):
-            choices[kind].setdefault(sum(p), []).append((pair, row.tableaux**2))
+    table, cells, listed = _pair_table(r, n)
     states: dict[tuple[int, int, int], int] = {(0, 1, 0): 1}
     for slot in range(r):
-        slot_choices = choices[min(slot, 1)]
+        slot_pairs = table[min(slot, 1)]
         last = slot == r - 1
         folded: dict[tuple[int, int, int], int] = {}
         for (size, value, derivative), weight in states.items():
             # the last slot takes whatever size is left
             for k in (n - size,) if last else range(n - size + 1):
                 scale = weight * comb(size + k, k) ** 2
-                for (v, d), squared in slot_choices[k]:
+                for (v, d), squared in slot_pairs[k]:
                     # the product rule of _product, inlined in the hot loop
                     key = (size + k, value * v, derivative * v + value * d)
                     folded[key] = folded.get(key, 0) + scale * squared
         states = folded
+    log.debug(
+        "codimension fold of G(%d,1,%d): %d lattice cells, %d partitions on "
+        "the recorded levels, distinct pairs per slot kind %s, %d final fold "
+        "states, %.4fs",
+        r, n, cells, listed, [sum(map(len, pairs)) for pairs in table],
+        len(states), time.perf_counter() - start,
+    )
     aggregated: dict[int, int] = {}
     for (_, _, eigenvalue), multiplicity in states.items():
         aggregated[eigenvalue] = aggregated.get(eigenvalue, 0) + multiplicity

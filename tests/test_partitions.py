@@ -5,7 +5,8 @@ polynomial expansion for the derivative at 1, and the squared-dimension sum
 against the group order.
 """
 
-from math import factorial
+import logging
+from math import factorial, prod
 
 import pytest
 from hypothesis import given
@@ -16,7 +17,8 @@ from reflectra.errors import ParameterError, SizeLimitError
 from reflectra.partitions import (
     DEFAULT_TUPLE_CAP,
     SpectrumEntry,
-    _partition_table,
+    _grow,
+    _pair_table,
     character_dimension,
     closed_form_reference,
     codim_spectrum_combinatorial,
@@ -46,23 +48,30 @@ SMALL_RANKS = [
 ]
 
 
+# the tuple-exact benchmark's three largest folds: 5,822, 7,868 and 10,108
+# tuples
+BENCHMARK_FOLDS = [(2, 16), (3, 12), (4, 10)]
+
+
+def lattice_cells(n: int) -> int:
+    """Boxes added walking Young's lattice up to level n: a partition gains
+    one at the end of each row longer than the next, and one in a new row."""
+    return sum(len(set(p)) + 1 for k in range(n) for p in partitions_of(k))
+
+
 def fold_steps(r: int, n: int) -> int:
-    """The boxes of the fold's partition table plus the pairings of its
-    states with the partitions of each slot, counted by rerunning the fold
-    on sets of states."""
-    table = _partition_table(r, n)
-    choices: list[dict[int, list]] = [{}, {}]
-    for p, row in table.items():
-        for kind, pair in enumerate(row.pairs):
-            choices[kind].setdefault(sum(p), []).append(pair)
-    steps = sum(sum(p) for p in table)
+    """The lattice cells of the fold's table plus the pairings of its states
+    with the distinct pairs of each slot, counted by rerunning the fold on
+    sets of states."""
+    table, _, _ = _pair_table(r, n)
+    steps = lattice_cells(n)
     states = {(0, 1, 0)}
     for slot in range(r):
         last = slot == r - 1
         folded = set()
         for size, value, derivative in states:
             for k in (n - size,) if last else range(n - size + 1):
-                for v, d in choices[min(slot, 1)][k]:
+                for (v, d), _ in table[min(slot, 1)][k]:
                     steps += 1
                     folded.add((size + k, value * v, derivative * v + value * d))
         states = folded
@@ -88,6 +97,33 @@ def brute_standard_tableaux(shape) -> int:
         return total
 
     return place(1)
+
+
+def boundary_word(p, n: int) -> int:
+    """The outline of p in an n x n box from bottom left to top right as
+    bits, first step highest: 1 east, 0 north."""
+    letters, east = "", 0
+    for part in reversed(p + (0,) * (n - len(p))):
+        letters += "1" * (part - east) + "0"
+        east = part
+    return int(letters + "1" * (n - east), 2)
+
+
+def lattice_tableaux(n: int) -> dict:
+    """Each partition of size at most n with the f the fold's lattice gives
+    it, checking that every level holds exactly the partitions of its size."""
+    found, level = {}, {(1 << n) - 1: 1}
+    for k in range(n + 1):
+        if k:
+            level, _ = _grow(level)
+        assert len(level) == len(partitions_of(k))
+        found.update((p, level[boundary_word(p, n)]) for p in partitions_of(k))
+    return found
+
+
+def pair_of(roots) -> tuple[int, int]:
+    """(value, derivative) at t = 1 of the product of (1 + alpha t)."""
+    return prod(1 + alpha for alpha in roots), xi_from_roots(roots)
 
 
 def poly_from_roots(roots) -> list[int]:
@@ -156,13 +192,17 @@ class TestBoxStatistics:
     def test_hooks_count_boxes(self, p):
         assert len(hook_lengths(p)) == sum(p)
 
-    @given(partitions)
-    def test_tableaux_count_against_brute_force(self, p):
+    def test_tableaux_count_against_brute_force(self):
         # the counts f the fold weights each partition with
-        assert _partition_table(1, sum(p))[p].tableaux == brute_standard_tableaux(p)
+        for p, f in lattice_tableaux(7).items():
+            assert f == brute_standard_tableaux(p)
+
+    def test_tableaux_count_against_hook_lengths(self):
+        for p, f in lattice_tableaux(14).items():
+            assert f == character_dimension((p,))
 
     def test_tableaux_count_example(self):
-        assert _partition_table(3, 4)[(3, 1)].tableaux == 3
+        assert lattice_tableaux(4)[(3, 1)] == 3
 
 
 class TestTupleEnumeration:
@@ -304,7 +344,7 @@ class TestCodimSpectrum:
         eigenvalues = [e.eigenvalue for e in entries]
         assert eigenvalues == sorted(eigenvalues, reverse=True)
 
-    @pytest.mark.parametrize("r,n", SMALL_RANKS)
+    @pytest.mark.parametrize("r,n", SMALL_RANKS + BENCHMARK_FOLDS)
     def test_fold_matches_aggregated_entries(self, r, n):
         aggregated: dict[int, int] = {}
         for entry in codim_spectrum_entries(r, n):
@@ -321,10 +361,11 @@ class TestCodimSpectrum:
         assert codim_spectrum_combinatorial(3, 0) == (SpectrumEntry(0, 1),)
 
     def test_cap_fails_before_any_partition_is_listed(self, monkeypatch):
-        def unreachable(k):
+        def unreachable(*args):
             raise AssertionError("partition table built before the cap check")
 
-        monkeypatch.setattr(partitions_module, "partitions_of", unreachable)
+        for name in ("partitions_of", "_pair_table", "_grow"):
+            monkeypatch.setattr(partitions_module, name, unreachable)
         for fn in (codim_spectrum_entries, enumerate_partition_tuples):
             with pytest.raises(SizeLimitError, match="9035539 partition tuples"):
                 fn(2, 40)
@@ -366,17 +407,61 @@ class TestCodimSpectrum:
     )
     def test_fold_cap_admits_the_fast_folds(self, r, n, monkeypatch):
         # the benchmark's exact spectra, and G(2,1,30) and G(2,1,36), whose
-        # folds take about 1 s and 3 s: the fold gets past its cap and on
-        # to its partition table
+        # folds take about 0.15 s and 0.5 s: the fold gets past its cap and
+        # on to its pair table
         class Admitted(Exception):
             pass
 
         def admitted(*args):
             raise Admitted
 
-        monkeypatch.setattr(partitions_module, "_partition_table", admitted)
+        monkeypatch.setattr(partitions_module, "_pair_table", admitted)
         with pytest.raises(Admitted):
             codim_spectrum_combinatorial(r, n)
+
+    @pytest.mark.parametrize("r,n", [(1, 3), (2, 3)])
+    def test_tableau_squares_are_checked_per_level(self, r, n, monkeypatch):
+        grow = partitions_module._grow
+
+        def corrupted(level):
+            above, cells = grow(level)
+            above[next(iter(above))] += 1
+            return above, cells
+
+        monkeypatch.setattr(partitions_module, "_grow", corrupted)
+        # one slot records only level n; more slots record level 1 first,
+        # whose one partition now has f = 2
+        match = "partitions of 3 sum to" if r == 1 else "partitions of 1 sum to 4,"
+        with pytest.raises(ParameterError, match=match):
+            codim_spectrum_combinatorial(r, n)
+
+    def test_fold_logs_its_work(self, caplog):
+        r, n = 2, 16
+        with caplog.at_level(logging.DEBUG, logger="reflectra.partitions"):
+            codim_spectrum_combinatorial(r, n)
+        records = [
+            rec.getMessage() for rec in caplog.records
+            if rec.name == "reflectra.partitions"
+        ]
+        assert len(records) == 1
+        distinct = [
+            sum(
+                len({pair_of([shift + r * c for c in contents(p)])
+                     for p in partitions_of(k)})
+                for k in range(n + 1)
+            )
+            for shift in (r - 1, -1)
+        ]
+        states = {
+            pair_of(poincare_star_roots(tpl, r))
+            for tpl in enumerate_partition_tuples(r, n)
+        }
+        # the recorded levels 0..16 hold sum_{k<=16} p(k) = 915 partitions
+        assert records[0].startswith(
+            f"codimension fold of G(2,1,16): {lattice_cells(n)} lattice "
+            f"cells, 915 partitions on the recorded levels, distinct pairs "
+            f"per slot kind {distinct}, {len(states)} final fold states, "
+        )
 
 
 class TestTupleText:
