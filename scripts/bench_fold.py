@@ -37,7 +37,7 @@ r, n = json.loads(sys.argv[1])
 start = time.perf_counter()
 entries = codim_spectrum_combinatorial(r, n)
 seconds = time.perf_counter() - start
-assert sum(e.multiplicity for e in entries) == r**n * factorial(n)
+assert sum(entry[1] for entry in entries) == r**n * factorial(n)
 print(json.dumps([seconds * 1e3, len(entries)]))
 """
 

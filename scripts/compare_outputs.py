@@ -11,13 +11,18 @@ imported from PATH/src.  The requests are:
 * `verify all`, in text and in json;
 * `poincare` on a few partition tuples, in text and in json;
 * the combinatorial codimension spectrum past the benchmark's folds, in
-  text and in json, and two folds its step cap refuses;
+  text and in json, and the folds its step cap refuses, two at the last
+  term of the bound and two long before it;
+* requests whose group order has thousands of digits, which fail on the
+  enumeration or the dense matrix cap;
+* the class-algebra distance spectrum of G(3,1,3) on an explicit
+  `--connection-set all-reflections`;
 * on every desk-scale group of order at most 200: `group`, `classes` and
   `reflections` in text and in json, `lengths` in text, csv and json,
   `matrix` in text, csv and json for the three kinds, `spectrum --format
   json` for the three kinds by the numeric and the class-algebra routes,
-  and the numeric adjacency and distance spectra on the standard
-  connection set.
+  and the numeric adjacency and distance spectra and json matrices on the
+  standard connection set.
 
 Each tree answers all of them in one fresh interpreter (benchtrees.run_in)
 through click's test runner, which keeps stdout apart from stderr; a
@@ -88,7 +93,22 @@ def requests() -> list[tuple[list[str], dict[str, str]]]:
         for r, n in ((2, 20), (2, 30), (3, 14), (5, 8), (1, 30))
         for fmt in ("text", "json")
     ]
-    found += [(fold(r, n), {}) for r, n in ((1, 60), (2, 40))]
+    found += [
+        (fold(r, n), {})
+        for r, n in ((1, 60), (2, 40), (1, 10000), (3000000, 1))
+    ]
+    found += [
+        (args, {})
+        for args in (
+            ["group", "2", "1", "1000"],
+            ["group", "2", "1", "2000"],
+            ["spectrum", "2", "1", "2000", "--kind", "distance"],
+            ["spectrum", "2", "1", "2000", "--kind", "distance",
+             "--method", "class-algebra"],
+        )
+    ]
+    found += [(["spectrum", "3", "1", "3", "--kind", "distance", "--method",
+                "class-algebra", "--connection-set", "all-reflections"], {})]
     for params in desk_scale_params(max_order=200):
         group = [str(params.r), str(params.p), str(params.n)]
         found += [
@@ -111,8 +131,9 @@ def requests() -> list[tuple[list[str], dict[str, str]]]:
                 for method in ("numeric", "class-algebra")
             ]
         found += [
-            (["spectrum", *group, "--kind", kind, "--connection-set", "standard",
+            ([command, *group, "--kind", kind, "--connection-set", "standard",
               "--format", "json"], {})
+            for command in ("spectrum", "matrix")
             for kind in ("adjacency", "distance")
         ]
     return found

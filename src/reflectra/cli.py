@@ -53,6 +53,7 @@ from .spectra import (
     build_matrix,
     class_function,
     distance_matrix_bfs,
+    format_entries,
     spectrum_class_algebra,
     spectrum_numeric,
     standard_connection,
@@ -127,10 +128,6 @@ def _csv_text(rows: list[list]) -> str:
     return buffer.getvalue()
 
 
-def _format_spectrum_entries(spectrum: Spectrum) -> str:
-    return " ".join(f"{value}^{mult}" for value, mult in spectrum.entries)
-
-
 def _spectrum_payload(
     params: GroupParams, kind: str, spectrum: Spectrum, connection: str | None
 ) -> dict:
@@ -160,7 +157,7 @@ def _spectrum_text(
     if connection is not None:
         where += f" [{connection}]"
     lines = [
-        f"{where} ({spectrum.method}): {_format_spectrum_entries(spectrum)}",
+        f"{where} ({spectrum.method}): {format_entries(spectrum.entries)}",
         f"max residual {spectrum.max_residual:.3e}, "
         + ("integral" if spectrum.integral else "NON-INTEGRAL"),
     ]
@@ -357,16 +354,20 @@ def _lengths_table(group: Group, fmt: str) -> str:
     return table
 
 
+def _connection_label(kind: str, connection: str | None) -> str | None:
+    """None for codimension, else --connection-set, all-reflections by default."""
+    return None if kind == "codimension" else connection or "all-reflections"
+
+
 def _build_group_matrix(group: Group, kind: str, connection: str | None):
     if connection == "standard":
         conn = standard_connection(group)
         if kind == "adjacency":
-            return adjacency_matrix(group, conn), connection
-        return distance_matrix_bfs(group, conn), connection
+            return adjacency_matrix(group, conn)
+        return distance_matrix_bfs(group, conn)
     # on all reflections, adjacency and distance (the word length over all
     # reflections, Group.reflection_lengths) are class functions
-    matrix = build_matrix(group, class_function(group, kind))
-    return matrix, None if kind == "codimension" else "all-reflections"
+    return build_matrix(group, class_function(group, kind))
 
 
 @main.command("matrix")
@@ -395,7 +396,8 @@ def matrix_command(
         )
     _check_matrix_cap(params.order)
     group = Group(params)
-    matrix, used_connection = _build_group_matrix(group, kind, connection)
+    label = _connection_label(kind, connection)
+    matrix = _build_group_matrix(group, kind, label)
     if fmt == "json":
         payload = {
             "schema": 1,
@@ -405,8 +407,8 @@ def matrix_command(
             "element_order_reference": ELEMENT_ORDER_REFERENCE,
             "entries": matrix.tolist(),
         }
-        if used_connection is not None:
-            payload["connection_set"] = used_connection
+        if label is not None:
+            payload["connection_set"] = label
         _emit(_json_text(payload), output)
         return
     if fmt == "csv":
@@ -451,11 +453,10 @@ def spectrum_command(
             "the class-algebra route needs a class function; the standard "
             "connection set is not closed under conjugation"
         )
-    used_connection = None
+    label = _connection_label(kind, connection)
     if method == "combinatorial":
-        entries = codim_spectrum_combinatorial(r, n)
         spectrum = Spectrum(
-            entries=tuple((e.eigenvalue, e.multiplicity) for e in entries),
+            entries=codim_spectrum_combinatorial(r, n),
             method="combinatorial", max_residual=0.0, integral=True,
         )
     elif method == "class-algebra":
@@ -464,13 +465,12 @@ def spectrum_command(
     else:
         _check_matrix_cap(params.order)
         group = Group(params)
-        matrix, used_connection = _build_group_matrix(group, kind, connection)
+        matrix = _build_group_matrix(group, kind, label)
         spectrum = spectrum_numeric(matrix, tolerance)
     if fmt == "json":
-        payload = _spectrum_payload(params, kind, spectrum, used_connection)
-        _emit(_json_text(payload), output)
+        _emit(_json_text(_spectrum_payload(params, kind, spectrum, label)), output)
     else:
-        _emit(_spectrum_text(params, kind, spectrum, used_connection), output)
+        _emit(_spectrum_text(params, kind, spectrum, label), output)
 
 
 @main.command("poincare")

@@ -23,3 +23,11 @@ class NumericError(ReflectraError):
 
 class ConsistencyError(ReflectraError):
     """Two routes that must agree produced different answers."""
+
+
+def format_size(value: int) -> str:
+    """A size for a message: in full up to 18 digits, above that as about
+    10^k, read off the bit length, so that no huge int is turned into text."""
+    if value < 10**18:
+        return str(value)
+    return f"about 10^{round(value.bit_length() * 0.30103)}"

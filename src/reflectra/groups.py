@@ -68,7 +68,7 @@ from math import factorial, gcd, lcm
 
 import numpy as np
 
-from .errors import ConsistencyError, ParameterError, SizeLimitError
+from .errors import ConsistencyError, ParameterError, SizeLimitError, format_size
 
 DEFAULT_ENUMERATION_CAP = 20000
 ENUMERATION_CAP_ENV = "REFLECTRA_MAX_ORDER"
@@ -122,9 +122,6 @@ class GroupElement:
     @property
     def n(self) -> int:
         return len(self.perm)
-
-    def __mul__(self, other: GroupElement) -> GroupElement:
-        return multiply(self, other)
 
     def inverse(self) -> GroupElement:
         b = tuple((-self.exponents[j]) % self.r for j in self.perm)
@@ -422,8 +419,9 @@ class Group:
         cap = _enumeration_cap(max_order)
         if params.order > cap:
             raise SizeLimitError(
-                f"{params} has order {params.order}, above the enumeration cap "
-                f"{cap} (override with {ENUMERATION_CAP_ENV} or max_order)"
+                f"{params} has order {format_size(params.order)}, above the "
+                f"enumeration cap {cap} (override with {ENUMERATION_CAP_ENV} or "
+                "max_order)"
             )
         n, r, p = params.n, params.r, params.p
         if (n**n) * (r**n) > 2**62:

@@ -31,6 +31,9 @@ are merged on the way.  The counts f come from the branching rule, level by
 level up Young's lattice (Stanley, Enumerative Combinatorics 2, 7.11-7.13):
 the f of a partition is the sum of the f of the partitions one box smaller,
 and the f^2 of the partitions of k sum to k!.
+
+The fold and the closed forms give (eigenvalue, multiplicity) pairs,
+eigenvalues descending; codim_spectrum_entries adds each tuple to its pair.
 """
 
 from __future__ import annotations
@@ -40,9 +43,8 @@ import logging
 import time
 from functools import lru_cache
 from math import comb, factorial
-from typing import NamedTuple
 
-from .errors import ParameterError, SizeLimitError
+from .errors import ParameterError, SizeLimitError, format_size
 
 log = logging.getLogger(__name__)
 
@@ -51,12 +53,6 @@ DEFAULT_FOLD_CAP = 10**7
 
 Partition = tuple[int, ...]
 PartitionTuple = tuple[Partition, ...]
-
-
-class SpectrumEntry(NamedTuple):
-    eigenvalue: int
-    multiplicity: int
-    source: PartitionTuple | None = None
 
 
 def validate_partition(p: Partition) -> None:
@@ -83,13 +79,22 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(_gen_partitions(n, n))
 
 
+def _partition_numbers():
+    """p(0), p(1), ... one level at a time, by Euler's pentagonal number
+    theorem: p(k) is the sum over j != 0 of (-1)^(j+1) p(k - j(3j - 1)/2)."""
+    table, pentagonal = [1], []  # (j(3j - 1)/2, sign) for j = 1, -1, 2, -2, ...
+    yield 1
+    for k in itertools.count(1):
+        j = len(pentagonal) // 2 + 1
+        if j * (3 * j - 1) // 2 == k:
+            pentagonal += [(k, j % 2 or -1), (k + j, j % 2 or -1)]
+        table.append(sum(sign * table[k - g] for g, sign in pentagonal if g <= k))
+        yield table[k]
+
+
 def partition_counts(n: int) -> list[int]:
-    """Partition numbers p(0..n) without materializing the partitions."""
-    table = [1] + [0] * n
-    for part in range(1, n + 1):
-        for total in range(part, n + 1):
-            table[total] += table[total - part]
-    return table
+    """Partition numbers p(0..n)."""
+    return list(itertools.islice(_partition_numbers(), n + 1))
 
 
 def contents(p: Partition) -> tuple[int, ...]:
@@ -145,10 +150,14 @@ def _compositions(n: int, slots: int):
             yield (first,) + rest
 
 
-def _tuple_counts(r: int, n: int):
-    """Per s = 1, ..., r, the number of s-tuples of partitions of each total."""
+def _check_ranks(r: int, n: int) -> None:
     if r < 1 or n < 0:
         raise ParameterError(f"need r >= 1 and n >= 0, got r={r}, n={n}")
+
+
+def _tuple_counts(r: int, n: int):
+    """Per s = 1, ..., r, the number of s-tuples of partitions of each total."""
+    _check_ranks(r, n)
     counts = partition_counts(n)
     vec = [1] + [0] * n
     for _ in range(r):
@@ -290,24 +299,21 @@ def _pair_table(r: int, n: int) -> tuple[list[list[list]], int, int]:
     return table, cells, listed
 
 
-def codim_spectrum_entries(r: int, n: int) -> tuple[SpectrumEntry, ...]:
-    """One (eigenvalue, squared dimension, tuple) entry per partition tuple,
+def codim_spectrum_entries(r: int, n: int) -> tuple[tuple, ...]:
+    """One (eigenvalue, squared dimension, tuple) triple per partition tuple,
     in enumerate_partition_tuples order, from each tuple's own roots and
     hook lengths: the per-tuple reference the tests compare the fold with,
     sharing no partition table with it."""
     return tuple(
-        SpectrumEntry(
-            xi_from_roots(poincare_star_roots(tpl, r)),
-            character_dimension(tpl) ** 2,
-            tpl,
-        )
-        for tpl in enumerate_partition_tuples(r, n)
+        (xi_from_roots(poincare_star_roots(t, r)), character_dimension(t) ** 2, t)
+        for t in enumerate_partition_tuples(r, n)
     )
 
 
-def codim_spectrum_combinatorial(r: int, n: int) -> tuple[SpectrumEntry, ...]:
-    """Aggregated codimension spectrum of G(r, 1, n), eigenvalues descending,
-    by the slot fold of the module docstring.
+def codim_spectrum_combinatorial(r: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Aggregated codimension spectrum of G(r, 1, n), (eigenvalue,
+    multiplicity) pairs, eigenvalues descending, by the slot fold of the
+    module docstring.
 
     No tuple is listed, so the fold's steps are capped before any partition
     is.  The table visits sum_{j<k} p(j) lattice cells into level k, at most
@@ -315,19 +321,33 @@ def codim_spectrum_combinatorial(r: int, n: int) -> tuple[SpectrumEntry, ...]:
     by Euler's n p(n) = sum_{m=1..n} sigma(m) p(n - m).  A slot pairs each
     state carried into it with each distinct pair of the sizes that fit.  A
     state after s slots is reached by some s-tuple and distinct pairs are
-    at most the partitions, so a slot's pairings are at most the
-    (s + 1)-tuples of total at most n (of total n in the last slot).
-    Squared dimensions must add up to the group order r^n * n!."""
+    at most the partitions, so a slot's pairings are at most T_{s+1}, the
+    (s + 1)-tuples, of total at most n (of total n in the last slot).  The
+    bound is summed level by level, then slot by slot, and refused once a
+    lower bound on it passes the cap: the last slot adds T_r(n) >= p(n) >=
+    p(k) at level k, and T_r(n) >= T_s(n) after slot s, and each slot in
+    between adds at least as much as slot s.  Squared dimensions must add
+    up to the group order r^n * n!."""
     start = time.perf_counter()
-    counts = partition_counts(n)
-    steps = sum(k * counts[k] for k in (range(n + 1) if r > 1 else (n,)))
-    *earlier, last = _tuple_counts(r, n)
-    steps += sum(map(sum, earlier)) + last[n]
-    if steps > DEFAULT_FOLD_CAP:
+    _check_ranks(r, n)
+
+    def refuse(steps: int, whole: bool) -> None:
+        bound = format_size(steps) if whole else f"more than {format_size(steps)}"
         raise SizeLimitError(
-            f"the partition-tuple fold for r={r}, n={n} takes up to {steps} "
+            f"the partition-tuple fold for r={r}, n={n} takes up to {bound} "
             f"steps, above the cap {DEFAULT_FOLD_CAP}"
         )
+
+    steps = 0
+    for k, count in zip(range(n + 1), _partition_numbers()):
+        steps += k * count if r > 1 or k == n else 0
+        if k < n and steps + count > DEFAULT_FOLD_CAP:
+            refuse(steps + count, False)
+    for s, vec in enumerate(_tuple_counts(r, n), 1):
+        steps += sum(vec) if s < r else vec[n]
+        ahead = steps + (r - 1 - s) * sum(vec) + vec[n] if s < r else steps
+        if ahead > DEFAULT_FOLD_CAP:
+            refuse(ahead, s == r)
     table, cells, listed = _pair_table(r, n)
     states: dict[tuple[int, int, int], int] = {(0, 1, 0): 1}
     for slot in range(r):
@@ -359,15 +379,13 @@ def codim_spectrum_combinatorial(r: int, n: int) -> tuple[SpectrumEntry, ...]:
         raise ParameterError(
             f"multiplicities sum to {total}, expected |G({r},1,{n})| = {expected}"
         )
-    return tuple(
-        SpectrumEntry(eigenvalue=e, multiplicity=m)
-        for e, m in sorted(aggregated.items(), reverse=True)
-    )
+    return tuple(sorted(aggregated.items(), reverse=True))
 
 
-def closed_form_reference(r: int, n: int) -> tuple[SpectrumEntry, ...]:
-    """Pinned closed-form codimension spectra for G(r, 1, 2) and G(r, 1, 3);
-    entries with zero multiplicity are omitted."""
+def closed_form_reference(r: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Pinned closed-form codimension spectra for G(r, 1, 2) and G(r, 1, 3),
+    (eigenvalue, multiplicity) pairs with eigenvalues descending; entries
+    with zero multiplicity are omitted."""
     if n not in (2, 3):
         raise ParameterError(f"closed forms cover n in (2, 3) only, got n={n}")
     if r < 2:
@@ -387,7 +405,7 @@ def closed_form_reference(r: int, n: int) -> tuple[SpectrumEntry, ...]:
             (-(r**2), 9 * r - 9),
             (-2 * r**2, 11 * r - 7),
         ]
-    return tuple(SpectrumEntry(e, m) for e, m in rows if m > 0)
+    return tuple((e, m) for e, m in rows if m > 0)
 
 
 def format_partition_tuple(tpl: PartitionTuple) -> str:

@@ -10,15 +10,14 @@ the full reflection set T is a function of the cycle data alone, by Shi's
 formula (stated in the docstring of the groups module); for p = 1 it is
 codim(w).  `Group.type_lengths` holds it per cycle type next to
 `Group.type_codims`, the functions here read the per-element gathers
-`Group.reflection_lengths` and `Group.codims`, and `bfs_word_lengths`, a
-breadth-first search on the Cayley graph, is the reference it is tested
-against.  l_T(w) always dominates codim(w), with equality for every element
-exactly in the G(r, 1, n) and real cases.
+`Group.reflection_lengths` and `Group.codims` as plain arrays, and
+`bfs_word_lengths`, a breadth-first search on the Cayley graph, is the
+reference it is tested against.  l_T(w) always dominates codim(w), with
+equality for every element exactly in the G(r, 1, n) and real cases.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -39,17 +38,9 @@ def reflections(group: Group) -> tuple[int, ...]:
     return tuple(np.flatnonzero(group.codims == 1).tolist())
 
 
-@dataclass(frozen=True, eq=False)
-class LengthTable:
-    """Per-element reflection lengths and codimensions over one enumeration."""
-
-    lengths: np.ndarray
-    codims: np.ndarray
-
-
-def reflection_length_table(group: Group) -> LengthTable:
-    """The group's reflection lengths and codimensions, side by side."""
-    return LengthTable(lengths=group.reflection_lengths, codims=group.codims)
+def reflection_length_table(group: Group) -> tuple[np.ndarray, np.ndarray]:
+    """The group's per-element reflection lengths and codimensions."""
+    return group.reflection_lengths, group.codims
 
 
 def all_reflections_order_two(group: Group) -> bool:

@@ -22,13 +22,14 @@ with multiplicity chi(1)^2.  Three independent routes are implemented:
   the orbit heads.  Each line is a certified central character, and
   theta_chi needs no |G| x |G| matrix and no (k, k, k) tensor;
 * combinatorial (codimension matrices of G(r, 1, n) only): exact integer
-  eigenvalues from partition tuples, in the partitions module.
+  eigenvalues by the slot fold, in the partitions module.
 
-The three kinds of class function depend on the cycle type alone and are
-read per class from the group's per-type values.  The class-algebra route
-reads k-long class records (sizes, cycle types, inverse classes, the class
-of z C for each class C) and the class sums of a few classes at the orbit
-heads (`Group.class_sum_matrix`), nothing else |G| long.
+The three kinds of class function depend on the cycle type alone; each is a
+k-long int64 array, one gather of the group's per-type values, and every
+route gives (eigenvalue, multiplicity) pairs.  The class-algebra route reads
+k-long class records (sizes, cycle types, inverse classes, the class of z C
+for each class C) and the class sums of a few classes at the orbit heads
+(`Group.class_sum_matrix`), nothing else |G| long.
 
 Adjacency (f = indicator of a connection set) and shortest-path distance
 matrices of Cayley graphs are the main instances.  Distance matrices work
@@ -50,6 +51,7 @@ from .errors import (
     NumericError,
     ParameterError,
     SizeLimitError,
+    format_size,
 )
 from .groups import Group, bfs_word_lengths, standard_generators
 from .reflections import all_reflections_order_two, reflections
@@ -68,51 +70,29 @@ _CHUNK_ENTRIES = 1 << 16
 ELEMENT_ORDER_REFERENCE = "lex(perm,exponents)"
 _CLUSTER_WIDTH = 1e-6
 
-@dataclass(frozen=True)
-class ClassFunction:
-    """Integer values, one per conjugacy class of a fixed group; the builders
-    of the three kinds read them through `ConjugacyClasses.types`."""
-
-    kind: str
-    values: tuple[int, ...]
-
-    def class_values(self, group: Group) -> np.ndarray:
-        """The values as an array, after checking there is one per class."""
-        if len(self.values) != len(group.conjugacy):
-            raise ParameterError(
-                f"class function has {len(self.values)} values, group has "
-                f"{len(group.conjugacy)} classes"
-            )
-        return np.asarray(self.values, dtype=np.int64)
-
-    def element_values(self, group: Group) -> np.ndarray:
-        return self.class_values(group)[group.conjugacy.class_of]
+def _per_class(group: Group, per_type: np.ndarray) -> np.ndarray:
+    return per_type[group.conjugacy.types].astype(np.int64)
 
 
-def _per_class(group: Group, per_type: np.ndarray, kind: str) -> ClassFunction:
-    values = per_type[group.conjugacy.types].astype(np.int64)
-    return ClassFunction(kind=kind, values=tuple(values.tolist()))
+def adjacency_function(group: Group) -> np.ndarray:
+    """Indicator of the full reflection set, one value per class."""
+    return _per_class(group, group.type_codims == 1)
 
 
-def adjacency_function(group: Group) -> ClassFunction:
-    """Indicator of the full reflection set."""
-    return _per_class(group, group.type_codims == 1, "adjacency")
+def distance_function(group: Group) -> np.ndarray:
+    """Reflection length, one value per class."""
+    return _per_class(group, group.type_lengths)
 
 
-def distance_function(group: Group) -> ClassFunction:
-    """Reflection length as a class function."""
-    return _per_class(group, group.type_lengths, "distance")
-
-
-def codimension_function(group: Group) -> ClassFunction:
-    return _per_class(group, group.type_codims, "codimension")
+def codimension_function(group: Group) -> np.ndarray:
+    return _per_class(group, group.type_codims)
 
 
 KINDS = ("adjacency", "distance", "codimension")
 
 
-def class_function(group: Group, kind: str) -> ClassFunction:
-    """The class function of one matrix kind, named as in KINDS."""
+def class_function(group: Group, kind: str) -> np.ndarray:
+    """The per-class values of one matrix kind, named as in KINDS."""
     if kind == "adjacency":
         return adjacency_function(group)
     if kind == "distance":
@@ -153,14 +133,26 @@ def standard_connection(group: Group) -> ConnectionSet:
     return connection_set(group, gens, "standard")
 
 
+def _class_values(group: Group, values) -> np.ndarray:
+    """Caller-supplied per-class values as int64, checked one per class."""
+    values = np.asarray(values, dtype=np.int64)
+    if values.shape != (len(group.conjugacy),):
+        raise ParameterError(
+            f"class function has {values.size} values, group has "
+            f"{len(group.conjugacy)} classes"
+        )
+    return values
+
+
 def _check_matrix_cap(order: int) -> None:
     """Reject a group order above the dense matrix cap; every matrix builder
     calls this before it computes or allocates anything, and the CLI before
     it builds the group."""
     if order > DEFAULT_MATRIX_CAP:
         raise SizeLimitError(
-            f"order {order} exceeds the dense matrix cap {DEFAULT_MATRIX_CAP}; "
-            "use the class-algebra or combinatorial route instead"
+            f"order {format_size(order)} exceeds the dense matrix cap "
+            f"{DEFAULT_MATRIX_CAP}; use the class-algebra or combinatorial route "
+            "instead"
         )
 
 
@@ -182,9 +174,11 @@ def matrix_from_element_values(group: Group, values) -> np.ndarray:
     return entries
 
 
-def build_matrix(group: Group, f: ClassFunction) -> np.ndarray:
+def build_matrix(group: Group, values) -> np.ndarray:
+    """Group matrix of a class function given by its per-class values."""
     _check_matrix_cap(group.order)
-    return matrix_from_element_values(group, f.element_values(group))
+    values = _class_values(group, values)
+    return matrix_from_element_values(group, values[group.conjugacy.class_of])
 
 
 def distance_matrix_bfs(group: Group, connection: ConnectionSet) -> np.ndarray:
@@ -243,8 +237,10 @@ class Spectrum:
     integral: bool
     raw: tuple[float, ...] | None = None
 
-    def as_dict(self) -> dict:
-        return {e: m for e, m in self.entries}
+
+def format_entries(entries) -> str:
+    """(eigenvalue, multiplicity) pairs as "value^mult", largest first."""
+    return " ".join(f"{value}^{mult}" for value, mult in sorted(entries, reverse=True))
 
 
 def _cluster(values: np.ndarray) -> list[list[int]]:
@@ -714,14 +710,15 @@ def class_algebra_data(group: Group) -> ClassAlgebraData:
 
 def spectrum_class_algebra(
     group: Group,
-    f: ClassFunction,
+    values,
     tolerance: float = 1e-8,
     data: ClassAlgebraData | None = None,
 ) -> Spectrum:
-    """Spectrum of the group matrix of f via central characters: eigenvalue
-    sum_C f(C) omega_chi(C) with multiplicity chi(1)^2 per character.  The
-    characters are class_algebra_data(group), or data when given, so that
-    several class functions of one group share one computation.
+    """Spectrum of the group matrix of per-class values f via central
+    characters: eigenvalue sum_C f(C) omega_chi(C) with multiplicity chi(1)^2
+    per character.  The characters are class_algebra_data(group), or data
+    when given, so that several class functions of one group share one
+    computation.
 
     The matrix is symmetric exactly when f(C) = f(C^-1) on every class,
     which is checked on the integer values.  The eigenvalues are then real,
@@ -729,12 +726,12 @@ def spectrum_class_algebra(
     1e-6 max(1, max |eigenvalue|), the scale of the character certificate,
     whatever the rounding tolerance."""
     _check_tolerance(tolerance)
-    values = f.class_values(group).astype(np.float64)
+    values = _class_values(group, values)
     if not np.array_equal(values, values[group.conjugacy.inverse]):
-        raise ParameterError(f"{f.kind} matrix is not symmetric: f(C) != f(C^-1)")
+        raise ParameterError("class function matrix is not symmetric: f(C) != f(C^-1)")
     if data is None:
         data = class_algebra_data(group)
-    thetas = data.central_characters @ values
+    thetas = data.central_characters @ values.astype(np.float64)
     scale = max(1.0, float(np.abs(thetas).max()))
     imaginary = float(np.abs(thetas.imag).max())
     if imaginary > 1e-6 * scale:
@@ -746,26 +743,26 @@ def spectrum_class_algebra(
     return _round_spectrum(thetas.real, weights, tolerance * scale, "class-algebra")
 
 
-def spectral_radius_check(group: Group, f: ClassFunction, spectrum: Spectrum) -> bool:
-    """Largest eigenvalue of a nonnegative class function's group matrix must
-    be sum_g f(g), simple and strictly dominant (trivially so for f = 0)."""
-    if any(v < 0 for v in f.values):
+def spectral_radius_check(group: Group, values, spectrum: Spectrum) -> bool:
+    """Largest eigenvalue of the group matrix of nonnegative per-class values
+    must be sum_g f(g), simple and strictly dominant (trivially so for f = 0)."""
+    values = _class_values(group, values).tolist()
+    if any(v < 0 for v in values):
         raise ParameterError("spectral radius check needs a nonnegative function")
-    sizes = group.conjugacy.sizes
-    expected = sum(s * v for s, v in zip(sizes, f.values))
+    expected = sum(s * v for s, v in zip(group.conjugacy.sizes, values))
     top_value, top_mult = spectrum.entries[0]
     if top_value != expected:
         log.warning(
-            "spectral radius mismatch for %s/%s: top %s, expected %s",
-            group.params, f.kind, top_value, expected,
+            "spectral radius mismatch for %s: top %s, expected %s",
+            group.params, top_value, expected,
         )
         return False
     if expected == 0:
         return True
     if top_mult != 1 or (len(spectrum.entries) > 1 and spectrum.entries[1][0] >= expected):
         log.warning(
-            "spectral radius not strictly dominant for %s/%s: %s",
-            group.params, f.kind, spectrum.entries[:2],
+            "spectral radius not strictly dominant for %s: %s",
+            group.params, spectrum.entries[:2],
         )
         return False
     return True
@@ -784,7 +781,7 @@ def bipartite_check(group: Group, spectrum: Spectrum | None = None) -> bool:
             break
     if spectrum is None:
         spectrum = spectrum_numeric(build_matrix(group, adjacency_function(group)))
-    eigs = spectrum.as_dict()
+    eigs = dict(spectrum.entries)
     symmetric = all(eigs.get(-value) == mult for value, mult in eigs.items())
     orders_two = all_reflections_order_two(group)
     if not (colorable == symmetric == orders_two):

@@ -64,6 +64,7 @@ from .spectra import (
     class_function,
     class_structure_constants,
     distance_matrix_bfs,
+    format_entries,
     spectral_radius_check,
     spectrum_class_algebra,
     spectrum_numeric,
@@ -163,21 +164,6 @@ def _integer_deviation(spectrum: Spectrum) -> float:
     return max(abs(x - round(x)) for x in spectrum.raw)
 
 
-def _entry_dict(entries) -> dict:
-    """Eigenvalue -> multiplicity of a Spectrum, of spectrum entries, or of
-    a dict (returned as it is)."""
-    if isinstance(entries, Spectrum):
-        return entries.as_dict()
-    if isinstance(entries, dict):
-        return entries
-    return {e.eigenvalue: e.multiplicity for e in entries}
-
-
-def _fmt_entries(entries: dict) -> str:
-    entries = sorted(entries.items(), reverse=True)
-    return " ".join(f"{value}^{mult}" for value, mult in entries)
-
-
 def _agree(
     label: str,
     got,
@@ -186,21 +172,21 @@ def _agree(
     integral: bool,
     residual: float | None,
 ) -> CheckOutcome:
-    """Two spectra (see _entry_dict) agree when integral holds and their
-    entries are equal.  The detail shows got, and the reference as well when
-    they disagree."""
-    got, reference = _entry_dict(got), _entry_dict(reference)
+    """Two spectra, each (eigenvalue, multiplicity) pairs or a dict of them,
+    agree when integral holds and their entries are equal.  The detail shows
+    got, and the reference as well when they disagree."""
+    got, reference = dict(got), dict(reference)
     ok = integral and got == reference
-    detail = f"{label} {_fmt_entries(got)}"
+    detail = f"{label} {format_entries(got.items())}"
     if not ok:
-        detail += f"; {reference_label} {_fmt_entries(reference)}"
+        detail += f"; {reference_label} {format_entries(reference.items())}"
     return ok, detail, residual
 
 
 def _numeric_equals(params: GroupParams, kind: str, expected) -> CheckOutcome:
     spectrum = cached_numeric_spectrum(params, kind)
     return _agree(
-        f"{kind} spectrum", spectrum, "expected", expected,
+        f"{kind} spectrum", spectrum.entries, "expected", expected,
         spectrum.integral, spectrum.max_residual,
     )
 
@@ -212,7 +198,7 @@ def _fold(params: GroupParams):
 def _combinatorial_vs_numeric(params: GroupParams) -> CheckOutcome:
     numeric = cached_numeric_spectrum(params, "codimension")
     return _agree(
-        "combinatorial", _fold(params), "numeric", numeric,
+        "combinatorial", _fold(params), "numeric", numeric.entries,
         numeric.integral, numeric.max_residual,
     )
 
@@ -233,7 +219,7 @@ def _class_algebra_vs_numeric(params: GroupParams, kind: str) -> CheckOutcome:
     algebraic = _class_algebra(params, kind)
     numeric = cached_numeric_spectrum(params, kind)
     return _agree(
-        f"{kind}: class-algebra", algebraic, "numeric", numeric,
+        f"{kind}: class-algebra", algebraic.entries, "numeric", numeric.entries,
         algebraic.integral and numeric.integral,
         max(algebraic.max_residual, numeric.max_residual),
     )
@@ -245,8 +231,8 @@ def _class_algebra_vs_fold(params: GroupParams, kind: str) -> CheckOutcome:
     equals codimension on G(r, 1, n) (Shi)."""
     algebraic = _class_algebra(params, kind)
     return _agree(
-        f"{kind}: codimension fold", _fold(params), "class-algebra", algebraic,
-        algebraic.integral, algebraic.max_residual,
+        f"{kind}: codimension fold", _fold(params), "class-algebra",
+        algebraic.entries, algebraic.integral, algebraic.max_residual,
     )
 
 

@@ -16,7 +16,6 @@ from reflectra.groups import (
     format_element,
     standard_generators,
 )
-from reflectra.spectra import ClassFunction
 from reflectra.verify import desk_scale_params
 
 # the factored per-element passes against their oracles: every desk-scale
@@ -197,11 +196,11 @@ def flat_cycle_walk(group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return codims, keys, labels.reshape(shape).sum(axis=1)
 
 
-def class_function_from_element_values(group, values, kind: str) -> ClassFunction:
-    """The class function with the given per-element values, read at the
-    class representatives, after checking on all |G| elements that the
-    values are constant on every class; the error names the least class
-    where they are not."""
+def class_function_from_element_values(group, values) -> np.ndarray:
+    """The per-class values, an int64 array, of the class function with the
+    given per-element values, read at the class representatives, after
+    checking on all |G| elements that the values are constant on every
+    class; the error names the least class where they are not."""
     values = np.asarray(values, dtype=np.int64)
     if values.shape != (group.order,):
         raise ParameterError(
@@ -212,7 +211,7 @@ def class_function_from_element_values(group, values, kind: str) -> ClassFunctio
     off = classes.class_of[values != per_class[classes.class_of]]
     if off.size:
         raise ParameterError(f"values are not constant on conjugacy class {off.min()}")
-    return ClassFunction(kind=kind, values=tuple(per_class.tolist()))
+    return per_class
 
 
 def element_texts(group) -> list[str]:

@@ -2,6 +2,7 @@
 determinism of data output, and the module entry point."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from click.testing import CliRunner
 import reflectra
 from reflectra import cli, spectra
 from reflectra.cli import main
+from reflectra.errors import format_size
 from reflectra.groups import Group, GroupParams, element_order, format_element
 from reflectra.reflections import reflections
 from reflectra.spectra import all_reflections_connection, distance_matrix_bfs
@@ -140,6 +142,10 @@ SPECTRUM_KEYS = {
         pytest.param(["spectrum", "3", "1", "2", "--kind", "codimension",
                       "--method", "class-algebra"], SPECTRUM_KEYS,
                      id="spectrum-class-algebra"),
+        pytest.param(["spectrum", "3", "1", "2", "--kind", "distance",
+                      "--method", "class-algebra"],
+                     SPECTRUM_KEYS | {"connection_set"},
+                     id="spectrum-class-algebra-distance"),
         pytest.param(["spectrum", "3", "1", "2", "--kind", "codimension",
                       "--method", "combinatorial"], SPECTRUM_KEYS,
                      id="spectrum-combinatorial"),
@@ -187,6 +193,44 @@ def test_combinatorial_fold_cap_exceeded_exits_1():
     assert result.exit_code == 1
     assert "up to 58954487 steps" in result.stderr
     assert result.stdout_bytes == b""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["group", "2", "1", "2000"],
+        ["group", "2", "1", "1000"],
+        ["spectrum", "2", "1", "2000", "--kind", "distance"],
+        ["spectrum", "2", "1", "2000", "--kind", "distance",
+         "--method", "class-algebra"],
+        ["spectrum", "1", "1", "10000", "--kind", "codimension",
+         "--method", "combinatorial"],
+        ["spectrum", "3000000", "1", "1", "--kind", "codimension",
+         "--method", "combinatorial"],
+    ],
+    ids=["group-2000", "group-1000", "numeric", "class-algebra",
+         "fold-n", "fold-r"],
+)
+def test_oversized_requests_are_one_short_error_line(args):
+    # orders of thousands of digits are named by their size, and a fold's
+    # step bound stops growing once it passes the cap
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1
+    assert result.stdout_bytes == b""
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1 and len(result.stderr) < 200
+
+
+def test_sizes_print_in_full_up_to_18_digits():
+    assert format_size(10**18 - 1) == "999999999999999999"
+    assert format_size(10**18) == "about 10^18"
+    # 2^2000 2000!, the order of G(2,1,2000), has 6,338 digits
+    assert format_size(2**2000 * math.factorial(2000)) == "about 10^6338"
+    result = CliRunner().invoke(main, ["group", "2", "1", "2000"])
+    assert result.stderr == (
+        "error: G(2,1,2000) has order about 10^6338, above the enumeration "
+        "cap 20000 (override with REFLECTRA_MAX_ORDER or max_order)\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -425,3 +469,37 @@ def test_tolerance_below_roundoff_rounds_instead_of_failing(method, tolerance):
     assert "error" not in result.output
     if tolerance == "1e-300":
         assert result.output.rstrip().endswith("NON-INTEGRAL")
+
+
+@pytest.mark.parametrize("params", desk_scale_params(max_order=200), ids=str)
+def test_every_route_gives_the_same_spectrum_and_connection_set(params):
+    # numeric and class algebra for every kind, and for p = 1 the fold too
+    group = [str(params.r), str(params.p), str(params.n)]
+    for kind in ("adjacency", "distance", "codimension"):
+        methods = ["numeric", "class-algebra"]
+        if kind == "codimension" and params.p == 1:
+            methods.append("combinatorial")
+        answers = []
+        for method in methods:
+            result = CliRunner().invoke(main, [
+                "spectrum", *group, "--kind", kind, "--method", method,
+                "--format", "json",
+            ])
+            assert result.exit_code == 0, result.output
+            payload = json.loads(result.stdout_bytes)
+            assert payload["integral"], (kind, method)
+            answers.append((payload["entries"], payload.get("connection_set")))
+        assert all(answer == answers[0] for answer in answers), kind
+        assert answers[0][1] == (None if kind == "codimension" else "all-reflections")
+
+
+@pytest.mark.parametrize("method", ["numeric", "class-algebra"])
+def test_spectrum_text_names_the_connection_set_on_every_route(method):
+    result = CliRunner().invoke(main, [
+        "spectrum", "3", "1", "2", "--kind", "distance", "--method", method,
+    ])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith(
+        f"distance spectrum of G(3,1,2) [all-reflections] ({method}): "
+        "27^1 3^2 0^4 -3^11\n"
+    )

@@ -793,7 +793,7 @@ def test_scalar_shift_is_the_class_of_z_times_each_representative(params):
                 group.index_of(scalar)
     classes = group.conjugacy
     expected = [
-        int(classes.class_of[group.index_of(z * group.element(rep))])
+        int(classes.class_of[group.index_of(multiply(z, group.element(rep)))])
         for rep in classes.representatives
     ]
     assert group.scalar_shift.tolist() == expected

@@ -6,6 +6,7 @@ against the group order.
 """
 
 import logging
+import re
 from math import factorial, prod
 
 import pytest
@@ -16,7 +17,6 @@ from reflectra import partitions as partitions_module
 from reflectra.errors import ParameterError, SizeLimitError
 from reflectra.partitions import (
     DEFAULT_TUPLE_CAP,
-    SpectrumEntry,
     _grow,
     _pair_table,
     character_dimension,
@@ -297,41 +297,34 @@ class TestXi:
 
 class TestCodimSpectrum:
     def test_g212(self):
-        entries = codim_spectrum_combinatorial(2, 2)
-        assert [(e.eigenvalue, e.multiplicity) for e in entries] == [
-            (10, 1), (2, 1), (-2, 6),
-        ]
+        assert codim_spectrum_combinatorial(2, 2) == ((10, 1), (2, 1), (-2, 6))
 
     def test_g312(self):
-        entries = codim_spectrum_combinatorial(3, 2)
-        assert {e.eigenvalue: e.multiplicity for e in entries} == {
+        assert dict(codim_spectrum_combinatorial(3, 2)) == {
             27: 1, 3: 2, 0: 4, -3: 11,
         }
 
     def test_g213(self):
-        entries = codim_spectrum_combinatorial(2, 3)
-        assert {e.eigenvalue: e.multiplicity for e in entries} == {
+        assert dict(codim_spectrum_combinatorial(2, 3)) == {
             100: 1, 4: 14, 0: 9, -4: 9, -8: 15,
         }
 
     def test_entries_carry_sources(self):
         entries = codim_spectrum_entries(2, 2)
         assert len(entries) == 5
-        top = max(entries, key=lambda e: e.eigenvalue)
-        assert top.source == ((2,), ())
+        _, _, top = max(entries)
+        assert top == ((2,), ())
         for r, n in SMALL_RANKS:
             if count_partition_tuples(r, n) <= 300:
-                sources = [e.source for e in codim_spectrum_entries(r, n)]
+                sources = [source for _, _, source in codim_spectrum_entries(r, n)]
                 assert sources == list(enumerate_partition_tuples(r, n))
 
     @pytest.mark.parametrize("n", (2, 3))
     @pytest.mark.parametrize("r", range(2, 9))
     def test_matches_closed_form(self, r, n):
-        combinatorial = {
-            e.eigenvalue: e.multiplicity for e in codim_spectrum_combinatorial(r, n)
-        }
-        reference = {e.eigenvalue: e.multiplicity for e in closed_form_reference(r, n)}
-        assert combinatorial == reference
+        reference = closed_form_reference(r, n)
+        assert reference == tuple(sorted(reference, reverse=True))
+        assert dict(codim_spectrum_combinatorial(r, n)) == dict(reference)
 
     def test_closed_form_domain(self):
         with pytest.raises(ParameterError):
@@ -340,25 +333,20 @@ class TestCodimSpectrum:
             closed_form_reference(1, 2)
 
     def test_entries_sorted_descending(self):
-        entries = codim_spectrum_combinatorial(3, 3)
-        eigenvalues = [e.eigenvalue for e in entries]
+        eigenvalues = [value for value, _ in codim_spectrum_combinatorial(3, 3)]
         assert eigenvalues == sorted(eigenvalues, reverse=True)
 
     @pytest.mark.parametrize("r,n", SMALL_RANKS + BENCHMARK_FOLDS)
     def test_fold_matches_aggregated_entries(self, r, n):
         aggregated: dict[int, int] = {}
-        for entry in codim_spectrum_entries(r, n):
-            aggregated[entry.eigenvalue] = (
-                aggregated.get(entry.eigenvalue, 0) + entry.multiplicity
-            )
+        for eigenvalue, multiplicity, _ in codim_spectrum_entries(r, n):
+            aggregated[eigenvalue] = aggregated.get(eigenvalue, 0) + multiplicity
         expected = tuple(sorted(aggregated.items(), reverse=True))
-        folded = codim_spectrum_combinatorial(r, n)
-        assert tuple((e.eigenvalue, e.multiplicity) for e in folded) == expected
-        assert all(e.source is None for e in folded)
+        assert codim_spectrum_combinatorial(r, n) == expected
 
     def test_n0_gives_the_trivial_group(self):
-        assert codim_spectrum_combinatorial(1, 0) == (SpectrumEntry(0, 1),)
-        assert codim_spectrum_combinatorial(3, 0) == (SpectrumEntry(0, 1),)
+        assert codim_spectrum_combinatorial(1, 0) == ((0, 1),)
+        assert codim_spectrum_combinatorial(3, 0) == ((0, 1),)
 
     def test_cap_fails_before_any_partition_is_listed(self, monkeypatch):
         def unreachable(*args):
@@ -392,6 +380,55 @@ class TestCodimSpectrum:
         monkeypatch.setattr(partitions_module, "DEFAULT_FOLD_CAP", 134)
         with pytest.raises(SizeLimitError, match="up to 135 steps"):
             codim_spectrum_combinatorial(3, 4)
+
+    @pytest.mark.parametrize(
+        "r,n", [(1, 12), (2, 9), (3, 6), (5, 4), (7, 2), (40, 1), (6, 0)]
+    )
+    def test_fold_cap_refuses_exactly_above_the_whole_bound(self, r, n, monkeypatch):
+        # the whole step bound, every level and every slot summed
+        counts = partition_counts(n)
+        *earlier, last = partitions_module._tuple_counts(r, n)
+        bound = sum(k * counts[k] for k in (range(n + 1) if r > 1 else (n,)))
+        bound += sum(map(sum, earlier)) + last[n]
+        for cap in sorted({1, bound // 3, bound // 2, bound - 1, bound}):
+            monkeypatch.setattr(partitions_module, "DEFAULT_FOLD_CAP", cap)
+            if cap >= bound:
+                assert codim_spectrum_combinatorial(r, n)
+                continue
+            with pytest.raises(SizeLimitError) as refused:
+                codim_spectrum_combinatorial(r, n)
+            steps = re.search(
+                r"takes up to (more than )?(\d+) steps", str(refused.value)
+            )
+            if steps[1]:
+                assert cap < int(steps[2]) <= bound
+            else:
+                assert int(steps[2]) == bound
+
+    def test_fold_cap_refuses_huge_ranks_after_a_few_levels_and_slots(
+        self, monkeypatch
+    ):
+        # the whole bound of r = 10^9, n = 1 sums 10^9 slots, and that of
+        # r = 1, n = 10^5 needs p(10^5), about 10^346
+        def few(generator):
+            def at_most_300(*args):
+                for step, value in enumerate(generator(*args)):
+                    assert step < 300, f"{generator.__name__} ran past 300 steps"
+                    yield value
+
+            return at_most_300
+
+        for name in ("_partition_numbers", "_tuple_counts"):
+            monkeypatch.setattr(
+                partitions_module, name, few(getattr(partitions_module, name))
+            )
+        for r, n, steps in ((10**9, 1, 2000000000), (1, 10**5, 10619863)):
+            with pytest.raises(SizeLimitError) as refused:
+                codim_spectrum_combinatorial(r, n)
+            assert str(refused.value) == (
+                f"the partition-tuple fold for r={r}, n={n} takes up to more "
+                f"than {steps} steps, above the cap 10000000"
+            )
 
     @pytest.mark.parametrize("r,n", [(1, 12), (2, 9), (3, 6), (5, 4)])
     def test_fold_cap_bounds_the_fold_steps(self, r, n, monkeypatch):

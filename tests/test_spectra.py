@@ -21,12 +21,17 @@ from reflectra.errors import (
     ParameterError,
     SizeLimitError,
 )
-from reflectra.groups import Group, GroupElement, GroupParams, bfs_word_lengths
+from reflectra.groups import (
+    Group,
+    GroupElement,
+    GroupParams,
+    bfs_word_lengths,
+    multiply,
+)
 from reflectra.partitions import codim_spectrum_combinatorial, partition_counts
 from reflectra.reflections import codim, reflections
 from reflectra.spectra import (
     KINDS,
-    ClassFunction,
     _class_sum_order,
     _certify,
     _cluster,
@@ -76,14 +81,37 @@ class TestJacobi:
         assert jacobi_eigenvalues(np.array([[4.0]])).tolist() == [4.0]
 
 
-class TestClassFunction:
+class TestPerClassValues:
     def test_kind_table(self):
         group = Group(GroupParams(4, 2, 2))
-        assert class_function(group, "adjacency") == adjacency_function(group)
-        assert class_function(group, "distance") == distance_function(group)
-        assert class_function(group, "codimension") == codimension_function(group)
+        builders = {
+            "adjacency": adjacency_function,
+            "distance": distance_function,
+            "codimension": codimension_function,
+        }
+        for kind, builder in builders.items():
+            values = class_function(group, kind)
+            assert values.dtype == np.int64
+            assert values.shape == (len(group.conjugacy),)
+            assert np.array_equal(values, builder(group))
         with pytest.raises(ParameterError, match="unknown kind"):
             class_function(group, "laplacian")
+
+    @pytest.mark.parametrize("count", [0, 2, 7])
+    def test_caller_values_need_one_per_class(self, count):
+        group = Group(GroupParams(3, 1, 2))
+        k = len(group.conjugacy)
+        values = [0] * count
+        message = f"class function has {count} values, group has {k} classes"
+        for call in (
+            lambda: build_matrix(group, values),
+            lambda: spectrum_class_algebra(group, values),
+            lambda: spectral_radius_check(
+                group, values, spectrum_numeric(np.zeros((1, 1)))
+            ),
+        ):
+            with pytest.raises(ParameterError, match=f"^{message}$"):
+                call()
 
     def test_rejects_non_class_function(self):
         group = Group(GroupParams(3, 1, 2))
@@ -93,7 +121,7 @@ class TestClassFunction:
         )
         values[target] = 1
         with pytest.raises(ParameterError):
-            class_function_from_element_values(group, values, "broken")
+            class_function_from_element_values(group, values)
 
     def test_error_names_first_non_constant_class(self):
         group = Group(GroupParams(3, 1, 2))
@@ -103,22 +131,20 @@ class TestClassFunction:
         values[members[big[-1]][0]] = 1
         values[members[big[1]][-1]] = 2
         with pytest.raises(ParameterError, match=f"conjugacy class {big[1]}$"):
-            class_function_from_element_values(group, values, "broken")
+            class_function_from_element_values(group, values)
 
     def test_rejects_wrong_length(self):
         group = Group(GroupParams(3, 1, 2))
         with pytest.raises(ParameterError):
-            class_function_from_element_values(group, [0, 1], "short")
+            class_function_from_element_values(group, [0, 1])
 
     def test_roundtrip_through_classes(self):
         group = Group(GroupParams(4, 2, 2))
         f = codimension_function(group)
-        values = f.element_values(group)
-        for i, x in enumerate(group.elements):
-            assert values[i] == group.conjugacy.class_of[i] >= 0
-            break
-        rebuilt = class_function_from_element_values(group, values, f.kind)
-        assert rebuilt == f
+        values = f[group.conjugacy.class_of]
+        assert values[0] == group.conjugacy.class_of[0] == 0
+        rebuilt = class_function_from_element_values(group, values)
+        assert np.array_equal(rebuilt, f)
 
     @pytest.mark.parametrize("params", desk_scale_params(), ids=str)
     def test_per_class_values_match_the_constancy_oracle(self, params):
@@ -133,10 +159,8 @@ class TestClassFunction:
             "codimension": codims,
         }
         for kind in KINDS:
-            expected = class_function_from_element_values(
-                group, element_values[kind], kind
-            )
-            assert class_function(group, kind) == expected
+            expected = class_function_from_element_values(group, element_values[kind])
+            assert np.array_equal(class_function(group, kind), expected)
 
 
 class TestConnectionSets:
@@ -197,12 +221,12 @@ class TestMatrices:
         group = Group(GroupParams(3, 1, 2))
         f = codimension_function(group)
         matrix = build_matrix(group, f)
-        values = f.element_values(group)
+        values = f[group.conjugacy.class_of]
         for i in (0, 3, 7):
             for j in (0, 5, 11):
                 x = group.elements[i]
                 y = group.elements[j]
-                product = x * y.inverse()
+                product = multiply(x, y.inverse())
                 assert matrix[i, j] == values[group.index_of(product)]
 
     def test_matrix_cap(self, monkeypatch):
@@ -251,7 +275,7 @@ class TestBlockBuild:
         group = Group(params)
         for kind in KINDS:
             f = class_function(group, kind)
-            expected = matrix_by_columns(group, f.element_values(group))
+            expected = matrix_by_columns(group, f[group.conjugacy.class_of])
             assert np.array_equal(build_matrix(group, f), expected), kind
         values = np.arange(group.order)
         built = matrix_from_element_values(group, values)
@@ -398,9 +422,7 @@ class TestWeightedRounding:
     def test_integral_class_algebra_values(self):
         group = Group(GroupParams(3, 1, 3))
         data = class_algebra_data(group)
-        thetas = data.central_characters @ np.asarray(
-            distance_function(group).values, dtype=np.float64
-        )
+        thetas = data.central_characters @ distance_function(group).astype(np.float64)
         weights = [d * d for d in data.degrees]
         got = self._compare(thetas.real, weights, 1e-8 * np.abs(thetas).max())
         assert got.integral and sum(m for _, m in got.entries) == group.order
@@ -917,11 +939,10 @@ class TestClassAlgebraRoute:
         values = tuple(int(i == c) for i in range(len(classes)))
         monkeypatch.setattr(spectra, "class_algebra_data", None)
         with pytest.raises(ParameterError, match="not symmetric"):
-            spectrum_class_algebra(group, ClassFunction("one-class", values))
+            spectrum_class_algebra(group, values)
         symmetric = tuple(int(i in (c, inverse_class[c])) for i in range(len(classes)))
         monkeypatch.undo()
-        pair = ClassFunction("two-classes", symmetric)
-        spectrum = spectrum_class_algebra(group, pair)
+        spectrum = spectrum_class_algebra(group, symmetric)
         assert spectrum.integral and sum(m for _, m in spectrum.entries) == group.order
 
     @pytest.mark.parametrize("tolerance", [1e-16, 1e-300])
@@ -949,11 +970,11 @@ class TestClassAlgebraRoute:
         classes = group.conjugacy
         identity_class = int(classes.class_of[group.identity_index])
         trace = sum(value * mult for value, mult in spectrum.entries)
-        assert trace == group.order * f.values[identity_class]
+        assert trace == group.order * f[identity_class]
         reps = np.array(classes.representatives)
         inverse_class = classes.class_of[group.inverse_indices[reps]]
         frobenius = sum(
-            classes.sizes[c] * f.values[c] * f.values[int(inverse_class[c])]
+            classes.sizes[c] * int(f[c]) * int(f[inverse_class[c]])
             for c in range(len(classes))
         )
         second_moment = sum(value**2 * mult for value, mult in spectrum.entries)
@@ -992,10 +1013,7 @@ class TestSpectralRadius:
 
     def test_rejects_negative_function(self):
         group = Group(GroupParams(2, 1, 2))
-        f = ClassFunction(
-            kind="signed",
-            values=tuple(-1 for _ in range(len(group.conjugacy))),
-        )
+        f = np.full(len(group.conjugacy), -1)
         spectrum = spectrum_numeric(build_matrix(group, adjacency_function(group)))
         with pytest.raises(ParameterError):
             spectral_radius_check(group, f, spectrum)
@@ -1022,13 +1040,13 @@ class TestBipartite:
         assert len(refl) == 9
         for t in refl:
             x = group.elements[t]
-            assert x * x == group.element(group.identity_index)
+            assert multiply(x, x) == group.element(group.identity_index)
         assert bipartite_check(group)
 
     def test_spectrum_symmetry_matches(self):
         group = Group(GroupParams(2, 2, 3))
         spectrum = spectrum_numeric(build_matrix(group, adjacency_function(group)))
-        eigs = spectrum.as_dict()
+        eigs = dict(spectrum.entries)
         assert all(eigs.get(-value) == mult for value, mult in eigs.items())
         assert bipartite_check(group, spectrum)
 
@@ -1094,14 +1112,11 @@ def test_class_algebra_matches_the_fold_at_190_classes(params, classes, listed):
     if listed is not None:
         assert len(_class_sum_order(group)) == listed
     data = class_algebra_data(group)
-    fold = {
-        e.eigenvalue: e.multiplicity
-        for e in codim_spectrum_combinatorial(params.r, params.n)
-    }
+    fold = dict(codim_spectrum_combinatorial(params.r, params.n))
     for kind in ("codimension", "distance"):
         spectrum = spectrum_class_algebra(group, class_function(group, kind), data=data)
         assert spectrum.integral
-        assert spectrum.as_dict() == fold
+        assert dict(spectrum.entries) == fold
 
 
 def test_class_algebra_matches_the_codimension_fold_at_many_classes():
@@ -1110,6 +1125,6 @@ def test_class_algebra_matches_the_codimension_fold_at_many_classes():
     group = Group(params, max_order=params.order)
     assert len(group.conjugacy) == 726
     spectrum = spectrum_class_algebra(group, codimension_function(group))
-    fold = {e.eigenvalue: e.multiplicity for e in codim_spectrum_combinatorial(8, 4)}
+    fold = dict(codim_spectrum_combinatorial(8, 4))
     assert spectrum.integral
-    assert spectrum.as_dict() == fold
+    assert dict(spectrum.entries) == fold
