@@ -24,12 +24,14 @@ from pathlib import Path
 from benchtrees import alternate, main, run_in
 
 # the three groups of the class-algebra-wide workload (k = 98-171) and
-# G(5,1,4) (k = 190), two groups with k = 726 and 918, and two with h = 2
+# G(5,1,4) (k = 190), two groups with k = 726 and 918, two with h = 2
 # scalar blocks: G(2,1,6) (k = 65) and G(2,2,8) (order 5,160,960, class
-# sums over classes of up to 8,960 elements)
+# sums over classes of up to 8,960 elements), G(3,1,5) (h = 3, one block
+# mirrored) and G(6,2,5) (p > 1 with n > p, so diagonal classes of
+# codimension above p exist)
 GROUPS = (
     (6, 2, 4), (4, 1, 4), (6, 1, 3), (5, 1, 4), (8, 1, 4), (6, 1, 5),
-    (2, 1, 6), (2, 2, 8),
+    (2, 1, 6), (2, 2, 8), (3, 1, 5), (6, 2, 5),
 )
 RSS_GROUPS = ((2, 2, 8), (8, 1, 4), (6, 1, 5))
 RAISED_CAP = 10**7

@@ -665,18 +665,20 @@ class Group:
 
     @cached_property
     def _cycle_data(self) -> tuple[np.ndarray, ...]:
-        """(type_of, codes, codims, splits, weights, firsts, reps) from one
-        cycle walk.  The table entries are keyed by their sorted codes read
-        as base-nr digits (below (nr)^n, inside the int64 bound checked at
-        construction), and one `np.unique` over the table, not over the
-        group, gives the distinct types.  The types met in G (for p > 1,
+        """(type_of, codes, codims, splits, weights, firsts, reps, counts)
+        from one cycle walk.  The table entries are keyed by their sorted
+        codes read as base-nr digits (below (nr)^n, inside the int64 bound
+        checked at construction), and one `np.unique` over the table, not
+        over the group, gives the distinct types.  The types met in G (for p > 1,
         entries whose sums add up to a non-multiple of p are met by no
         element) are numbered by least member, read off the rows of
         `firsts`: `codes` holds each type's sorted codes, `codims` its
         codimension (read-only), `splits` its number d of G(r, p, n)
-        classes and `reps` its least member.  Every element's type,
-        `type_of`, is then a gather through its entry, and the entries are
-        dropped."""
+        classes, `reps` its least member and `counts` its number of
+        elements.  Every element's type, `type_of`, is then a gather
+        through its entry, and the entries are dropped.  The types are
+        counted before `type_of` is made read-only: np.bincount copies a
+        read-only input in full, |G| int64 entries."""
         start = time.perf_counter()
         index, firsts, weights, codes, entry_codims = self._cycle_walk()
         n, r, p = self.params.n, self.params.r, self.params.p
@@ -690,14 +692,16 @@ class Group:
         codims = _frozen(entry_codims[first[types]])
         sizes_and_sums = np.concatenate([codes // r + 1, codes % r], axis=1)
         splits = np.gcd(p, np.gcd.reduce(sizes_and_sums, axis=1))
-        type_of = _frozen(number[entry_type][index].reshape(-1))
+        type_of = number[entry_type][index].reshape(-1)
+        counts = np.bincount(type_of, minlength=len(types))
+        type_of = _frozen(type_of)
         log.debug(
             "cycle-type table of %s: |G| = %d, %d size sequences, %d table "
             "entries, %d cycle types, %.4fs",
             self.params, self.order, len(firsts), len(keys), len(types),
             time.perf_counter() - start,
         )
-        return type_of, codes, codims, splits, weights, firsts, reps
+        return type_of, codes, codims, splits, weights, firsts, reps, counts
 
     @property
     def type_of(self) -> np.ndarray:
@@ -708,6 +712,12 @@ class Group:
     def type_codims(self) -> np.ndarray:
         """Read-only fixed-space codimension of each cycle type."""
         return self._cycle_data[2]
+
+    @cached_property
+    def type_diagonal(self) -> np.ndarray:
+        """Read-only flag of each cycle type: every cycle has size 1, so its
+        elements are diagonal matrices (each code is below r)."""
+        return _frozen(self._cycle_data[1][:, -1] < self.params.r)
 
     @cached_property
     def type_lengths(self) -> np.ndarray:
@@ -757,8 +767,10 @@ class Group:
         for p = 1), else L is one product of the weights with the exponent
         block and the classes are renumbered from the rows of `firsts`.
         Either numbering yields the least members, the representatives, and
-        the inverse classes come from their k inverses."""
-        type_of, _, _, splits, weights, firsts, reps = self._cycle_data
+        the inverse classes come from their k inverses.  The sizes are the
+        types' counts, or a count of the fresh labels of the split classes;
+        no read-only |G|-long array is counted."""
+        type_of, _, _, splits, weights, firsts, reps, sizes = self._cycle_data
         class_of = type_of
         if splits.max() > 1:
             m = len(self._exp_block)
@@ -771,9 +783,10 @@ class Group:
                 labels[firsts], firsts[:, None] * m + np.arange(m), splits.sum()
             )
             class_of = number[labels].reshape(-1)
+            sizes = np.bincount(class_of)
         return ConjugacyClasses(
             class_of=class_of, representatives=tuple(reps.tolist()),
-            sizes=tuple(np.bincount(class_of).tolist()),
+            sizes=tuple(sizes.tolist()),
             types=type_of[reps], inverse=class_of[self.inverse_of(reps)],
         )
 

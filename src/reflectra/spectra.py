@@ -17,9 +17,14 @@ with multiplicity chi(1)^2.  Three independent routes are implemented:
   into h invariant blocks of about k / h coordinates, one per z-orbit of
   classes.  Each block is split into the common eigenlines of the class
   sums of low-codimension classes, one class sum at a time, in a scaled
-  basis where they are normal, passing over the class sums of inverse
-  classes, which split nothing; a class sum is built only at the columns of
-  the orbit heads.  Each line is a certified central character, and
+  basis where they are normal; a class sum is built only at the columns of
+  the orbit heads.  Only what can split is taken.  The class sum of an
+  inverse class splits nothing, since omega(C^-1) = conj omega(C).  Neither
+  does a diagonal class of codimension above p, since the diagonal classes
+  of codimension at most p generate the algebra of all diagonal classes.
+  And the blocks with 2 t > h are not split but mirrored: the conjugate of
+  a character of block t lies in block h - t, where the real class sums act
+  as the conjugates.  Each line is a certified central character, and
   theta_chi needs no |G| x |G| matrix and no (k, k, k) tensor;
 * combinatorial (codimension matrices of G(r, 1, n) only): exact integer
   eigenvalues by the slot fold, in the partitions module.
@@ -327,8 +332,10 @@ class ClassAlgebraData:
     listed block by block, eps = e^(2 pi i t / h) for t = 0, ..., h - 1.
     Within a block a row is fixed by its values at the heads of the z-orbits
     of the classes, omega(z^i C) = eps^i omega(C), so each block is found
-    on its own by splitting eigenspaces of the class sums restricted to it
-    (_separate_characters) and certified on the kept class sums (_certify).
+    on its own by splitting eigenspaces of the class sums restricted to it,
+    or for t > h / 2 as the conjugates of block h - t
+    (_separate_characters), and every block is certified on the kept class
+    sums (_certify).
     Each block is an invariant subspace of every class sum, so a row's
     residual on its block, read at the orbit heads, is its full residual
     once the row obeys omega(z C) = eps omega(C), which is checked too.
@@ -400,26 +407,47 @@ def _phase_sums(orbits: _ScalarOrbits, columns: np.ndarray, ts) -> np.ndarray:
     return (orbits.phases[ts] @ gathered).reshape(len(ts), n, n)
 
 
+def _diagonal_past_p(group: Group) -> np.ndarray:
+    """Whether each class is diagonal (every cycle of size 1) with
+    codimension above p; _class_sum_order leaves these out."""
+    types = group.conjugacy.types
+    return group.type_diagonal[types] & (group.type_codims[types] > group.params.p)
+
+
 def _class_sum_order(group: Group) -> list[int]:
     """The order in which class_algebra_data takes class sums: the classes
     other than the identity's (class 0), by (codimension of the
     representative, class size, class index), leaving out each class whose
-    inverse class is already listed.
+    inverse class is already listed and each diagonal class of codimension
+    above p.  Neither can split a space that the classes listed before it
+    leave open.
 
-    omega_chi(C^-1) = conj omega_chi(C), so a space on which omega(C) is
-    constant has omega(C^-1) constant too.  Every class sum splits by
-    Re(e^-i omega(C)), which is constant exactly where omega(C) is (see
-    _separate_characters), so the class sum of C^-1 would split nothing.  A
-    class that is its own inverse is always listed."""
+    Inverses: omega_chi(C^-1) = conj omega_chi(C), so a space on which
+    omega(C) is constant has omega(C^-1) constant too.  Every class sum
+    splits by Re(e^-i omega(C)), which is constant exactly where omega(C) is
+    (see _separate_characters), so the class sum of C^-1 would split
+    nothing.  A class that is its own inverse is always listed.
+
+    Diagonal classes: G(r, p, n) = D x| S_n with D the diagonal elements,
+    so a diagonal class is an S_n-orbit in D, and the diagonal class sums
+    span C[D]^S_n, a central subalgebra; a diagonal element's codimension is
+    its support.  C[Z_r^n]^S_n is generated by the power sums sum_i x_i^a,
+    and C[D]^S_n is its part of degree 0 mod p.  Every zero-sum sequence
+    over Z_p splits into zero-sum blocks of length at most p, so C[D]^S_n is
+    generated by the orbit sums of support at most p.  The order runs by
+    codimension, so when a diagonal class of codimension above p comes up,
+    every open space is a common eigenspace of those generators, hence of
+    every diagonal class sum, and the class splits nothing."""
     classes = group.conjugacy
     k = len(classes)
     inverse_class = classes.inverse.tolist()
+    past = _diagonal_past_p(group).tolist()
     codims = group.type_codims[classes.types]
     order = np.lexsort((np.arange(k), np.array(classes.sizes), codims))
     listed: list[int] = []
     seen: set[int] = set()
     for c in order.tolist():
-        if c != 0 and inverse_class[c] not in seen:
+        if c != 0 and not past[c] and inverse_class[c] not in seen:
             seen.add(c)
             listed.append(c)
     return listed
@@ -435,7 +463,9 @@ def _eigenvalue_gap(values: np.ndarray) -> float:
     return float(gaps.min())
 
 
-def _separate_characters(group: Group) -> tuple[np.ndarray, list[int], list, dict]:
+def _separate_characters(
+    group: Group, orbits: _ScalarOrbits
+) -> tuple[np.ndarray, list[int], list, dict]:
     """Central characters by eigenspace splitting (Dixon 1967, Schneider
     1990), block by block of the scalar subgroup, with the classes kept,
     their class sums at the orbit heads, and counts for the DEBUG record.
@@ -471,20 +501,27 @@ def _separate_characters(group: Group) -> tuple[np.ndarray, list[int], list, dic
     by more than the width above.  The spaces that do not split carry over
     as they are; only those that do are rotated into their eigenvectors and
     cut apart.  Each line is scaled to 1 at the identity's orbit and
-    spread over the classes by omega(z^i c_o) = eps_t^i omega(c_o)."""
+    spread over the classes by omega(z^i c_o) = eps_t^i omega(c_o).
+
+    Mirror: conj chi lies in block h - t when chi lies in block t, with
+    omega_conj chi = conj omega_chi.  M_C is real and eps_(h-t) = conj eps_t,
+    so B_(h-t) = conj B_t, and a class sum splits a space of block h - t
+    exactly when it splits the conjugate space of block t.  So only the
+    blocks with 2 t <= h are split, and the rows of each block t > h / 2 are
+    the conjugates of those of block h - t."""
     classes = group.conjugacy
-    orbits = _scalar_orbits(group)
     h, lengths = len(orbits.phases), orbits.lengths
     head_sizes = np.array(classes.sizes, dtype=np.float64)[orbits.heads]
     scale = np.sqrt(np.outer(lengths / head_sizes, lengths * head_sizes)) / h
     order = _class_sum_order(group)
-    # per block: the open spaces by width, and the common eigenvectors found
+    # per split block: the open spaces by width, and the common eigenvectors
+    split_blocks = orbits.blocks[: h // 2 + 1]
     stacks = [
         {len(b): np.eye(len(b), dtype=np.complex128)[None]} if len(b) > 1 else {}
-        for b in orbits.blocks
+        for b in split_blocks
     ]
     lines = [
-        [] if len(b) > 1 else [np.ones(1, dtype=np.complex128)] for b in orbits.blocks
+        [] if len(b) > 1 else [np.ones(1, dtype=np.complex128)] for b in split_blocks
     ]
     kept, kept_columns, taken, solves, widest = [], [], 0, 0, 0
     while any(stacks):
@@ -495,7 +532,7 @@ def _separate_characters(group: Group) -> tuple[np.ndarray, list[int], list, dic
                 f"{max(max(s) for s in stacks if s)} still open"
             )
         columns = group.class_sum_matrix(order[taken], orbits.heads)
-        ts = [t for t in range(h) if stacks[t]]
+        ts = [t for t, stack in enumerate(stacks) if stack]
         solved = []
         for t, summed in zip(ts, _phase_sums(orbits, columns, ts) * scale):
             block = orbits.blocks[t]
@@ -509,8 +546,8 @@ def _separate_characters(group: Group) -> tuple[np.ndarray, list[int], list, dic
                 solved.append((t, bases, *np.linalg.eigh(a)))
                 solves, widest = solves + len(bases), max(widest, w)
         width = 1e-8 * max(1.0, max(np.abs(values).max() for *_, values, _ in solved))
-        carried: list[dict[int, np.ndarray]] = [{} for _ in range(h)]
-        pieces: list[dict[int, list[np.ndarray]]] = [{} for _ in range(h)]
+        carried: list[dict[int, np.ndarray]] = [{} for _ in stacks]
+        pieces: list[dict[int, list[np.ndarray]]] = [{} for _ in stacks]
         split = False
         for t, bases, values, vectors in solved:
             w = bases.shape[2]
@@ -542,7 +579,7 @@ def _separate_characters(group: Group) -> tuple[np.ndarray, list[int], list, dic
                     stacked.append(carried[t][w])
                 stacks[t][w] = np.concatenate(stacked)
     rows = []
-    for t, block in enumerate(orbits.blocks):
+    for t, block in enumerate(split_blocks):
         vectors = np.stack(lines[t], axis=1)
         # each common eigenvector's entry at the identity's orbit, orbit 0
         anchors = vectors[0]
@@ -556,21 +593,33 @@ def _separate_characters(group: Group) -> tuple[np.ndarray, list[int], list, dic
             vectors * np.sqrt(h * head_sizes[block] / lengths[block])[:, None] / anchors
         ).T
         rows.append(at_heads[:, orbits.orbit_of] * orbits.phases[t, orbits.offset])
+    rows += [rows[h - t].conj() for t in range(len(rows), h)]
+    diagonal = int(_diagonal_past_p(group).sum())
     counts = {
         "taken": taken, "solves": solves, "widest": widest, "blocks": h,
+        "split": len(split_blocks),
         "widest_block": max(len(b) for b in orbits.blocks),
-        "dropped": len(classes) - 1 - len(order),
+        "inverse": len(classes) - 1 - len(order) - diagonal,
+        "diagonal": diagonal,
     }
     return np.concatenate(rows), kept, kept_columns, counts
 
 
+def _row_blocks(group: Group, orbits: _ScalarOrbits, omegas: np.ndarray) -> np.ndarray:
+    """The block t of each row: the eps_t = e^(2 pi i t / h) nearest its
+    value at the class of z."""
+    h = len(orbits.phases)
+    angles = np.angle(omegas[:, group.scalar_shift[0]])
+    return np.rint(angles * h / (2 * np.pi)).astype(np.int64) % h
+
+
 def _certify(
-    group: Group, omegas: np.ndarray, kept: list[int], columns
-) -> tuple[float, np.ndarray]:
-    """The eigenvector residual of the rows of omegas and the block of each
-    row, after checking the certificate that makes them the central
-    characters; columns holds the class sums of the kept classes at the
-    orbit heads.
+    group: Group, orbits: _ScalarOrbits, omegas: np.ndarray, kept: list[int], columns
+) -> float:
+    """The eigenvector residual of the rows of omegas, after checking the
+    certificate that makes them the central characters; columns holds the
+    class sums of the kept classes at the orbit heads.  Every row of every
+    block is checked, mirrored or split alike (_separate_characters).
 
     Each row is put in the block t whose eps_t is nearest its value at the
     class of z, and must then
@@ -591,11 +640,10 @@ def _certify(
     distinct value vectors lie on the k lines, one each.  Rows of different
     blocks differ by at least |1 - e^(2 pi i / h)| at z, so the gap is
     taken within each block."""
-    orbits = _scalar_orbits(group)
     h = len(orbits.phases)
     shift = group.scalar_shift
     z = int(shift[0])
-    blocks = np.rint(np.angle(omegas[:, z]) * h / (2 * np.pi)).astype(np.int64) % h
+    blocks = _row_blocks(group, orbits, omegas)
     eps = np.exp(2j * np.pi * blocks / h)
     size = max(1.0, float(np.abs(omegas).max()))
     drift = float(np.abs(omegas[:, shift] - eps[:, None] * omegas).max())
@@ -619,24 +667,28 @@ def _certify(
             f"{1e-8 * size:.3e}), eigenvector residual {residual:.3e} "
             f"(bound {bound:.3e}), smallest gap {gap:.3e} (bound {separation:.3e})"
         )
-    return residual, blocks
+    return residual
 
 
 def character_degrees(
-    group: Group, omegas: np.ndarray, blocks: np.ndarray | None = None
+    group: Group, omegas: np.ndarray, orbits: _ScalarOrbits | None = None
 ) -> tuple[tuple[int, ...], float]:
     """Degrees chi(1) from the central characters, and the orthogonality
     error of the characters they give.
 
-    sum_C omega(C) omega(C^-1) / |C| = |G| / chi(1)^2 for each row; every
-    degree must come out a positive integer and their squares must sum to
-    |G|.  With chi(C) = chi(1) omega(C) / |C|, the Gram matrix
+    sum_C omega(C) omega(C^-1) / |C| = |G| / chi(1)^2 for each row, checked
+    on every row of every block; every degree must come out a positive
+    integer and their squares must sum to |G|.  With
+    chi(C) = chi(1) omega(C) / |C|, the Gram matrix
     sum_C |C| chi(C) conj(psi(C)) must be |G| times the identity; the error
     is its largest entrywise distance from that, relative to |G|, and must
-    be at most 1e-6.  Given the row blocks that _certify returns, only
-    entries within a block are taken: across blocks t != s the shift
-    relation chi(z g) = eps_t chi(g), checked there, makes the sum over G
-    eps_t conj(eps_s) times itself, hence 0."""
+    be at most 1e-6.  Given the z-orbits, for rows whose shift relation
+    _certify has checked, the Gram matrix is taken block by block
+    (_row_blocks) and at the orbit heads.  Across blocks t != s the shift
+    relation chi(z g) = eps_t chi(g) makes the sum over G eps_t conj(eps_s)
+    times itself, hence 0.  Within block t, chi(z^i C) conj(psi(z^i C)) =
+    chi(C) conj(psi(C)), so the orbit of head c_o adds L_o times its head's
+    term, L_o |c_o| chi(c_o) conj(psi(c_o))."""
     classes = group.conjugacy
     sizes = np.array(classes.sizes, dtype=np.float64)
     norms = np.real(np.sum(omegas * omegas[:, classes.inverse] / sizes, axis=1))
@@ -661,12 +713,18 @@ def character_degrees(
             f"squared degrees sum to {sum(d * d for d in degrees)}, "
             f"expected {group.order}"
         )
-    characters = omegas * (np.array(degrees, dtype=np.float64)[:, None] / sizes)
-    blocks = np.zeros(len(omegas)) if blocks is None else blocks
+    if orbits is None:
+        blocks, columns, weights = np.zeros(len(omegas)), slice(None), sizes
+    else:
+        blocks, columns = _row_blocks(group, orbits, omegas), orbits.heads
+        weights = sizes[columns] * orbits.lengths
+    characters = omegas[:, columns] * (
+        np.array(degrees, dtype=np.float64)[:, None] / sizes[columns]
+    )
     error = 0.0
     for t in set(blocks.tolist()):
         rows = characters[blocks == t]
-        gram = (rows * sizes) @ rows.conj().T / group.order
+        gram = (rows * weights) @ rows.conj().T / group.order
         error = max(error, float(np.abs(gram - np.eye(len(rows))).max()))
     if error > 1e-6:
         raise NumericError(
@@ -685,22 +743,27 @@ def class_algebra_data(group: Group) -> ClassAlgebraData:
     (_separate_characters).  They are certified as eigenvectors of the class
     sum of z and of every kept class sum, with pairwise distinct values
     there (_certify), and character_degrees checks their degrees and
-    orthogonality.  One DEBUG record reports the blocks (h and the widest),
-    the class sums taken and kept, the inverse classes left out of the
-    order, the restricted eigenproblems, the eigenvector residual and the
+    orthogonality.  The z-orbits are found once and shared by all three.
+    One DEBUG record reports the blocks (h, the widest, and how many were
+    split and how many mirrored), the class sums taken and kept, the classes
+    left out of the order by each rule (inverse, diagonal past codimension
+    p), the restricted eigenproblems, the eigenvector residual and the
     orthogonality error."""
-    omegas, kept, columns, counts = _separate_characters(group)
-    residual, blocks = _certify(group, omegas, kept, columns)
-    degrees, orthogonality = character_degrees(group, omegas, blocks)
+    orbits = _scalar_orbits(group)
+    omegas, kept, columns, counts = _separate_characters(group, orbits)
+    residual = _certify(group, orbits, omegas, kept, columns)
+    degrees, orthogonality = character_degrees(group, omegas, orbits)
     sizes = group.conjugacy.sizes
     log.debug(
-        "class algebra of %s: |G| = %d, k = %d, h = %d blocks (widest %d), "
-        "%d class sums taken, %d kept (%d elements), %d inverse classes "
-        "dropped, %d restricted eigenproblems (widest %d), eigenvector "
-        "residual %.3e, orthogonality error %.3e",
+        "class algebra of %s: |G| = %d, k = %d, h = %d blocks (widest %d, "
+        "%d split, %d mirrored), %d class sums taken, %d kept (%d elements), "
+        "classes left out: %d inverse, %d diagonal past codimension %d; "
+        "%d restricted eigenproblems (widest %d), eigenvector residual %.3e, "
+        "orthogonality error %.3e",
         group.params, group.order, len(degrees), counts["blocks"],
-        counts["widest_block"], counts["taken"], len(kept),
-        sum(sizes[c] for c in kept), counts["dropped"], counts["solves"],
+        counts["widest_block"], counts["split"], counts["blocks"] - counts["split"],
+        counts["taken"], len(kept), sum(sizes[c] for c in kept),
+        counts["inverse"], counts["diagonal"], group.params.p, counts["solves"],
         counts["widest"], residual, orthogonality,
     )
     return ClassAlgebraData(

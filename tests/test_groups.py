@@ -8,6 +8,7 @@ the full group, and repeated multiplication for element orders.
 import functools
 import itertools
 import logging
+import tracemalloc
 from math import factorial, gcd
 
 import numpy as np
@@ -517,6 +518,38 @@ class TestConjugacy:
         assert classes.representatives == tuple(orbit[0] for orbit in orbits)
         assert classes.sizes == tuple(len(orbit) for orbit in orbits)
 
+    @pytest.mark.parametrize(
+        "params",
+        desk_scale_params() + (GroupParams(2, 2, 6), GroupParams(6, 2, 4)),
+        ids=str,
+    )
+    def test_sizes_are_a_count_of_the_labels(self, params):
+        group = Group(params, max_order=50000)
+        classes = group.conjugacy
+        counted = np.bincount(classes.class_of, minlength=len(classes))
+        assert classes.sizes == tuple(counted.tolist())
+
+    def test_conjugacy_allocates_nothing_group_long(self):
+        # the sizes are counted before type_of is made read-only, since
+        # np.bincount copies a read-only input: |G| int64 entries, 8 |G| bytes
+        group = Group(GroupParams(2, 1, 7), max_order=10**6)
+        group._cycle_data
+        tracemalloc.start()
+        try:
+            group.conjugacy
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < group.order
+
+    @pytest.mark.parametrize("params", desk_scale_params(), ids=str)
+    def test_diagonal_types_are_those_with_identity_permutation(self, params):
+        group = Group(params)
+        reps = [group.element(int(i)) for i in group._cycle_data[6]]
+        expected = [x.perm == tuple(range(params.n)) for x in reps]
+        assert group.type_diagonal.tolist() == expected
+        assert not group.type_diagonal.flags.writeable
+
     def test_one_cycle_walk_feeds_codims_and_classes(self, monkeypatch):
         # the walk and the cycle-type table built from it, each counted
         walk, table = Group._cycle_walk, vars(Group)["_cycle_data"]
@@ -609,7 +642,7 @@ class TestFactoredPerElementData:
     @pytest.mark.parametrize("params", ORACLE_GROUPS, ids=str)
     def test_cycle_walk_matches_flat_walk(self, params):
         group = Group(params, max_order=50000)
-        type_of, codes, type_codims, _, weights, _, reps = group._cycle_data
+        type_of, codes, type_codims, _, weights, _, reps, _ = group._cycle_data
         flat_codims, flat_keys, flat_labels = flat_cycle_walk(group)
         # each element's type key: its type's sorted codes as base-nr digits
         n, r = params.n, params.r

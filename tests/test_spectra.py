@@ -478,8 +478,8 @@ class TestCharacterChecks:
         data = class_algebra_data(group)
         omegas, kept = data.central_characters, list(data.class_sums)
         columns = head_columns(group, kept)
-        _certify(group, omegas, kept, columns)
         orbits = _scalar_orbits(group)
+        _certify(group, orbits, omegas, kept, columns)
         row = omegas.shape[0] // 2
         block = orbits.blocks[blocks_of_rows(group, omegas)[row]]
         fixed = set(orbits.heads[block[orbits.lengths[block] == 1]].tolist())
@@ -487,7 +487,7 @@ class TestCharacterChecks:
             perturbed = omegas.copy()
             perturbed[row, column] += 1e-3
             with pytest.raises(NumericError) as caught:
-                _certify(group, perturbed, kept, columns)
+                _certify(group, orbits, perturbed, kept, columns)
             failed = "eigenvector residual" if column in fixed else "shift residual"
             value, bound = certificate_figures(caught)[failed]
             assert value > bound
@@ -503,7 +503,7 @@ class TestCharacterChecks:
         perturbed = omegas.copy()
         perturbed[row, -1] += 1e-3
         with pytest.raises(NumericError):
-            _certify(group, perturbed, kept, columns)
+            _certify(group, _scalar_orbits(group), perturbed, kept, columns)
         # +1e-3 eps^i on each class z^i of the identity's orbit keeps the
         # shift relation, so the block residual alone must see it
         t = blocks_of_rows(group, omegas)[row]
@@ -512,7 +512,7 @@ class TestCharacterChecks:
         perturbed = omegas.copy()
         perturbed[row, on_orbit] += 1e-3 * orbits.phases[t, orbits.offset[on_orbit]]
         with pytest.raises(NumericError) as caught:
-            _certify(group, perturbed, kept, columns)
+            _certify(group, _scalar_orbits(group), perturbed, kept, columns)
         figures = certificate_figures(caught)
         assert figures["shift residual"][0] <= figures["shift residual"][1]
         assert figures["eigenvector residual"][0] > figures["eigenvector residual"][1]
@@ -579,7 +579,7 @@ class TestCharacterChecks:
             character_degrees(group, repeated)
         # the copy falls in the block of the row it copies
         with pytest.raises(NumericError, match="orthogonality"):
-            character_degrees(group, repeated, blocks_of_rows(group, repeated))
+            character_degrees(group, repeated, _scalar_orbits(group))
 
     @pytest.mark.parametrize("r,p,n", [*CHECKED_GROUPS, (8, 4, 2), (6, 2, 4)])
     def test_gram_entries_across_blocks_vanish(self, r, p, n):
@@ -590,7 +590,9 @@ class TestCharacterChecks:
         blocks = blocks_of_rows(group, omegas)
         assert len(set(blocks.tolist())) > 1
         degrees, whole = character_degrees(group, omegas)
-        blockwise_degrees, blockwise = character_degrees(group, omegas, blocks)
+        blockwise_degrees, blockwise = character_degrees(
+            group, omegas, _scalar_orbits(group)
+        )
         assert blockwise_degrees == degrees
         assert blockwise == pytest.approx(whole, abs=1e-12)
 
@@ -646,11 +648,11 @@ class TestSeparation:
         kept = list(data.class_sums)
         columns = head_columns(group, kept)
         omegas = data.central_characters
-        _certify(group, omegas, kept, columns)
+        _certify(group, _scalar_orbits(group), omegas, kept, columns)
         duplicated = omegas.copy()
         duplicated[target] = duplicated[source]
         with pytest.raises(NumericError, match="smallest gap 0.000e"):
-            _certify(group, duplicated, kept, columns)
+            _certify(group, _scalar_orbits(group), duplicated, kept, columns)
 
     @pytest.mark.parametrize("r,p,n", [(8, 4, 2), (6, 2, 4)])
     def test_every_kept_class_sum_splits_a_space(self, r, p, n):
@@ -689,7 +691,7 @@ class TestSeparation:
 
             monkeypatch.setattr(Group, "class_sum_matrix", class_sum)
             with pytest.raises(NumericError) as caught:
-                _separate_characters(group)
+                _separate_characters(group, _scalar_orbits(group))
             message = str(caught.value)
             assert "G(3,1,3)" in message
             assert f"all {len(order)} class sums taken" in message
@@ -697,7 +699,9 @@ class TestSeparation:
 
     def test_class_order_is_codimension_then_size(self):
         # listed by (codimension, size, index); a class is left out exactly
-        # when its inverse class is listed before it
+        # when its inverse class is listed before it or it is diagonal with
+        # codimension above p.  G(4,2,3) has diagonal classes of
+        # codimension 2 = p, which are listed, and 3, which are not
         group = Group(GroupParams(4, 2, 3))
         classes = group.conjugacy
         order = _class_sum_order(group)
@@ -709,12 +713,16 @@ class TestSeparation:
         assert [keys[c] for c in order] == sorted(keys[c] for c in order)
         dropped = set(range(len(classes))) - set(order) - {identity_class}
         assert dropped and identity_class not in order
+        past = {c for c in dropped if diagonal_past_p(group, c)}
+        assert past and past != dropped
+        assert any(is_diagonal(group, c) and keys[c][0] == 2 for c in order)
+        assert any(keys[c][0] == 3 for c in order)
         for c in range(len(classes)):
             if c == identity_class:
                 continue
             inverse = inverse_class(group, c)
             listed_before = inverse in order and keys[inverse] < keys[c]
-            assert (c in dropped) == listed_before
+            assert (c in dropped) == (listed_before or diagonal_past_p(group, c))
             if c in order and inverse != c:
                 assert inverse not in order
 
@@ -727,10 +735,24 @@ def inverse_class(group, c):
     return int(classes.class_of[group.index_of(rep.inverse())])
 
 
+def is_diagonal(group, c):
+    """Whether class c's representative has the identity permutation."""
+    rep = group.element(group.conjugacy.representatives[c])
+    return rep.perm == tuple(range(group.params.n))
+
+
+def diagonal_past_p(group, c):
+    """Whether class c is diagonal with codimension above p, read off its
+    representative: its number of nonzero exponents."""
+    rep = group.element(group.conjugacy.representatives[c])
+    return is_diagonal(group, c) and codim(rep) > group.params.p
+
+
 @pytest.mark.parametrize("params", desk_scale_params(), ids=str)
 def test_dropped_classes_are_inverses_with_conjugate_characters(params):
-    # omega(C^-1) = conj omega(C): a dropped class's column is the conjugate
-    # of the column of its inverse class, which is listed
+    # omega(C^-1) = conj omega(C): a class dropped as an inverse has the
+    # conjugate of the column of its inverse class, which is listed; every
+    # other dropped class is diagonal with codimension above p
     group = Group(params)
     classes = group.conjugacy
     order = _class_sum_order(group)
@@ -739,10 +761,36 @@ def test_dropped_classes_are_inverses_with_conjugate_characters(params):
     identity_class = int(classes.class_of[group.identity_index])
     for c in set(range(len(classes))) - set(order) - {identity_class}:
         inverse = inverse_class(group, c)
+        if diagonal_past_p(group, c):
+            assert inverse not in order
+            continue
         assert inverse in order
         np.testing.assert_allclose(
             omegas[:, c], omegas[:, inverse].conj(), rtol=0, atol=1e-9 * scale
         )
+
+
+@pytest.mark.parametrize("params", desk_scale_params(), ids=str)
+def test_diagonal_classes_past_p_separate_no_characters(params):
+    # the diagonal class sums of codimension at most p generate those of
+    # every diagonal class, so two characters that agree on the former
+    # agree on the latter (reference characters from the tensor)
+    group = Group(params)
+    omegas = tensor_central_characters(group)
+    diagonal = [c for c in range(1, len(omegas)) if is_diagonal(group, c)]
+    past = [c for c in diagonal if diagonal_past_p(group, c)]
+    low = [c for c in diagonal if c not in past]
+    if params.r > params.p and params.n > params.p:
+        # p entries 1 and one entry p: a diagonal element of support p + 1
+        assert past
+    scale = max(1.0, float(np.abs(omegas).max()))
+
+    def apart(columns):
+        values = omegas[:, columns]
+        return np.abs(values[:, None] - values[None, :]).max(axis=2, initial=0.0)
+
+    agree = apart(low) <= 1e-6 * scale
+    assert (apart(past)[agree] <= 1e-6 * scale).all()
 
 
 def multipartition_counts_by_weight(r, n):
@@ -793,18 +841,21 @@ def test_class_sum_matrices_are_tensor_slices(r, p, n):
         assert np.array_equal(group.class_sum_matrix(c, np.arange(len(a))), a[c])
 
 
+def by_projection(rows):
+    """The order of the rows by the real part of one random complex
+    projection, which separates distinct rows (complex conjugate ones
+    included) by far more than rounding error."""
+    rng = np.random.default_rng(11)
+    k = rows.shape[1]
+    weights = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return np.argsort((rows @ weights).real)
+
+
 def assert_matches_the_tensor_route(group, data):
     reference = tensor_central_characters(group)
     reference_degrees, _ = character_degrees(group, reference)
-    # sort both by the real part of one random complex projection, which
-    # separates distinct rows (complex conjugate ones included) by far more
-    # than rounding error
-    rng = np.random.default_rng(11)
-    weights = rng.standard_normal(len(reference)) + 1j * rng.standard_normal(
-        len(reference)
-    )
-    ours = np.argsort((data.central_characters @ weights).real)
-    theirs = np.argsort((reference @ weights).real)
+    ours = by_projection(data.central_characters)
+    theirs = by_projection(reference)
     scale = max(1.0, float(np.abs(reference).max()))
     np.testing.assert_allclose(
         data.central_characters[ours], reference[theirs], rtol=0, atol=1e-6 * scale
@@ -818,6 +869,29 @@ def assert_matches_the_tensor_route(group, data):
 def test_class_sums_agree_with_the_tensor_route(params):
     group = Group(params)
     assert_matches_the_tensor_route(group, class_algebra_data(group))
+
+
+@pytest.mark.parametrize("params", desk_scale_params(), ids=str)
+def test_mirrored_blocks_hold_the_conjugate_characters(params):
+    # conj chi lies in block h - t when chi lies in block t: the rows of
+    # block h - t are the conjugates of block t's, in ours and in the
+    # tensor route's characters alike
+    group = Group(params)
+    omegas = class_algebra_data(group).central_characters
+    reference = tensor_central_characters(group)
+    h = len(_scalar_orbits(group).phases)
+    ours, theirs = blocks_of_rows(group, omegas), blocks_of_rows(group, reference)
+    scale = max(1.0, float(np.abs(reference).max()))
+    for t in range(h):
+        conjugates = omegas[ours == t].conj()
+        for rows in (omegas[ours == (h - t) % h], reference[theirs == (h - t) % h]):
+            assert rows.shape == conjugates.shape
+            np.testing.assert_allclose(
+                rows[by_projection(rows)],
+                conjugates[by_projection(conjugates)],
+                rtol=0,
+                atol=1e-6 * scale,
+            )
 
 
 @pytest.mark.parametrize("r,p,n", [(3, 1, 3), (4, 2, 3)])
@@ -844,24 +918,28 @@ def test_class_algebra_data_logs_one_debug_record(caplog):
     elements = sum(group.conjugacy.sizes[c] for c in used)
     k = len(group.conjugacy)
     # splitting stops at the class sum that leaves only lines, a kept one;
-    # the classes left out of the order are the non-identity ones not listed
+    # the classes left out of the order are the non-identity ones not
+    # listed: the diagonal ones of codimension above p = 1, and inverses
     order = _class_sum_order(group)
     taken = order.index(used[-1]) + 1
-    dropped = k - 1 - len(order)
-    assert dropped > 0
-    # z = zeta I has order 3; the blocks hold 10, 6 and 6 characters
+    diagonal = sum(diagonal_past_p(group, c) for c in range(1, k))
+    inverse = k - 1 - len(order) - diagonal
+    assert inverse > 0 and diagonal > 0
+    # z = zeta I has order 3; the blocks hold 10, 6 and 6 characters, and
+    # blocks 0 and 1 are split, block 2 mirrors block 1
     widest = max(len(block) for block in _scalar_orbits(group).blocks)
     assert widest == 10
     assert message.startswith(
         f"class algebra of G(3,1,3): |G| = 162, k = {k}, h = 3 blocks "
-        f"(widest {widest}), "
+        f"(widest {widest}, 2 split, 1 mirrored), "
     )
     kept = (
         f"{taken} class sums taken, {len(used)} kept ({elements} elements), "
-        f"{dropped} inverse classes dropped, "
+        f"classes left out: {inverse} inverse, {diagonal} diagonal past "
+        "codimension 1; "
     )
     assert kept in message
-    assert re.search(r", \d+ restricted eigenproblems \(widest \d+\), ", message)
+    assert re.search(r"; \d+ restricted eigenproblems \(widest \d+\), ", message)
     assert "attempts" not in message
     assert "eigenvector residual" in message and "orthogonality error" in message
 
@@ -1095,7 +1173,7 @@ def test_group_codims_match_codim(params):
 @pytest.mark.parametrize(
     "params, classes, listed",
     [
-        (GroupParams(5, 1, 4), 190, 101),
+        (GroupParams(5, 1, 4), 190, 66),
         (GroupParams(2, 1, 6), 65, None),
         (GroupParams(3, 1, 5), 108, None),
         (GroupParams(2, 1, 7), 110, None),
@@ -1104,8 +1182,9 @@ def test_group_codims_match_codim(params):
 )
 def test_class_algebra_matches_the_fold_at_190_classes(params, classes, listed):
     # the class-algebra route and the partition-tuple fold agree; k is the
-    # number of r-multipartitions of n.  G(5,1,4): k = 190, and 88 classes
-    # are left out of the order as inverses.  Reflection length equals
+    # number of r-multipartitions of n.  G(5,1,4): k = 190, and 123 classes
+    # are left out of the order: 65 diagonal ones of codimension 2 to 4
+    # (p = 1), then 58 inverses.  Reflection length equals
     # codimension on G(r, 1, n) (Shi)
     group = Group(params, max_order=params.order)
     assert len(group.conjugacy) == classes
