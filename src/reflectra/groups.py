@@ -406,9 +406,11 @@ class Group:
     sequence, which gives the representatives, with the k-long record the
     spectrum routes read and no member lists; `class_sum_matrix` scans the
     labels for one class's members and multiplies out its class sum at
-    chosen columns.  `scalar_shift`, built lazily and read only by the
-    class-algebra route, maps each class C to z C for the generator z of
-    the scalar matrices (module docstring).  `codims` and
+    chosen columns.  `scalar_shift` and `type_exponent_sums`, built lazily
+    and read only by the class-algebra route, map each class C to z C for
+    the generator z of the scalar matrices (module docstring) and give each
+    type's exponent sum mod r, the exponent of the linear character
+    (a | s) -> zeta^(sum a).  `codims` and
     `reflection_lengths` are read-only gathers through the types, built
     when an element-level caller asks.  `text_blocks` formats each
     permutation and exponent row once, and `rational` ranks one table of
@@ -712,6 +714,16 @@ class Group:
     def type_codims(self) -> np.ndarray:
         """Read-only fixed-space codimension of each cycle type."""
         return self._cycle_data[2]
+
+    @cached_property
+    def type_exponent_sums(self) -> np.ndarray:
+        """Read-only exponent sum mod r of each cycle type, the sum of its
+        cycle sums, read off the type's least member: det(g) = zeta^e up to
+        the sign of the permutation, and g -> zeta^e is a linear character.
+        Read only by the class-algebra route."""
+        reps = self._cycle_data[6]
+        exps = self._exp_block[reps % len(self._exp_block)]
+        return _frozen(exps.sum(axis=1) % self.params.r)
 
     @cached_property
     def type_diagonal(self) -> np.ndarray:

@@ -22,10 +22,13 @@ with multiplicity chi(1)^2.  Three independent routes are implemented:
   inverse class splits nothing, since omega(C^-1) = conj omega(C).  Neither
   does a diagonal class of codimension above p, since the diagonal classes
   of codimension at most p generate the algebra of all diagonal classes.
-  And the blocks with 2 t > h are not split but mirrored: the conjugate of
-  a character of block t lies in block h - t, where the real class sums act
-  as the conjugates.  Each line is a certified central character, and
-  theta_chi needs no |G| x |G| matrix and no (k, k, k) tensor;
+  And most blocks are not split but twisted from another: the conjugate of
+  a character of block t lies in block -t, and its product with the linear
+  character det: (a | s) -> zeta^(sum a), det(z) = eps_n, in block t + n.
+  So only one block per orbit of t -> -t and t -> t + n on Z_h is split,
+  floor(gcd(n, h) / 2) + 1 of the h.  Each line is a certified central
+  character, and theta_chi needs no |G| x |G| matrix and no (k, k, k)
+  tensor;
 * combinatorial (codimension matrices of G(r, 1, n) only): exact integer
   eigenvalues by the slot fold, in the partitions module.
 
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import isfinite
+from math import gcd, isfinite
 
 import numpy as np
 
@@ -333,9 +336,11 @@ class ClassAlgebraData:
     Within a block a row is fixed by its values at the heads of the z-orbits
     of the classes, omega(z^i C) = eps^i omega(C), so each block is found
     on its own by splitting eigenspaces of the class sums restricted to it,
-    or for t > h / 2 as the conjugates of block h - t
-    (_separate_characters), and every block is certified on the kept class
-    sums (_certify).
+    or as the twist of a split block s: block u = +-s + j n (mod h) holds
+    det^j times the rows of block s, conjugated for the sign -, where
+    omega_(chi det^j)(C) = det(C)^j omega_chi(C) and det(C) = zeta^e_C
+    (`Group.type_exponent_sums`) (_separate_characters).  Every block is
+    certified on the kept class sums (_certify).
     Each block is an invariant subspace of every class sum, so a row's
     residual on its block, read at the orbit heads, is its full residual
     once the row obeys omega(z C) = eps omega(C), which is checked too.
@@ -503,19 +508,28 @@ def _separate_characters(
     cut apart.  Each line is scaled to 1 at the identity's orbit and
     spread over the classes by omega(z^i c_o) = eps_t^i omega(c_o).
 
-    Mirror: conj chi lies in block h - t when chi lies in block t, with
-    omega_conj chi = conj omega_chi.  M_C is real and eps_(h-t) = conj eps_t,
-    so B_(h-t) = conj B_t, and a class sum splits a space of block h - t
-    exactly when it splits the conjugate space of block t.  So only the
-    blocks with 2 t <= h are split, and the rows of each block t > h / 2 are
-    the conjugates of those of block h - t."""
+    Twist: conj chi lies in block -t when chi lies in block t, with
+    omega_conj chi = conj omega_chi.  det: (a | s) -> zeta^(sum a) is a
+    linear character of G(r, p, n), so chi det is irreducible, with
+    omega_(chi det)(C) = det(C) omega_chi(C); det(z) = zeta^(c0 n) =
+    e^(2 pi i n / h), since c0 h = r, so chi det lies in block t + n.  The
+    two maps permute the characters and generate a group acting on Z_h
+    with orbits {u : u = +-s mod g}, g = gcd(n, h), so only the blocks
+    s <= g / 2 are split, and every other block u = +-s + j n takes the
+    rows of block s, conjugated for the sign -, times det(C)^j.  Twisting
+    multiplies each class's values by one unit or conjugates them, so a
+    class sum splits a space of block u exactly when it splits the matching
+    space of block s, and the class sums kept are those that splitting all
+    h blocks would keep."""
     classes = group.conjugacy
     h, lengths = len(orbits.phases), orbits.lengths
+    n, r = group.params.n, group.params.r
+    g = gcd(n, h)
     head_sizes = np.array(classes.sizes, dtype=np.float64)[orbits.heads]
     scale = np.sqrt(np.outer(lengths / head_sizes, lengths * head_sizes)) / h
     order = _class_sum_order(group)
     # per split block: the open spaces by width, and the common eigenvectors
-    split_blocks = orbits.blocks[: h // 2 + 1]
+    split_blocks = orbits.blocks[: g // 2 + 1]
     stacks = [
         {len(b): np.eye(len(b), dtype=np.complex128)[None]} if len(b) > 1 else {}
         for b in split_blocks
@@ -593,7 +607,18 @@ def _separate_characters(
             vectors * np.sqrt(h * head_sizes[block] / lengths[block])[:, None] / anchors
         ).T
         rows.append(at_heads[:, orbits.orbit_of] * orbits.phases[t, orbits.offset])
-    rows += [rows[h - t].conj() for t in range(len(rows), h)]
+    # block u = +-s + j n takes the rows of split block s, conjugated for
+    # the sign -, times det(C)^j
+    exponents = group.type_exponent_sums[classes.types]
+    twisted: dict[int, np.ndarray] = {}
+    for j in range(h // g):
+        det = np.exp(2j * np.pi / r * (j * exponents % r))
+        for s, found in enumerate(rows):
+            for sign in (1, -1):
+                u = (sign * s + j * n) % h
+                if u not in twisted:
+                    twisted[u] = (found if sign > 0 else found.conj()) * det
+    rows = [twisted[u] for u in range(h)]
     diagonal = int(_diagonal_past_p(group).sum())
     counts = {
         "taken": taken, "solves": solves, "widest": widest, "blocks": h,
@@ -619,7 +644,7 @@ def _certify(
     """The eigenvector residual of the rows of omegas, after checking the
     certificate that makes them the central characters; columns holds the
     class sums of the kept classes at the orbit heads.  Every row of every
-    block is checked, mirrored or split alike (_separate_characters).
+    block is checked, twisted or split alike (_separate_characters).
 
     Each row is put in the block t whose eps_t is nearest its value at the
     class of z, and must then
@@ -670,28 +695,44 @@ def _certify(
     return residual
 
 
+def _character_norms(
+    group: Group, omegas: np.ndarray, orbits: _ScalarOrbits | None = None
+) -> np.ndarray:
+    """sum_C omega(C) omega(C^-1) / |C| for each row, |G| / chi(1)^2 when the
+    row is omega_chi.  Given the z-orbits, for rows whose shift relation
+    _certify has checked, it is taken at the orbit heads: z^i C has |C|
+    elements and inverse class z^-i C^-1, so omega(z^i C) omega((z^i C)^-1)
+    = omega(C) omega(C^-1), and the orbit of head c_o adds L_o omega(c_o)
+    omega(c_o^-1) / |c_o|."""
+    classes = group.conjugacy
+    sizes = np.array(classes.sizes, dtype=np.float64)
+    if orbits is None:
+        return np.real(np.sum(omegas * omegas[:, classes.inverse] / sizes, axis=1))
+    heads = orbits.heads
+    terms = omegas[:, heads] * omegas[:, classes.inverse[heads]]
+    return np.real(np.sum(terms / sizes[heads] * orbits.lengths, axis=1))
+
+
 def character_degrees(
     group: Group, omegas: np.ndarray, orbits: _ScalarOrbits | None = None
 ) -> tuple[tuple[int, ...], float]:
     """Degrees chi(1) from the central characters, and the orthogonality
     error of the characters they give.
 
-    sum_C omega(C) omega(C^-1) / |C| = |G| / chi(1)^2 for each row, checked
-    on every row of every block; every degree must come out a positive
-    integer and their squares must sum to |G|.  With
-    chi(C) = chi(1) omega(C) / |C|, the Gram matrix
+    sum_C omega(C) omega(C^-1) / |C| = |G| / chi(1)^2 for each row
+    (_character_norms), checked on every row of every block; every degree
+    must come out a positive integer and their squares must sum to |G|.
+    With chi(C) = chi(1) omega(C) / |C|, the Gram matrix
     sum_C |C| chi(C) conj(psi(C)) must be |G| times the identity; the error
     is its largest entrywise distance from that, relative to |G|, and must
     be at most 1e-6.  Given the z-orbits, for rows whose shift relation
-    _certify has checked, the Gram matrix is taken block by block
-    (_row_blocks) and at the orbit heads.  Across blocks t != s the shift
-    relation chi(z g) = eps_t chi(g) makes the sum over G eps_t conj(eps_s)
-    times itself, hence 0.  Within block t, chi(z^i C) conj(psi(z^i C)) =
-    chi(C) conj(psi(C)), so the orbit of head c_o adds L_o times its head's
-    term, L_o |c_o| chi(c_o) conj(psi(c_o))."""
-    classes = group.conjugacy
-    sizes = np.array(classes.sizes, dtype=np.float64)
-    norms = np.real(np.sum(omegas * omegas[:, classes.inverse] / sizes, axis=1))
+    _certify has checked, the norms and the Gram matrix are taken at the
+    orbit heads, the Gram matrix block by block (_row_blocks).  Across
+    blocks t != s the shift relation chi(z g) = eps_t chi(g) makes the sum
+    over G eps_t conj(eps_s) times itself, hence 0.  Within block t,
+    chi(z^i C) conj(psi(z^i C)) = chi(C) conj(psi(C)), so the orbit of head
+    c_o adds L_o times its head's term, L_o |c_o| chi(c_o) conj(psi(c_o))."""
+    norms = _character_norms(group, omegas, orbits)
     positive = norms > 0
     squared = group.order / np.where(positive, norms, 1.0)
     rounded = np.rint(np.sqrt(squared))
@@ -713,6 +754,7 @@ def character_degrees(
             f"squared degrees sum to {sum(d * d for d in degrees)}, "
             f"expected {group.order}"
         )
+    sizes = np.array(group.conjugacy.sizes, dtype=np.float64)
     if orbits is None:
         blocks, columns, weights = np.zeros(len(omegas)), slice(None), sizes
     else:
@@ -745,7 +787,7 @@ def class_algebra_data(group: Group) -> ClassAlgebraData:
     there (_certify), and character_degrees checks their degrees and
     orthogonality.  The z-orbits are found once and shared by all three.
     One DEBUG record reports the blocks (h, the widest, and how many were
-    split and how many mirrored), the class sums taken and kept, the classes
+    split and how many twisted), the class sums taken and kept, the classes
     left out of the order by each rule (inverse, diagonal past codimension
     p), the restricted eigenproblems, the eigenvector residual and the
     orthogonality error."""
@@ -756,7 +798,7 @@ def class_algebra_data(group: Group) -> ClassAlgebraData:
     sizes = group.conjugacy.sizes
     log.debug(
         "class algebra of %s: |G| = %d, k = %d, h = %d blocks (widest %d, "
-        "%d split, %d mirrored), %d class sums taken, %d kept (%d elements), "
+        "%d split, %d twisted), %d class sums taken, %d kept (%d elements), "
         "classes left out: %d inverse, %d diagonal past codimension %d; "
         "%d restricted eigenproblems (widest %d), eigenvector residual %.3e, "
         "orthogonality error %.3e",

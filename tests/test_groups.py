@@ -550,6 +550,14 @@ class TestConjugacy:
         assert group.type_diagonal.tolist() == expected
         assert not group.type_diagonal.flags.writeable
 
+    @pytest.mark.parametrize("params", desk_scale_params(), ids=str)
+    def test_exponent_sums_are_those_of_the_least_members(self, params):
+        group = Group(params)
+        reps = [group.element(int(i)) for i in group._cycle_data[6]]
+        expected = [sum(x.exponents) % params.r for x in reps]
+        assert group.type_exponent_sums.tolist() == expected
+        assert not group.type_exponent_sums.flags.writeable
+
     def test_one_cycle_walk_feeds_codims_and_classes(self, monkeypatch):
         # the walk and the cycle-type table built from it, each counted
         walk, table = Group._cycle_walk, vars(Group)["_cycle_data"]

@@ -34,6 +34,7 @@ from reflectra.spectra import (
     KINDS,
     _class_sum_order,
     _certify,
+    _character_norms,
     _cluster,
     _eigenvalue_gap,
     _scalar_orbits,
@@ -581,6 +582,16 @@ class TestCharacterChecks:
         with pytest.raises(NumericError, match="orthogonality"):
             character_degrees(group, repeated, _scalar_orbits(group))
 
+    @pytest.mark.parametrize("params", desk_scale_params(), ids=str)
+    def test_norms_at_the_orbit_heads_match_the_class_wide_norms(self, params):
+        # omega(z^i C) omega((z^i C)^-1) = omega(C) omega(C^-1) on rows with
+        # the shift relation, so each orbit adds L_o times its head's term
+        group = Group(params)
+        omegas = class_algebra_data(group).central_characters
+        whole = _character_norms(group, omegas)
+        at_heads = _character_norms(group, omegas, _scalar_orbits(group))
+        np.testing.assert_allclose(at_heads, whole, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("r,p,n", [*CHECKED_GROUPS, (8, 4, 2), (6, 2, 4)])
     def test_gram_entries_across_blocks_vanish(self, r, p, n):
         # the entries left out by the blockwise check are those the shift
@@ -894,6 +905,55 @@ def test_mirrored_blocks_hold_the_conjugate_characters(params):
             )
 
 
+def det_twist(group, omegas):
+    """The rows times det(C) = zeta^(exponent sum of C's representative),
+    read off each representative element."""
+    classes, r = group.conjugacy, group.params.r
+    sums = [sum(group.element(rep).exponents) for rep in classes.representatives]
+    return omegas * np.exp(2j * np.pi / r * (np.array(sums) % r))
+
+
+@pytest.mark.parametrize("params", desk_scale_params(), ids=str)
+def test_the_det_twist_permutes_the_characters(params):
+    # det: (a | s) -> zeta^(sum a) is a linear character, so chi det is
+    # irreducible and omega_(chi det) = det omega_chi; det(z) = eps_n moves
+    # block t to block t + n.  The tensor route's characters are closed
+    # under the twist, and ours are the same set
+    group = Group(params)
+    h = len(_scalar_orbits(group).phases)
+    reference = tensor_central_characters(group)
+    scale = max(1.0, float(np.abs(reference).max()))
+    for rows in (reference, class_algebra_data(group).central_characters):
+        twisted = det_twist(group, rows)
+        moved = (blocks_of_rows(group, rows) + params.n) % h
+        assert np.array_equal(blocks_of_rows(group, twisted), moved)
+        np.testing.assert_allclose(
+            twisted[by_projection(twisted)],
+            reference[by_projection(reference)],
+            rtol=0,
+            atol=1e-6 * scale,
+        )
+
+
+@pytest.mark.parametrize(
+    "r,p,n,split",
+    [(6, 2, 4, 2), (6, 1, 3, 2), (3, 1, 5, 1), (5, 1, 4, 1), (4, 1, 4, 3),
+     (2, 1, 6, 2)],
+)
+def test_one_block_per_orbit_of_the_twist_is_split(r, p, n, split, caplog):
+    # t -> -t and t -> t + n generate the orbits {u : u = +-s mod gcd(n, h)}
+    # on Z_h, one split block s <= gcd(n, h) / 2 for each
+    group = Group(GroupParams(r, p, n), max_order=10**5)
+    h = len(_scalar_orbits(group).phases)
+    assert split == gcd(n, h) // 2 + 1
+    with caplog.at_level(logging.DEBUG, logger="reflectra.spectra"):
+        class_algebra_data(group)
+    records = [r for r in caplog.records if r.name == "reflectra.spectra"]
+    (message,) = [r.getMessage() for r in records]
+    assert f"h = {h} blocks (" in message
+    assert f", {split} split, {h - split} twisted), " in message
+
+
 @pytest.mark.parametrize("r,p,n", [(3, 1, 3), (4, 2, 3)])
 def test_spectrum_route_never_builds_the_tensor(r, p, n, monkeypatch):
     def refuse(group):
@@ -925,13 +985,13 @@ def test_class_algebra_data_logs_one_debug_record(caplog):
     diagonal = sum(diagonal_past_p(group, c) for c in range(1, k))
     inverse = k - 1 - len(order) - diagonal
     assert inverse > 0 and diagonal > 0
-    # z = zeta I has order 3; the blocks hold 10, 6 and 6 characters, and
-    # blocks 0 and 1 are split, block 2 mirrors block 1
+    # z = zeta I has order 3 = n; the blocks hold 10, 6 and 6 characters,
+    # and blocks 0 and 1 are split, block 2 is the conjugate of block 1
     widest = max(len(block) for block in _scalar_orbits(group).blocks)
     assert widest == 10
     assert message.startswith(
         f"class algebra of G(3,1,3): |G| = 162, k = {k}, h = 3 blocks "
-        f"(widest {widest}, 2 split, 1 mirrored), "
+        f"(widest {widest}, 2 split, 1 twisted), "
     )
     kept = (
         f"{taken} class sums taken, {len(used)} kept ({elements} elements), "
