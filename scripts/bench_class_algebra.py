@@ -17,8 +17,11 @@ of one group and round run back to back, seconds apart, so the ratio
 resolves calls of a few ms that the host's drift between rounds hides in
 the medians.  For each of RSS_GROUPS, a separate fresh interpreter per tree
 and round times one `class_algebra_data` call, its first, and reports its peak
-RSS (`ru_maxrss`) before and after it.  Orders above the default cap are
-built with the cap raised.
+RSS (`ru_maxrss`) before and after it, and the call's own peak of traced
+allocations (`tracemalloc`), which no heap layout or earlier allocation
+moves.  The call runs traced, so its time and RSS include tracemalloc's cost,
+alike for every tree.  Orders above the default cap are built with the cap
+raised.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ ROUNDS = 5
 REPEATS = 5
 
 PREPARE = """
-import json, logging, re, resource, sys, time
+import json, logging, re, resource, sys, time, tracemalloc
 from reflectra.groups import Group, GroupParams
 from reflectra.spectra import class_algebra_data
 
@@ -82,11 +85,14 @@ PEAK_RSS = PREPARE + """
 (r, p, n), cap = json.loads(sys.argv[1])
 group = prepared(r, p, n, cap)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+tracemalloc.start()
 start = time.perf_counter()
 class_algebra_data(group)
 seconds = time.perf_counter() - start
+traced = tracemalloc.get_traced_memory()[1] / 2**20
+tracemalloc.stop()
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps([seconds * 1e3, before, after]))
+print(json.dumps([seconds * 1e3, before, after, traced]))
 """
 
 
@@ -115,10 +121,11 @@ def measure(trees: dict[str, Path]) -> dict:
         )
         row = {"group": "G({},{},{})".format(*g)}
         for label in trees:
-            calls, before, peaks = zip(*runs[label])
+            calls, before, peaks, traced = zip(*runs[label])
             row[f"{label}_first_call_ms"] = statistics.median(calls)
             row[f"{label}_before_call_mb"] = statistics.median(before)
             row[f"{label}_peak_mb"] = statistics.median(peaks)
+            row[f"{label}_traced_peak_mb"] = statistics.median(traced)
         rss.append(row)
     return {"class_algebra_data": groups, "peak_rss": rss}
 

@@ -155,10 +155,10 @@ def _check_ranks(r: int, n: int) -> None:
         raise ParameterError(f"need r >= 1 and n >= 0, got r={r}, n={n}")
 
 
-def _tuple_counts(r: int, n: int):
-    """Per s = 1, ..., r, the number of s-tuples of partitions of each total."""
-    _check_ranks(r, n)
-    counts = partition_counts(n)
+def _tuple_counts(r: int, counts: list[int]):
+    """Per s = 1, ..., r, the number of s-tuples of partitions of each total
+    up to n, from the partition numbers counts = p(0..n)."""
+    n = len(counts) - 1
     vec = [1] + [0] * n
     for _ in range(r):
         vec = [
@@ -169,7 +169,8 @@ def _tuple_counts(r: int, n: int):
 
 
 def count_partition_tuples(r: int, n: int) -> int:
-    *_, last = _tuple_counts(r, n)
+    _check_ranks(r, n)
+    *_, last = _tuple_counts(r, partition_counts(n))
     return last[n]
 
 
@@ -338,12 +339,13 @@ def codim_spectrum_combinatorial(r: int, n: int) -> tuple[tuple[int, int], ...]:
             f"steps, above the cap {DEFAULT_FOLD_CAP}"
         )
 
-    steps = 0
+    steps, counts = 0, []
     for k, count in zip(range(n + 1), _partition_numbers()):
+        counts.append(count)
         steps += k * count if r > 1 or k == n else 0
         if k < n and steps + count > DEFAULT_FOLD_CAP:
             refuse(steps + count, False)
-    for s, vec in enumerate(_tuple_counts(r, n), 1):
+    for s, vec in enumerate(_tuple_counts(r, counts), 1):
         steps += sum(vec) if s < r else vec[n]
         ahead = steps + (r - 1 - s) * sum(vec) + vec[n] if s < r else steps
         if ahead > DEFAULT_FOLD_CAP:

@@ -26,9 +26,10 @@ with multiplicity chi(1)^2.  Three independent routes are implemented:
   a character of block t lies in block -t, and its product with the linear
   character det: (a | s) -> zeta^(sum a), det(z) = eps_n, in block t + n.
   So only one block per orbit of t -> -t and t -> t + n on Z_h is split,
-  floor(gcd(n, h) / 2) + 1 of the h.  Each line is a certified central
-  character, and theta_chi needs no |G| x |G| matrix and no (k, k, k)
-  tensor;
+  floor(gcd(n, h) / 2) + 1 of the h.  One pass over the blocks certifies
+  each line as a central character and finds its degree, as the k-wide
+  character_degrees would, and theta_chi needs no |G| x |G| matrix and no
+  (k, k, k) tensor;
 * combinatorial (codimension matrices of G(r, 1, n) only): exact integer
   eigenvalues by the slot fold, in the partitions module.
 
@@ -339,13 +340,12 @@ class ClassAlgebraData:
     or as the twist of a split block s: block u = +-s + j n (mod h) holds
     det^j times the rows of block s, conjugated for the sign -, where
     omega_(chi det^j)(C) = det(C)^j omega_chi(C) and det(C) = zeta^e_C
-    (`Group.type_exponent_sums`) (_separate_characters).  Every block is
-    certified on the kept class sums (_certify).
-    Each block is an invariant subspace of every class sum, so a row's
-    residual on its block, read at the orbit heads, is its full residual
-    once the row obeys omega(z C) = eps omega(C), which is checked too.
-    class_sums lists the kept classes, those whose class sums split an
-    eigenspace of some block, in the order taken."""
+    (`Group.type_exponent_sums`) (_separate_characters).  Block t is the
+    next len(blocks[t]) rows, the layout that _certify checks in one pass,
+    with the degrees and orthogonality of character_degrees, the k-wide
+    reference, taken at the orbit heads.  class_sums lists the kept
+    classes, those whose class sums split an eigenspace of some block, in
+    the order taken."""
 
     central_characters: np.ndarray
     degrees: tuple[int, ...]
@@ -630,109 +630,10 @@ def _separate_characters(
     return np.concatenate(rows), kept, kept_columns, counts
 
 
-def _row_blocks(group: Group, orbits: _ScalarOrbits, omegas: np.ndarray) -> np.ndarray:
-    """The block t of each row: the eps_t = e^(2 pi i t / h) nearest its
-    value at the class of z."""
-    h = len(orbits.phases)
-    angles = np.angle(omegas[:, group.scalar_shift[0]])
-    return np.rint(angles * h / (2 * np.pi)).astype(np.int64) % h
-
-
-def _certify(
-    group: Group, orbits: _ScalarOrbits, omegas: np.ndarray, kept: list[int], columns
-) -> float:
-    """The eigenvector residual of the rows of omegas, after checking the
-    certificate that makes them the central characters; columns holds the
-    class sums of the kept classes at the orbit heads.  Every row of every
-    block is checked, twisted or split alike (_separate_characters).
-
-    Each row is put in the block t whose eps_t is nearest its value at the
-    class of z, and must then
-    * satisfy the shift relation omega(z C) = eps_t omega(C) on every class,
-      to within 1e-8 max(1, max |omega|): it is an eigenvector of the class
-      sum of z with eigenvalue eps_t;
-    * be, at the heads of the orbits of its block, an eigenvector of each
-      kept class sum restricted to the block, N_t[o, o'] = L_o' / h
-      F_t[o, o'] (_phase_sums), with eigenvalue its own value at that
-      class, to within 1e-6 max(1, max |omega|^2).  N_t applied at the
-      heads is M_C applied to the whole row where the shift relation holds,
-      and M_C omega - omega(C) omega obeys the shift relation too, so this
-      block residual is the full residual;
-    * have values on the kept classes and the class of z that are pairwise
-      more than 1e-8 max(1, max |value|) apart (_eigenvalue_gap).
-    A common eigenvector of these class sums lies in the sum of the lines
-    of the characters that share its values there, so k rows with k
-    distinct value vectors lie on the k lines, one each.  Rows of different
-    blocks differ by at least |1 - e^(2 pi i / h)| at z, so the gap is
-    taken within each block."""
-    h = len(orbits.phases)
-    shift = group.scalar_shift
-    z = int(shift[0])
-    blocks = _row_blocks(group, orbits, omegas)
-    eps = np.exp(2j * np.pi * blocks / h)
-    size = max(1.0, float(np.abs(omegas).max()))
-    drift = float(np.abs(omegas[:, shift] - eps[:, None] * omegas).max())
-    sums = [_phase_sums(orbits, m, range(h)) * (orbits.lengths / h) for m in columns]
-    residual = 0.0
-    for t in set(blocks.tolist()):
-        rows, block = blocks == t, orbits.blocks[t]
-        values = omegas[rows][:, orbits.heads[block]]
-        for c, summed in zip(kept, sums):
-            image = values @ summed[t][np.ix_(block, block)].T
-            own = omegas[rows, c][:, None]
-            residual = max(residual, float(np.abs(image - own * values).max()))
-    bound = 1e-6 * size**2
-    used = omegas[:, [*kept, z]]
-    gap = min(_eigenvalue_gap(used[blocks == t]) for t in set(blocks.tolist()))
-    separation = 1e-8 * max(1.0, float(np.abs(used).max()))
-    if not (drift <= 1e-8 * size and residual <= bound and gap > separation):
-        raise NumericError(
-            f"central characters of {group.params} fail the certificate on "
-            f"{len(kept)} class sums: shift residual {drift:.3e} (bound "
-            f"{1e-8 * size:.3e}), eigenvector residual {residual:.3e} "
-            f"(bound {bound:.3e}), smallest gap {gap:.3e} (bound {separation:.3e})"
-        )
-    return residual
-
-
-def _character_norms(
-    group: Group, omegas: np.ndarray, orbits: _ScalarOrbits | None = None
-) -> np.ndarray:
-    """sum_C omega(C) omega(C^-1) / |C| for each row, |G| / chi(1)^2 when the
-    row is omega_chi.  Given the z-orbits, for rows whose shift relation
-    _certify has checked, it is taken at the orbit heads: z^i C has |C|
-    elements and inverse class z^-i C^-1, so omega(z^i C) omega((z^i C)^-1)
-    = omega(C) omega(C^-1), and the orbit of head c_o adds L_o omega(c_o)
-    omega(c_o^-1) / |c_o|."""
-    classes = group.conjugacy
-    sizes = np.array(classes.sizes, dtype=np.float64)
-    if orbits is None:
-        return np.real(np.sum(omegas * omegas[:, classes.inverse] / sizes, axis=1))
-    heads = orbits.heads
-    terms = omegas[:, heads] * omegas[:, classes.inverse[heads]]
-    return np.real(np.sum(terms / sizes[heads] * orbits.lengths, axis=1))
-
-
-def character_degrees(
-    group: Group, omegas: np.ndarray, orbits: _ScalarOrbits | None = None
-) -> tuple[tuple[int, ...], float]:
-    """Degrees chi(1) from the central characters, and the orthogonality
-    error of the characters they give.
-
-    sum_C omega(C) omega(C^-1) / |C| = |G| / chi(1)^2 for each row
-    (_character_norms), checked on every row of every block; every degree
-    must come out a positive integer and their squares must sum to |G|.
-    With chi(C) = chi(1) omega(C) / |C|, the Gram matrix
-    sum_C |C| chi(C) conj(psi(C)) must be |G| times the identity; the error
-    is its largest entrywise distance from that, relative to |G|, and must
-    be at most 1e-6.  Given the z-orbits, for rows whose shift relation
-    _certify has checked, the norms and the Gram matrix are taken at the
-    orbit heads, the Gram matrix block by block (_row_blocks).  Across
-    blocks t != s the shift relation chi(z g) = eps_t chi(g) makes the sum
-    over G eps_t conj(eps_s) times itself, hence 0.  Within block t,
-    chi(z^i C) conj(psi(z^i C)) = chi(C) conj(psi(C)), so the orbit of head
-    c_o adds L_o times its head's term, L_o |c_o| chi(c_o) conj(psi(c_o))."""
-    norms = _character_norms(group, omegas, orbits)
+def _degrees(group: Group, norms: np.ndarray) -> tuple[int, ...]:
+    """Degrees chi(1) from the row norms |G| / chi(1)^2; each must be a
+    positive integer, the first bad row naming the error, and their squares
+    must sum to |G|."""
     positive = norms > 0
     squared = group.order / np.where(positive, norms, 1.0)
     rounded = np.rint(np.sqrt(squared))
@@ -754,25 +655,114 @@ def character_degrees(
             f"squared degrees sum to {sum(d * d for d in degrees)}, "
             f"expected {group.order}"
         )
-    sizes = np.array(group.conjugacy.sizes, dtype=np.float64)
-    if orbits is None:
-        blocks, columns, weights = np.zeros(len(omegas)), slice(None), sizes
-    else:
-        blocks, columns = _row_blocks(group, orbits, omegas), orbits.heads
-        weights = sizes[columns] * orbits.lengths
-    characters = omegas[:, columns] * (
-        np.array(degrees, dtype=np.float64)[:, None] / sizes[columns]
-    )
+    return tuple(degrees)
+
+
+def _orthogonality_error(group: Group, degrees, grams) -> float:
+    """The largest entrywise distance of the Gram matrix sum_C |C| chi(C)
+    conj(psi(C)) / |G| from the identity, which must be at most 1e-6; grams
+    holds (rows, g) per slice of rows, g[i, j] = sum_C omega_i(C)
+    conj(omega_j(C)) / |C|."""
+    d = np.array(degrees, dtype=np.float64)
     error = 0.0
-    for t in set(blocks.tolist()):
-        rows = characters[blocks == t]
-        gram = (rows * weights) @ rows.conj().T / group.order
-        error = max(error, float(np.abs(gram - np.eye(len(rows))).max()))
+    for rows, g in grams:
+        gram = g * np.outer(d[rows], d[rows]) / group.order
+        error = max(error, float(np.abs(gram - np.eye(len(g))).max()))
     if error > 1e-6:
         raise NumericError(
             f"characters of {group.params} fail orthogonality by {error:.3e}"
         )
-    return tuple(degrees), error
+    return error
+
+
+def _certify(
+    group: Group, orbits: _ScalarOrbits, omegas: np.ndarray, kept: list[int], columns
+) -> tuple[tuple[int, ...], float, float]:
+    """The degrees, the eigenvector residual and the orthogonality error of
+    the rows of omegas, after checking the certificate that makes them the
+    central characters; columns holds the class sums of the kept classes at
+    the orbit heads.  The rows are read as _separate_characters lists them:
+    block t is the next len(orbits.blocks[t]) rows, split or twisted alike,
+    and one pass over the blocks checks them all.  Each row of block t must
+    * satisfy the shift relation omega(z C) = eps_t omega(C) on every class,
+      to within 1e-8 max(1, max |omega|): it is an eigenvector of the class
+      sum of z with eigenvalue eps_t, so it lies in the block it sits in;
+    * be, at the heads of the orbits of its block, an eigenvector of each
+      kept class sum restricted to the block, N_t[o, o'] = L_o' / h
+      F_t[o, o'] (_phase_sums), with eigenvalue its own value at that
+      class, to within 1e-6 max(1, max |omega|^2).  N_t applied at the
+      heads is M_C applied to the whole row where the shift relation holds,
+      and M_C omega - omega(C) omega obeys the shift relation too, so this
+      block residual is the full residual;
+    * have values on the kept classes and the class of z that are pairwise
+      more than 1e-8 max(1, max |value|) apart (_eigenvalue_gap).
+    A common eigenvector of these class sums lies in the sum of the lines
+    of the characters that share its values there, so k rows with k
+    distinct value vectors lie on the k lines, one each.  Rows of different
+    blocks differ by at least |1 - e^(2 pi i / h)| at z, so the gap is
+    taken within each block.
+
+    Then the degrees and orthogonality error of character_degrees, the
+    k-wide reference, are taken at the orbit heads: on rows with the shift
+    relation each orbit o adds L_o times its head's term to a norm
+    (_degrees) and to a Gram entry (_orthogonality_error), as z^i C has |C|
+    elements and inverse class z^-i C^-1, and a Gram entry across blocks
+    t != s is eps_t conj(eps_s) times itself, hence 0."""
+    h = len(orbits.phases)
+    shift = group.scalar_shift
+    z = int(shift[0])
+    classes = group.conjugacy
+    heads, lengths = orbits.heads, orbits.lengths
+    head_sizes = np.array(classes.sizes, dtype=np.float64)[heads]
+    counts = [len(block) for block in orbits.blocks]
+    eps = np.exp(2j * np.pi / h * np.repeat(np.arange(h), counts))
+    size = max(1.0, float(np.abs(omegas).max()))
+    drift = float(np.abs(omegas[:, shift] - eps[:, None] * omegas).max())
+    sums = [_phase_sums(orbits, m, range(h)) * (lengths / h) for m in columns]
+    used = omegas[:, [*kept, z]]
+    at_heads = omegas[:, heads]
+    weights = lengths / head_sizes
+    residual, gap, grams, stop = 0.0, np.inf, [], 0
+    for t, block in enumerate(orbits.blocks):
+        rows = slice(stop, stop + len(block))
+        stop = rows.stop
+        values = at_heads[rows, block]
+        for c, summed in zip(kept, sums):
+            image = values @ summed[t][np.ix_(block, block)].T
+            own = omegas[rows, c][:, None]
+            residual = max(residual, float(np.abs(image - own * values).max()))
+        gap = min(gap, _eigenvalue_gap(used[rows]))
+        grams.append((rows, (at_heads[rows] * weights) @ at_heads[rows].conj().T))
+    bound = 1e-6 * size**2
+    separation = 1e-8 * max(1.0, float(np.abs(used).max()))
+    if not (drift <= 1e-8 * size and residual <= bound and gap > separation):
+        raise NumericError(
+            f"central characters of {group.params} fail the certificate on "
+            f"{len(kept)} class sums: shift residual {drift:.3e} (bound "
+            f"{1e-8 * size:.3e}), eigenvector residual {residual:.3e} "
+            f"(bound {bound:.3e}), smallest gap {gap:.3e} (bound {separation:.3e})"
+        )
+    norms = np.real(at_heads * omegas[:, classes.inverse[heads]] @ weights)
+    degrees = _degrees(group, norms)
+    return degrees, residual, _orthogonality_error(group, degrees, grams)
+
+
+def character_degrees(
+    group: Group, omegas: np.ndarray
+) -> tuple[tuple[int, ...], float]:
+    """Degrees chi(1) from the central characters, and the orthogonality
+    error of the characters they give, over every class and row at once:
+    the k-wide reference for what _certify takes at the orbit heads.  Each
+    row's norm sum_C omega(C) omega(C^-1) / |C| is |G| / chi(1)^2
+    (_degrees), and with chi(C) = chi(1) omega(C) / |C| the Gram matrix
+    sum_C |C| chi(C) conj(psi(C)) / |G| must be the identity
+    (_orthogonality_error)."""
+    classes = group.conjugacy
+    sizes = np.array(classes.sizes, dtype=np.float64)
+    norms = np.real(np.sum(omegas * omegas[:, classes.inverse] / sizes, axis=1))
+    degrees = _degrees(group, norms)
+    gram = (omegas / sizes) @ omegas.conj().T
+    return degrees, _orthogonality_error(group, degrees, [(slice(None), gram)])
 
 
 def class_algebra_data(group: Group) -> ClassAlgebraData:
@@ -782,19 +772,18 @@ def class_algebra_data(group: Group) -> ClassAlgebraData:
     The characters come block by block of the scalar subgroup, from
     splitting the eigenspaces of low-codimension class sums one at a time,
     in the scaled basis D^-1/2 M_C D^1/2 where every class sum is normal
-    (_separate_characters).  They are certified as eigenvectors of the class
-    sum of z and of every kept class sum, with pairwise distinct values
-    there (_certify), and character_degrees checks their degrees and
-    orthogonality.  The z-orbits are found once and shared by all three.
-    One DEBUG record reports the blocks (h, the widest, and how many were
-    split and how many twisted), the class sums taken and kept, the classes
-    left out of the order by each rule (inverse, diagonal past codimension
-    p), the restricted eigenproblems, the eigenvector residual and the
-    orthogonality error."""
+    (_separate_characters).  One pass over the blocks certifies them as
+    eigenvectors of the class sum of z and of every kept class sum, with
+    pairwise distinct values there, and finds their degrees and
+    orthogonality at the orbit heads (_certify).  The z-orbits are found
+    once and shared by both.  One DEBUG record reports the blocks (h, the
+    widest, and how many were split and how many twisted), the class sums
+    taken and kept, the classes left out of the order by each rule
+    (inverse, diagonal past codimension p), the restricted eigenproblems,
+    the eigenvector residual and the orthogonality error."""
     orbits = _scalar_orbits(group)
     omegas, kept, columns, counts = _separate_characters(group, orbits)
-    residual = _certify(group, orbits, omegas, kept, columns)
-    degrees, orthogonality = character_degrees(group, omegas, orbits)
+    degrees, residual, orthogonality = _certify(group, orbits, omegas, kept, columns)
     sizes = group.conjugacy.sizes
     log.debug(
         "class algebra of %s: |G| = %d, k = %d, h = %d blocks (widest %d, "

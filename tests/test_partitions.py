@@ -387,7 +387,7 @@ class TestCodimSpectrum:
     def test_fold_cap_refuses_exactly_above_the_whole_bound(self, r, n, monkeypatch):
         # the whole step bound, every level and every slot summed
         counts = partition_counts(n)
-        *earlier, last = partitions_module._tuple_counts(r, n)
+        *earlier, last = partitions_module._tuple_counts(r, counts)
         bound = sum(k * counts[k] for k in (range(n + 1) if r > 1 else (n,)))
         bound += sum(map(sum, earlier)) + last[n]
         for cap in sorted({1, bound // 3, bound // 2, bound - 1, bound}):
@@ -429,6 +429,20 @@ class TestCodimSpectrum:
                 f"the partition-tuple fold for r={r}, n={n} takes up to more "
                 f"than {steps} steps, above the cap 10000000"
             )
+
+    @pytest.mark.parametrize("r,n", [(1, 12), (3, 6)])
+    def test_fold_takes_the_partition_numbers_once(self, r, n, monkeypatch):
+        # the cap's level loop and its slot loop share one run of p(0..n)
+        runs = []
+        numbers = partitions_module._partition_numbers
+
+        def counted():
+            runs.append(1)
+            return numbers()
+
+        monkeypatch.setattr(partitions_module, "_partition_numbers", counted)
+        assert codim_spectrum_combinatorial(r, n)
+        assert len(runs) == 1
 
     @pytest.mark.parametrize("r,n", [(1, 12), (2, 9), (3, 6), (5, 4)])
     def test_fold_cap_bounds_the_fold_steps(self, r, n, monkeypatch):

@@ -34,7 +34,6 @@ from reflectra.spectra import (
     KINDS,
     _class_sum_order,
     _certify,
-    _character_norms,
     _cluster,
     _eigenvalue_gap,
     _scalar_orbits,
@@ -569,7 +568,9 @@ class TestCharacterChecks:
     @pytest.mark.parametrize("r,p,n", CHECKED_GROUPS)
     def test_a_repeated_character_fails_orthogonality(self, r, p, n):
         # two characters of equal degree: repeating one keeps every degree
-        # and the sum of squares, so only orthogonality can notice
+        # and the sum of squares, so only orthogonality can notice on the
+        # k-wide reference; the certificate sees the copy sooner, by the
+        # shift relation if the copy sits in another block, by the gap if not
         group = Group(GroupParams(r, p, n))
         data = class_algebra_data(group)
         degrees = np.array(data.degrees)
@@ -578,34 +579,74 @@ class TestCharacterChecks:
         repeated[second] = repeated[first]
         with pytest.raises(NumericError, match="orthogonality"):
             character_degrees(group, repeated)
-        # the copy falls in the block of the row it copies
-        with pytest.raises(NumericError, match="orthogonality"):
-            character_degrees(group, repeated, _scalar_orbits(group))
+        kept = list(data.class_sums)
+        with pytest.raises(NumericError, match="fail the certificate"):
+            _certify(
+                group, _scalar_orbits(group), repeated, kept, head_columns(group, kept)
+            )
+
+    @pytest.mark.parametrize(
+        "params",
+        [*desk_scale_params(), GroupParams(6, 1, 3), GroupParams(6, 2, 4)],
+        ids=str,
+    )
+    def test_the_certificate_matches_the_k_wide_reference(self, params):
+        # on rows with the shift relation each orbit adds L_o times its
+        # head's term to a norm and a Gram entry, and the Gram entries
+        # across blocks are 0, so the heads and the blocks give the degrees
+        # and the orthogonality error of every class and every row
+        group = Group(params)
+        data = class_algebra_data(group)
+        kept = list(data.class_sums)
+        degrees, _, error = _certify(
+            group, _scalar_orbits(group), data.central_characters, kept,
+            head_columns(group, kept),
+        )
+        whole_degrees, whole = character_degrees(group, data.central_characters)
+        assert degrees == whole_degrees == data.degrees
+        assert error == pytest.approx(whole, abs=1e-12)
 
     @pytest.mark.parametrize("params", desk_scale_params(), ids=str)
-    def test_norms_at_the_orbit_heads_match_the_class_wide_norms(self, params):
-        # omega(z^i C) omega((z^i C)^-1) = omega(C) omega(C^-1) on rows with
-        # the shift relation, so each orbit adds L_o times its head's term
+    def test_rows_sit_in_their_blocks(self, params):
+        # _certify reads block t as the next len(orbits.blocks[t]) rows, so
+        # omega(z) = eps_t omega(1) = eps_t on each of them, and two rows of
+        # different blocks swapped break the shift relation
         group = Group(params)
-        omegas = class_algebra_data(group).central_characters
-        whole = _character_norms(group, omegas)
-        at_heads = _character_norms(group, omegas, _scalar_orbits(group))
-        np.testing.assert_allclose(at_heads, whole, rtol=1e-12, atol=0)
-
-    @pytest.mark.parametrize("r,p,n", [*CHECKED_GROUPS, (8, 4, 2), (6, 2, 4)])
-    def test_gram_entries_across_blocks_vanish(self, r, p, n):
-        # the entries left out by the blockwise check are those the shift
-        # relation makes 0, so it finds the error of the whole Gram matrix
-        group = Group(GroupParams(r, p, n))
-        omegas = class_algebra_data(group).central_characters
-        blocks = blocks_of_rows(group, omegas)
-        assert len(set(blocks.tolist())) > 1
-        degrees, whole = character_degrees(group, omegas)
-        blockwise_degrees, blockwise = character_degrees(
-            group, omegas, _scalar_orbits(group)
+        data = class_algebra_data(group)
+        omegas, kept = data.central_characters, list(data.class_sums)
+        orbits = _scalar_orbits(group)
+        h = len(orbits.phases)
+        counts = [len(block) for block in orbits.blocks]
+        eps = np.exp(2j * np.pi / h * np.repeat(np.arange(h), counts))
+        np.testing.assert_allclose(
+            omegas[:, group.scalar_shift[0]], eps, rtol=0, atol=1e-12
         )
-        assert blockwise_degrees == degrees
-        assert blockwise == pytest.approx(whole, abs=1e-12)
+        if h == 1:
+            return
+        swapped = omegas.copy()
+        swapped[[counts[0] - 1, counts[0]]] = omegas[[counts[0], counts[0] - 1]]
+        with pytest.raises(NumericError) as caught:
+            _certify(group, orbits, swapped, kept, head_columns(group, kept))
+        value, bound = certificate_figures(caught)["shift residual"]
+        assert value > bound
+
+    @pytest.mark.parametrize("r,p,n", CHECKED_GROUPS)
+    def test_degrees_on_the_wrong_rows_fail_orthogonality(self, r, p, n, monkeypatch):
+        # the degrees reversed keep the sum of squares, and the rows pass
+        # the certificate, so only the blockwise Gram matrix can notice
+        group = Group(GroupParams(r, p, n))
+        data = class_algebra_data(group)
+        kept = list(data.class_sums)
+        assert data.degrees != data.degrees[::-1]
+        degrees = spectra._degrees
+        monkeypatch.setattr(
+            spectra, "_degrees", lambda group, norms: degrees(group, norms)[::-1]
+        )
+        with pytest.raises(NumericError, match="orthogonality"):
+            _certify(
+                group, _scalar_orbits(group), data.central_characters, kept,
+                head_columns(group, kept),
+            )
 
 
 class TestSeparation:
