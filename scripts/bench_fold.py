@@ -21,10 +21,10 @@ from benchtrees import alternate, main, run_in
 
 # the five folds of the tuple-exact workload, then larger ones up to the
 # cap: G(2,1,36) is the largest two-slot fold it admits, G(1,1,40) a
-# one-slot fold of 37,338 partitions
+# one-slot fold of 37,338 partitions, G(12,1,5) one of eleven later slots
 CASES = (
     (4, 10), (6, 8), (8, 7), (2, 16), (3, 12),
-    (2, 30), (2, 36), (3, 18), (1, 40),
+    (2, 30), (2, 36), (3, 18), (1, 40), (12, 5),
 )
 ROUNDS = 5
 

@@ -10,9 +10,9 @@ imported from PATH/src.  The requests are:
   checkout, imported read-only), each with its workload's environment;
 * `verify all`, in text and in json;
 * `poincare` on a few partition tuples, in text and in json;
-* the combinatorial codimension spectrum past the benchmark's folds, in
-  text and in json, and the folds its step cap refuses, two at the last
-  term of the bound and two long before it;
+* the combinatorial codimension spectrum past the benchmark's folds and on
+  folds with many later slots, in text and in json, and the folds its step
+  cap refuses, two at the last term of the bound and two long before it;
 * requests whose group order has thousands of digits, which fail on the
   enumeration or the dense matrix cap;
 * the class-algebra distance spectrum of G(3,1,3) on an explicit
@@ -117,7 +117,10 @@ def requests() -> list[tuple[list[str], dict[str, str]]]:
     ]
     found += [
         (fold(r, n, "--format", fmt), {})
-        for r, n in ((2, 20), (2, 30), (3, 14), (5, 8), (1, 30))
+        for r, n in (
+            (2, 20), (2, 30), (3, 14), (5, 8), (1, 30),
+            (12, 5), (16, 4), (30, 3), (7, 9), (100, 2),
+        )
         for fmt in ("text", "json")
     ]
     found += [

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import click
 
-from .errors import ParameterError, ReflectraError
+from .errors import ParameterError, ReflectraError, SizeLimitError, format_size
 from .groups import (
     DEFAULT_ENUMERATION_CAP,
     ENUMERATION_CAP_ENV,
@@ -60,6 +60,9 @@ from .spectra import (
 )
 
 METHOD_CHOICES = ("numeric", "class-algebra", "combinatorial")
+# the most boxes `poincare` lists; on a shared 2-vCPU VM a row of this many
+# takes about 18 s, its xi and dimension being products of n big ints
+POINCARE_BOX_CAP = 10**5
 CONNECTION_CHOICES = ("standard", "all-reflections")
 
 
@@ -493,9 +496,19 @@ def poincare_command(tuple_text: str, fmt: str) -> None:
         raise click.UsageError(
             f"the tuple {tuple_text!r} has total size 0; n must be positive"
         )
+    if n > POINCARE_BOX_CAP:
+        raise SizeLimitError(
+            f"the tuple has {format_size(n)} boxes, above the cap {POINCARE_BOX_CAP}"
+        )
     roots = poincare_star_roots(tpl, r)
     xi = xi_from_roots(roots)
     dimension = character_dimension(tpl)
+    digits = sys.get_int_max_str_digits()
+    if digits and max(abs(xi), dimension * dimension) >= 10**digits:
+        raise SizeLimitError(
+            f"xi or the multiplicity of the tuple (r={r}, n={n}) has more than "
+            f"{digits} digits, Python's limit for writing an int as text"
+        )
     star = "".join(
         "(t)" if root == 0 else f"(t{root:+d})" for root in roots
     ) or "1"

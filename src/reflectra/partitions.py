@@ -12,27 +12,31 @@ With roots alpha_1, ..., alpha_n the eigenvalue is the derivative at t = 1
 of the product (1 + alpha_1 t) ... (1 + alpha_n t), and its multiplicity is
 the squared character dimension n! / (product of all hook lengths).
 
-Both factor over the tuple's components.  The polynomial is a product of one
-polynomial per component, so its (value, derivative) pair at t = 1 follows
-from the components' pairs by the product rule
-(V, D) * (v, d) = (V v, D v + V d).  The dimension is the multinomial
-n! / (|lambda(0)|! ... |lambda(r-1)|!) times the product of the standard
-tableau counts f of the components.  So codim_spectrum_combinatorial never
-lists tuples: it folds over the r slots, carrying weighted states
-(size s so far, V, D) from (0, 1, 0) with weight 1.  Partitions of the same
-size and slot kind (slot 0, or any later slot) that share a pair (v, d) are
-merged first, with weight the sum of their f^2.  Putting such a group of
-size k into the next slot moves (s, V, D) to (s + k, V v, D v + V d) and
-multiplies the weight by C(s + k, k)^2 times the group's weight; the
-binomials over the slots multiply to the multinomial, so after the last slot
-each state's weight is the exact sum of the squared dimensions of the tuples
-that reach it, and D is their eigenvalue.  Tuples that reach the same state
-are merged on the way.  The counts f come from the branching rule, level by
-level up Young's lattice (Stanley, Enumerative Combinatorics 2, 7.11-7.13):
-the f of a partition is the sum of the f of the partitions one box smaller,
-and the f^2 of the partitions of k sum to k!.
+Both factor over the components: the (value, derivative) pair at t = 1
+follows from the components' pairs by the product rule
+(V, D) * (v, d) = (V v, D v + V d), and the dimension is the multinomial
+n! / (|lambda(0)|! ... |lambda(r-1)|!) times the components' standard
+tableau counts f.  A nonempty partition has a box of content 0, whose root
+in a later slot gives the pair (0, -1); as (V, D) * (0, d) = (0, V d) and
+(0, D) * (0, d') = (0, 0), codim_spectrum_combinatorial lists no tuple but
+splits the spectrum in three (contents and hooks: Stanley, Enumerative
+Combinatorics 2, 7.11-7.13):
 
-The fold and the closed forms give (eigenvalue, multiplicity) pairs,
+(a) every later slot empty: slot 0's d(lambda), lambda a partition of n, with
+    weight f(lambda)^2, f summed up Young's lattice by the branching rule;
+(b) slot 0 of size k and one of the r - 1 later slots of size m = n - k > 0:
+    slot 0's v times the later slot's d.  v is nonzero only on a row, where
+    it is r^k k! (two rows give a box of content -1, whose factor is 0), and
+    d only on a hook (a second diagonal box gives a second factor 0).  A hook
+    with leg l has d = (-1)^(l+1) r^(m-1) (m-1-l)! l! and f = C(m-1, l), so
+    the weight is C(n, k)^2 (r - 1) C(m-1, l)^2;
+(c) every other tuple has eigenvalue 0, with weight summed from its own
+    three parts, so that the total's check against r^n n! still catches a
+    slip in any of them: slot 0 not a row, C(n,k)^2 (k! - 1) (r - 1) m!; a row
+    and a later slot that is no hook, C(n,k)^2 (r - 1) (m! - C(2m-2, m-1));
+    two or more later slots, C(n,k)^2 k! m! ((r - 1)^m - (r - 1)).
+
+The fold and closed_form_reference give (eigenvalue, multiplicity) pairs,
 eigenvalues descending; codim_spectrum_entries adds each tuple to its pair.
 """
 
@@ -243,29 +247,20 @@ def _grow(level: dict[int, int]) -> tuple[dict[int, int], int]:
     return above, cells
 
 
-def _pair_table(r: int, n: int) -> tuple[list[list[list]], int, int]:
-    """table[kind][k]: the distinct pairs (v, d) of the partitions of k in
-    slot kind 0 (roots r - 1 + r*c) and, when r > 1, kind 1 (later slots,
-    roots -1 + r*c), each with the sum of f^2 over the partitions giving it;
-    with one slot only k = n.  Also the lattice cells visited and the
-    partitions on the recorded levels, whose f^2 must sum to k!.  A pair is
-    the product-rule fold of per-row prefix pairs, top row first, and stops
-    at (0, 0), which every further factor keeps."""
-    shifts = (r - 1, -1) if r > 1 else (r - 1,)
-    # segments[kind][row][s]: the pair of the first s boxes of that row; a
-    # partition of at most n boxes has rows of at most n // (row + 1)
-    segments = []
-    for shift in shifts:
-        rows = []
-        for row in range(n):
-            boxes = [
-                (1 + shift + r * (col - row), shift + r * (col - row))
-                for col in range(n // (row + 1))
-            ]
-            rows.append([_product(boxes[:s]) for s in range(len(boxes) + 1)])
-        segments.append(rows)
-    table: list[list[list]] = [[[] for _ in range(n + 1)] for _ in shifts]
-    level, cells, listed = {(1 << n) - 1: 1}, 0, 0
+def _slot_zero_pairs(r: int, n: int) -> tuple[dict[ValueDerivative, int], int, int]:
+    """The distinct slot-0 pairs (v, d) of the partitions of n, each with its
+    sum of f^2, the lattice cells visited and the partitions of n.  The f^2
+    of level k must sum to k!: every level is checked when r > 1, level n
+    when r = 1.  A pair is the product-rule fold of per-row prefix pairs, top
+    row first, and stops at (0, 0), which every further factor keeps."""
+    # segments[row][s]: the pair of the first s boxes of that row, contents
+    # -row .. s-1-row; a partition of n has rows of at most n // (row + 1)
+    segments = [
+        [_product((r + r * c, r - 1 + r * c) for c in range(-row, s - row))
+         for s in range(n // (row + 1) + 1)]
+        for row in range(n)
+    ]
+    level, cells = {(1 << n) - 1: 1}, 0
     for k in range(n + 1):
         if k:
             level, visited = _grow(level)
@@ -279,25 +274,27 @@ def _pair_table(r: int, n: int) -> tuple[list[list[list]], int, int]:
                 f"squared tableau counts of the partitions of {k} sum to "
                 f"{total}, expected {k}! = {factorial(k)}"
             )
-        listed += len(squared)
-        for kind, rows in enumerate(segments):
-            groups: dict[ValueDerivative, int] = {}
-            for word, square in squared:
-                value, derivative, norths = 1, 0, ~word
-                for segment in rows:
-                    north = norths & -norths  # the lowest 0 closes the next row
-                    part = n - (word & (north - 1)).bit_count()
-                    if not part:
-                        break
-                    v, d = segment[part]
-                    value, derivative = value * v, derivative * v + value * d
-                    if not value and not derivative:
-                        break
-                    norths ^= north
-                key = (value, derivative)
-                groups[key] = groups.get(key, 0) + square
-            table[kind][k] = list(groups.items())
-    return table, cells, listed
+    groups: dict[ValueDerivative, int] = {}
+    for word, square in squared:
+        value, derivative, norths = 1, 0, ~word
+        for segment in segments:
+            north = norths & -norths  # the lowest 0 closes the next row
+            part = n - (word & (north - 1)).bit_count()
+            if not part:
+                break
+            v, d = segment[part]
+            value, derivative = value * v, derivative * v + value * d
+            if not value and not derivative:
+                break
+            norths ^= north
+        key = (value, derivative)
+        groups[key] = groups.get(key, 0) + square
+    return groups, cells, len(squared)
+
+
+def _hook_derivative(r: int, m: int, leg: int) -> int:
+    """d of a later slot's hook of m >= 1 boxes, from its contents -leg..m-1-leg."""
+    return (-1) ** (leg + 1) * r ** (m - 1) * factorial(m - 1 - leg) * factorial(leg)
 
 
 def codim_spectrum_entries(r: int, n: int) -> tuple[tuple, ...]:
@@ -313,22 +310,23 @@ def codim_spectrum_entries(r: int, n: int) -> tuple[tuple, ...]:
 
 def codim_spectrum_combinatorial(r: int, n: int) -> tuple[tuple[int, int], ...]:
     """Aggregated codimension spectrum of G(r, 1, n), (eigenvalue,
-    multiplicity) pairs, eigenvalues descending, by the slot fold of the
-    module docstring.
+    multiplicity) pairs, eigenvalues descending, from parts (a)-(c) of the
+    module docstring.  Squared dimensions must add up to r^n * n!.
 
-    No tuple is listed, so the fold's steps are capped before any partition
-    is.  The table visits sum_{j<k} p(j) lattice cells into level k, at most
-    k p(k), and sum_{m=1..n} m p(n - m) up to level n, at most n p(n), both
-    by Euler's n p(n) = sum_{m=1..n} sigma(m) p(n - m).  A slot pairs each
-    state carried into it with each distinct pair of the sizes that fit.  A
-    state after s slots is reached by some s-tuple and distinct pairs are
-    at most the partitions, so a slot's pairings are at most T_{s+1}, the
-    (s + 1)-tuples, of total at most n (of total n in the last slot).  The
-    bound is summed level by level, then slot by slot, and refused once a
-    lower bound on it passes the cap: the last slot adds T_r(n) >= p(n) >=
-    p(k) at level k, and T_r(n) >= T_s(n) after slot s, and each slot in
-    between adds at least as much as slot s.  Squared dimensions must add
-    up to the group order r^n * n!."""
+    No tuple is listed, so the work is capped before any partition is, by
+    the bound of a fold over the r slots one at a time, which stays above
+    the work here: the same lattice, p(n) <= T_r(n) partitions of n, and
+    n (n + 3) / 2 closed-form terms, within the slot terms' rest.  The
+    lattice visits sum_{j<k} p(j) cells into level k, at most k p(k), and
+    sum_{m=1..n} m p(n - m) up to level n, at most n p(n), both by Euler's
+    n p(n) = sum_{m=1..n} sigma(m) p(n - m).  Slot s + 1 pairs each state,
+    reached by some s-tuple, with each distinct pair of the sizes that fit,
+    at most one per partition: at most T_{s+1}, the (s + 1)-tuples, of total
+    at most n (of total n in the last slot).  The bound is summed level by
+    level, then slot by slot, and refused once a lower bound on it passes
+    the cap: the last slot adds T_r(n) >= p(n) >= p(k) at level k, and
+    T_r(n) >= T_s(n) after slot s, and each slot in between adds at least as
+    much as slot s."""
     start = time.perf_counter()
     _check_ranks(r, n)
 
@@ -350,38 +348,39 @@ def codim_spectrum_combinatorial(r: int, n: int) -> tuple[tuple[int, int], ...]:
         ahead = steps + (r - 1 - s) * sum(vec) + vec[n] if s < r else steps
         if ahead > DEFAULT_FOLD_CAP:
             refuse(ahead, s == r)
-    table, cells, listed = _pair_table(r, n)
-    states: dict[tuple[int, int, int], int] = {(0, 1, 0): 1}
-    for slot in range(r):
-        slot_pairs = table[min(slot, 1)]
-        last = slot == r - 1
-        folded: dict[tuple[int, int, int], int] = {}
-        for (size, value, derivative), weight in states.items():
-            # the last slot takes whatever size is left
-            for k in (n - size,) if last else range(n - size + 1):
-                scale = weight * comb(size + k, k) ** 2
-                for (v, d), squared in slot_pairs[k]:
-                    # the product rule of _product, inlined in the hot loop
-                    key = (size + k, value * v, derivative * v + value * d)
-                    folded[key] = folded.get(key, 0) + scale * squared
-        states = folded
+    pairs, cells, listed = _slot_zero_pairs(r, n)
+    spectrum: dict[int, int] = {}
+    for (_, eigenvalue), squared in pairs.items():  # (a)
+        spectrum[eigenvalue] = spectrum.get(eigenvalue, 0) + squared
+    zero = 0
+    for k in range(n if r > 1 else 0):
+        m = n - k
+        scale = comb(n, k) ** 2
+        row = r**k * factorial(k)
+        for leg in range(m):  # (b)
+            eigenvalue = row * _hook_derivative(r, m, leg)
+            weight = scale * (r - 1) * comb(m - 1, leg) ** 2
+            spectrum[eigenvalue] = spectrum.get(eigenvalue, 0) + weight
+        zero += scale * (  # (c)
+            (factorial(k) - 1) * (r - 1) * factorial(m)
+            + (r - 1) * (factorial(m) - comb(2 * m - 2, m - 1))
+            + factorial(k) * factorial(m) * ((r - 1) ** m - (r - 1))
+        )
+    if zero:
+        spectrum[0] = spectrum.get(0, 0) + zero
     log.debug(
-        "codimension fold of G(%d,1,%d): %d lattice cells, %d partitions on "
-        "the recorded levels, distinct pairs per slot kind %s, %d final fold "
-        "states, %.4fs",
-        r, n, cells, listed, [sum(map(len, pairs)) for pairs in table],
-        len(states), time.perf_counter() - start,
+        "codimension fold of G(%d,1,%d): %d lattice cells, %d partitions of %d, "
+        "%d distinct slot-0 pairs, %d row x hook terms, %d distinct eigenvalues, "
+        "%.4fs", r, n, cells, listed, n, len(pairs),
+        n * (n + 1) // 2 if r > 1 else 0, len(spectrum), time.perf_counter() - start,
     )
-    aggregated: dict[int, int] = {}
-    for (_, _, eigenvalue), multiplicity in states.items():
-        aggregated[eigenvalue] = aggregated.get(eigenvalue, 0) + multiplicity
-    total = sum(aggregated.values())
+    total = sum(spectrum.values())
     expected = r**n * factorial(n)
     if total != expected:
         raise ParameterError(
             f"multiplicities sum to {total}, expected |G({r},1,{n})| = {expected}"
         )
-    return tuple(sorted(aggregated.items(), reverse=True))
+    return tuple(sorted(spectrum.items(), reverse=True))
 
 
 def closed_form_reference(r: int, n: int) -> tuple[tuple[int, int], ...]:

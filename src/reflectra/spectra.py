@@ -31,7 +31,7 @@ with multiplicity chi(1)^2.  Three independent routes are implemented:
   character_degrees would, and theta_chi needs no |G| x |G| matrix and no
   (k, k, k) tensor;
 * combinatorial (codimension matrices of G(r, 1, n) only): exact integer
-  eigenvalues by the slot fold, in the partitions module.
+  eigenvalues from partition tuples, in the partitions module.
 
 The three kinds of class function depend on the cycle type alone; each is a
 k-long int64 array, one gather of the group's per-type values, and every

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import reflectra
-from reflectra import cli, spectra
+from reflectra import cli, partitions, spectra
 from reflectra.cli import main
 from reflectra.errors import format_size
 from reflectra.groups import Group, GroupParams, element_order, format_element
@@ -375,6 +375,44 @@ def test_poincare_rejects_total_size_zero(text):
     assert result.exit_code == 2, result.output
     assert result.stdout_bytes == b""
     assert "has total size 0" in result.stderr
+
+
+def test_poincare_refuses_a_huge_tuple_before_listing_a_box(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a box listed before the size cap")
+
+    monkeypatch.setattr(partitions, "contents", unreachable)
+    result = CliRunner().invoke(main, ["poincare", "99999999999999999999"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout_bytes == b""
+    assert result.stderr == (
+        "error: the tuple has about 10^20 boxes, above the cap "
+        f"{cli.POINCARE_BOX_CAP}\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_poincare_refuses_numbers_past_the_int_to_text_limit(fmt):
+    # xi of the row (2000) has more digits than Python writes as text
+    result = CliRunner().invoke(main, ["poincare", "2000", "--format", fmt])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout_bytes == b""
+    assert result.stderr == (
+        "error: xi or the multiplicity of the tuple (r=1, n=2000) has more "
+        f"than {sys.get_int_max_str_digits()} digits, Python's limit for "
+        "writing an int as text\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_poincare_writes_numbers_below_the_int_to_text_limit(fmt):
+    # xi of the row (1500) has 4,118 digits
+    result = CliRunner().invoke(main, ["poincare", "1500", "--format", fmt])
+    assert result.exit_code == 0, result.output
+    xi = partitions.xi_from_roots(tuple(range(1499, -1, -1)))
+    assert f"{xi}" in result.stdout
 
 
 @pytest.mark.parametrize("params", ORACLE_GROUPS, ids=str)

@@ -18,7 +18,8 @@ from reflectra.errors import ParameterError, SizeLimitError
 from reflectra.partitions import (
     DEFAULT_TUPLE_CAP,
     _grow,
-    _pair_table,
+    _hook_derivative,
+    _slot_zero_pairs,
     character_dimension,
     closed_form_reference,
     codim_spectrum_combinatorial,
@@ -52,6 +53,14 @@ SMALL_RANKS = [
 # tuples
 BENCHMARK_FOLDS = [(2, 16), (3, 12), (4, 10)]
 
+# folds with many later slots, which the collapsed fold reads as r - 1 alike
+MANY_SLOT_FOLDS = [(12, 3), (16, 3), (30, 2), (100, 2)]
+
+# the partitions of size at most 14, the empty one first, and the ranks the
+# slot facts are checked on
+SLOT_PARTITIONS = [p for k in range(15) for p in partitions_of(k)]
+SLOT_RANKS = [*range(1, 9), 12, 30]
+
 
 def lattice_cells(n: int) -> int:
     """Boxes added walking Young's lattice up to level n: a partition gains
@@ -60,22 +69,11 @@ def lattice_cells(n: int) -> int:
 
 
 def fold_steps(r: int, n: int) -> int:
-    """The lattice cells of the fold's table plus the pairings of its states
-    with the distinct pairs of each slot, counted by rerunning the fold on
-    sets of states."""
-    table, _, _ = _pair_table(r, n)
-    steps = lattice_cells(n)
-    states = {(0, 1, 0)}
-    for slot in range(r):
-        last = slot == r - 1
-        folded = set()
-        for size, value, derivative in states:
-            for k in (n - size,) if last else range(n - size + 1):
-                for (v, d), _ in table[min(slot, 1)][k]:
-                    steps += 1
-                    folded.add((size + k, value * v, derivative * v + value * d))
-        states = folded
-    return steps
+    """The fold's work: the lattice cells up to level n, the partitions of
+    n, and with later slots one closed-form term per row size and hook leg
+    and one eigenvalue-0 term per row size."""
+    terms = sum(m + 1 for m in range(1, n + 1)) if r > 1 else 0
+    return lattice_cells(n) + len(partitions_of(n)) + terms
 
 
 def brute_standard_tableaux(shape) -> int:
@@ -295,6 +293,45 @@ class TestXi:
         assert xi_from_roots(roots) == derivative_at_one
 
 
+def is_hook(p) -> bool:
+    return bool(p) and p[0] + len(p) - 1 == sum(p)
+
+
+class TestSlotFacts:
+    """The three facts the fold's closed forms rest on, against each
+    partition's own pair."""
+
+    @pytest.mark.parametrize("r", SLOT_RANKS)
+    def test_a_nonempty_later_slot_has_value_zero(self, r):
+        for p in SLOT_PARTITIONS[1:]:
+            assert pair_of([-1 + r * c for c in contents(p)])[0] == 0
+
+    @pytest.mark.parametrize("r", SLOT_RANKS)
+    def test_a_later_slot_derivative_is_nonzero_exactly_on_hooks(self, r):
+        for p in SLOT_PARTITIONS[1:]:
+            _, derivative = pair_of([-1 + r * c for c in contents(p)])
+            assert (derivative != 0) == is_hook(p)
+            if is_hook(p):
+                assert derivative == _hook_derivative(r, sum(p), len(p) - 1)
+
+    @pytest.mark.parametrize("r", SLOT_RANKS)
+    def test_slot_zero_value_is_nonzero_exactly_on_rows(self, r):
+        for p in SLOT_PARTITIONS:
+            value, _ = pair_of([r - 1 + r * c for c in contents(p)])
+            k = sum(p)
+            assert value == (r**k * factorial(k) if len(p) <= 1 else 0)
+
+    @pytest.mark.parametrize("r,n", [(1, 0), (1, 9), (2, 1), (3, 8), (30, 6)])
+    def test_slot_zero_pairs_group_the_partitions_of_n(self, r, n):
+        expected: dict = {}
+        for p in partitions_of(n):
+            key = pair_of([r - 1 + r * c for c in contents(p)])
+            expected[key] = expected.get(key, 0) + character_dimension((p,)) ** 2
+        pairs, _, listed = _slot_zero_pairs(r, n)
+        assert pairs == expected
+        assert listed == len(partitions_of(n))
+
+
 class TestCodimSpectrum:
     def test_g212(self):
         assert codim_spectrum_combinatorial(2, 2) == ((10, 1), (2, 1), (-2, 6))
@@ -336,7 +373,7 @@ class TestCodimSpectrum:
         eigenvalues = [value for value, _ in codim_spectrum_combinatorial(3, 3)]
         assert eigenvalues == sorted(eigenvalues, reverse=True)
 
-    @pytest.mark.parametrize("r,n", SMALL_RANKS + BENCHMARK_FOLDS)
+    @pytest.mark.parametrize("r,n", SMALL_RANKS + BENCHMARK_FOLDS + MANY_SLOT_FOLDS)
     def test_fold_matches_aggregated_entries(self, r, n):
         aggregated: dict[int, int] = {}
         for eigenvalue, multiplicity, _ in codim_spectrum_entries(r, n):
@@ -352,7 +389,7 @@ class TestCodimSpectrum:
         def unreachable(*args):
             raise AssertionError("partition table built before the cap check")
 
-        for name in ("partitions_of", "_pair_table", "_grow"):
+        for name in ("partitions_of", "_slot_zero_pairs", "_grow"):
             monkeypatch.setattr(partitions_module, name, unreachable)
         for fn in (codim_spectrum_entries, enumerate_partition_tuples):
             with pytest.raises(SizeLimitError, match="9035539 partition tuples"):
@@ -444,7 +481,9 @@ class TestCodimSpectrum:
         assert codim_spectrum_combinatorial(r, n)
         assert len(runs) == 1
 
-    @pytest.mark.parametrize("r,n", [(1, 12), (2, 9), (3, 6), (5, 4)])
+    @pytest.mark.parametrize(
+        "r,n", [(1, 12), (2, 9), (3, 6), (5, 4), (2, 1), (2, 2), (3, 3)]
+    )
     def test_fold_cap_bounds_the_fold_steps(self, r, n, monkeypatch):
         # the bound is never below the steps the fold really takes
         monkeypatch.setattr(
@@ -458,15 +497,15 @@ class TestCodimSpectrum:
     )
     def test_fold_cap_admits_the_fast_folds(self, r, n, monkeypatch):
         # the benchmark's exact spectra, and G(2,1,30) and G(2,1,36), whose
-        # folds take about 0.15 s and 0.5 s: the fold gets past its cap and
-        # on to its pair table
+        # folds take about 0.06 s and 0.2 s: the fold gets past its cap and
+        # on to its lattice
         class Admitted(Exception):
             pass
 
         def admitted(*args):
             raise Admitted
 
-        monkeypatch.setattr(partitions_module, "_pair_table", admitted)
+        monkeypatch.setattr(partitions_module, "_slot_zero_pairs", admitted)
         with pytest.raises(Admitted):
             codim_spectrum_combinatorial(r, n)
 
@@ -480,7 +519,7 @@ class TestCodimSpectrum:
             return above, cells
 
         monkeypatch.setattr(partitions_module, "_grow", corrupted)
-        # one slot records only level n; more slots record level 1 first,
+        # one slot checks only level n; more slots check level 1 first,
         # whose one partition now has f = 2
         match = "partitions of 3 sum to" if r == 1 else "partitions of 1 sum to 4,"
         with pytest.raises(ParameterError, match=match):
@@ -495,23 +534,23 @@ class TestCodimSpectrum:
             if rec.name == "reflectra.partitions"
         ]
         assert len(records) == 1
-        distinct = [
-            sum(
-                len({pair_of([shift + r * c for c in contents(p)])
-                     for p in partitions_of(k)})
-                for k in range(n + 1)
-            )
-            for shift in (r - 1, -1)
-        ]
-        states = {
-            pair_of(poincare_star_roots(tpl, r))
+        slot_zero = {
+            pair_of([r - 1 + r * c for c in contents(p)]) for p in partitions_of(n)
+        }
+        # a hook is a partition with one box of content 0
+        row_hooks = sum(
+            contents(p).count(0) == 1
+            for k in range(n) for p in partitions_of(n - k)
+        )
+        eigenvalues = {
+            pair_of(poincare_star_roots(tpl, r))[1]
             for tpl in enumerate_partition_tuples(r, n)
         }
-        # the recorded levels 0..16 hold sum_{k<=16} p(k) = 915 partitions
         assert records[0].startswith(
             f"codimension fold of G(2,1,16): {lattice_cells(n)} lattice "
-            f"cells, 915 partitions on the recorded levels, distinct pairs "
-            f"per slot kind {distinct}, {len(states)} final fold states, "
+            f"cells, {len(partitions_of(n))} partitions of 16, "
+            f"{len(slot_zero)} distinct slot-0 pairs, {row_hooks} row x hook "
+            f"terms, {len(eigenvalues)} distinct eigenvalues, "
         )
 
 
