@@ -13,6 +13,9 @@ and group, alternating which tree goes first, with one BLAS thread
   first call of each per-element fact, `codims`, `conjugacy` and
   `reflection_lengths` in that order, and reports its peak RSS
   (`ru_maxrss`);
+* classes: the interpreter builds the group, then takes `conjugacy` and
+  then `rational`, the class records of the `group` and `classes` commands,
+  and reports the time of each (the first with the build) and its peak RSS;
 * spectrum: the interpreter builds the group and runs only the
   class-algebra distance spectrum, and reports the time of both together
   and its peak RSS.
@@ -55,6 +58,21 @@ peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps([group.order, len(group.conjugacy), times, peak]))
 """
 
+CLASSES = """
+import json, resource, sys, time
+from reflectra.groups import Group, GroupParams
+
+(r, p, n), cap = json.loads(sys.argv[1])
+start = time.perf_counter()
+group = Group(GroupParams(r, p, n), max_order=cap)
+group.conjugacy
+middle = time.perf_counter()
+group.rational
+end = time.perf_counter()
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps([(middle - start) * 1e3, (end - middle) * 1e3, peak]))
+"""
+
 SPECTRUM = """
 import json, resource, sys, time
 from reflectra.groups import Group, GroupParams
@@ -74,10 +92,14 @@ def measure(trees: dict[str, Path]) -> dict:
     def once(tree: Path):
         return [run_in(tree, FIRST_CALLS, [g, STAGES, RAISED_CAP]) for g in GROUPS]
 
+    def classes(tree: Path):
+        return [run_in(tree, CLASSES, [g, RAISED_CAP]) for g in GROUPS]
+
     def spectra(tree: Path):
         return [run_in(tree, SPECTRUM, [g, RAISED_CAP]) for g in GROUPS]
 
     runs = alternate(trees, ROUNDS, once)
+    class_runs = alternate(trees, ROUNDS, classes)
     spectrum_runs = alternate(trees, ROUNDS, spectra)
     first = next(iter(trees))
     rows = []
@@ -92,6 +114,13 @@ def measure(trees: dict[str, Path]) -> dict:
             row[f"{label}_total_ms"] = statistics.median(sum(t) for t in times)
             row[f"{label}_peak_mb"] = statistics.median(m for *_, m in results)
         for label in trees:
+            results = [run[i] for run in class_runs[label]]
+            for j, stage in enumerate(("conjugacy", "rational")):
+                row[f"{label}_classes_{stage}_ms"] = statistics.median(
+                    result[j] for result in results
+                )
+            row[f"{label}_classes_peak_mb"] = statistics.median(m for *_, m in results)
+        for label in trees:
             results = [run[i] for run in spectrum_runs[label]]
             row[f"{label}_spectrum_ms"] = statistics.median(t for t, _ in results)
             row[f"{label}_spectrum_peak_mb"] = statistics.median(m for _, m in results)
@@ -105,9 +134,11 @@ if __name__ == "__main__":
         {
             "script": "scripts/bench_group_data.py",
             "what": "first-call times of codims, conjugacy and "
-                    "reflection_lengths and peak RSS, then group build plus "
-                    "class-algebra distance spectrum time and peak RSS, "
-                    "median over rounds of fresh interpreters, 1 BLAS thread",
+                    "reflection_lengths and peak RSS; group build plus "
+                    "conjugacy, then rational, times and peak RSS; group "
+                    "build plus class-algebra distance spectrum time and peak "
+                    "RSS; median over rounds of fresh interpreters, 1 BLAS "
+                    "thread",
             "rounds": ROUNDS,
         },
         measure,

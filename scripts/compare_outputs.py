@@ -17,6 +17,9 @@ imported from PATH/src.  The requests are:
   enumeration or the dense matrix cap;
 * the class-algebra distance spectrum of G(3,1,3) on an explicit
   `--connection-set all-reflections`;
+* `group` and `classes` in text and in json, with the enumeration cap
+  raised, on G(2,1,7), G(2,2,7), G(6,2,4), G(3,3,5), G(4,4,5) and G(4,2,5),
+  past desk scale and with split classes;
 * on every desk-scale group of order at most 200: `group`, `classes` and
   `reflections` in text and in json, `lengths` in text, csv and json,
   `matrix` in text, csv and json for the three kinds, `spectrum --format
@@ -139,6 +142,13 @@ def requests() -> list[tuple[list[str], dict[str, str]]]:
     ]
     found += [(["spectrum", "3", "1", "3", "--kind", "distance", "--method",
                 "class-algebra", "--connection-set", "all-reflections"], {})]
+    found += [
+        ([command, *map(str, group), "--format", fmt],
+         {"REFLECTRA_MAX_ORDER": "10000000"})
+        for group in ((2, 1, 7), (2, 2, 7), (6, 2, 4), (3, 3, 5), (4, 4, 5), (4, 2, 5))
+        for command in ("group", "classes")
+        for fmt in ("text", "json")
+    ]
     for params in desk_scale_params(max_order=200):
         group = [str(params.r), str(params.p), str(params.n)]
         found += [

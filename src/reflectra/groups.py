@@ -25,20 +25,18 @@ all d values on the G(r, 1, n) class: the class of w is (type, L(w) mod d).
 
 `Group` lists the elements as a product, index = (permutation rank) * m +
 (exponent rank) over the n! permutations and the m = r^n / p admissible
-exponent rows, both in lex order.  Both ranks are arithmetic: a
-permutation's is its Lehmer code read in mixed radix, and an admissible
-row's is its base-r value divided by p.  So an index map forms each
-product on the two blocks and ranks it, without a |G|-long table; the
-quotients x_i x_j^{-1} of one permutation's elements by all of G, rows of a
-group matrix's index table, need only n! permutation ranks and an (m, m)
-table of exponent ranks.  The cycles and element text are likewise found
-per permutation and per exponent row and then combined.  The cycle types
-come from one small table per group: a permutation's cycles, listed by
-least position, have a size sequence (a composition of n), and the raw
-exponent sums along them, read in mixed radix, pick an entry in that
-sequence's block.  So every element's entry is one product of the exponent
-rows with per-permutation place values, its type and codimension are
-gathers from the table, and L is one such product too.
+exponent rows, both in lex order.  Both ranks are arithmetic (a Lehmer
+code in mixed radix; a base-r value divided by p), so index maps form
+products on the two blocks and rank them without a |G|-long table.  The
+cycle types come from one small table per group: a permutation's cycles,
+listed by least position, have a size sequence (a composition of n), and
+the raw exponent sums along them, read in mixed radix, pick an entry in
+that sequence's block.  An element's entry is one product of its exponent
+row with its permutation's place values, and L is another.  The classes
+need no pass over the group: each has its least member in the row of the
+least permutation of its size sequence, and a type with m_(k,c) cycles of
+size k and sum c has n! r^n / z elements, z = prod (k r)^m_(k,c) m_(k,c)!
+(Macdonald, ch. I, appendix B), shared evenly by its d classes.
 
 The scalar matrices of G(r, p, n) are the powers of z = zeta^c0 I with
 c0 = p / gcd(n, p), a cyclic group of order h = r gcd(n, p) / p.  They are
@@ -296,17 +294,16 @@ def find_galois_exponent(x: GroupElement, d: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ConjugacyClasses:
-    """Conjugacy classes over a fixed element enumeration.
+    """The k-long record of the conjugacy classes of a fixed enumeration.
 
-    Classes are numbered by their least member index (`class_of` labels each
-    element); that member, the lexicographically least element of the class,
-    found by the numbering, is the representative.  The identity has index
-    0, so its class is class 0.  `types` holds each class's row in the
-    group's cycle-type table and `inverse` its inverse class, both k long.
-    There are no member lists: C's members are where `class_of` is C.
+    Classes are numbered by their least member index, the representative,
+    the lexicographically least element of the class.  The identity has
+    index 0, so its class is class 0.  `sizes` holds each class's number of
+    elements, `types` its row in the group's cycle-type table and `inverse`
+    its inverse class.  Nothing here is |G| long: each element's class is
+    `Group.class_of`.
     """
 
-    class_of: np.ndarray
     representatives: tuple[int, ...]
     sizes: tuple[int, ...]
     types: np.ndarray
@@ -316,27 +313,9 @@ class ConjugacyClasses:
         return len(self.sizes)
 
 
-_NO_MEMBER = np.iinfo(np.int64).max
-
-
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
-
-
-def _by_least_member(
-    labels: np.ndarray, members: np.ndarray, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Renumbering of the labels 0, ..., count - 1 in order of least member,
-    from the labels of some members that include the least one of each label
-    met: the new number of each label (-1 if never met), the met labels in
-    their new order and their least members."""
-    least = np.full(count, _NO_MEMBER)
-    np.minimum.at(least, labels, members)
-    ordered = np.argsort(least)[: np.count_nonzero(least < _NO_MEMBER)]
-    number = np.full(count, -1, dtype=np.int64)
-    number[ordered] = np.arange(len(ordered))
-    return number, ordered, least[ordered]
 
 
 @dataclass(frozen=True)
@@ -352,6 +331,11 @@ class RationalClasses:
 
     def __len__(self) -> int:
         return len(set(self.class_to_rational))
+
+
+def _products(rows: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """rows[i] . exps[i, e] over (R, n) rows and (M, n) or (R, M, n) exps."""
+    return rows @ exps.T if exps.ndim == 2 else (exps @ rows[..., None])[..., 0]
 
 
 def _enumeration_cap(explicit: int | None) -> int:
@@ -375,46 +359,35 @@ class Group:
     """G(r, p, n) with a fixed, deterministic element enumeration.
 
     Elements are listed lexicographically by (perm, exponents), so the
-    identity has index 0.  The listing is a product of two blocks:
-    `_perm_block` holds the n! permutations (`_inv_block` their inverses)
-    and `_exp_block` the m = r^n / p exponent rows with sum = 0 mod p, each
-    in lex order, and element q * m + e is (exponent row e | permutation
-    q).  No array of the group is |G| long until a per-element fact asks
-    for one.  The index maps (`product_indices`, `left_mult_indices`,
-    `inverse_of`) and `index_of` compute each product's permutation and
-    exponent row from the blocks and rank them:
-    `_perm_rank` reads the Lehmer code, whose digit at position i is perm[i]
-    less the popcount of the smaller images already seen, in mixed radix;
-    `_exp_rank` divides the base-r value by p, since the r / p admissible
-    rows with a common prefix are values p apart.  A left multiplication
-    changes the permutation and the exponent row of each element
-    independently, so its map is an outer sum of n! and m ranks.
+    identity has index 0, as a product of two blocks: `_perm_block`, the n!
+    permutations (`_inv_block` their inverses), built on first use, and
+    `_exp_block`, the m = r^n / p exponent rows with sum = 0 mod p; element
+    q * m + e is (exponent row e | permutation q).  No array is |G| long
+    until a per-element fact asks for one.  The index maps
+    (`product_indices`, `left_mult_indices`, `inverse_indices`) and
+    `index_of` form each product's permutation and exponent row on the
+    blocks and rank them: `_perm_rank` reads the Lehmer code (digit i is
+    perm[i] less the popcount of the smaller images seen) in mixed radix,
+    and `_exp_rank` divides the base-r value by p, since the r / p
+    admissible rows with a common prefix are values p apart.
     `quotient_row_chunks` yields the index table of a group matrix,
-    x_i * x_j^{-1} for a chunk of rows against every column, chunk by chunk:
-    per left permutation, an outer sum of n! permutation ranks and an (m, m)
-    table of exponent ranks read at the inverses' exponent ranks.
-    `element(i)` builds one `GroupElement`, `elements` all of them on first
-    use.  Dense index maps keep bulk operations in numpy.
+    x_i * x_j^{-1}, chunk by chunk: per left permutation, an outer sum of n!
+    permutation ranks and an (m, m) table of exponent ranks.  `element(i)`
+    builds one `GroupElement`, `elements` all of them on first use.
 
     Codimension and reflection length depend on the cycle type alone, so
     they are kept per type, `type_codims` and `type_lengths` (Shi's formula,
-    module docstring, certified on the types).  The cycles are walked once
-    per permutation into the cycle-type table, at most 2^(n-1) r^n entries
-    decoded and keyed once, and each element's type, kept |G| long, is a
-    gather through its entry.  `conjugacy` holds the classes
-    (cycle type, L mod d), numbered by least member from one row per size
-    sequence, which gives the representatives, with the k-long record the
-    spectrum routes read and no member lists; `class_sum_matrix` scans the
-    labels for one class's members and multiplies out its class sum at
-    chosen columns.  `scalar_shift` and `type_exponent_sums`, built lazily
-    and read only by the class-algebra route, map each class C to z C for
-    the generator z of the scalar matrices (module docstring) and give each
-    type's exponent sum mod r, the exponent of the linear character
-    (a | s) -> zeta^(sum a).  `codims` and
-    `reflection_lengths` are read-only gathers through the types, built
-    when an element-level caller asks.  `text_blocks` formats each
-    permutation and exponent row once, and `rational` ranks one table of
-    the powers of the k class representatives and labels each class.
+    module docstring, certified on the types), with `type_exponent_sums`
+    for the linear character (a | s) -> zeta^(sum a).  `conjugacy` (the
+    k-long record the spectrum routes read), `rational` and `scalar_shift`
+    (the class of z C for the generator z of the scalar matrices) come from
+    the cycle-type table and a few permutation rows (`_cycle_data`), walked
+    by the one classifier `_classes_of`.  It builds the read-only labels
+    `class_of` and `type_of`, and `codims` and `reflection_lengths` through
+    them, over all n! permutations only when an element-level caller asks:
+    the dense build, the length listings and `class_sum_matrix`, which
+    multiplies out one class sum at chosen columns.  `text_blocks` formats
+    each permutation and exponent row once.
     """
 
     def __init__(self, params: GroupParams, max_order: int | None = None):
@@ -432,16 +405,24 @@ class Group:
             )
         self.params = params
         self.order = params.order
-        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
         exps = np.indices((r,) * n, dtype=np.int64).reshape(n, -1).T
-        self._perm_block = perms
-        self._inv_block = np.argsort(perms, axis=1)
         self._exp_block = exps[exps.sum(axis=1) % p == 0]
         self._exp_weights = r ** np.arange(n - 1, -1, -1, dtype=np.int64)
         # popcount of every n-bit mask of images, for the Lehmer digits
         self._popcount = np.zeros(1 << n, dtype=np.int64)
         for bit in range(n):
             self._popcount[1 << bit : 2 << bit] = self._popcount[: 1 << bit] + 1
+
+    @cached_property
+    def _perm_block(self) -> np.ndarray:
+        """The n! permutations in lex order, built on first use."""
+        n = self.params.n
+        perms = itertools.chain.from_iterable(itertools.permutations(range(n)))
+        return np.fromiter(perms, np.int64, n * factorial(n)).reshape(-1, n)
+
+    @cached_property
+    def _inv_block(self) -> np.ndarray:
+        return np.argsort(self._perm_block, axis=1)
 
     def _perm_rank(self, perms: np.ndarray) -> np.ndarray:
         """Lex rank among the n! permutations of each row of perms: its
@@ -477,13 +458,19 @@ class Group:
                 f"of order {self.order}"
             )
         q, e = divmod(i, len(self._exp_block))
-        exps, perm = self._exp_block[e].tolist(), self._perm_block[q].tolist()
-        return GroupElement(self.params.r, tuple(exps), tuple(perm))
+        # the Lehmer code of rank q picks each image from those left
+        left, perm = list(range(self.params.n)), []
+        for place in range(self.params.n - 1, -1, -1):
+            digit, q = divmod(q, factorial(place))
+            perm.append(left.pop(digit))
+        return GroupElement(self.params.r, tuple(self._exp_block[e].tolist()), tuple(perm))
 
     @cached_property
     def elements(self) -> tuple[GroupElement, ...]:
         """Every element in enumeration order, built on first use."""
-        return tuple(self.element(i) for i in range(self.order))
+        exps = list(map(tuple, self._exp_block.tolist()))
+        perms = itertools.permutations(range(self.params.n))
+        return tuple(GroupElement(self.params.r, row, perm) for perm in perms for row in exps)
 
     def text_blocks(self) -> tuple[list[str], list[str]]:
         """The texts of the exponent rows, each ending in "|", and of the
@@ -504,27 +491,17 @@ class Group:
         e = self._exp_rank(np.array(x.exponents, dtype=np.int64))
         return int(q * len(self._exp_block) + e)
 
-    def _inverse_ranks(self, q, e) -> np.ndarray:
-        """Index of the inverse of (exponent row e | permutation q), over q
-        and e broadcast together: (a | s)^{-1} = (b | s^{-1}) with
-        b_i = c_{s(i)}, c = -a mod r, so the base-r value of b is
-        c @ (weights permuted by s^{-1})."""
-        inverse = self._inv_block[q]
-        negated = (-self._exp_block[e]) % self.params.r
-        values = np.einsum("...i,...i->...", negated, self._exp_weights[inverse])
-        return self._perm_rank(inverse) * len(self._exp_block) + values // self.params.p
-
-    def inverse_of(self, indices) -> np.ndarray:
-        """Index of the inverse of each element of an index array."""
-        indices = np.asarray(indices, dtype=np.int64)
-        return self._inverse_ranks(*np.divmod(indices, len(self._exp_block)))
-
     @cached_property
     def inverse_indices(self) -> np.ndarray:
-        """Index map k -> index of elements[k]^{-1}: `_inverse_ranks` over
-        every permutation against every exponent row."""
-        perms, m = len(self._perm_block), len(self._exp_block)
-        return self._inverse_ranks(np.arange(perms)[:, None], np.arange(m)).ravel()
+        """Index map k -> index of elements[k]^{-1}, over every permutation
+        s against every exponent row a: (a | s)^{-1} = (b | s^{-1}) with
+        b_i = c_{s(i)}, c = -a mod r, so the base-r value of b is
+        c @ (weights permuted by s^{-1})."""
+        negated = (-self._exp_block) % self.params.r
+        values = self._exp_weights[self._inv_block] @ negated.T
+        values //= self.params.p
+        values += self._perm_rank(self._inv_block)[:, None] * len(self._exp_block)
+        return values.ravel()
 
     def left_mult_indices(self, g: int) -> np.ndarray:
         """Index map k -> index of elements[g] * elements[k].  The product
@@ -592,47 +569,35 @@ class Group:
         table += ranks[:, None, :, None]
         return table.reshape(-1, self.order)
 
-    def _cycle_walk(self) -> tuple[np.ndarray, ...]:
-        """The cycle-type table and every element's entry in it, as
-        (index, firsts, weights, codes, codims).
+    @cached_property
+    def _cycle_data(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """The cycle-type table (module docstring) and the class records,
+        from the size sequences and their least permutations alone.
 
-        The powers s^0, ..., s^n of the n! permutations give the least
-        position on the cycle through each position; the cycles, listed by
-        least position, have a size sequence k_1, ..., k_j, a composition of
-        n.  An element's sum along cycle i, before the reduction mod r, lies
-        in [0, k_i (r - 1)], so these sums read in mixed radix with bases
-        k_i (r - 1) + 1 number the cycle data of the permutation's elements
-        densely.  The table holds one such block per size sequence, at most
-        2^(n-1) r^n entries in all.  Each position carries the place value
-        of its cycle, so place values @ exps.T plus the block's offset is
-        `index`, the entry of every element, (n!, m), in the smallest
-        unsigned type.  Per entry, decoded once for the whole table, `codes`
-        holds the sorted codes (cycle size - 1) * r + cycle sum, a cycle of
-        size k filling k equal codes, and `codims` n minus the number of
-        cycles whose sum vanishes mod r.
+        A block per sequence k_1, ..., k_j numbers the cycle sums, in
+        [0, k_i (r - 1)] before the reduction mod r, in mixed radix: at most
+        2^(n-1) r^n entries, each decoded once into its sorted codes
+        (cycle size - 1) * r + cycle sum, keyed as base-nr digits (below
+        (nr)^n, inside the int64 bound checked at construction).  A
+        relabelling maps a permutation to any other of its sequence, cycle
+        to cycle and walk to walk, keeping exponent sums, so each class has
+        its least member in the row of its sequence's least permutation.
 
-        `weights` holds the weight of a_i in L, the first j >= 1 with
-        s^j(i) the least position of its cycle: walked from there, a_i
-        enters that many partial sums.  Two permutations with the same size
-        sequence differ by a relabelling of positions that maps cycle to
-        cycle and walk to walk; it keeps the exponent sum, so both reach
-        the same entries with the same values of L.  The least member of
-        each entry, and of each (type, L mod d) class, thus lies in the row
-        of the least permutation with its size sequence; `firsts` holds the
-        rank of that permutation for each sequence."""
-        n, r = self.params.n, self.params.r
-        perms = self._perm_block
-        rows = np.arange(len(perms))[:, None]
-        powers = [np.broadcast_to(np.arange(n), perms.shape)]
-        for _ in range(n):
-            powers.append(perms[rows, powers[-1]])
-        powers = np.stack(powers)
-        lead = powers.min(axis=0)
-        weights = (powers[1:] == lead).argmax(axis=0) + 1
-        weights = weights.astype(np.min_scalar_type(n))
-        # the size sequences: slot t of 0..n-1 ends a cycle when bit t of
-        # the sequence's mask is set (slot n-1 always), and slot_cycle
-        # numbers the cycle of each slot; cycles past the last have size 0
+        (walk, rows, reps, types): walk = (place, offsets, starts, splits,
+        number), read by `_classes_of`, holds the place values, block
+        offsets, per entry its type's first label and d (1 if no element has
+        the type), and per label its class (-1 if unmet); rows = (rotations,
+        reversals, table) the least permutations, the reversals of their
+        blocks and the class of each of their elements; reps = (types,
+        indices, rows, exps) each class's type and least member; types =
+        (codes, codims, splits, sums) the sorted codes, codimension
+        (read-only), d and exponent sum of each type."""
+        start = time.perf_counter()
+        n, r, p = self.params.n, self.params.r, self.params.p
+        m = len(self._exp_block)
+        # slot t of 0..n-1 ends a cycle when bit t of the sequence's mask is
+        # set (slot n-1 always), and slot_cycle numbers the cycle of each
+        # slot; cycles past the last have size 0
         masks = np.arange(1 << (n - 1))[:, None] | (1 << (n - 1))
         ends = (masks >> np.arange(n)) & 1
         slot_cycle = np.cumsum(ends, axis=1) - ends
@@ -641,95 +606,138 @@ class Group:
         lengths = bases.prod(axis=1)
         place = np.cumprod(bases, axis=1) // bases
         offsets = np.cumsum(lengths) - lengths
-        # per permutation: each position's cycle number, and the mask of its
-        # size sequence from the sorted least positions
-        cycle = (np.cumsum(lead == np.arange(n), axis=1) - 1)[rows, lead]
-        ordered = np.sort(lead, axis=1)
-        mask = (ordered[:, 1:] != ordered[:, :-1]) @ (1 << np.arange(n - 1))
-        firsts = np.full(len(ends), len(perms))
-        np.minimum.at(firsts, mask, rows[:, 0])
-        # every partial sum of the product stays below the entry it ends
-        # at, so the narrow type cannot wrap
-        dtype = np.min_scalar_type(lengths.sum() - 1)
-        index = place[mask[:, None], cycle].astype(dtype)
-        index = index @ self._exp_block.T.astype(dtype)
-        index += offsets[mask, None].astype(dtype)
-        # per entry: its size sequence and, slot by slot, the sum mod r of
-        # the slot's cycle; a cycle of size k fills k slots and is counted
-        # at its last
         slots = np.arange(len(ends))[:, None], slot_cycle
-        block = np.repeat(np.arange(len(ends)), lengths)
-        local = np.arange(len(block)) - offsets[block]
-        sums = local[:, None] // place[slots][block] % bases[slots][block] % r
-        codims = n - np.count_nonzero((sums == 0) & (ends[block] == 1), axis=1)
-        codes = np.sort(sums + ((sizes[slots] - 1) * r)[block], axis=1)
-        return index, firsts, weights, codes, codims
+        size = sizes[slots]
+        # every entry number, place value and code (below n r <= entries)
+        # fits the narrow type of the entry count
+        dtype = np.min_scalar_type(lengths.sum())
 
-    @cached_property
-    def _cycle_data(self) -> tuple[np.ndarray, ...]:
-        """(type_of, codes, codims, splits, weights, firsts, reps, counts)
-        from one cycle walk.  The table entries are keyed by their sorted
-        codes read as base-nr digits (below (nr)^n, inside the int64 bound
-        checked at construction), and one `np.unique` over the table, not
-        over the group, gives the distinct types.  The types met in G (for p > 1,
-        entries whose sums add up to a non-multiple of p are met by no
-        element) are numbered by least member, read off the rows of
-        `firsts`: `codes` holds each type's sorted codes, `codims` its
-        codimension (read-only), `splits` its number d of G(r, p, n)
-        classes, `reps` its least member and `counts` its number of
-        elements.  Every element's type, `type_of`, is then a gather
-        through its entry, and the entries are dropped.  The types are
-        counted before `type_of` is made read-only: np.bincount copies a
-        read-only input in full, |G| int64 entries."""
-        start = time.perf_counter()
-        index, firsts, weights, codes, entry_codims = self._cycle_walk()
-        n, r, p = self.params.n, self.params.r, self.params.p
+        def per_entry(per_block: np.ndarray) -> np.ndarray:
+            return np.repeat(per_block.astype(dtype), lengths, axis=0)
+
+        # per entry and slot, the sum mod r of the slot's cycle (counted at
+        # its last slot), digits of the entry's place in its block, then the
+        # codes; in place, as the (entries, n) arrays are the largest here
+        local = np.arange(lengths.sum(), dtype=dtype) - per_entry(offsets)
+        codes = local[:, None] // per_entry(place[slots])
+        codes %= per_entry(bases[slots])
+        codes %= r
+        last = np.repeat(ends == 1, lengths, axis=0)
+        codims = n - np.count_nonzero((codes == 0) & last, axis=1)
+        totals = (codes * last).sum(axis=1, dtype=np.int64) % r
+        codes += per_entry((size - 1) * r)
+        codes.sort(axis=1)
         keys = np.ravel_multi_index(tuple(codes.T), (n * r,) * n)
-        _, first, entry_type = np.unique(keys, return_index=True, return_inverse=True)
-        m = len(self._exp_block)
-        number, types, reps = _by_least_member(
-            entry_type[index[firsts]], firsts[:, None] * m + np.arange(m), len(first)
-        )
-        codes = codes[first[types]]
-        codims = _frozen(entry_codims[first[types]])
+        _, first, entry = np.unique(keys, return_index=True, return_inverse=True)
+        codes, codims, totals = codes[first].astype(np.int64), codims[first], totals[first]
         sizes_and_sums = np.concatenate([codes // r + 1, codes % r], axis=1)
         splits = np.gcd(p, np.gcd.reduce(sizes_and_sums, axis=1))
-        type_of = number[entry_type][index].reshape(-1)
-        counts = np.bincount(type_of, minlength=len(types))
-        type_of = _frozen(type_of)
+        splits[totals % p != 0] = 1
+        starts = np.cumsum(splits) - splits
+        # the least permutation of each sequence, in order of rank, sends
+        # slot t to t + 1 and a cycle's last slot back to its first; the
+        # reversal of its blocks conjugates its inverse to it
+        begin = (np.cumsum(sizes, axis=1) - sizes)[slots]
+        after = np.arange(1, n + 1)
+        rotations = np.where(ends == 1, begin, after)
+        firsts = self._perm_rank(rotations)
+        order = np.argsort(firsts)
+        rotations, reversals = rotations[order], (2 * begin + size - after)[order]
+        firsts = firsts[order]
+        # every partial sum of an entry's product stays below the entry, so
+        # the narrow type cannot wrap
+        walk = place.astype(dtype), offsets.astype(dtype), starts[entry], splits[entry]
+        labels = self._classes_of(rotations, self._exp_block, (*walk, np.arange(splits.sum())))
+        least = np.full(splits.sum(), labels.size)
+        np.minimum.at(least, labels.ravel(), np.arange(labels.size))
+        met = np.argsort(least)[: np.count_nonzero(least < labels.size)]
+        number = np.full(splits.sum(), -1)
+        number[met] = np.arange(len(met))
+        # the types in the order they first appear among the classes
+        class_type = np.repeat(np.arange(len(splits)), splits)[met]
+        heads = class_type[np.sort(np.unique(class_type, return_index=True)[1])]
+        type_number = np.full(len(splits), -1)
+        type_number[heads] = np.arange(len(heads))
+        row, e = np.divmod(least[met], m)
+        reps = type_number[class_type], firsts[row] * m + e, row, self._exp_block[e]
+        types = codes[heads], _frozen(codims[heads]), splits[heads], totals[heads]
         log.debug(
             "cycle-type table of %s: |G| = %d, %d size sequences, %d table "
             "entries, %d cycle types, %.4fs",
-            self.params, self.order, len(firsts), len(keys), len(types),
+            self.params, self.order, len(firsts), len(keys), len(heads),
             time.perf_counter() - start,
         )
-        return type_of, codes, codims, splits, weights, firsts, reps, counts
+        return (*walk, number), (rotations, reversals, number[labels]), reps, types
 
-    @property
+    def _classes_of(self, perms: np.ndarray, exps: np.ndarray, walk=None) -> np.ndarray:
+        """The class of every element (exps[i, e] | perms[i]), (R, M), over
+        R permutation rows and exps of shape (M, n), one block for every
+        row, or (R, M, n); only these rows are walked.  The powers of each
+        permutation give the least position on each cycle, hence the size
+        sequence and each position's cycle, whose place value it carries:
+        the exponents times the place values plus the block's offset is the
+        element's entry.  For L, a_i weighs the first j >= 1 with s^j(i)
+        the least position of its cycle: walked from there, a_i enters that
+        many partial sums."""
+        place, offsets, starts, splits, number = walk or self._cycle_data[0]
+        n, flat = self.params.n, np.arange(perms.size)
+        # every position of every row, flat: step takes it to its image
+        step = (perms + flat[::n, None]).ravel()
+        pos = lead = flat
+        for _ in range(n - 1):
+            pos = step[pos]
+            lead = np.minimum(lead, pos)
+        # the cycles of all rows numbered in one run by least position; a
+        # cycle's last slot in its row is its row's count of smaller cycles
+        cycle = (np.cumsum(lead == flat) - 1)[lead]
+        ends = np.zeros(perms.size, dtype=np.int64)
+        ends[np.cumsum(np.bincount(cycle)) - 1] = 1
+        cycle = cycle.reshape(perms.shape) - cycle[::n, None]
+        mask = ends.reshape(perms.shape)[:, :-1] @ (1 << np.arange(n - 1))
+        index = _products(place[mask[:, None], cycle], exps.astype(place.dtype))
+        index += offsets[mask, None]
+        if splits.max() == 1:
+            return number[starts][index]
+        pos, weights, open_ = flat, 0, True
+        for _ in range(n):
+            pos = step[pos]
+            weights = weights + open_
+            open_ = open_ & (pos != lead)
+        labels = _products(weights.reshape(perms.shape), exps)
+        labels %= splits[index]
+        labels += starts[index]
+        return number[labels]
+
+    @cached_property
+    def class_of(self) -> np.ndarray:
+        """Read-only class of every element, by `_classes_of` on demand."""
+        return _frozen(self._classes_of(self._perm_block, self._exp_block).reshape(-1))
+
+    @cached_property
     def type_of(self) -> np.ndarray:
-        """Read-only cycle type of every element, a row of the type table."""
-        return self._cycle_data[0]
+        """Read-only cycle type of every element, a row of the type table;
+        the class itself when no type splits."""
+        types = self._cycle_data[2][0]
+        split = len(types) > len(self.type_codims)
+        return _frozen(types[self.class_of]) if split else self.class_of
 
     @property
     def type_codims(self) -> np.ndarray:
         """Read-only fixed-space codimension of each cycle type."""
-        return self._cycle_data[2]
+        return self._cycle_data[3][1]
 
     @cached_property
     def type_exponent_sums(self) -> np.ndarray:
         """Read-only exponent sum mod r of each cycle type, the sum of its
-        cycle sums, read off the type's least member: det(g) = zeta^e up to
-        the sign of the permutation, and g -> zeta^e is a linear character.
-        Read only by the class-algebra route."""
-        reps = self._cycle_data[6]
-        exps = self._exp_block[reps % len(self._exp_block)]
-        return _frozen(exps.sum(axis=1) % self.params.r)
+        cycle sums: det(g) = zeta^e up to the sign of the permutation, and
+        g -> zeta^e is a linear character."""
+        return _frozen(self._cycle_data[3][3])
 
     @cached_property
     def type_diagonal(self) -> np.ndarray:
         """Read-only flag of each cycle type: every cycle has size 1, so its
         elements are diagonal matrices (each code is below r)."""
-        return _frozen(self._cycle_data[1][:, -1] < self.params.r)
+        return _frozen(self._cycle_data[3][0][:, -1] < self.params.r)
 
     @cached_property
     def type_lengths(self) -> np.ndarray:
@@ -737,17 +745,17 @@ class Group:
         over all reflections (the codimension-1 elements) of its elements.
         Shi's formula (module docstring) gives it from the cycle type alone,
         so `cycle_type_length` runs once per row of the cycle-type table.
-        Certificate, on the table: the identity's type has length 0, every
-        type of codimension 1 length 1, and no type a length below its
-        codimension."""
-        type_of, codes, codims, *_ = self._cycle_data
+        Certificate, on the table: the identity's type (type 0, as the
+        identity is element 0) has length 0, every type of codimension 1
+        length 1, and no type a length below its codimension."""
+        codes, codims = self._cycle_data[3][:2]
         start = time.perf_counter()
         r, p = self.params.r, self.params.p
         lengths = _frozen(np.array([
             cycle_type_length(_cycle_type_of_codes(row, r), r, p)
             for row in codes.tolist()
         ], dtype=np.int64))
-        identity = int(lengths[type_of[self.identity_index]])
+        identity = int(lengths[0])
         not_one = int((lengths[codims == 1] != 1).sum())
         below = int((lengths < codims).sum())
         if identity != 0 or not_one or below:
@@ -765,41 +773,34 @@ class Group:
     @cached_property
     def codims(self) -> np.ndarray:
         """Read-only fixed-space codimension of every element."""
-        return _frozen(self.type_codims[self._cycle_data[0]])
+        return _frozen(self.type_codims[self.type_of])
 
     @cached_property
     def reflection_lengths(self) -> np.ndarray:
         """Read-only reflection length of every element."""
-        return _frozen(self.type_lengths[self._cycle_data[0]])
+        return _frozen(self.type_lengths[self.type_of])
 
     @cached_property
     def conjugacy(self) -> ConjugacyClasses:
         """The classes (cycle type, L mod d) of the module docstring, in
-        order of least member: the types themselves unless one splits (never
-        for p = 1), else L is one product of the weights with the exponent
-        block and the classes are renumbered from the rows of `firsts`.
-        Either numbering yields the least members, the representatives, and
-        the inverse classes come from their k inverses.  The sizes are the
-        types' counts, or a count of the fresh labels of the split classes;
-        no read-only |G|-long array is counted."""
-        type_of, _, _, splits, weights, firsts, reps, sizes = self._cycle_data
-        class_of = type_of
-        if splits.max() > 1:
-            m = len(self._exp_block)
-            starts = np.cumsum(splits) - splits
-            types = type_of.reshape(-1, m)
-            labels = weights @ self._exp_block.T
-            labels %= splits[types]
-            labels += starts[types]
-            number, _, reps = _by_least_member(
-                labels[firsts], firsts[:, None] * m + np.arange(m), splits.sum()
-            )
-            class_of = number[labels].reshape(-1)
-            sizes = np.bincount(class_of)
+        order of least member, with sizes n! r^n / (z d).  The inverse of
+        (a | s), (-a o s | s^{-1}), is conjugate to (-a | s^{-1}) by the
+        permutation matrix (0 | s)."""
+        _, (_, reversals, table), reps, (codes, _, splits, _) = self._cycle_data
+        types, indices, rows, exps = reps
+        n, r = self.params.n, self.params.r
+        # m_(k,c) is the count of the code (k - 1) r + c over k; every term
+        # divides n! r^n, below 2^62 (checked at construction)
+        counts = (codes[:, :, None] == np.arange(n * r)).sum(axis=1)
+        size = np.arange(n * r) // r + 1
+        cycles = counts // size
+        fact = np.array([factorial(i) for i in range(n + 1)])
+        z = np.prod((size * r) ** cycles * fact[cycles], axis=1) * splits
+        sizes = (factorial(n) * r**n // z)[types]
+        inverse = -exps[np.arange(len(rows))[:, None], reversals[rows]]
         return ConjugacyClasses(
-            class_of=class_of, representatives=tuple(reps.tolist()),
-            sizes=tuple(sizes.tolist()),
-            types=type_of[reps], inverse=class_of[self.inverse_of(reps)],
+            representatives=tuple(indices.tolist()), sizes=tuple(sizes.tolist()),
+            types=types, inverse=table[rows, self._exp_rank(inverse)],
         )
 
     @cached_property
@@ -807,14 +808,11 @@ class Group:
         """Read-only class of z rep_C for each class C, where
         z = zeta^c0 I, c0 = p / gcd(n, p), generates the scalar matrices of
         G(r, p, n) (zeta^c I lies in it exactly when n c = 0 mod p); z has
-        order h = r gcd(n, p) / p.  z is central, so z C is a class; the map
-        costs k products and is built only when asked for."""
+        order h = r gcd(n, p) / p.  z is central, so z C is a class, that of
+        z (a | s) = (a + c0 | s), built only when asked for."""
         n, p = self.params.n, self.params.p
-        # the identity permutation has rank 0
-        z = self._exp_rank(np.full(n, p // gcd(n, p)))
-        classes = self.conjugacy
-        reps = np.array(classes.representatives)
-        return _frozen(classes.class_of[self.product_indices(z, reps)])
+        _, (_, _, table), (_, _, rows, exps), _ = self._cycle_data
+        return _frozen(table[rows, self._exp_rank(exps + p // gcd(n, p))])
 
     def class_sum_matrix(self, c: int, columns) -> np.ndarray:
         """M[l, j] = #{u in C_c : u^-1 rep_j in C_l}, as float64, over the
@@ -831,7 +829,7 @@ class Group:
         b o s^-1, gathered once per distinct s and column, plus a."""
         classes = self.conjugacy
         reps = np.array(classes.representatives)[columns]
-        members = np.flatnonzero(classes.class_of == classes.inverse[c])
+        members = np.flatnonzero(self.class_of == classes.inverse[c])
         m = len(self._exp_block)
         perms, perm_of = np.unique(members // m, return_inverse=True)
         rep_perms, rep_perm_of = np.unique(reps // m, return_inverse=True)
@@ -841,7 +839,7 @@ class Group:
         exps = shifted.transpose(1, 0, 2)[perm_of]
         exps += self._exp_block[members % m][:, None]
         products = ranks[perm_of][:, rep_perm_of] * m + self._exp_rank(exps)
-        cells = classes.class_of[products] * len(reps) + np.arange(len(reps))
+        cells = self.class_of[products] * len(reps) + np.arange(len(reps))
         counts = np.bincount(cells.ravel(), minlength=len(classes) * len(reps))
         return counts.reshape(len(classes), len(reps)).astype(np.float64)
 
@@ -855,25 +853,30 @@ class Group:
         cycles of its type.  For d up to the largest order,
         g^d = (a + A o s^-1 | s^d) for g = (a | s) and g^(d-1) = (A | s^(d-1))
         is two gathers over all k representatives at once, and the whole
-        table is ranked in one call."""
+        table is classified in one `_classes_of` call."""
         classes = self.conjugacy
-        n, r, m, k = self.params.n, self.params.r, len(self._exp_block), len(classes)
-        codes = self._cycle_data[1][classes.types]
+        _, (rotations, *_), (_, _, rows, first_exps), (codes, *_) = self._cycle_data
+        n, r, k = self.params.n, self.params.r, len(classes)
+        codes = codes[classes.types]
         orders = np.lcm.reduce((codes // r + 1) * (r // np.gcd(codes % r, r)), axis=1)
-        q, e = np.divmod(np.array(classes.representatives, dtype=np.int64), m)
-        perms = np.empty((orders.max(), k, n), dtype=np.int64)
+        # positions and exponents, reduced mod r at each power, in the
+        # narrow type of 2 r and n
+        perms = np.empty((orders.max(), k, n), dtype=np.min_scalar_type(max(n, 2 * r)))
         exps = np.empty_like(perms)
-        perms[0], exps[0] = self._perm_block[q], self._exp_block[e]
+        perms[0], exps[0] = rotations[rows], first_exps
         # the flat positions of s(j) and of s^-1(j) in row i of a power
         ahead = perms[0] + np.arange(k)[:, None] * n
-        back = self._inv_block[q] + np.arange(k)[:, None] * n
+        back = np.argsort(perms[0], axis=1) + np.arange(k)[:, None] * n
         for d in range(1, len(perms)):
             perms[d] = perms[d - 1].take(ahead)
-            exps[d] = exps[0] + exps[d - 1].take(back)
-        # power_class[d - 1, c] is the class of the d-th power of class c
-        power_class = classes.class_of[self._perm_rank(perms) * m + self._exp_rank(exps)]
+            np.add(exps[0], exps[d - 1].take(back), out=exps[d])
+            exps[d] %= r
+        # coprime[d - 1, c] is the class of the d-th power of class c, if d
+        # is a coprime power, else k
         d = np.arange(1, len(perms) + 1)[:, None]
-        coprime = np.where((np.gcd(d, orders) == 1) & (d <= orders), power_class, k)
+        powers = (np.gcd(d, orders) == 1) & (d <= orders)
+        coprime = np.full(powers.shape, k)
+        coprime[powers] = self._classes_of(perms[powers], exps[powers, None])[:, 0]
         labels = np.unique(coprime.min(axis=0), return_inverse=True)[1]
         return RationalClasses(
             class_to_rational=tuple(labels.tolist()), orders=tuple(orders.tolist())

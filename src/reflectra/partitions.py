@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import operator
 import time
 from functools import lru_cache
 from math import comb, factorial
@@ -54,6 +55,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_TUPLE_CAP = 10**6
 DEFAULT_FOLD_CAP = 10**7
+DEFAULT_ROOT_CAP = 10**6
 
 Partition = tuple[int, ...]
 PartitionTuple = tuple[Partition, ...]
@@ -126,11 +128,18 @@ def hook_lengths(p: Partition) -> tuple[int, ...]:
     )
 
 
+def _balanced(items, times, one):
+    """Fold items with an associative times (one if none) as a balanced
+    tree, so that big integers meet at similar sizes, not one by one."""
+    items = list(items) or [one]
+    while len(items) > 1:
+        paired = [times(a, b) for a, b in zip(items[::2], items[1::2])]
+        items = paired + items[2 * len(paired):]
+    return items[0]
+
+
 def hook_product(p: Partition) -> int:
-    product = 1
-    for h in hook_lengths(p):
-        product *= h
-    return product
+    return _balanced(hook_lengths(p), operator.mul, 1)
 
 
 def character_dimension(tpl: PartitionTuple) -> int:
@@ -159,23 +168,17 @@ def _check_ranks(r: int, n: int) -> None:
         raise ParameterError(f"need r >= 1 and n >= 0, got r={r}, n={n}")
 
 
-def _tuple_counts(r: int, counts: list[int]):
-    """Per s = 1, ..., r, the number of s-tuples of partitions of each total
-    up to n, from the partition numbers counts = p(0..n)."""
-    n = len(counts) - 1
-    vec = [1] + [0] * n
+def count_partition_tuples(r: int, n: int) -> int:
+    """The r-tuples of partitions of total n, slot by slot from p(0..n)."""
+    _check_ranks(r, n)
+    counts = partition_counts(n)
+    tuples = [1] + [0] * n
     for _ in range(r):
-        vec = [
-            sum(counts[k] * vec[total - k] for k in range(total + 1))
+        tuples = [
+            sum(counts[k] * tuples[total - k] for k in range(total + 1))
             for total in range(n + 1)
         ]
-        yield vec
-
-
-def count_partition_tuples(r: int, n: int) -> int:
-    _check_ranks(r, n)
-    *_, last = _tuple_counts(r, partition_counts(n))
-    return last[n]
+    return tuples[n]
 
 
 def enumerate_partition_tuples(r: int, n: int) -> tuple[PartitionTuple, ...]:
@@ -213,11 +216,9 @@ ValueDerivative = tuple[int, int]
 def _product(pairs) -> ValueDerivative:
     """(value, derivative) at t = 1 of a product of polynomials, from the
     (value, derivative) pairs of the factors: the product rule
-    (V, D) * (v, d) = (V v, D v + V d), in exact integer arithmetic."""
-    value, derivative = 1, 0
-    for v, d in pairs:
-        value, derivative = value * v, derivative * v + value * d
-    return value, derivative
+    (V, D) * (v, d) = (V v, D v + V d), associative, in exact integer
+    arithmetic as a balanced tree."""
+    return _balanced(pairs, lambda x, y: (x[0] * y[0], x[1] * y[0] + x[0] * y[1]), (1, 0))
 
 
 def xi_from_roots(roots: tuple[int, ...]) -> int:
@@ -313,22 +314,20 @@ def codim_spectrum_combinatorial(r: int, n: int) -> tuple[tuple[int, int], ...]:
     multiplicity) pairs, eigenvalues descending, from parts (a)-(c) of the
     module docstring.  Squared dimensions must add up to r^n * n!.
 
-    No tuple is listed, so the work is capped before any partition is, by
-    the bound of a fold over the r slots one at a time, which stays above
-    the work here: the same lattice, p(n) <= T_r(n) partitions of n, and
-    n (n + 3) / 2 closed-form terms, within the slot terms' rest.  The
-    lattice visits sum_{j<k} p(j) cells into level k, at most k p(k), and
-    sum_{m=1..n} m p(n - m) up to level n, at most n p(n), both by Euler's
-    n p(n) = sum_{m=1..n} sigma(m) p(n - m).  Slot s + 1 pairs each state,
-    reached by some s-tuple, with each distinct pair of the sizes that fit,
-    at most one per partition: at most T_{s+1}, the (s + 1)-tuples, of total
-    at most n (of total n in the last slot).  The bound is summed level by
-    level, then slot by slot, and refused once a lower bound on it passes
-    the cap: the last slot adds T_r(n) >= p(n) >= p(k) at level k, and
-    T_r(n) >= T_s(n) after slot s, and each slot in between adds at least as
-    much as slot s."""
+    No tuple is listed, and the work is capped before any partition is.
+    First r n, which bounds the roots, so every integer is below
+    (r n)^n n!; then p(0..n), refused once one p(k) <= p(n) passes the cap;
+    then the whole bound: at most n p(n) lattice cells (Euler's
+    n p(n) = sum_{m=1..n} sigma(m) p(n - m) bounds the sum_{m=1..n}
+    m p(n - m) visited), the p(n) slot-0 pairs and, with later slots, the
+    n (n + 3) / 2 closed-form terms."""
     start = time.perf_counter()
     _check_ranks(r, n)
+    if r * n > DEFAULT_ROOT_CAP:
+        raise SizeLimitError(
+            f"the partition-tuple fold for r={r}, n={n} has roots of size up "
+            f"to r n = {format_size(r * n)}, above the cap {DEFAULT_ROOT_CAP}"
+        )
 
     def refuse(steps: int, whole: bool) -> None:
         bound = format_size(steps) if whole else f"more than {format_size(steps)}"
@@ -337,17 +336,12 @@ def codim_spectrum_combinatorial(r: int, n: int) -> tuple[tuple[int, int], ...]:
             f"steps, above the cap {DEFAULT_FOLD_CAP}"
         )
 
-    steps, counts = 0, []
     for k, count in zip(range(n + 1), _partition_numbers()):
-        counts.append(count)
-        steps += k * count if r > 1 or k == n else 0
-        if k < n and steps + count > DEFAULT_FOLD_CAP:
-            refuse(steps + count, False)
-    for s, vec in enumerate(_tuple_counts(r, counts), 1):
-        steps += sum(vec) if s < r else vec[n]
-        ahead = steps + (r - 1 - s) * sum(vec) + vec[n] if s < r else steps
-        if ahead > DEFAULT_FOLD_CAP:
-            refuse(ahead, s == r)
+        if k < n and count > DEFAULT_FOLD_CAP:
+            refuse(count, False)
+    steps = (n + 1) * count + (n * (n + 3) // 2 if r > 1 else 0)
+    if steps > DEFAULT_FOLD_CAP:
+        refuse(steps, True)
     pairs, cells, listed = _slot_zero_pairs(r, n)
     spectrum: dict[int, int] = {}
     for (_, eigenvalue), squared in pairs.items():  # (a)

@@ -187,7 +187,7 @@ def build_matrix(group: Group, values) -> np.ndarray:
     """Group matrix of a class function given by its per-class values."""
     _check_matrix_cap(group.order)
     values = _class_values(group, values)
-    return matrix_from_element_values(group, values[group.conjugacy.class_of])
+    return matrix_from_element_values(group, values[group.class_of])
 
 
 def distance_matrix_bfs(group: Group, connection: ConnectionSet) -> np.ndarray:
@@ -315,7 +315,7 @@ def class_structure_constants(group: Group) -> np.ndarray:
     tests and the verify checks compare those slices and characters with."""
     classes = group.conjugacy
     k = len(classes)
-    class_of = classes.class_of
+    class_of = group.class_of
     a = np.zeros((k, k, k), dtype=np.int64)
     inv = group.inverse_indices
     for target, rep in enumerate(classes.representatives):

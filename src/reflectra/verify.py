@@ -385,7 +385,7 @@ def _length_formula(params: GroupParams) -> CheckOutcome:
 
 def _rational_constancy(params: GroupParams) -> CheckOutcome:
     group = cached_group(params)
-    rational_of = np.array(group.rational.class_to_rational)[group.conjugacy.class_of]
+    rational_of = np.array(group.rational.class_to_rational)[group.class_of]
     # the distinct (rational class, length, codimension) triples: a rational
     # class met in more than one has a non-constant length or codimension
     triples = np.unique(

@@ -48,7 +48,7 @@ def class_members(group) -> tuple[tuple[int, ...], ...]:
     """The members of each conjugacy class in index order, from `class_of`
     one element at a time."""
     members: list[list[int]] = [[] for _ in range(len(group.conjugacy))]
-    for i, c in enumerate(group.conjugacy.class_of.tolist()):
+    for i, c in enumerate(group.class_of.tolist()):
         members[c].append(i)
     return tuple(tuple(m) for m in members)
 
@@ -208,7 +208,7 @@ def class_function_from_element_values(group, values) -> np.ndarray:
         )
     classes = group.conjugacy
     per_class = values[list(classes.representatives)]
-    off = classes.class_of[values != per_class[classes.class_of]]
+    off = group.class_of[values != per_class[group.class_of]]
     if off.size:
         raise ParameterError(f"values are not constant on conjugacy class {off.min()}")
     return per_class
@@ -234,7 +234,7 @@ def power_scan_rational(group) -> RationalClasses:
         g = group.element(rep)
         o = orders[c]
         powers = (element_power(g, d) for d in range(1, o + 1) if gcd(d, o) == 1)
-        grp = sorted({int(classes.class_of[group.index_of(x)]) for x in powers})
+        grp = sorted({int(group.class_of[group.index_of(x)]) for x in powers})
         for j in grp:
             class_to_rational[j] = len(found)
         found.append(tuple(grp))
@@ -260,7 +260,7 @@ def character_degrees_by_rows(group, omegas) -> list[int]:
     classes = group.conjugacy
     sizes = np.array(classes.sizes, dtype=np.float64)
     reps = np.array(classes.representatives, dtype=np.int64)
-    inverse_class = classes.class_of[group.inverse_indices[reps]]
+    inverse_class = group.class_of[group.inverse_indices[reps]]
     degrees = []
     for row in omegas:
         norm = float(np.real(np.sum(row * row[inverse_class] / sizes)))

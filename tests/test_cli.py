@@ -442,6 +442,28 @@ def test_group_counts_the_reflections(params):
 
 
 @pytest.mark.parametrize(
+    "params", [(2, 1, 6), (2, 2, 6), (3, 3, 5), (6, 2, 4)], ids=str
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_group_and_classes_skip_the_bulk_walk(params, fmt, monkeypatch):
+    # the class records come from the cycle-type table and a few rows; no
+    # label of the n! m elements is built, nor the block of n! permutations
+    def no_walk(self):
+        raise AssertionError("the walk over every element ran")
+
+    for name in ("class_of", "_perm_block"):
+        monkeypatch.setattr(Group, name, property(no_walk))
+    env = {"REFLECTRA_MAX_ORDER": "50000"}
+    for command in ("group", "classes"):
+        args = [command, *map(str, params), "--format", fmt]
+        result = CliRunner().invoke(main, args, env=env)
+        assert result.exit_code == 0, result.output
+    if fmt == "json":
+        sizes = [row["size"] for row in json.loads(result.stdout_bytes)["classes"]]
+        assert sum(sizes) == GroupParams(*params).order
+
+
+@pytest.mark.parametrize(
     "args,calls",
     [
         (["spectrum", "4", "1", "2", "--kind", "distance", "--method", "numeric"], 0),

@@ -49,6 +49,26 @@ from oracles import (
 )
 
 
+def size_sequence(perm) -> tuple[int, ...]:
+    """The sizes of the cycles of a permutation, listed by least position."""
+    sizes, seen = [], set()
+    for start in range(len(perm)):
+        i, size = start, 0
+        while i not in seen:
+            seen.add(i)
+            i, size = perm[i], size + 1
+        if size:
+            sizes.append(size)
+    return tuple(sizes)
+
+
+def type_representatives(group) -> list[GroupElement]:
+    """The least member of each cycle type, that of its first class."""
+    classes = group.conjugacy
+    heads = np.unique(classes.types, return_index=True)[1]
+    return [group.element(classes.representatives[i]) for i in heads]
+
+
 def elements_strategy(max_r: int = 6, max_n: int = 4):
     def build(r, n, exponents, shuffled):
         return GroupElement(r=r, exponents=tuple(e % r for e in exponents), perm=shuffled)
@@ -464,7 +484,7 @@ class TestConjugacy:
             assert classes.sizes[index] == len(members)
             assert classes.representatives[index] == members[0]
             for member in members:
-                assert classes.class_of[member] == index
+                assert group.class_of[member] == index
 
     @pytest.mark.parametrize(
         "params", desk_scale_params() + (GroupParams(2, 2, 6),), ids=str
@@ -475,7 +495,7 @@ class TestConjugacy:
         assert group.element(group.identity_index) == identity_element(
             params.r, params.n
         )
-        assert group.conjugacy.class_of[group.identity_index] == 0
+        assert group.class_of[group.identity_index] == 0
 
     @pytest.mark.parametrize(
         "params", [q for q in desk_scale_params() if q.p == 1], ids=str
@@ -491,7 +511,7 @@ class TestConjugacy:
             for i in orbit:
                 class_of[i] = c
         classes = group.conjugacy
-        assert classes.class_of.tolist() == class_of
+        assert group.class_of.tolist() == class_of
         assert class_members(group) == tuple(tuple(orbit) for orbit in orbits)
         assert classes.representatives == tuple(orbit[0] for orbit in orbits)
         assert classes.sizes == tuple(len(orbit) for orbit in orbits)
@@ -513,39 +533,56 @@ class TestConjugacy:
         for c, orbit in enumerate(orbits):
             class_of[orbit] = c
         classes = group.conjugacy
-        assert classes.class_of.tolist() == class_of.tolist()
+        assert group.class_of.tolist() == class_of.tolist()
         assert class_members(group) == tuple(tuple(orbit) for orbit in orbits)
         assert classes.representatives == tuple(orbit[0] for orbit in orbits)
         assert classes.sizes == tuple(len(orbit) for orbit in orbits)
 
     @pytest.mark.parametrize(
         "params",
-        desk_scale_params() + (GroupParams(2, 2, 6), GroupParams(6, 2, 4)),
+        desk_scale_params() + tuple(
+            GroupParams(*t) for t in [(2, 2, 6), (6, 2, 4), (2, 2, 7), (4, 2, 5)]
+        ),
         ids=str,
     )
     def test_sizes_are_a_count_of_the_labels(self, params):
-        group = Group(params, max_order=50000)
+        # the sizes n! r^n / (z d) come from the cycle types alone
+        group = Group(params, max_order=10**6)
         classes = group.conjugacy
-        counted = np.bincount(classes.class_of, minlength=len(classes))
+        counted = np.bincount(group.class_of, minlength=len(classes))
         assert classes.sizes == tuple(counted.tolist())
 
     def test_conjugacy_allocates_nothing_group_long(self):
-        # the sizes are counted before type_of is made read-only, since
-        # np.bincount copies a read-only input: |G| int64 entries, 8 |G| bytes
+        # the class records come from the cycle-type table and a few rows;
+        # |G| int64 labels would take 8 |G| bytes
         group = Group(GroupParams(2, 1, 7), max_order=10**6)
-        group._cycle_data
         tracemalloc.start()
         try:
-            group.conjugacy
+            group.conjugacy, group.rational
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < group.order
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_firsts_are_the_least_permutation_of_each_size_sequence(self, n):
+        # the closed form, the rows the class records walk, against a
+        # minimum over all n! permutations
+        least: dict = {}
+        for q, perm in enumerate(itertools.permutations(range(n))):
+            least.setdefault(size_sequence(perm), q)
+        group = Group(GroupParams(2, 1, n), max_order=10**6)
+        rotations = group._cycle_data[1][0].tolist()
+        m, zero = len(group._exp_block), (0,) * n
+        ranks = [group.index_of(GroupElement(2, zero, tuple(s))) // m for s in rotations]
+        assert len(ranks) == 2 ** (n - 1) == len(least)
+        assert ranks == sorted(ranks)
+        assert dict(zip(map(size_sequence, rotations), ranks)) == least
+
     @pytest.mark.parametrize("params", desk_scale_params(), ids=str)
     def test_diagonal_types_are_those_with_identity_permutation(self, params):
         group = Group(params)
-        reps = [group.element(int(i)) for i in group._cycle_data[6]]
+        reps = type_representatives(group)
         expected = [x.perm == tuple(range(params.n)) for x in reps]
         assert group.type_diagonal.tolist() == expected
         assert not group.type_diagonal.flags.writeable
@@ -553,36 +590,33 @@ class TestConjugacy:
     @pytest.mark.parametrize("params", desk_scale_params(), ids=str)
     def test_exponent_sums_are_those_of_the_least_members(self, params):
         group = Group(params)
-        reps = [group.element(int(i)) for i in group._cycle_data[6]]
+        reps = type_representatives(group)
         expected = [sum(x.exponents) % params.r for x in reps]
         assert group.type_exponent_sums.tolist() == expected
         assert not group.type_exponent_sums.flags.writeable
 
     def test_one_cycle_walk_feeds_codims_and_classes(self, monkeypatch):
-        # the walk and the cycle-type table built from it, each counted
-        walk, table = Group._cycle_walk, vars(Group)["_cycle_data"]
-        walks, tables = [], []
+        # the bulk walk, `_classes_of` over all n! permutations, runs at
+        # most once per group, and the class records never run it
+        classify, bulk = Group._classes_of, []
 
-        def counting_walk(self):
-            walks.append(self)
-            return walk(self)
+        def counting(self, perms, *args):
+            if perms is vars(self).get("_perm_block"):
+                bulk.append(self)
+            return classify(self, perms, *args)
 
-        def counting_table(self):
-            tables.append(self)
-            return table.func(self)
-
-        counted = functools.cached_property(counting_table)
-        counted.__set_name__(Group, "_cycle_data")
-        monkeypatch.setattr(Group, "_cycle_walk", counting_walk)
-        monkeypatch.setattr(Group, "_cycle_data", counted)
+        monkeypatch.setattr(Group, "_classes_of", counting)
         # the cycle type (3, 0) of G(3,3,3) splits, so its classes read L
         for params in (GroupParams(3, 1, 3), GroupParams(3, 3, 3)):
             group = Group(params)
+            group.conjugacy, group.rational, group.scalar_shift
+            assert bulk == [] and "_perm_block" not in vars(group)
             assert group.codims.size == group.order
-            assert len(group.conjugacy) > 0
             assert group.reflection_lengths.size == group.order
-            assert walks.count(group) == tables.count(group) == 1
-        assert group._cycle_data[3].max() > 1
+            group.class_of, group.type_of, group.codims
+            assert bulk == [group]
+            bulk.clear()
+        assert len(group.conjugacy) > len(group.type_codims)
 
     @pytest.mark.parametrize(
         "params", [GroupParams(2, 1, 6), GroupParams(2, 2, 6)], ids=str
@@ -614,7 +648,7 @@ class TestConjugacy:
         assert len(records) == 1
         # the size sequences 111, 12, 21 and 3 have blocks of 3 * 3 * 3,
         # 3 * 5, 5 * 3 and 7 entries: base k (r - 1) + 1 per cycle of size k
-        types = len(group._cycle_data[2])
+        types = len(group.type_codims)
         assert records[0].startswith(
             f"cycle-type table of G(3,3,3): |G| = 54, 4 size sequences, "
             f"64 table entries, {types} cycle types, "
@@ -650,7 +684,8 @@ class TestFactoredPerElementData:
     @pytest.mark.parametrize("params", ORACLE_GROUPS, ids=str)
     def test_cycle_walk_matches_flat_walk(self, params):
         group = Group(params, max_order=50000)
-        type_of, codes, type_codims, _, weights, _, reps, _ = group._cycle_data
+        type_of, type_codims = group.type_of, group.type_codims
+        codes, _, splits, _ = group._cycle_data[3]
         flat_codims, flat_keys, flat_labels = flat_cycle_walk(group)
         # each element's type key: its type's sorted codes as base-nr digits
         n, r = params.n, params.r
@@ -661,9 +696,13 @@ class TestFactoredPerElementData:
         assert np.array_equal(keys, flat_keys)
         # each type's representative is the least element with its key
         _, least = np.unique(flat_keys, return_index=True)
-        assert np.array_equal(reps, np.sort(least))
-        # L of element q * m + e is its exponent row e weighted by weights[q]
-        assert np.array_equal((weights @ group._exp_block.T).ravel(), flat_labels)
+        reps = [group.index_of(x) for x in type_representatives(group)]
+        assert reps == sorted(least.tolist())
+        # the classes are the pairs (type, L mod d)
+        pairs = np.stack([type_of, flat_labels % splits[type_of]])
+        by_pair = np.unique(pairs, axis=1, return_inverse=True)[1].ravel()
+        both = np.unique(np.stack([by_pair, group.class_of]), axis=1)
+        assert both.shape[1] == by_pair.max() + 1 == len(group.conjugacy)
 
     @pytest.mark.parametrize(
         "params",
@@ -675,11 +714,11 @@ class TestFactoredPerElementData:
     def test_class_record_matches_per_element_data(self, params):
         group = Group(params, max_order=50000)
         classes = group.conjugacy
-        type_of, codes = group._cycle_data[:2]
+        type_of, codes = group.type_of, group._cycle_data[3][0]
         reps = np.array(classes.representatives)
         assert np.array_equal(classes.types, type_of[reps])
         assert np.array_equal(
-            classes.inverse, classes.class_of[group.inverse_indices[reps]]
+            classes.inverse, group.class_of[group.inverse_indices[reps]]
         )
         # against the flat walk's keys and each representative's own inverse
         _, flat_keys, _ = flat_cycle_walk(group)
@@ -687,7 +726,7 @@ class TestFactoredPerElementData:
         keys = np.ravel_multi_index(tuple(codes[classes.types].T), (n * r,) * n)
         assert np.array_equal(keys, flat_keys[reps])
         inverses = [
-            int(classes.class_of[group.index_of(group.element(i).inverse())])
+            int(group.class_of[group.index_of(group.element(i).inverse())])
             for i in classes.representatives
         ]
         assert classes.inverse.tolist() == inverses
@@ -746,8 +785,8 @@ class TestRationalClasses:
             for d in range(1, order + 1):
                 if gcd(d, order) != 1:
                     continue
-                power_class = classes.class_of[group.index_of(element_power(x, d))]
-                assert rational_of[power_class] == rational_of[classes.class_of[members[0]]]
+                power_class = group.class_of[group.index_of(element_power(x, d))]
+                assert rational_of[power_class] == rational_of[group.class_of[members[0]]]
 
     def test_partition_structure(self):
         group = Group(GroupParams(6, 1, 1))
@@ -834,7 +873,7 @@ def test_scalar_shift_is_the_class_of_z_times_each_representative(params):
                 group.index_of(scalar)
     classes = group.conjugacy
     expected = [
-        int(classes.class_of[group.index_of(multiply(z, group.element(rep)))])
+        int(group.class_of[group.index_of(multiply(z, group.element(rep)))])
         for rep in classes.representatives
     ]
     assert group.scalar_shift.tolist() == expected

@@ -6,6 +6,7 @@ against the group order.
 """
 
 import logging
+import operator
 import re
 from math import factorial, prod
 
@@ -292,6 +293,18 @@ class TestXi:
         derivative_at_one = sum(k * c for k, c in enumerate(coefficients))
         assert xi_from_roots(roots) == derivative_at_one
 
+    @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=40))
+    def test_tree_fold_equals_the_sequential_fold(self, pairs):
+        # the product rule is associative, so the balanced tree of the pairs
+        # and of their values folds to what one running product gives
+        value, derivative = 1, 0
+        for v, d in pairs:
+            value, derivative = value * v, derivative * v + value * d
+        assert partitions_module._product(pairs) == (value, derivative)
+        assert partitions_module._product(iter(pairs)) == (value, derivative)
+        values = [v for v, _ in pairs]
+        assert partitions_module._balanced(values, operator.mul, 1) == prod(values)
+
 
 def is_hook(p) -> bool:
     return bool(p) and p[0] + len(p) - 1 == sum(p)
@@ -394,12 +407,12 @@ class TestCodimSpectrum:
         for fn in (codim_spectrum_entries, enumerate_partition_tuples):
             with pytest.raises(SizeLimitError, match="9035539 partition tuples"):
                 fn(2, 40)
-        # the fold lists no tuple: it is capped by its steps.  G(1,1,60) has
-        # 966,467 tuples but walks the 60 boxes of each
+        # the fold lists no tuple: it is capped by its steps, 61 p(60) for
+        # G(1,1,60), and 1,890 closed-form terms more for G(2,1,60)
         with pytest.raises(SizeLimitError, match="up to 58954487 steps"):
             codim_spectrum_combinatorial(1, 60)
-        with pytest.raises(SizeLimitError, match="up to 16899847 steps"):
-            codim_spectrum_combinatorial(2, 40)
+        with pytest.raises(SizeLimitError, match="up to 58956377 steps"):
+            codim_spectrum_combinatorial(2, 60)
 
     def test_cap_at_the_tuple_count_passes(self, monkeypatch):
         total = count_partition_tuples(3, 4)
@@ -410,23 +423,22 @@ class TestCodimSpectrum:
             enumerate_partition_tuples(3, 4)
 
     def test_fold_cap_at_the_step_bound_passes(self, monkeypatch):
-        # G(3,1,4): 34 table boxes, 1 + 10 + 39 pairings over the first two
-        # slots (the 1- and 2-tuples of total at most 4), 51 in the last
-        monkeypatch.setattr(partitions_module, "DEFAULT_FOLD_CAP", 135)
+        # G(3,1,4): at most 4 p(4) = 20 lattice cells, p(4) = 5 slot-0 pairs
+        # and 4 (4 + 3) / 2 = 14 closed-form terms
+        monkeypatch.setattr(partitions_module, "DEFAULT_FOLD_CAP", 39)
         assert codim_spectrum_combinatorial(3, 4)
-        monkeypatch.setattr(partitions_module, "DEFAULT_FOLD_CAP", 134)
-        with pytest.raises(SizeLimitError, match="up to 135 steps"):
+        monkeypatch.setattr(partitions_module, "DEFAULT_FOLD_CAP", 38)
+        with pytest.raises(SizeLimitError, match="up to 39 steps"):
             codim_spectrum_combinatorial(3, 4)
 
     @pytest.mark.parametrize(
         "r,n", [(1, 12), (2, 9), (3, 6), (5, 4), (7, 2), (40, 1), (6, 0)]
     )
     def test_fold_cap_refuses_exactly_above_the_whole_bound(self, r, n, monkeypatch):
-        # the whole step bound, every level and every slot summed
-        counts = partition_counts(n)
-        *earlier, last = partitions_module._tuple_counts(r, counts)
-        bound = sum(k * counts[k] for k in (range(n + 1) if r > 1 else (n,)))
-        bound += sum(map(sum, earlier)) + last[n]
+        # the whole step bound: n p(n) lattice cells, p(n) slot-0 pairs and,
+        # with later slots, n (n + 3) / 2 closed-form terms
+        count = partition_counts(n)[n]
+        bound = (n + 1) * count + (n * (n + 3) // 2 if r > 1 else 0)
         for cap in sorted({1, bound // 3, bound // 2, bound - 1, bound}):
             monkeypatch.setattr(partitions_module, "DEFAULT_FOLD_CAP", cap)
             if cap >= bound:
@@ -445,8 +457,9 @@ class TestCodimSpectrum:
     def test_fold_cap_refuses_huge_ranks_after_a_few_levels_and_slots(
         self, monkeypatch
     ):
-        # the whole bound of r = 10^9, n = 1 sums 10^9 slots, and that of
-        # r = 1, n = 10^5 needs p(10^5), about 10^346
+        # r = 10^9, n = 1 is refused on the size of its roots before any
+        # step is counted, and the bound of r = 1, n = 10^5 needs p(10^5),
+        # about 10^346
         def few(generator):
             def at_most_300(*args):
                 for step, value in enumerate(generator(*args)):
@@ -455,21 +468,37 @@ class TestCodimSpectrum:
 
             return at_most_300
 
-        for name in ("_partition_numbers", "_tuple_counts"):
-            monkeypatch.setattr(
-                partitions_module, name, few(getattr(partitions_module, name))
-            )
-        for r, n, steps in ((10**9, 1, 2000000000), (1, 10**5, 10619863)):
-            with pytest.raises(SizeLimitError) as refused:
-                codim_spectrum_combinatorial(r, n)
-            assert str(refused.value) == (
-                f"the partition-tuple fold for r={r}, n={n} takes up to more "
-                f"than {steps} steps, above the cap 10000000"
-            )
+        monkeypatch.setattr(
+            partitions_module, "_partition_numbers",
+            few(partitions_module._partition_numbers),
+        )
+        with pytest.raises(SizeLimitError) as refused:
+            codim_spectrum_combinatorial(10**9, 1)
+        assert str(refused.value) == (
+            "the partition-tuple fold for r=1000000000, n=1 has roots of size "
+            "up to r n = 1000000000, above the cap 1000000"
+        )
+        with pytest.raises(SizeLimitError) as refused:
+            codim_spectrum_combinatorial(1, 10**5)
+        assert str(refused.value) == (
+            "the partition-tuple fold for r=1, n=100000 takes up to more "
+            "than 10619863 steps, above the cap 10000000"
+        )
+
+    def test_fold_refuses_roots_above_the_cap(self, monkeypatch):
+        # every root has size below r n; the cap holds r n, so (10^5, 10)
+        # passes and one more slot does not, before p is taken
+        def unreachable():
+            raise AssertionError("partition numbers taken before the root cap")
+
+        assert codim_spectrum_combinatorial(10**5, 2)
+        monkeypatch.setattr(partitions_module, "_partition_numbers", unreachable)
+        with pytest.raises(SizeLimitError, match="roots of size up to r n = 1000010,"):
+            codim_spectrum_combinatorial(10**5 + 1, 10)
 
     @pytest.mark.parametrize("r,n", [(1, 12), (3, 6)])
     def test_fold_takes_the_partition_numbers_once(self, r, n, monkeypatch):
-        # the cap's level loop and its slot loop share one run of p(0..n)
+        # the cap takes p(0..n) in one run
         runs = []
         numbers = partitions_module._partition_numbers
 
@@ -493,12 +522,14 @@ class TestCodimSpectrum:
             codim_spectrum_combinatorial(r, n)
 
     @pytest.mark.parametrize(
-        "r,n", [(4, 10), (6, 8), (8, 7), (2, 16), (3, 12), (2, 30), (2, 36)]
+        "r,n",
+        [(4, 10), (6, 8), (8, 7), (2, 16), (3, 12), (2, 30), (2, 36), (2, 40),
+         (10**5, 10)],
     )
     def test_fold_cap_admits_the_fast_folds(self, r, n, monkeypatch):
-        # the benchmark's exact spectra, and G(2,1,30) and G(2,1,36), whose
-        # folds take about 0.06 s and 0.2 s: the fold gets past its cap and
-        # on to its lattice
+        # the benchmark's exact spectra, and G(2,1,30), G(2,1,36) and
+        # G(2,1,40), whose folds take about 0.06 s, 0.2 s and 0.75 s: the
+        # fold gets past its cap and on to its lattice
         class Admitted(Exception):
             pass
 

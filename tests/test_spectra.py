@@ -141,8 +141,8 @@ class TestPerClassValues:
     def test_roundtrip_through_classes(self):
         group = Group(GroupParams(4, 2, 2))
         f = codimension_function(group)
-        values = f[group.conjugacy.class_of]
-        assert values[0] == group.conjugacy.class_of[0] == 0
+        values = f[group.class_of]
+        assert values[0] == group.class_of[0] == 0
         rebuilt = class_function_from_element_values(group, values)
         assert np.array_equal(rebuilt, f)
 
@@ -221,7 +221,7 @@ class TestMatrices:
         group = Group(GroupParams(3, 1, 2))
         f = codimension_function(group)
         matrix = build_matrix(group, f)
-        values = f[group.conjugacy.class_of]
+        values = f[group.class_of]
         for i in (0, 3, 7):
             for j in (0, 5, 11):
                 x = group.elements[i]
@@ -275,7 +275,7 @@ class TestBlockBuild:
         group = Group(params)
         for kind in KINDS:
             f = class_function(group, kind)
-            expected = matrix_by_columns(group, f[group.conjugacy.class_of])
+            expected = matrix_by_columns(group, f[group.class_of])
             assert np.array_equal(build_matrix(group, f), expected), kind
         values = np.arange(group.order)
         built = matrix_from_element_values(group, values)
@@ -757,7 +757,7 @@ class TestSeparation:
         group = Group(GroupParams(4, 2, 3))
         classes = group.conjugacy
         order = _class_sum_order(group)
-        identity_class = int(classes.class_of[group.identity_index])
+        identity_class = int(group.class_of[group.identity_index])
         keys = [
             (int(group.codims[classes.representatives[c]]), classes.sizes[c], c)
             for c in range(len(classes))
@@ -784,7 +784,7 @@ def inverse_class(group, c):
     element's own inverse."""
     classes = group.conjugacy
     rep = group.element(classes.representatives[c])
-    return int(classes.class_of[group.index_of(rep.inverse())])
+    return int(group.class_of[group.index_of(rep.inverse())])
 
 
 def is_diagonal(group, c):
@@ -810,7 +810,7 @@ def test_dropped_classes_are_inverses_with_conjugate_characters(params):
     order = _class_sum_order(group)
     omegas = class_algebra_data(group).central_characters
     scale = max(1.0, float(np.abs(omegas).max()))
-    identity_class = int(classes.class_of[group.identity_index])
+    identity_class = int(group.class_of[group.identity_index])
     for c in set(range(len(classes))) - set(order) - {identity_class}:
         inverse = inverse_class(group, c)
         if diagonal_past_p(group, c):
@@ -1049,7 +1049,7 @@ class TestStructureConstants:
     def test_identity_class_row(self):
         group = Group(GroupParams(3, 1, 2))
         a = class_structure_constants(group)
-        identity_class = int(group.conjugacy.class_of[group.identity_index])
+        identity_class = int(group.class_of[group.identity_index])
         k = a.shape[0]
         assert np.array_equal(a[identity_class], np.eye(k, dtype=np.int64))
 
@@ -1113,7 +1113,7 @@ class TestClassAlgebraRoute:
         group = Group(GroupParams(3, 1, 2))
         classes = group.conjugacy
         reps = np.array(classes.representatives)
-        inverse_class = classes.class_of[group.inverse_indices[reps]]
+        inverse_class = group.class_of[group.inverse_indices[reps]]
         c = next(c for c in range(len(classes)) if inverse_class[c] != c)
         values = tuple(int(i == c) for i in range(len(classes)))
         monkeypatch.setattr(spectra, "class_algebra_data", None)
@@ -1147,11 +1147,11 @@ class TestClassAlgebraRoute:
         f = builder(group)
         spectrum = spectrum_class_algebra(group, f)
         classes = group.conjugacy
-        identity_class = int(classes.class_of[group.identity_index])
+        identity_class = int(group.class_of[group.identity_index])
         trace = sum(value * mult for value, mult in spectrum.entries)
         assert trace == group.order * f[identity_class]
         reps = np.array(classes.representatives)
-        inverse_class = classes.class_of[group.inverse_indices[reps]]
+        inverse_class = group.class_of[group.inverse_indices[reps]]
         frobenius = sum(
             classes.sizes[c] * int(f[c]) * int(f[inverse_class[c]])
             for c in range(len(classes))
@@ -1244,14 +1244,13 @@ def test_class_algebra_spectra_read_no_per_element_arrays(params):
         assert sum(m for _, m in spectrum.entries) == group.order
     for name in ("inverse_indices", "codims", "reflection_lengths"):
         assert name not in vars(group)
-    # and the class record keeps no member lists: only the labels are |G| long
+    # and the class record holds nothing |G| long: no labels, no member lists
     classes = group.conjugacy
     for field in dataclasses.fields(classes):
         # a tuple of tuples holds the entries of its rows
         value = getattr(classes, field.name)
         held = sum(len(x) if isinstance(x, tuple) else 1 for x in value)
-        if field.name != "class_of":
-            assert held <= len(classes), field.name
+        assert held <= len(classes), field.name
 
 
 def test_numeric_spectra_never_build_the_scalar_shift():
