@@ -3,10 +3,11 @@ Poincare factorizations, and the verification harness.
 
 Output goes to stdout (or a file via -o) and defaults to readable text;
 --format json emits a stable machine schema carrying a top-level
-"schema" marker (2 for verify, whose check records dropped their runtime;
-1 elsewhere), and matrix/length listings also support CSV.  Progress
-notes for long computations go to stderr only.  Identical invocations
-produce byte-identical data output.
+"schema" marker (3 for verify, whose check records carry no runtime and
+no residual; 1 elsewhere), and matrix/length listings also support CSV.
+Progress notes for long computations go to stderr only.  Identical
+invocations produce byte-identical data output, for verify at any BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -568,7 +569,7 @@ def verify_command(suite: str, fmt: str) -> None:
 
     report = run_suite(suite, progress)
     if fmt == "json":
-        payload = {"schema": 2, **report.as_dict()}
+        payload = {"schema": 3, **report.as_dict()}
         _emit(_json_text(payload), None)
     else:
         lines = []

@@ -364,9 +364,9 @@ class Group:
     `_exp_block`, the m = r^n / p exponent rows with sum = 0 mod p; element
     q * m + e is (exponent row e | permutation q).  No array is |G| long
     until a per-element fact asks for one.  The index maps
-    (`product_indices`, `left_mult_indices`, `inverse_indices`) and
-    `index_of` form each product's permutation and exponent row on the
-    blocks and rank them: `_perm_rank` reads the Lehmer code (digit i is
+    (`left_mult_indices`, `inverse_indices`), `index_of` and
+    `class_sum_matrix` form each product's permutation and exponent row on
+    the blocks and rank them: `_perm_rank` reads the Lehmer code (digit i is
     perm[i] less the popcount of the smaller images seen) in mixed radix,
     and `_exp_rank` divides the base-r value by p, since the r / p
     admissible rows with a common prefix are values p apart.
@@ -513,21 +513,6 @@ class Group:
         perms = self._perm_block[q][self._perm_block]
         exps = self._exp_block[:, self._inv_block[q]] + self._exp_block[e]
         return (self._perm_rank(perms)[:, None] * m + self._exp_rank(exps)).ravel()
-
-    def product_indices(self, a, b) -> np.ndarray:
-        """Index of elements[a] * elements[b], elementwise over the index
-        arrays a and b broadcast together."""
-        m = len(self._exp_block)
-        a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-        qa, ea = np.divmod(a, m)
-        qb, eb = np.divmod(b, m)
-        perms = np.take_along_axis(
-            self._perm_block[qa], self._perm_block[qb], axis=-1
-        )
-        exps = self._exp_block[ea] + np.take_along_axis(
-            self._exp_block[eb], self._inv_block[qa], axis=-1
-        )
-        return self._perm_rank(perms) * m + self._exp_rank(exps)
 
     def quotient_row_chunks(self, max_entries: int):
         """Yield (rows, table) for consecutive slices of rows covering the
@@ -853,7 +838,11 @@ class Group:
         cycles of its type.  For d up to the largest order,
         g^d = (a + A o s^-1 | s^d) for g = (a | s) and g^(d-1) = (A | s^(d-1))
         is two gathers over all k representatives at once, and the whole
-        table is classified in one `_classes_of` call."""
+        table is classified in one `_classes_of` call.  Scaling each
+        representative's exponents by the units mod r (the Galois action)
+        is no shortcut: it fixes the permutation while g^d moves L mod d, so
+        where a type splits it joins classes that no coprime power joins
+        (7 orbits on G(3,3,3) against 8 rational classes)."""
         classes = self.conjugacy
         _, (rotations, *_), (_, _, rows, first_exps), (codes, *_) = self._cycle_data
         n, r, k = self.params.n, self.params.r, len(classes)

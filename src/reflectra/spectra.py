@@ -707,7 +707,11 @@ def _certify(
     relation each orbit o adds L_o times its head's term to a norm
     (_degrees) and to a Gram entry (_orthogonality_error), as z^i C has |C|
     elements and inverse class z^-i C^-1, and a Gram entry across blocks
-    t != s is eps_t conj(eps_s) times itself, hence 0."""
+    t != s is eps_t conj(eps_s) times itself, hence 0.  The Gram check
+    stays although every row that passes the certificate passes it too: the
+    certificate and _degrees read each row alone, so it is the only check
+    that sees degrees paired with the wrong rows
+    (test_degrees_on_the_wrong_rows_fail_orthogonality)."""
     h = len(orbits.phases)
     shift = group.scalar_shift
     z = int(shift[0])

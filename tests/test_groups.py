@@ -32,6 +32,7 @@ from reflectra.groups import (
     multiply,
     standard_generators,
 )
+from reflectra.spectra import _class_sum_order
 from reflectra.verify import desk_scale_params
 
 from oracles import (
@@ -316,20 +317,20 @@ class TestIndexMaps:
 
     @pytest.mark.parametrize("r,p,n", [(3, 1, 2), (4, 2, 2), (2, 2, 3)])
     def test_product_indices(self, r, p, n):
+        # the products of class_sum_matrix, over all columns, against
+        # counts of products formed element by element with multiply
         group = Group(GroupParams(r, p, n))
-        a = np.arange(group.order)
-        b = np.random.default_rng(5).permutation(group.order)
-        expected = [
-            group.index_of(multiply(group.elements[i], group.elements[j]))
-            for i, j in zip(a.tolist(), b.tolist())
-        ]
-        assert group.product_indices(a, b).tolist() == expected
-        # broadcasting: a column against a row gives the full product table
-        table = group.product_indices(a[:, None], a[None, :])
-        assert table.shape == (group.order, group.order)
-        for g in (0, 1, group.order - 1):
-            assert np.array_equal(table[:, g], right_mult_indices(group, g))
-            assert np.array_equal(table[g], group.left_mult_indices(g))
+        classes = group.conjugacy
+        k = len(classes)
+        reps = [group.elements[i] for i in classes.representatives]
+        for c, members in enumerate(class_members(group)):
+            expected = np.zeros((k, k))
+            for u in members:
+                inverse = group.elements[u].inverse()
+                for j, rep in enumerate(reps):
+                    product = group.index_of(multiply(inverse, rep))
+                    expected[group.class_of[product], j] += 1
+            assert np.array_equal(group.class_sum_matrix(c, np.arange(k)), expected)
 
     @pytest.mark.parametrize("r,p,n", [(3, 1, 2), (4, 2, 2)])
     def test_inverse_indices(self, r, p, n):
@@ -354,14 +355,21 @@ class TestRankArithmetic:
 
     @pytest.mark.parametrize("params", ORACLE_GROUPS, ids=str)
     def test_product_indices_match_flat_lookup(self, params):
+        # class_sum_matrix, the product path of the class-algebra route,
+        # for the first class sums that route takes: M[l, j] counts the
+        # members u of C_c with u^-1 rep_j in C_l, here from the flat
+        # inverse and product lookups
         group = Group(params, max_order=50000)
         flat = FlatIndexMaps(group)
-        sample = np.random.default_rng(group.order).integers(group.order, size=100)
         reps = np.array(group.conjugacy.representatives)
-        got = group.product_indices(sample[:, None], reps[None, :])
-        expected = flat.product_indices(sample[:, None], reps[None, :])
-        assert got.dtype == expected.dtype
-        assert np.array_equal(got, expected)
+        k = len(reps)
+        for c in _class_sum_order(group)[:3]:
+            members = np.flatnonzero(group.class_of == c)
+            inverses = flat.inverse_indices()[members]
+            products = flat.product_indices(inverses[:, None], reps[None, :])
+            expected = np.zeros((k, k))
+            np.add.at(expected, (group.class_of[products], np.arange(k)), 1)
+            assert np.array_equal(group.class_sum_matrix(c, np.arange(k)), expected)
 
     @pytest.mark.parametrize("params", ORACLE_GROUPS, ids=str)
     def test_mult_maps_match_flat_lookup(self, params):
