@@ -10,9 +10,11 @@ imported from PATH/src.  The requests are:
   checkout, imported read-only), each with its workload's environment;
 * `verify all`, in text and in json;
 * `poincare` on a few partition tuples, in text and in json;
-* the combinatorial codimension spectrum past the benchmark's folds and on
-  folds with many later slots, in text and in json, and the folds its step
-  cap refuses, two at the last term of the bound and two long before it;
+* the combinatorial codimension spectrum past the benchmark's folds, on
+  folds with many later slots and on G(1,1,60) to G(2,1,200), which the
+  Young's-lattice fold refused, in text and in json, and, in text, folds
+  near or past a fold cap: G(1,1,60), G(2,1,40), G(1,1,10000) and
+  G(3000000,1,1);
 * requests whose group order has thousands of digits, which fail on the
   enumeration or the dense matrix cap;
 * the class-algebra distance spectrum of G(3,1,3) on an explicit
@@ -123,6 +125,7 @@ def requests() -> list[tuple[list[str], dict[str, str]]]:
         for r, n in (
             (2, 20), (2, 30), (3, 14), (5, 8), (1, 30),
             (12, 5), (16, 4), (30, 3), (7, 9), (100, 2),
+            (1, 60), (2, 60), (2, 100), (2, 200),
         )
         for fmt in ("text", "json")
     ]

@@ -18,23 +18,38 @@ follows from the components' pairs by the product rule
 n! / (|lambda(0)|! ... |lambda(r-1)|!) times the components' standard
 tableau counts f.  A nonempty partition has a box of content 0, whose root
 in a later slot gives the pair (0, -1); as (V, D) * (0, d) = (0, V d) and
-(0, D) * (0, d') = (0, 0), codim_spectrum_combinatorial lists no tuple but
-splits the spectrum in three (contents and hooks: Stanley, Enumerative
-Combinatorics 2, 7.11-7.13):
+(0, D) * (0, d') = (0, 0), codim_spectrum_combinatorial lists no tuple and
+no partition but splits the spectrum in three (contents and hooks:
+Stanley, Enumerative Combinatorics 2, 7.11-7.13):
 
-(a) every later slot empty: slot 0's d(lambda), lambda a partition of n, with
-    weight f(lambda)^2, f summed up Young's lattice by the branching rule;
+(a) every later slot empty: slot 0's d(lambda), lambda a partition of n,
+    with weight f(lambda)^2.  A box of content c has the pair
+    (r (1 + c), r - 1 + r c), of value 0 exactly when c = -1, and the boxes
+    of content -1 are the (i + 1, i) (row, column from 0), each present when
+    row i + 1 is longer than i, so (2, 1) needs (1, 0).  Thus lambda has
+    - no zero factor if it is a row: v = r^n n!,
+      d = r^(n-1) sum_{k=1..n} (r k - 1) n! / k;
+    - one, (1, 0), if it is (a, b, 1^j), a >= b >= 1: d is its -1 times
+      the other boxes' values r^(n-1) a! (b-1)! (-1)^j j!, and its hooks
+      give f = n! (a - b + 1) / ((a + j + 1) (b + j) a! (b-1)! j!);
+    - two or more otherwise: eigenvalue 0 with weight n! - 1 - sum f^2
+      over the (a, b, 1^j), as the f^2 of the partitions of n sum to n!;
 (b) slot 0 of size k and one of the r - 1 later slots of size m = n - k > 0:
     slot 0's v times the later slot's d.  v is nonzero only on a row, where
-    it is r^k k! (two rows give a box of content -1, whose factor is 0), and
-    d only on a hook (a second diagonal box gives a second factor 0).  A hook
-    with leg l has d = (-1)^(l+1) r^(m-1) (m-1-l)! l! and f = C(m-1, l), so
-    the weight is C(n, k)^2 (r - 1) C(m-1, l)^2;
-(c) every other tuple has eigenvalue 0, with weight summed from its own
-    three parts, so that the total's check against r^n n! still catches a
-    slip in any of them: slot 0 not a row, C(n,k)^2 (k! - 1) (r - 1) m!; a row
-    and a later slot that is no hook, C(n,k)^2 (r - 1) (m! - C(2m-2, m-1));
-    two or more later slots, C(n,k)^2 k! m! ((r - 1)^m - (r - 1)).
+    it is r^k k!, and d only on a hook (a second diagonal box gives a second
+    factor 0).  A hook with leg l has d = (-1)^(l+1) r^(m-1) (m-1-l)! l! and
+    f = C(m-1, l), so the weight is C(n, k)^2 (r - 1) C(m-1, l)^2;
+(c) every other tuple has eigenvalue 0: those with slot 0 of size k < n
+    weigh C(n, k)^2 k! m! (r - 1)^m together, of which the rows against
+    hooks of (b) take C(n, k)^2 (r - 1) C(2m-2, m-1).
+
+The about 3 n^2 / 4 terms are integers from running products.  The total
+r^n n! cannot see a wrong f, whose error the zero weight of (a) absorbs,
+so the fold checks three more exact identities, with
+P(t) = prod_{i=1..n} (1 + (r i - 1) t) counting the elements by
+codimension (degrees r, 2r, ..., nr): every f divides exactly; the trace
+sum m theta = 0; and sum m theta^2 = r^n n! (P''(1) + P'(1)), the order
+times the sum of codim(g)^2.  The row's d is P'(1).
 
 The fold and closed_form_reference give (eigenvalue, multiplicity) pairs,
 eigenvalues descending; codim_spectrum_entries adds each tuple to its pair.
@@ -44,17 +59,18 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import operator
 import time
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
-from .errors import ParameterError, SizeLimitError, format_size
+from .errors import ConsistencyError, ParameterError, SizeLimitError, format_size
 
 log = logging.getLogger(__name__)
 
 DEFAULT_TUPLE_CAP = 10**6
-DEFAULT_FOLD_CAP = 10**7
+DEFAULT_FOLD_CAP = 3 * 10**6
 DEFAULT_ROOT_CAP = 10**6
 
 Partition = tuple[int, ...]
@@ -210,10 +226,7 @@ def poincare_star_roots(tpl: PartitionTuple, r: int) -> tuple[int, ...]:
     return tuple(sorted(roots, reverse=True))
 
 
-ValueDerivative = tuple[int, int]
-
-
-def _product(pairs) -> ValueDerivative:
+def _product(pairs) -> tuple[int, int]:
     """(value, derivative) at t = 1 of a product of polynomials, from the
     (value, derivative) pairs of the factors: the product rule
     (V, D) * (v, d) = (V v, D v + V d), associative, in exact integer
@@ -227,75 +240,39 @@ def xi_from_roots(roots: tuple[int, ...]) -> int:
     return _product((1 + alpha, alpha) for alpha in roots)[1]
 
 
-def _grow(level: dict[int, int]) -> tuple[dict[int, int], int]:
-    """The next level of Young's lattice, each partition with its number f of
-    standard tableaux by the branching rule, and the cells visited, one per
-    box added.  A partition is keyed by its outline in an n x n box, read
-    from bottom left to top right, first step highest: bit 1 east, 0 north.
-    Each 0 closes a row as long as the 1s before it; the empty partition is
-    (1 << n) - 1.  A box fits at each 01, and adding the 1's bit turns it
-    into 10."""
-    above: dict[int, int] = {}
-    cells = 0
-    for word, f in level.items():
-        corners = word & ~(word >> 1)
-        while corners:
-            corner = corners & -corners
-            grown = word + corner
-            above[grown] = above.get(grown, 0) + f
-            corners ^= corner
-            cells += 1
-    return above, cells
+def _codimension_moments(r: int, n: int) -> tuple[int, int, int]:
+    """(P(1), P'(1), P''(1)) of the module docstring's P: the order, the sum
+    of codim(g) and of codim(g) (codim(g) - 1), by the product rule."""
+    return _balanced(
+        ((r * i, r * i - 1, 0) for i in range(1, n + 1)),
+        lambda x, y: (x[0] * y[0], x[1] * y[0] + x[0] * y[1],
+                      x[2] * y[0] + 2 * x[1] * y[1] + x[0] * y[2]),
+        (1, 0, 0),
+    )
 
 
-def _slot_zero_pairs(r: int, n: int) -> tuple[dict[ValueDerivative, int], int, int]:
-    """The distinct slot-0 pairs (v, d) of the partitions of n, each with its
-    sum of f^2, the lattice cells visited and the partitions of n.  The f^2
-    of level k must sum to k!: every level is checked when r > 1, level n
-    when r = 1.  A pair is the product-rule fold of per-row prefix pairs, top
-    row first, and stops at (0, 0), which every further factor keeps."""
-    # segments[row][s]: the pair of the first s boxes of that row, contents
-    # -row .. s-1-row; a partition of n has rows of at most n // (row + 1)
-    segments = [
-        [_product((r + r * c, r - 1 + r * c) for c in range(-row, s - row))
-         for s in range(n // (row + 1) + 1)]
-        for row in range(n)
-    ]
-    level, cells = {(1 << n) - 1: 1}, 0
-    for k in range(n + 1):
-        if k:
-            level, visited = _grow(level)
-            cells += visited
-        if r == 1 and k < n:
-            continue
-        squared = [(word, f * f) for word, f in level.items()]
-        total = sum(square for _, square in squared)
-        if total != factorial(k):
-            raise ParameterError(
-                f"squared tableau counts of the partitions of {k} sum to "
-                f"{total}, expected {k}! = {factorial(k)}"
-            )
-    groups: dict[ValueDerivative, int] = {}
-    for word, square in squared:
-        value, derivative, norths = 1, 0, ~word
-        for segment in segments:
-            north = norths & -norths  # the lowest 0 closes the next row
-            part = n - (word & (north - 1)).bit_count()
-            if not part:
-                break
-            v, d = segment[part]
-            value, derivative = value * v, derivative * v + value * d
-            if not value and not derivative:
-                break
-            norths ^= north
-        key = (value, derivative)
-        groups[key] = groups.get(key, 0) + square
-    return groups, cells, len(squared)
-
-
-def _hook_derivative(r: int, m: int, leg: int) -> int:
-    """d of a later slot's hook of m >= 1 boxes, from its contents -leg..m-1-leg."""
-    return (-1) ** (leg + 1) * r ** (m - 1) * factorial(m - 1 - leg) * factorial(leg)
+def _slot_zero_shapes(r: int, n: int):
+    """(d, f) of each shape (a, b, 1^j) of part (a), j ascending, then b,
+    from running products g = r^(n-1) a! (b-1)! j! and
+    h = n! / (a! (b-1)! j!), stepped by exact divisions."""
+    if n < 2:
+        return
+    g, h = r ** (n - 1) * factorial(n - 1), n  # j = 0, (n - 1, 1)
+    for j in range(n - 1):
+        if j:  # (n - j, 1, 1^(j-1)) -> (n - j - 1, 1, 1^j)
+            g, h = g * j // (n - j), h * (n - j) // j
+        shape_g, shape_h = g, h
+        for b in range(1, (n - j) // 2 + 1):
+            a = n - j - b
+            if b > 1:  # (a + 1, b - 1, 1^j) -> (a, b, 1^j)
+                shape_g = shape_g * (b - 1) // (a + 1)
+                shape_h = shape_h * (a + 1) // (b - 1)
+            f, rest = divmod(shape_h * (a - b + 1), (a + j + 1) * (b + j))
+            if rest:
+                raise ConsistencyError(
+                    f"the tableau count f of ({a}, {b}, 1^{j}) is not an integer"
+                )
+            yield (shape_g if j % 2 else -shape_g), f
 
 
 def codim_spectrum_entries(r: int, n: int) -> tuple[tuple, ...]:
@@ -309,18 +286,24 @@ def codim_spectrum_entries(r: int, n: int) -> tuple[tuple, ...]:
     )
 
 
+def _fold_bound(r: int, n: int) -> int:
+    """The fold's work from (r, n) alone: its terms (the row and n^2 / 4
+    shapes of (a), with later slots n (n + 1) / 2 of (b) and n of (c))
+    times the 64-bit words of the order r^n n!, near its largest integers."""
+    terms = 1 + n * n // 4 + (n * (n + 3) // 2 if r > 1 else 0)
+    bits = n * math.log2(r) + math.lgamma(n + 1) / math.log(2)
+    return terms * (int(bits) // 64 + 1)
+
+
 def codim_spectrum_combinatorial(r: int, n: int) -> tuple[tuple[int, int], ...]:
     """Aggregated codimension spectrum of G(r, 1, n), (eigenvalue,
     multiplicity) pairs, eigenvalues descending, from parts (a)-(c) of the
-    module docstring.  Squared dimensions must add up to r^n * n!.
+    module docstring and checked by its exact identities.
 
-    No tuple is listed, and the work is capped before any partition is.
-    First r n, which bounds the roots, so every integer is below
-    (r n)^n n!; then p(0..n), refused once one p(k) <= p(n) passes the cap;
-    then the whole bound: at most n p(n) lattice cells (Euler's
-    n p(n) = sum_{m=1..n} sigma(m) p(n - m) bounds the sum_{m=1..n}
-    m p(n - m) visited), the p(n) slot-0 pairs and, with later slots, the
-    n (n + 3) / 2 closed-form terms."""
+    The work is capped before any term is formed: first r n, which bounds
+    the roots, so every integer is below (r n)^n n!; then _fold_bound,
+    which also keeps every printed integer far below Python's 4,300-digit
+    limit for int-to-text."""
     start = time.perf_counter()
     _check_ranks(r, n)
     if r * n > DEFAULT_ROOT_CAP:
@@ -328,52 +311,68 @@ def codim_spectrum_combinatorial(r: int, n: int) -> tuple[tuple[int, int], ...]:
             f"the partition-tuple fold for r={r}, n={n} has roots of size up "
             f"to r n = {format_size(r * n)}, above the cap {DEFAULT_ROOT_CAP}"
         )
-
-    def refuse(steps: int, whole: bool) -> None:
-        bound = format_size(steps) if whole else f"more than {format_size(steps)}"
-        raise SizeLimitError(
-            f"the partition-tuple fold for r={r}, n={n} takes up to {bound} "
-            f"steps, above the cap {DEFAULT_FOLD_CAP}"
-        )
-
-    for k, count in zip(range(n + 1), _partition_numbers()):
-        if k < n and count > DEFAULT_FOLD_CAP:
-            refuse(count, False)
-    steps = (n + 1) * count + (n * (n + 3) // 2 if r > 1 else 0)
+    steps = _fold_bound(r, n)
     if steps > DEFAULT_FOLD_CAP:
-        refuse(steps, True)
-    pairs, cells, listed = _slot_zero_pairs(r, n)
-    spectrum: dict[int, int] = {}
-    for (_, eigenvalue), squared in pairs.items():  # (a)
-        spectrum[eigenvalue] = spectrum.get(eigenvalue, 0) + squared
-    zero = 0
-    for k in range(n if r > 1 else 0):
-        m = n - k
-        scale = comb(n, k) ** 2
-        row = r**k * factorial(k)
-        for leg in range(m):  # (b)
-            eigenvalue = row * _hook_derivative(r, m, leg)
-            weight = scale * (r - 1) * comb(m - 1, leg) ** 2
-            spectrum[eigenvalue] = spectrum.get(eigenvalue, 0) + weight
-        zero += scale * (  # (c)
-            (factorial(k) - 1) * (r - 1) * factorial(m)
-            + (r - 1) * (factorial(m) - comb(2 * m - 2, m - 1))
-            + factorial(k) * factorial(m) * ((r - 1) ** m - (r - 1))
+        raise SizeLimitError(
+            f"the partition-tuple fold for r={r}, n={n} takes up to "
+            f"{format_size(steps)} steps, above the cap {DEFAULT_FOLD_CAP}"
         )
+    order, row, second = _codimension_moments(r, n)
+    spectrum = {row: 1}  # (a): the row
+    squares = 0
+    for eigenvalue, f in _slot_zero_shapes(r, n):  # (a): one zero factor
+        square = f * f
+        spectrum[eigenvalue] = spectrum.get(eigenvalue, 0) + square
+        squares += square
+    n_factorial = factorial(n)
+    zero = n_factorial - 1 - squares  # (a): two or more zero factors
+    if r > 1 and n:
+        # slot 0 a row of k = n - m boxes, a later slot a hook of m: the
+        # eigenvalue r^(n-1) k! (m-1-leg)! leg! and C(n, k) C(m-1, leg)
+        top, binomial, central, power = r ** (n - 1) * factorial(n - 1), n, 1, r - 1
+        for m in range(1, n + 1):
+            k = n - m
+            if m > 1:
+                top = top * (m - 1) // (k + 1)
+                binomial = binomial * (k + 1) // m  # C(n, k)
+                central = central * 2 * (2 * m - 3) // (m - 1)  # C(2m-2, m-1)
+                power *= r - 1
+            eigenvalue, tableaux = top, binomial
+            for leg in range(m):  # (b)
+                if leg:
+                    eigenvalue = eigenvalue * leg // (m - leg)
+                    tableaux = tableaux * (m - leg) // leg
+                signed = eigenvalue if leg % 2 else -eigenvalue
+                spectrum[signed] = spectrum.get(signed, 0) + (r - 1) * tableaux**2
+            # (c): every tuple with k boxes in slot 0 but those of (b)
+            zero += binomial * (n_factorial * power - (r - 1) * binomial * central)
     if zero:
         spectrum[0] = spectrum.get(0, 0) + zero
+    total = sum(spectrum.values())
+    if total != order:
+        raise ParameterError(
+            f"multiplicities sum to {total}, expected |G({r},1,{n})| = {order}"
+        )
+    trace = frobenius = 0
+    for theta, weight in spectrum.items():
+        weighted = weight * theta
+        trace += weighted
+        frobenius += weighted * theta
+    if trace:
+        raise ConsistencyError(
+            f"the trace of the codimension fold of G({r},1,{n}) is not 0"
+        )
+    if frobenius != order * (second + row):
+        raise ConsistencyError(
+            f"the sum of m theta^2 of the codimension fold of G({r},1,{n}) is "
+            "not |G| times the sum of codim(g)^2"
+        )
     log.debug(
-        "codimension fold of G(%d,1,%d): %d lattice cells, %d partitions of %d, "
-        "%d distinct slot-0 pairs, %d row x hook terms, %d distinct eigenvalues, "
-        "%.4fs", r, n, cells, listed, n, len(pairs),
+        "codimension fold of G(%d,1,%d): %d (a, b, 1^j) shapes, %d row x hook "
+        "terms, %d distinct eigenvalues, exact checks: integral f, sum m, "
+        "trace, sum m theta^2, %.4fs", r, n, n * n // 4,
         n * (n + 1) // 2 if r > 1 else 0, len(spectrum), time.perf_counter() - start,
     )
-    total = sum(spectrum.values())
-    expected = r**n * factorial(n)
-    if total != expected:
-        raise ParameterError(
-            f"multiplicities sum to {total}, expected |G({r},1,{n})| = {expected}"
-        )
     return tuple(sorted(spectrum.items(), reverse=True))
 
 

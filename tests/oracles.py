@@ -2,7 +2,7 @@
 
 import csv
 import io
-from math import gcd, sqrt
+from math import comb, factorial, gcd, sqrt
 
 import numpy as np
 
@@ -283,3 +283,83 @@ def csv_by_writer(rows, header) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buffer.getvalue()
+
+
+def grow_young_level(level: dict[int, int]) -> dict[int, int]:
+    """The next level of Young's lattice, each partition with its number f of
+    standard tableaux by the branching rule.  A partition is keyed by its
+    outline in an n x n box, read from bottom left to top right, first step
+    highest: bit 1 east, 0 north.  Each 0 closes a row as long as the 1s
+    before it; the empty partition is (1 << n) - 1.  A box fits at each 01,
+    and adding the 1's bit turns it into 10."""
+    above: dict[int, int] = {}
+    for word, f in level.items():
+        corners = word & ~(word >> 1)
+        while corners:
+            corner = corners & -corners
+            grown = word + corner
+            above[grown] = above.get(grown, 0) + f
+            corners ^= corner
+    return above
+
+
+def outline_partition(word: int, n: int) -> tuple[int, ...]:
+    """The partition whose outline in an n x n box is word, largest part
+    first: each north step, read from the first, closes a row as long as
+    the east steps before it."""
+    parts, east = [], 0
+    for bit in reversed(range(2 * n)):
+        if word >> bit & 1:
+            east += 1
+        elif east:
+            parts.append(east)
+    return tuple(reversed(parts))
+
+
+def lattice_slot_zero_pairs(r: int, n: int) -> dict[tuple[int, int], int]:
+    """The distinct slot-0 pairs (v, d) of the partitions of n, each with its
+    sum of f^2, walking Young's lattice up to level n: a pair is the
+    product-rule fold of one (r (1 + c), r - 1 + r c) per box, row by row,
+    which stops at (0, 0), as every further factor keeps it."""
+    level = {(1 << n) - 1: 1}
+    for _ in range(n):
+        level = grow_young_level(level)
+    pairs: dict[tuple[int, int], int] = {}
+    for word, f in level.items():
+        value, derivative = 1, 0
+        for row, part in enumerate(outline_partition(word, n)):
+            for c in range(-row, part - row):
+                v, d = r * (1 + c), r - 1 + r * c
+                value, derivative = value * v, derivative * v + value * d
+            if not value and not derivative:
+                break
+        pairs[value, derivative] = pairs.get((value, derivative), 0) + f * f
+    return pairs
+
+
+def lattice_codim_fold(r: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The codimension spectrum of G(r, 1, n) with part (a) of the fold read
+    off Young's lattice, level n, and parts (b) and (c) from factorials and
+    binomials term by term: the reference for the closed-form fold."""
+    spectrum: dict[int, int] = {}
+    for (_, eigenvalue), squared in lattice_slot_zero_pairs(r, n).items():
+        spectrum[eigenvalue] = spectrum.get(eigenvalue, 0) + squared
+    zero = 0
+    for k in range(n if r > 1 else 0):
+        m = n - k
+        scale = comb(n, k) ** 2
+        row = r**k * factorial(k)
+        for leg in range(m):
+            hook = (
+                (-1) ** (leg + 1) * r ** (m - 1) * factorial(m - 1 - leg) * factorial(leg)
+            )
+            weight = scale * (r - 1) * comb(m - 1, leg) ** 2
+            spectrum[row * hook] = spectrum.get(row * hook, 0) + weight
+        zero += scale * (
+            (factorial(k) - 1) * (r - 1) * factorial(m)
+            + (r - 1) * (factorial(m) - comb(2 * m - 2, m - 1))
+            + factorial(k) * factorial(m) * ((r - 1) ** m - (r - 1))
+        )
+    if zero:
+        spectrum[0] = spectrum.get(0, 0) + zero
+    return tuple(sorted(spectrum.items(), reverse=True))

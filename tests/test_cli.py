@@ -183,16 +183,47 @@ def test_spectrum_usage_errors_exit_2(extra):
     assert result.stdout_bytes == b""
 
 
-def test_combinatorial_fold_cap_exceeded_exits_1():
-    # the fold for G(1,1,60) takes up to 58,954,487 steps, above the default
-    # cap, though its 966,467 partition tuples are below the tuple cap
+def test_combinatorial_fold_cap_exceeded_exits_1(monkeypatch):
+    # the fold for G(2,1,1000) takes up to 751,501 terms times 149 words of
+    # 2^1000 1000!, above the default cap, and is refused before any term
+    def unreachable(*args):
+        raise AssertionError("term formed before the cap check")
+
+    for name in ("_codimension_moments", "_slot_zero_shapes"):
+        monkeypatch.setattr(partitions, name, unreachable)
     result = CliRunner().invoke(main, [
-        "spectrum", "1", "1", "60", "--kind", "codimension",
+        "spectrum", "2", "1", "1000", "--kind", "codimension",
         "--method", "combinatorial",
     ])
     assert result.exit_code == 1
-    assert "up to 58954487 steps" in result.stderr
+    assert "up to 111973649 steps" in result.stderr
     assert result.stdout_bytes == b""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_largest_admitted_fold_prints_every_integer(fmt):
+    # G(2,1,n) at the largest n the fold cap admits: every multiplicity and
+    # eigenvalue is written out below Python's int-to-text digit limit, and
+    # one more n is refused
+    n = 1
+    while partitions._fold_bound(2, n + 1) <= partitions.DEFAULT_FOLD_CAP:
+        n += 1
+    args = ["spectrum", "2", "1", str(n), "--kind", "codimension",
+            "--method", "combinatorial", "--format", fmt]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    if fmt == "json":
+        entries = json.loads(result.stdout_bytes)["entries"]
+        pairs = [(e["eigenvalue"], e["multiplicity"]) for e in entries]
+    else:
+        tokens = result.stdout.splitlines()[0].split(": ", 1)[1].split()
+        pairs = [tuple(map(int, token.split("^"))) for token in tokens]
+    assert sum(m for _, m in pairs) == 2**n * math.factorial(n)
+    assert max(len(str(abs(x))) for pair in pairs for x in pair) < (
+        sys.get_int_max_str_digits()
+    )
+    args[3] = str(n + 1)
+    assert CliRunner().invoke(main, args).exit_code == 1
 
 
 @pytest.mark.parametrize(

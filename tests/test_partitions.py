@@ -6,8 +6,10 @@ against the group order.
 """
 
 import logging
+import math
 import operator
 import re
+import sys
 from math import factorial, prod
 
 import pytest
@@ -15,12 +17,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reflectra import partitions as partitions_module
-from reflectra.errors import ParameterError, SizeLimitError
+from reflectra.errors import ConsistencyError, ParameterError, SizeLimitError
+from reflectra.groups import Group, GroupParams
 from reflectra.partitions import (
+    DEFAULT_FOLD_CAP,
     DEFAULT_TUPLE_CAP,
-    _grow,
-    _hook_derivative,
-    _slot_zero_pairs,
+    _codimension_moments,
+    _fold_bound,
+    _slot_zero_shapes,
     character_dimension,
     closed_form_reference,
     codim_spectrum_combinatorial,
@@ -31,12 +35,20 @@ from reflectra.partitions import (
     enumerate_partition_tuples,
     format_partition_tuple,
     hook_lengths,
+    hook_product,
     parse_partition_tuple,
     partition_counts,
     partitions_of,
     poincare_star_roots,
     validate_partition,
     xi_from_roots,
+)
+
+from oracles import (
+    grow_young_level,
+    lattice_codim_fold,
+    lattice_slot_zero_pairs,
+    outline_partition,
 )
 
 partitions = st.integers(0, 7).map(partitions_of).flatmap(st.sampled_from)
@@ -63,18 +75,35 @@ SLOT_PARTITIONS = [p for k in range(15) for p in partitions_of(k)]
 SLOT_RANKS = [*range(1, 9), 12, 30]
 
 
-def lattice_cells(n: int) -> int:
-    """Boxes added walking Young's lattice up to level n: a partition gains
-    one at the end of each row longer than the next, and one in a new row."""
-    return sum(len(set(p)) + 1 for k in range(n) for p in partitions_of(k))
+# the grid the closed-form fold is checked on against the lattice reference
+LATTICE_FOLDS = (
+    [(r, n) for r in (1, 2, 3, 4, 5, 6, 8, 12) for n in range(23)]
+    + [(r, n) for r in (30, 100) for n in range(8)]
+    + [(2, 36), (2, 40), (1, 40), (3, 18), (12, 5), (7, 9), (16, 4), (100, 2)]
+)
 
 
-def fold_steps(r: int, n: int) -> int:
-    """The fold's work: the lattice cells up to level n, the partitions of
-    n, and with later slots one closed-form term per row size and hook leg
-    and one eigenvalue-0 term per row size."""
-    terms = sum(m + 1 for m in range(1, n + 1)) if r > 1 else 0
-    return lattice_cells(n) + len(partitions_of(n)) + terms
+def one_zero_shapes(n: int):
+    """The shapes (a, b, 1^j) of n boxes, a >= b >= 1, in the fold's order:
+    j ascending, then b."""
+    return [
+        (n - j - b, b) + (1,) * j
+        for j in range(n - 1) for b in range(1, (n - j) // 2 + 1)
+    ]
+
+
+def fold_terms(r: int, n: int) -> int:
+    """The fold's exact integer terms: the row, the partitions of n with one
+    box of content -1, and with later slots one term per row size and hook
+    leg and one eigenvalue-0 term per row size."""
+    shapes = sum(contents(p).count(-1) == 1 for p in partitions_of(n))
+    hooks = sum(m + 1 for m in range(1, n + 1)) if r > 1 else 0
+    return 1 + shapes + hooks
+
+
+def order_words(r: int, n: int) -> int:
+    """The 64-bit words of r^n n!."""
+    return -(-(r**n * factorial(n)).bit_length() // 64)
 
 
 def brute_standard_tableaux(shape) -> int:
@@ -98,25 +127,16 @@ def brute_standard_tableaux(shape) -> int:
     return place(1)
 
 
-def boundary_word(p, n: int) -> int:
-    """The outline of p in an n x n box from bottom left to top right as
-    bits, first step highest: 1 east, 0 north."""
-    letters, east = "", 0
-    for part in reversed(p + (0,) * (n - len(p))):
-        letters += "1" * (part - east) + "0"
-        east = part
-    return int(letters + "1" * (n - east), 2)
-
-
 def lattice_tableaux(n: int) -> dict:
-    """Each partition of size at most n with the f the fold's lattice gives
-    it, checking that every level holds exactly the partitions of its size."""
+    """Each partition of size at most n with the f Young's lattice gives it,
+    checking that every level holds exactly the partitions of its size."""
     found, level = {}, {(1 << n) - 1: 1}
     for k in range(n + 1):
         if k:
-            level, _ = _grow(level)
-        assert len(level) == len(partitions_of(k))
-        found.update((p, level[boundary_word(p, n)]) for p in partitions_of(k))
+            level = grow_young_level(level)
+        shapes = {outline_partition(word, n): f for word, f in level.items()}
+        assert sorted(shapes, reverse=True) == list(partitions_of(k))
+        found.update(shapes)
     return found
 
 
@@ -192,7 +212,7 @@ class TestBoxStatistics:
         assert len(hook_lengths(p)) == sum(p)
 
     def test_tableaux_count_against_brute_force(self):
-        # the counts f the fold weights each partition with
+        # the counts f the lattice reference weights each partition with
         for p, f in lattice_tableaux(7).items():
             assert f == brute_standard_tableaux(p)
 
@@ -325,7 +345,11 @@ class TestSlotFacts:
             _, derivative = pair_of([-1 + r * c for c in contents(p)])
             assert (derivative != 0) == is_hook(p)
             if is_hook(p):
-                assert derivative == _hook_derivative(r, sum(p), len(p) - 1)
+                m, leg = sum(p), len(p) - 1
+                assert derivative == (
+                    (-1) ** (leg + 1) * r ** (m - 1) * factorial(m - 1 - leg)
+                    * factorial(leg)
+                )
 
     @pytest.mark.parametrize("r", SLOT_RANKS)
     def test_slot_zero_value_is_nonzero_exactly_on_rows(self, r):
@@ -340,9 +364,51 @@ class TestSlotFacts:
         for p in partitions_of(n):
             key = pair_of([r - 1 + r * c for c in contents(p)])
             expected[key] = expected.get(key, 0) + character_dimension((p,)) ** 2
-        pairs, _, listed = _slot_zero_pairs(r, n)
-        assert pairs == expected
-        assert listed == len(partitions_of(n))
+        assert lattice_slot_zero_pairs(r, n) == expected
+
+    @pytest.mark.parametrize("r", SLOT_RANKS)
+    def test_slot_zero_pair_is_nonzero_exactly_on_rows_and_one_zero_shapes(self, r):
+        # no box of content -1 on a row, one on (a, b, 1^j), two otherwise
+        for p in SLOT_PARTITIONS:
+            value, derivative = pair_of([r - 1 + r * c for c in contents(p)])
+            one_zero = p in one_zero_shapes(sum(p))
+            assert one_zero == (contents(p).count(-1) == 1)
+            nonzero = len(p) <= 1 or one_zero
+            assert (value != 0 or derivative != 0) == nonzero
+            if len(p) <= 1:
+                n = sum(p)
+                assert _codimension_moments(r, n)[:2] == (value, derivative)
+                assert derivative == sum(
+                    (r * k - 1) * r ** (n - 1) * factorial(n) // k
+                    for k in range(1, n + 1)
+                )
+
+    @pytest.mark.parametrize("r", SLOT_RANKS)
+    def test_slot_zero_shapes_match_their_pairs_and_hook_lengths(self, r):
+        for n in range(15):
+            expected = []
+            for a, b, *leg in one_zero_shapes(n):
+                p = (a, b, *leg)
+                value, derivative = pair_of([r - 1 + r * c for c in contents(p)])
+                j = len(leg)
+                assert value == 0
+                assert derivative == (
+                    -((-1) ** j) * r ** (n - 1) * factorial(a) * factorial(b - 1)
+                    * factorial(j)
+                )
+                expected.append((derivative, factorial(n) // hook_product(p)))
+            assert list(_slot_zero_shapes(r, n)) == expected
+
+    @pytest.mark.parametrize(
+        "r,n", [(1, 1), (2, 3), (3, 2), (2, 4), (4, 2), (2, 5), (3, 4)]
+    )
+    def test_codimension_moments_count_the_elements(self, r, n):
+        # P(1), P'(1) and P''(1) against the codimensions of every element
+        codims = Group(GroupParams(r, 1, n)).codims.tolist()
+        order, first, second = _codimension_moments(r, n)
+        assert order == len(codims)
+        assert first == sum(codims)
+        assert second == sum(c * (c - 1) for c in codims)
 
 
 class TestCodimSpectrum:
@@ -398,21 +464,27 @@ class TestCodimSpectrum:
         assert codim_spectrum_combinatorial(1, 0) == ((0, 1),)
         assert codim_spectrum_combinatorial(3, 0) == ((0, 1),)
 
+    @pytest.mark.parametrize("r,n", LATTICE_FOLDS)
+    def test_fold_matches_the_lattice_reference(self, r, n):
+        assert codim_spectrum_combinatorial(r, n) == lattice_codim_fold(r, n)
+
     def test_cap_fails_before_any_partition_is_listed(self, monkeypatch):
         def unreachable(*args):
-            raise AssertionError("partition table built before the cap check")
+            raise AssertionError("partition or term formed before the cap check")
 
-        for name in ("partitions_of", "_slot_zero_pairs", "_grow"):
+        for name in ("partitions_of", "_codimension_moments", "_slot_zero_shapes"):
             monkeypatch.setattr(partitions_module, name, unreachable)
         for fn in (codim_spectrum_entries, enumerate_partition_tuples):
             with pytest.raises(SizeLimitError, match="9035539 partition tuples"):
                 fn(2, 40)
-        # the fold lists no tuple: it is capped by its steps, 61 p(60) for
-        # G(1,1,60), and 1,890 closed-form terms more for G(2,1,60)
-        with pytest.raises(SizeLimitError, match="up to 58954487 steps"):
-            codim_spectrum_combinatorial(1, 60)
-        with pytest.raises(SizeLimitError, match="up to 58956377 steps"):
-            codim_spectrum_combinatorial(2, 60)
+        monkeypatch.setattr(partitions_module, "_partition_numbers", unreachable)
+        # the fold lists no tuple and no partition: it is capped by its terms
+        # times the words of r^n n!, 250,001 x 134 for G(1,1,1000) and
+        # 751,501 x 149 for G(2,1,1000)
+        with pytest.raises(SizeLimitError, match="up to 33500134 steps"):
+            codim_spectrum_combinatorial(1, 1000)
+        with pytest.raises(SizeLimitError, match="up to 111973649 steps"):
+            codim_spectrum_combinatorial(2, 1000)
 
     def test_cap_at_the_tuple_count_passes(self, monkeypatch):
         total = count_partition_tuples(3, 4)
@@ -423,22 +495,23 @@ class TestCodimSpectrum:
             enumerate_partition_tuples(3, 4)
 
     def test_fold_cap_at_the_step_bound_passes(self, monkeypatch):
-        # G(3,1,4): at most 4 p(4) = 20 lattice cells, p(4) = 5 slot-0 pairs
-        # and 4 (4 + 3) / 2 = 14 closed-form terms
-        monkeypatch.setattr(partitions_module, "DEFAULT_FOLD_CAP", 39)
+        # G(3,1,4): the row, the shapes (3, 1), (2, 2), (2, 1, 1) and
+        # (1, 1, 1, 1), 10 row x hook terms and 4 zero terms, times the one
+        # word of 3^4 4! = 1,944
+        assert fold_terms(3, 4) == 1 + 4 + 14
+        monkeypatch.setattr(partitions_module, "DEFAULT_FOLD_CAP", 19)
         assert codim_spectrum_combinatorial(3, 4)
-        monkeypatch.setattr(partitions_module, "DEFAULT_FOLD_CAP", 38)
-        with pytest.raises(SizeLimitError, match="up to 39 steps"):
+        monkeypatch.setattr(partitions_module, "DEFAULT_FOLD_CAP", 18)
+        with pytest.raises(SizeLimitError, match="up to 19 steps"):
             codim_spectrum_combinatorial(3, 4)
 
     @pytest.mark.parametrize(
         "r,n", [(1, 12), (2, 9), (3, 6), (5, 4), (7, 2), (40, 1), (6, 0)]
     )
     def test_fold_cap_refuses_exactly_above_the_whole_bound(self, r, n, monkeypatch):
-        # the whole step bound: n p(n) lattice cells, p(n) slot-0 pairs and,
-        # with later slots, n (n + 3) / 2 closed-form terms
-        count = partition_counts(n)[n]
-        bound = (n + 1) * count + (n * (n + 3) // 2 if r > 1 else 0)
+        # the whole bound: the fold's terms times the words of r^n n!
+        bound = fold_terms(r, n) * order_words(r, n)
+        assert _fold_bound(r, n) == bound
         for cap in sorted({1, bound // 3, bound // 2, bound - 1, bound}):
             monkeypatch.setattr(partitions_module, "DEFAULT_FOLD_CAP", cap)
             if cap >= bound:
@@ -446,32 +519,18 @@ class TestCodimSpectrum:
                 continue
             with pytest.raises(SizeLimitError) as refused:
                 codim_spectrum_combinatorial(r, n)
-            steps = re.search(
-                r"takes up to (more than )?(\d+) steps", str(refused.value)
-            )
-            if steps[1]:
-                assert cap < int(steps[2]) <= bound
-            else:
-                assert int(steps[2]) == bound
+            steps = re.search(r"takes up to (\d+) steps", str(refused.value))
+            assert int(steps[1]) == bound
 
-    def test_fold_cap_refuses_huge_ranks_after_a_few_levels_and_slots(
-        self, monkeypatch
-    ):
-        # r = 10^9, n = 1 is refused on the size of its roots before any
-        # step is counted, and the bound of r = 1, n = 10^5 needs p(10^5),
-        # about 10^346
-        def few(generator):
-            def at_most_300(*args):
-                for step, value in enumerate(generator(*args)):
-                    assert step < 300, f"{generator.__name__} ran past 300 steps"
-                    yield value
+    def test_fold_cap_refuses_huge_ranks_before_any_term(self, monkeypatch):
+        # r = 10^9, n = 1 is refused on the size of its roots before the
+        # bound is taken, and r = 1, n = 10^5 or 10^6 on a bound taken from
+        # (r, n) alone
+        def unreachable(*args):
+            raise AssertionError("term formed before the cap check")
 
-            return at_most_300
-
-        monkeypatch.setattr(
-            partitions_module, "_partition_numbers",
-            few(partitions_module._partition_numbers),
-        )
+        for name in ("_codimension_moments", "_slot_zero_shapes", "factorial"):
+            monkeypatch.setattr(partitions_module, name, unreachable)
         with pytest.raises(SizeLimitError) as refused:
             codim_spectrum_combinatorial(10**9, 1)
         assert str(refused.value) == (
@@ -481,42 +540,44 @@ class TestCodimSpectrum:
         with pytest.raises(SizeLimitError) as refused:
             codim_spectrum_combinatorial(1, 10**5)
         assert str(refused.value) == (
-            "the partition-tuple fold for r=1, n=100000 takes up to more "
-            "than 10619863 steps, above the cap 10000000"
+            "the partition-tuple fold for r=1, n=100000 takes up to "
+            "59247500023699 steps, above the cap 3000000"
         )
+        with pytest.raises(
+            SizeLimitError, match="n=1000000 takes up to 72222250000288889 steps"
+        ):
+            codim_spectrum_combinatorial(1, 10**6)
 
     def test_fold_refuses_roots_above_the_cap(self, monkeypatch):
         # every root has size below r n; the cap holds r n, so (10^5, 10)
-        # passes and one more slot does not, before p is taken
-        def unreachable():
-            raise AssertionError("partition numbers taken before the root cap")
+        # passes and one more slot does not, before the bound is taken
+        def unreachable(*args):
+            raise AssertionError("fold bound taken before the root cap")
 
         assert codim_spectrum_combinatorial(10**5, 2)
-        monkeypatch.setattr(partitions_module, "_partition_numbers", unreachable)
+        monkeypatch.setattr(partitions_module, "_fold_bound", unreachable)
         with pytest.raises(SizeLimitError, match="roots of size up to r n = 1000010,"):
             codim_spectrum_combinatorial(10**5 + 1, 10)
 
     @pytest.mark.parametrize("r,n", [(1, 12), (3, 6)])
-    def test_fold_takes_the_partition_numbers_once(self, r, n, monkeypatch):
-        # the cap takes p(0..n) in one run
-        runs = []
-        numbers = partitions_module._partition_numbers
+    def test_fold_lists_no_partition(self, r, n, monkeypatch):
+        # the fold takes neither the partition numbers nor any partition
+        def unreachable(*args):
+            raise AssertionError("partition listed by the fold")
 
-        def counted():
-            runs.append(1)
-            return numbers()
-
-        monkeypatch.setattr(partitions_module, "_partition_numbers", counted)
+        for name in ("partitions_of", "_partition_numbers", "partition_counts"):
+            monkeypatch.setattr(partitions_module, name, unreachable)
         assert codim_spectrum_combinatorial(r, n)
-        assert len(runs) == 1
 
     @pytest.mark.parametrize(
         "r,n", [(1, 12), (2, 9), (3, 6), (5, 4), (2, 1), (2, 2), (3, 3)]
     )
     def test_fold_cap_bounds_the_fold_steps(self, r, n, monkeypatch):
-        # the bound is never below the steps the fold really takes
+        # the bound is never below the terms the fold forms times the words
+        # of the order
         monkeypatch.setattr(
-            partitions_module, "DEFAULT_FOLD_CAP", fold_steps(r, n) - 1
+            partitions_module, "DEFAULT_FOLD_CAP",
+            fold_terms(r, n) * order_words(r, n) - 1,
         )
         with pytest.raises(SizeLimitError):
             codim_spectrum_combinatorial(r, n)
@@ -524,37 +585,64 @@ class TestCodimSpectrum:
     @pytest.mark.parametrize(
         "r,n",
         [(4, 10), (6, 8), (8, 7), (2, 16), (3, 12), (2, 30), (2, 36), (2, 40),
-         (10**5, 10)],
+         (10**5, 10), (1, 60), (2, 60), (2, 100), (2, 200)],
     )
     def test_fold_cap_admits_the_fast_folds(self, r, n, monkeypatch):
-        # the benchmark's exact spectra, and G(2,1,30), G(2,1,36) and
-        # G(2,1,40), whose folds take about 0.06 s, 0.2 s and 0.75 s: the
-        # fold gets past its cap and on to its lattice
+        # the benchmark's exact spectra and larger folds up to G(2,1,200),
+        # each in under 0.1 s: the fold gets past its cap and on to its terms
         class Admitted(Exception):
             pass
 
         def admitted(*args):
             raise Admitted
 
-        monkeypatch.setattr(partitions_module, "_slot_zero_pairs", admitted)
+        monkeypatch.setattr(partitions_module, "_codimension_moments", admitted)
         with pytest.raises(Admitted):
             codim_spectrum_combinatorial(r, n)
 
-    @pytest.mark.parametrize("r,n", [(1, 3), (2, 3)])
-    def test_tableau_squares_are_checked_per_level(self, r, n, monkeypatch):
-        grow = partitions_module._grow
+    def test_no_admitted_fold_prints_past_the_digit_limit(self):
+        # every printed integer is at most n r^n n! (the row's eigenvalue,
+        # the sum of codim(g), is the largest); for each n the largest r the
+        # caps admit keeps it below Python's limit for int-to-text
+        limit = sys.get_int_max_str_digits()
+        n = 1
+        while _fold_bound(1, n) <= DEFAULT_FOLD_CAP:
+            low, high = 1, partitions_module.DEFAULT_ROOT_CAP // n
+            while low < high:  # the largest admitted r, the bound rising in r
+                mid = (low + high + 1) // 2
+                if _fold_bound(mid, n) <= DEFAULT_FOLD_CAP:
+                    low = mid
+                else:
+                    high = mid - 1
+            log_integer = math.log(n) + n * math.log(low) + math.lgamma(n + 1)
+            assert log_integer / math.log(10) + 1 < limit, (low, n)
+            n += 1
 
-        def corrupted(level):
-            above, cells = grow(level)
-            above[next(iter(above))] += 1
-            return above, cells
+    @pytest.mark.parametrize("r,n", [(1, 3), (2, 3), (2, 8), (3, 5)])
+    def test_a_wrong_family_weight_fails_the_certificate(self, r, n, monkeypatch):
+        # the zero weight of (a) is n! - 1 - sum f^2, so the total cannot see
+        # a wrong f; the trace can
+        shapes = partitions_module._slot_zero_shapes
 
-        monkeypatch.setattr(partitions_module, "_grow", corrupted)
-        # one slot checks only level n; more slots check level 1 first,
-        # whose one partition now has f = 2
-        match = "partitions of 3 sum to" if r == 1 else "partitions of 1 sum to 4,"
-        with pytest.raises(ParameterError, match=match):
+        def corrupted(*args):
+            (d, f), *rest = shapes(*args)
+            return [(d, f + 1), *rest]
+
+        monkeypatch.setattr(partitions_module, "_slot_zero_shapes", corrupted)
+        with pytest.raises(ConsistencyError, match="trace of the codimension fold"):
             codim_spectrum_combinatorial(r, n)
+
+    def test_a_wrong_codimension_sum_fails_the_frobenius_moment(self, monkeypatch):
+        # a sum of codim(g)^2 off by one leaves the total and the trace alone
+        moments = partitions_module._codimension_moments
+
+        def shifted(r, n):
+            order, first, second = moments(r, n)
+            return order, first, second + 1
+
+        monkeypatch.setattr(partitions_module, "_codimension_moments", shifted)
+        with pytest.raises(ConsistencyError, match="sum of m theta\\^2"):
+            codim_spectrum_combinatorial(2, 5)
 
     def test_fold_logs_its_work(self, caplog):
         r, n = 2, 16
@@ -565,10 +653,9 @@ class TestCodimSpectrum:
             if rec.name == "reflectra.partitions"
         ]
         assert len(records) == 1
-        slot_zero = {
-            pair_of([r - 1 + r * c for c in contents(p)]) for p in partitions_of(n)
-        }
-        # a hook is a partition with one box of content 0
+        # the shapes with one box of content -1; a hook is a partition with
+        # one box of content 0
+        shapes = sum(contents(p).count(-1) == 1 for p in partitions_of(n))
         row_hooks = sum(
             contents(p).count(0) == 1
             for k in range(n) for p in partitions_of(n - k)
@@ -578,10 +665,10 @@ class TestCodimSpectrum:
             for tpl in enumerate_partition_tuples(r, n)
         }
         assert records[0].startswith(
-            f"codimension fold of G(2,1,16): {lattice_cells(n)} lattice "
-            f"cells, {len(partitions_of(n))} partitions of 16, "
-            f"{len(slot_zero)} distinct slot-0 pairs, {row_hooks} row x hook "
-            f"terms, {len(eigenvalues)} distinct eigenvalues, "
+            f"codimension fold of G(2,1,16): {shapes} (a, b, 1^j) shapes, "
+            f"{row_hooks} row x hook terms, {len(eigenvalues)} distinct "
+            "eigenvalues, exact checks: integral f, sum m, trace, "
+            "sum m theta^2, "
         )
 
 
